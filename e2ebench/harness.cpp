@@ -90,6 +90,11 @@ constexpr std::size_t kQueueCapacity = 64;
 // (p50 0.4 to 11 ms across ten runs), so the rate keeps headroom.
 constexpr double kServeRatePerSession = 1000.0;  // bins/s
 constexpr std::size_t kServeSessions = 2;
+// setup_s is the median of at least this many set-ups per run.  A
+// serve set-up (daemon spawn to WELCOME) takes a few ms of mostly
+// wake-ups, so it takes more samples than a replay one (under 1 s).
+constexpr std::size_t kReplaySetupSamples = 9;
+constexpr std::size_t kServeSetupSamples = 31;
 // Serve latency p99 is taken per window of this many consecutive bins
 // of one session (10 samples beyond p99) and reported as the median
 // over windows: a generator descheduled by an unrelated process then
@@ -118,14 +123,17 @@ struct Workload {
 
 const Workload kWorkloads[] = {
     // The ROADMAP baseline input: `ictm synthesize 200 64 0.25 <seed>`.
-    // Three 24-bin segments (three windows each) at the 9 bins/day
-    // that `ictm synthesize 200 64` uses; `--bins 64 --segment-bins 0`
-    // replays that command's output.
-    {"replay_h200", "hierarchy:200", 200, 72, 9, 24, 24, 8,
+    // Eight 12-bin segments (a window and a half each) at the 9
+    // bins/day that `ictm synthesize 200 64` uses; `--bins 64
+    // --segment-bins 0` replays that command's output.  PCG iterations
+    // per segment range over a factor of two between seeds, so many
+    // short segments keep the work per input steady.
+    {"replay_h200", "hierarchy:200", 200, 96, 9, 12, 12, 8,
      stream::ChunkCodec::kRaw, false, 6},
     // Per session: 2 s of bins at kServeRatePerSession.  Window 0
-    // keeps no state across bins, so segments are independent.
-    {"serve_geant22", "geant22", 22, 2000, 288, 100, 0, 0,
+    // keeps no state across bins, so segments are independent; short
+    // ones average the seed's effect on rel_l2.
+    {"serve_geant22", "geant22", 22, 2000, 288, 25, 0, 0,
      stream::ChunkCodec::kDelta, true, 256},
 };
 
@@ -153,6 +161,19 @@ double PeakRssMb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return double(usage.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
+}
+
+// CPU time of all threads of this process.  Time the host steals from
+// the guest's vCPUs does not count, so it is steadier than wall time.
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
+}
+
+double UserSysSeconds(const struct rusage& usage) {
+  return double(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         1e-6 * double(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec);
 }
 
 // ---- spans -----------------------------------------------------------------
@@ -439,6 +460,7 @@ int CmdGen(const Workload& w, std::uint64_t seed, std::size_t bins,
 struct ReplayPass {
   double setupS = 0.0;
   double replayS = 0.0;
+  double replayCpuS = 0.0;  // process CPU over the same span as replayS
   double routingMs = 0.0, systemMs = 0.0;
   std::size_t bins = 0;
   std::size_t failedBins = 0;
@@ -574,6 +596,7 @@ ReplayPass RunReplayPass(const ReplayContext& ctx, Tracer* tr,
     estimator.emplace(system, options, onEstimate);
   }
   const auto t1 = Clock::now();
+  const double cpu1 = ProcessCpuSeconds();
   setupSpan.reset();
   pass.setupS = SecondsBetween(t0, t1);
 
@@ -621,6 +644,7 @@ ReplayPass RunReplayPass(const ReplayContext& ctx, Tracer* tr,
   }
   const auto t2 = Clock::now();
   pass.replayS = SecondsBetween(t1, t2);
+  pass.replayCpuS = ProcessCpuSeconds() - cpu1;
   pass.bins = bins;
 
   ctx.checks->require(pushed == bins, "input.bins",
@@ -727,19 +751,25 @@ class Daemon {
     const auto deadline =
         Clock::now() + std::chrono::duration<double>(timeoutS);
     int status = 0;
+    struct rusage usage {};
     for (;;) {
-      const pid_t r = waitpid(pid_, &status, WNOHANG);
+      const pid_t r = wait4(pid_, &status, WNOHANG, &usage);
       if (r == pid_) break;
       if (Clock::now() > deadline) return false;  // destructor kills
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     pid_ = -1;
+    cpuSeconds_ = UserSysSeconds(usage);
     return WIFEXITED(status) && WEXITSTATUS(status) == 0;
   }
+
+  /// User + system CPU time of the whole daemon life, after stop().
+  double cpuSeconds() const { return cpuSeconds_; }
 
  private:
   pid_t pid_ = -1;
   int out_ = -1;
+  double cpuSeconds_ = 0.0;
 };
 
 struct SessionRun {
@@ -753,6 +783,7 @@ struct Lifecycle {
   double setupS = 0.0;
   double peakRssMb = 0.0;
   double binsPerS = 0.0;
+  double cpuMsPerBin = 0.0;  // daemon CPU over its life / bins served
   std::vector<double> latencyMs;
   std::vector<double> windowP99;  // p99 of each kLatencyWindow bins
   std::vector<double> handshakeMs;
@@ -900,6 +931,8 @@ Lifecycle RunServeLifecycle(const ServeContext& ctx, std::size_t bins,
   if (bins > 0) {
     life.binsPerS = double(kServeSessions * bins) /
                     SecondsBetween(firstWelcome, lastArrival);
+    life.cpuMsPerBin =
+        1e3 * daemon.cpuSeconds() / double(kServeSessions * bins);
   }
   return life;
 }
@@ -1101,25 +1134,33 @@ struct ReplaySummary {
   std::vector<double> setupS;
   std::size_t segments = 1;
 
-  // Per complete cycle: bins over replay time, and the latency p50 of
-  // the cycle's bins.  Reported as the median over cycles, so a cycle
-  // slowed by host CPU steal does not set the run's figure.
-  std::vector<double> perCycle(bool latency) const {
+  enum class CycleStat { kBinsPerS, kLatencyP50, kCpuMsPerBin };
+
+  // Per complete cycle: bins over replay time, the latency p50 of the
+  // cycle's bins, or process CPU per bin.  Reported as the median over
+  // cycles, so a cycle slowed by host CPU steal does not set the run's
+  // figure.
+  std::vector<double> perCycle(CycleStat stat) const {
     std::vector<double> out;
     for (std::size_t c = 0; (c + 1) * segments <= passes.size(); ++c) {
-      double bins = 0.0, seconds = 0.0;
+      double bins = 0.0, seconds = 0.0, cpuS = 0.0;
       std::vector<double> lat;
       for (std::size_t k = c * segments; k < (c + 1) * segments; ++k) {
         bins += double(passes[k].bins);
         seconds += passes[k].replayS;
+        cpuS += passes[k].replayCpuS;
         lat.insert(lat.end(), passes[k].latencyMs.begin(),
                    passes[k].latencyMs.end());
       }
-      out.push_back(latency ? Quantile(lat, 0.5) : bins / seconds);
+      switch (stat) {
+        case CycleStat::kBinsPerS: out.push_back(bins / seconds); break;
+        case CycleStat::kLatencyP50: out.push_back(Quantile(lat, 0.5)); break;
+        case CycleStat::kCpuMsPerBin: out.push_back(1e3 * cpuS / bins); break;
+      }
     }
     return out;
   }
-  double binsPerS() const { return Median(perCycle(false)); }
+  double binsPerS() const { return Median(perCycle(CycleStat::kBinsPerS)); }
   std::vector<double> pooled(std::vector<double> ReplayPass::*field) const {
     std::vector<double> v;
     for (const auto& p : passes) {
@@ -1208,7 +1249,7 @@ int CmdRunReplay(const Workload& w, const std::string& input,
   if (!traced) {
     ReplaySummary s = RunReplayPasses(ctx, seconds, nullptr, 0);
     // Extra set-up-only samples so setup_s is a median of several.
-    while (s.setupS.size() < 5) {
+    while (s.setupS.size() < kReplaySetupSamples) {
       s.setupS.push_back(RunReplayPass(ctx, nullptr, 0, true).setupS);
     }
     account(s);
@@ -1218,7 +1259,10 @@ int CmdRunReplay(const Workload& w, const std::string& input,
     metrics["peak_rss_mb"] = PeakRssMb();
     metrics["rel_l2"] = s.relL2().meanEst();
     metrics["rel_l2_prior"] = s.relL2().meanPrior();
-    metrics["latency_ms_p50"] = Median(s.perCycle(true));
+    metrics["cpu_ms_per_bin"] =
+        Median(s.perCycle(ReplaySummary::CycleStat::kCpuMsPerBin));
+    metrics["latency_ms_p50"] =
+        Median(s.perCycle(ReplaySummary::CycleStat::kLatencyP50));
     metrics["latency_ms_p99"] =
         Quantile(s.pooled(&ReplayPass::latencyMs), 0.99);
     metrics["passes"] = double(s.passes.size());
@@ -1282,6 +1326,8 @@ int CmdRunReplay(const Workload& w, const std::string& input,
       metrics[name] = 0.0;  // no server on this workload
     }
     metrics["obs.trace_overhead"] = plain.binsPerS() / traced.binsPerS();
+    metrics["latency_ms_p50"] =
+        Median(plain.perCycle(ReplaySummary::CycleStat::kLatencyP50));
     metrics["latency_ms_p99"] =
         Quantile(plain.pooled(&ReplayPass::latencyMs), 0.99);
     metrics["window_refits"] = double(Get(reg, "stream.window_refits"));
@@ -1351,18 +1397,25 @@ int CmdRunServe(const Workload& w, const std::string& input, double seconds,
     }
     return v;
   };
+  // Per-lifecycle p50, median over lifecycles, as for replay cycles.
+  const auto latencyP50 = [](const std::vector<Lifecycle>& lives) {
+    std::vector<double> p50;
+    for (const auto& l : lives) p50.push_back(Quantile(l.latencyMs, 0.5));
+    return Median(p50);
+  };
 
   std::map<std::string, double> metrics;
   if (!traced) {
     const auto lives = runLifecycles(seconds, nullptr);
-    std::vector<double> setup, rss, rate;
+    std::vector<double> setup, rss, rate, cpu;
     for (const auto& l : lives) {
       setup.push_back(l.setupS);
       rss.push_back(l.peakRssMb);
       rate.push_back(l.binsPerS);
+      cpu.push_back(l.cpuMsPerBin);
     }
     // Extra one-bin lifecycles so setup_s is a median of several.
-    while (setup.size() < 5) {
+    while (setup.size() < kServeSetupSamples) {
       const Lifecycle extra = RunServeLifecycle(ctx, 1, nullptr);
       attempted += kServeSessions;
       failed += extra.failedBins;
@@ -1374,10 +1427,8 @@ int CmdRunServe(const Workload& w, const std::string& input, double seconds,
     metrics["peak_rss_mb"] = Median(rss);
     metrics["rel_l2"] = relL2.meanEst();
     metrics["rel_l2_prior"] = relL2.meanPrior();
-    // Per-lifecycle p50, median over lifecycles, as for replay cycles.
-    std::vector<double> p50;
-    for (const auto& l : lives) p50.push_back(Quantile(l.latencyMs, 0.5));
-    metrics["latency_ms_p50"] = Median(p50);
+    metrics["cpu_ms_per_bin"] = Median(cpu);
+    metrics["latency_ms_p50"] = latencyP50(lives);
     metrics["latency_ms_p99"] = Median(pooled(lives, &Lifecycle::windowP99));
     metrics["latency_samples"] = double(latency.size());
     metrics["passes"] = double(lives.size());
@@ -1428,6 +1479,7 @@ int CmdRunServe(const Workload& w, const std::string& input, double seconds,
     metrics["server.bytes_per_frame"] =
         frames > 0 ? double(Get(st, "server.bytes_sent")) / frames : 0.0;
     metrics["bench.send_lateness_ms_max"] = maxLateness;
+    metrics["latency_ms_p50"] = latencyP50(plain);
     metrics["latency_ms_p99"] = Median(pooled(plain, &Lifecycle::windowP99));
     metrics["obs.trace_overhead"] =
         Quantile(pooled(tracedLives, &Lifecycle::latencyMs), 0.5) /

@@ -22,7 +22,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Tiny inputs: whole segments, so every workload keeps its shape.
-TINY_BINS = {"replay_h200": 16, "serve_geant22": 400}
+TINY_BINS = {"replay_h200": 24, "serve_geant22": 400}
 
 
 def main() -> int:
