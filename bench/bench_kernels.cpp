@@ -1,13 +1,12 @@
 // Google-benchmark microbenchmarks of the numerical kernels the
-// reproduction is built on: QR/SVD factorisations, NNLS, the
-// per-bin activity solve, the stable-fP prior, and one tomogravity
-// estimation bin at Géant scale.
+// reproduction is built on: QR/SVD factorisations, NNLS, gravity,
+// the stable-fP prior, and one tomogravity estimation bin at Géant
+// scale.
 #include <benchmark/benchmark.h>
 
 #include "core/estimation.hpp"
 #include "core/fit.hpp"
 #include "core/gravity.hpp"
-#include "core/ic_model.hpp"
 #include "core/priors.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/qr.hpp"
@@ -61,17 +60,6 @@ void BM_Nnls(benchmark::State& state) {
 }
 BENCHMARK(BM_Nnls)->Arg(8)->Arg(22);
 
-void BM_ActivityOperatorBuild(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  stats::Rng rng(5);
-  linalg::Vector pref(n);
-  for (double& p : pref) p = rng.uniform(0.1, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::BuildActivityOperator(0.25, pref));
-  }
-}
-BENCHMARK(BM_ActivityOperatorBuild)->Arg(22)->Arg(64);
-
 void BM_GravityPredict(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   stats::Rng rng(6);
@@ -119,7 +107,7 @@ void BM_EstimateTmBinGeant(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateTmBinGeant);
 
-// One ALS sweep-equivalent: the per-bin activity NNLS at n=22.
+// The stable-fP prior (Eqs. 7-9) over 64 bins of marginals at n=22.
 void BM_StableFPPriorWeek(benchmark::State& state) {
   const std::size_t n = 22, bins = 64;
   stats::Rng rng(8);

@@ -1,6 +1,8 @@
 #include "core/ic_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/parallel.hpp"
 
@@ -87,24 +89,103 @@ traffic::TrafficMatrixSeries EvaluateStableFP(
   return series;
 }
 
-linalg::Matrix BuildActivityOperator(double f,
-                                     const linalg::Vector& preference) {
-  ICTM_REQUIRE(f > 0.0 && f < 1.0, "f must lie in (0,1)");
-  const std::size_t n = preference.size();
-  ICTM_REQUIRE(n > 0, "empty preference vector");
-  const double prefSum = linalg::Sum(preference);
-  ICTM_REQUIRE(prefSum > 0.0, "all preferences are zero");
+StableFPKernel::StableFPKernel(double f, linalg::Vector preference)
+    : f_(f), preference_(std::move(preference)) {
+  ICTM_REQUIRE(f_ > 0.0 && f_ < 1.0, "f must lie in (0,1)");
+  ICTM_REQUIRE(!preference_.empty(), "empty preference vector");
+  double sum = 0.0;
+  for (double p : preference_) {
+    ICTM_REQUIRE(std::isfinite(p) && p >= 0.0,
+                 "preference entries must be finite and non-negative");
+    sum += p;
+  }
+  ICTM_REQUIRE(std::isfinite(sum) && sum > 0.0,
+               "preference sum must be finite and positive");
+  normalized_.resize(preference_.size());
+  for (std::size_t i = 0; i < preference_.size(); ++i) {
+    normalized_[i] = preference_[i] / sum;
+    pDotP_ += normalized_[i] * normalized_[i];
+  }
+}
 
-  linalg::Matrix phi(n * n, n, 0.0);
+void StableFPKernel::PriorBin(const double* ingress, const double* egress,
+                              double* activity, double* outBin) const {
+  const std::size_t n = nodeCount();
+  const linalg::Vector& p = normalized_;
+  const double g = 1.0 - f_;
+  const double alpha = f_ * f_ + g * g;
+  const double k = 2.0 * f_ * g;
+  // Eq. 8.  b = (Q Phi)^T [ingress; egress]
+  //   = f ingress + (1-f) egress + ((1-f) p^T ingress + f p^T egress) 1.
+  double pIn = 0.0;
+  double pEg = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
+    pIn += p[i] * ingress[i];
+    pEg += p[i] * egress[i];
+  }
+  const double shift = g * pIn + f_ * pEg;
+  double sumB = 0.0;
+  double pB = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    activity[i] = f_ * ingress[i] + g * egress[i] + shift;
+    sumB += activity[i];
+    pB += p[i] * activity[i];
+  }
+  // Normal equations: alpha a + k (s p + t 1) + alpha pi s 1 = b with
+  // s = 1^T a, t = p^T a, pi = p^T p, alpha = f^2 + (1-f)^2 and
+  // k = 2f(1-f).  Projecting onto 1 and p (1^T p = 1, alpha + k = 1):
+  //   (1 + n alpha pi) s + n k t = 1^T b,   pi s + t = p^T b,
+  // whose determinant 1 + n pi (2f-1)^2 is at least 1.
+  const double nd = static_cast<double>(n);
+  const double d = 2.0 * f_ - 1.0;
+  const double s = (sumB - nd * k * pB) / (1.0 + nd * pDotP_ * d * d);
+  const double t = pB - pDotP_ * s;
+  const double common = k * t + alpha * pDotP_ * s;
+  for (std::size_t i = 0; i < n; ++i) {
+    activity[i] = (activity[i] - k * s * p[i] - common) / alpha;
+  }
+
+  // Eq. 9.  Negative activities (the least-squares solve is
+  // unconstrained) can push entries below zero; clamp to a valid TM.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double fa = f_ * activity[i];
+    const double pI = p[i];
+    double* row = outBin + i * n;
     for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t row = i * n + j;
-      // X_ij = f * Pn_j * A_i + (1-f) * Pn_i * A_j.
-      phi(row, i) += f * preference[j] / prefSum;
-      phi(row, j) += (1.0 - f) * preference[i] / prefSum;
+      row[j] = std::max(fa * p[j] + g * activity[j] * pI, 0.0);
     }
   }
-  return phi;
+}
+
+linalg::Matrix StableFPKernel::Gram() const {
+  const std::size_t n = nodeCount();
+  const linalg::Vector& p = normalized_;
+  const double g = 1.0 - f_;
+  const double k = 2.0 * f_ * g;
+  const double diagonal = (f_ * f_ + g * g) * pDotP_;
+  linalg::Matrix gram(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) gram(i, j) = k * p[i] * p[j];
+    gram(i, i) += diagonal;
+  }
+  return gram;
+}
+
+linalg::Vector StableFPKernel::TransposeApply(const double* tm) const {
+  const std::size_t n = nodeCount();
+  const linalg::Vector& p = normalized_;
+  linalg::Vector xp(n, 0.0);
+  linalg::Vector xtp(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = tm + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      xp[i] += row[j] * p[j];
+      xtp[j] += row[j] * p[i];
+    }
+  }
+  const double g = 1.0 - f_;
+  for (std::size_t i = 0; i < n; ++i) xp[i] = f_ * xp[i] + g * xtp[i];
+  return xp;
 }
 
 double ConditionalEgressProbability(const linalg::Matrix& tm,

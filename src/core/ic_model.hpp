@@ -52,12 +52,48 @@ traffic::TrafficMatrixSeries EvaluateStableFP(
     const linalg::Vector& preference, double binSeconds = 300.0,
     std::size_t threads = 1);
 
-/// Builds the n^2 x n linear operator Phi with x(t) = Phi * A(t) for
-/// fixed (f, P) — the matrix the stable-fP estimation premultiplies by
-/// Q in Eq. 8.  Row i*n+j corresponds to X_ij; preference is
-/// normalised internally.
-linalg::Matrix BuildActivityOperator(double f,
-                                     const linalg::Vector& preference);
+/// The stable-fP operator for fixed (f, P) in closed form.  Eq. 7
+/// writes a TM bin as x = Phi A with Phi the n^2 x n activity
+/// operator; Eq. 8 estimates A from the marginals as
+/// pinv(Q Phi) [ingress; egress] with Q the 2n x n^2 marginal operator.
+/// With p the normalised preference,
+///   Q Phi = [f I + (1-f) p 1^T ; (1-f) I + f p 1^T]
+/// is the identity plus rank-one blocks and has full column rank, so
+/// its normal equations collapse to a 2 x 2 system in (1^T A, p^T A):
+/// Eq. 8 costs O(n) and Eq. 9 one O(n^2) pass.  Neither Phi nor Q is
+/// ever built.  Immutable once constructed, so one instance can be
+/// shared across threads.
+class StableFPKernel {
+ public:
+  /// Throws ictm::Error unless f lies in (0, 1) and `preference` is
+  /// non-empty with finite, non-negative entries and a positive sum.
+  StableFPKernel(double f, linalg::Vector preference);
+
+  /// The preference exactly as given (un-normalised).
+  const linalg::Vector& preference() const noexcept { return preference_; }
+  /// Number of nodes n.
+  std::size_t nodeCount() const noexcept { return normalized_.size(); }
+
+  /// The stable-fP prior of one bin.  Eq. 8 writes the least-squares
+  /// activities pinv(Q Phi) [ingress; egress] into `activity` (n
+  /// doubles); Eq. 9 writes X_ij = max(f A_i p_j + (1-f) A_j p_i, 0)
+  /// into `outBin` (n^2 doubles, row-major).  Both buffers are
+  /// caller-owned, so a per-bin loop allocates nothing.
+  void PriorBin(const double* ingress, const double* egress,
+                double* activity, double* outBin) const;
+
+  /// Phi^T Phi = (f^2 + (1-f)^2) p^T p I + 2 f (1-f) p p^T (n x n).
+  linalg::Matrix Gram() const;
+  /// Phi^T x = f X p + (1-f) X^T p for one TM bin `tm` (n^2 doubles,
+  /// row-major).
+  linalg::Vector TransposeApply(const double* tm) const;
+
+ private:
+  double f_;
+  linalg::Vector preference_;
+  linalg::Vector normalized_;  // p = preference / sum(preference)
+  double pDotP_ = 0.0;         // p^T p
+};
 
 /// Degrees-of-freedom accounting from paper Sec. 5.1 for a dataset of
 /// n nodes over t bins.

@@ -4,7 +4,6 @@
 
 #include "core/gravity.hpp"
 #include "linalg/simplex.hpp"
-#include "linalg/svd.hpp"
 #include "traffic/tm_series.hpp"
 
 namespace ictm::core {
@@ -58,36 +57,24 @@ traffic::TrafficMatrixSeries StableFPPrior(double f,
   const std::size_t n = marginals.nodeCount();
   ICTM_REQUIRE(preference.size() == n, "preference size mismatch");
   const std::size_t bins = marginals.binCount();
-
-  // Eq. 7: x(t) = Phi A(t);  Eq. 8: Atilde = pinv(Q Phi) * (Q x)(t),
-  // where Q x is exactly the stacked ingress/egress counts.
-  const linalg::Matrix phi = BuildActivityOperator(f, preference);
-  const linalg::Matrix q = traffic::BuildMarginalOperator(n);
-  const linalg::Matrix qphi = q * phi;             // 2n x n
-  const linalg::Matrix qphiPinv = linalg::PseudoInverse(qphi);  // n x 2n
+  const StableFPKernel kernel(f, preference);
 
   traffic::TrafficMatrixSeries prior(n, bins, binSeconds);
   if (outActivities != nullptr) {
     *outActivities = linalg::Matrix(n, bins, 0.0);
   }
 
+  linalg::Vector ingress(n), egress(n), activity(n);
   for (std::size_t t = 0; t < bins; ++t) {
-    linalg::Vector counts(2 * n);
     for (std::size_t i = 0; i < n; ++i) {
-      counts[i] = marginals.ingress(i, t);
-      counts[n + i] = marginals.egress(i, t);
+      ingress[i] = marginals.ingress(i, t);
+      egress[i] = marginals.egress(i, t);
     }
-    const linalg::Vector aTilde = qphiPinv * counts;
+    kernel.PriorBin(ingress.data(), egress.data(), activity.data(),
+                    prior.binData(t));
     if (outActivities != nullptr) {
-      for (std::size_t i = 0; i < n; ++i) (*outActivities)(i, t) = aTilde[i];
+      for (std::size_t i = 0; i < n; ++i) (*outActivities)(i, t) = activity[i];
     }
-    // Eq. 9: prior = Phi Atilde, clamped to be a valid traffic matrix.
-    const linalg::Vector x = phi * aTilde;
-    linalg::Matrix tm(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        tm(i, j) = std::max(x[i * n + j], 0.0);
-    prior.setBin(t, tm);
   }
   return prior;
 }

@@ -6,8 +6,9 @@
 //  1. measured (Sec. 6.1): f, {P_i}, {A_i(t)} all known (from a fit)
 //     — the prior is just the model evaluation;
 //  2. stable-fP (Sec. 6.2): f and {P_i} known from an earlier week;
-//     {A_i(t)} estimated from current ingress/egress counts via the
-//     pseudo-inverse of Q*Phi (Eqs. 7-9);
+//     {A_i(t)} estimated from current ingress/egress counts as the
+//     least-squares solution of Q*Phi A = [in; eg] (Eqs. 7-9),
+//     evaluated in closed form by core::StableFPKernel;
 //  3. stable-f (Sec. 6.3): only f known; both {A_i} and {P_i} come
 //     from the closed forms (Eqs. 11-12) on the current marginals.
 #pragma once
@@ -39,10 +40,13 @@ MarginalSeries ExtractMarginals(const traffic::TrafficMatrixSeries& series);
 traffic::TrafficMatrixSeries GravityPriorSeries(
     const MarginalSeries& marginals, double binSeconds = 300.0);
 
-/// Stable-fP prior (Eqs. 7-9).  Returns the prior series; when
-/// `outActivities` is non-null it receives the estimated n x T matrix
-/// Atilde (useful for diagnostics).  Negative model outputs (possible
-/// because the pseudo-inverse is unconstrained) are clamped to zero.
+/// Stable-fP prior (Eqs. 7-9), one StableFPKernel::PriorBin per bin:
+/// O(n) for the activities and O(n^2) for the TM.  Returns the prior
+/// series; when `outActivities` is non-null it receives the estimated
+/// n x T matrix Atilde (useful for diagnostics).  Negative model
+/// outputs (possible because the least-squares activities are
+/// unconstrained) are clamped to zero.  Throws ictm::Error on a
+/// preference StableFPKernel rejects.
 traffic::TrafficMatrixSeries StableFPPrior(
     double f, const linalg::Vector& preference,
     const MarginalSeries& marginals, double binSeconds = 300.0,

@@ -15,7 +15,6 @@
 #include "common/parallel.hpp"
 #include "core/ic_model.hpp"
 #include "core/priors.hpp"
-#include "linalg/svd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/now.hpp"
 #include "obs/trace.hpp"
@@ -25,50 +24,18 @@ namespace ictm::stream {
 
 namespace {
 
-// Immutable prior-model snapshot shared by every event of one window
-// generation.  Workers only read it; push() swaps in a new snapshot at
-// window boundaries, so an event's prior is fixed at push time — the
-// root of the thread-count/queue-capacity determinism contract.
-struct PriorModel {
-  double f = 0.25;
-  linalg::Vector preference;  // the exact vector phi was built from,
-                              // so checkpoint() can rebuild the model
-  linalg::Matrix phi;         // n² x n  (Eq. 7 operator for fixed f, P)
-  linalg::Matrix qphiPinv;    // n x 2n  (Eq. 8 pseudo-inverse)
-};
-
-std::shared_ptr<const PriorModel> BuildPriorModel(
-    double f, const linalg::Vector& preference, std::size_t n) {
-  auto model = std::make_shared<PriorModel>();
-  model->f = f;
-  model->preference = preference;
-  model->phi = core::BuildActivityOperator(f, preference);
-  model->qphiPinv =
-      linalg::PseudoInverse(traffic::BuildMarginalOperator(n) * model->phi);
-  return model;
-}
-
-// Stable-fP prior for one bin — the exact floating-point sequence of
-// core::StableFPPrior, so a streaming run with window = 0 reproduces
-// the batch prior series bit for bit.
-void ComputePriorBin(const PriorModel& model, const double* ingress,
-                     const double* egress, std::size_t n, double* outBin) {
-  linalg::Vector counts(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    counts[i] = ingress[i];
-    counts[n + i] = egress[i];
-  }
-  const linalg::Vector aTilde = model.qphiPinv * counts;
-  const linalg::Vector x = model.phi * aTilde;
-  for (std::size_t k = 0; k < n * n; ++k) {
-    outBin[k] = std::max(x[k], 0.0);
-  }
-}
+// An event's prior model is an immutable O(n) core::StableFPKernel
+// snapshot (yesterday's f plus the window's un-normalised preference)
+// shared by every event of one window generation.  Workers only read
+// it; push() swaps in a new snapshot at window boundaries, so an
+// event's prior is fixed at push time — the root of the
+// thread-count/queue-capacity determinism contract.
+using PriorModel = std::shared_ptr<const core::StableFPKernel>;
 
 struct QueueItem {
   std::size_t seq = 0;
   BinEvent event;
-  std::shared_ptr<const PriorModel> model;
+  PriorModel model;
   // Enqueue timestamp for the queue-wait metric; 0 when metrics are
   // disabled (obs::Now() is monotonic-since-boot, never 0 live).
   std::uint64_t enqueueNs = 0;
@@ -89,7 +56,7 @@ struct StreamingEstimator::Impl {
 
   // Producer-side state (touched only inside push, which serialises
   // under queueMutex): window accumulators and the current snapshot.
-  std::shared_ptr<const PriorModel> currentModel;
+  PriorModel currentModel;
   linalg::Vector windowIngress, windowEgress;
   std::size_t windowFill = 0;
 
@@ -164,7 +131,7 @@ struct StreamingEstimator::Impl {
         "stream.reorder_pending", obs::MetricClass::kTiming);
     try {
       core::TmBinSolver solver(*system, options.estimation);
-      std::vector<double> prior(n * n), estimate(n * n);
+      std::vector<double> prior(n * n), estimate(n * n), activity(n);
       for (;;) {
         QueueItem item;
         {
@@ -190,8 +157,9 @@ struct StreamingEstimator::Impl {
           obs::TraceScope traceSolve("solve", "stream");
           const bool recording = obs::Enabled();
           const std::uint64_t solveStart = recording ? obs::Now() : 0;
-          ComputePriorBin(*item.model, item.event.ingress.data(),
-                          item.event.egress.data(), n, prior.data());
+          item.model->PriorBin(item.event.ingress.data(),
+                               item.event.egress.data(), activity.data(),
+                               prior.data());
           solver.Solve(item.event.linkLoads.data(), prior.data(),
                        item.event.ingress.data(), item.event.egress.data(),
                        estimate.data());
@@ -263,9 +231,10 @@ void StreamingEstimator::initialize() {
 
   if (opts.resume) {
     // Resume mid-stream: rebuild the prior model the original run held
-    // at the checkpoint boundary (BuildPriorModel is deterministic, so
-    // the rebuilt operators are bit-identical) and continue sequence
-    // numbering where the checkpoint left off.
+    // at the checkpoint boundary (normalising the same un-normalised
+    // preference is deterministic, so the rebuilt kernel is
+    // bit-identical) and continue sequence numbering where the
+    // checkpoint left off.
     const StreamingCheckpoint& cp = *opts.resume;
     ICTM_REQUIRE(cp.preference.size() == nodes,
                  "checkpoint preference length mismatch");
@@ -274,7 +243,8 @@ void StreamingEstimator::initialize() {
                  "checkpoint window accumulator length mismatch");
     ICTM_REQUIRE(opts.window == 0 || cp.windowFill < opts.window,
                  "checkpoint window fill exceeds the window");
-    impl_->currentModel = BuildPriorModel(opts.f, cp.preference, nodes);
+    impl_->currentModel =
+        std::make_shared<const core::StableFPKernel>(opts.f, cp.preference);
     impl_->windowIngress = cp.windowIngress;
     impl_->windowEgress = cp.windowEgress;
     impl_->windowFill = cp.windowFill;
@@ -283,7 +253,8 @@ void StreamingEstimator::initialize() {
     impl_->emitted.store(seq);
     impl_->nextEmit = seq;
   } else {
-    impl_->currentModel = BuildPriorModel(opts.f, opts.preference, nodes);
+    impl_->currentModel =
+        std::make_shared<const core::StableFPKernel>(opts.f, opts.preference);
     impl_->windowIngress.assign(nodes, 0.0);
     impl_->windowEgress.assign(nodes, 0.0);
   }
@@ -347,8 +318,8 @@ void StreamingEstimator::push(BinEvent event) {
         const core::StableFEstimates est =
             core::EstimateStableFParameters(
                 im.options.f, im.windowIngress, im.windowEgress);
-        im.currentModel =
-            BuildPriorModel(im.options.f, est.preference, im.n);
+        im.currentModel = std::make_shared<const core::StableFPKernel>(
+            im.options.f, est.preference);
         im.windowIngress.assign(im.n, 0.0);
         im.windowEgress.assign(im.n, 0.0);
         im.windowFill = 0;
@@ -408,7 +379,7 @@ StreamingCheckpoint StreamingEstimator::checkpoint() const {
   std::lock_guard<std::mutex> lock(im.queueMutex);
   StreamingCheckpoint cp;
   cp.seq = im.pushed.load();
-  cp.preference = im.currentModel->preference;
+  cp.preference = im.currentModel->preference();
   cp.windowIngress = im.windowIngress;
   cp.windowEgress = im.windowEgress;
   cp.windowFill = im.windowFill;

@@ -10,21 +10,23 @@
 //                                              callback (arrival order)
 //
 // Per event the worker builds the stable-fP IC prior from the event's
-// ingress/egress marginals (Eqs. 7-9: Ã = pinv(Q·Φ)·[in;eg], prior =
-// Φ·Ã clamped ≥ 0) and refines it against the link loads with the
-// shared core::TmBinSolver — the augmented system is compressed once
-// at construction.  Every `window` bins the preference vector is
-// re-fitted from the window's aggregated marginals via the stable-f
-// closed forms (Eqs. 11-12), so the prior tracks slow preference
-// drift; f stays at yesterday's value, per the paper's stability
-// result.
+// ingress/egress marginals (Eqs. 7-9) with core::StableFPKernel — the
+// same per-bin closed form core::StableFPPrior runs, O(n) for the
+// activities and O(n²) for the clamped TM — and refines it against
+// the link loads with the shared core::TmBinSolver; the augmented
+// system is compressed once at construction.  Every `window` bins the
+// preference vector is re-fitted from the window's aggregated
+// marginals via the stable-f closed forms (Eqs. 11-12), an O(n) step,
+// so the prior tracks slow preference drift; f stays at yesterday's
+// value, per the paper's stability result.
 //
 // Determinism contract: the sequence of (prior, estimate) pairs is a
 // pure function of the pushed event sequence — the window re-fit
 // happens serially inside push() and each event carries an immutable
-// snapshot of its prior model, so results are bit-identical for every
-// thread count and queue capacity, and identical to the batch
-// EstimateSeries run on the same priors (regression-tested).
+// snapshot of its prior model (the kernel built from the un-normalised
+// preference), so results are bit-identical for every thread count
+// and queue capacity, and identical to the batch EstimateSeries run
+// on the same priors (regression-tested).
 #pragma once
 
 #include <cstddef>
@@ -77,7 +79,8 @@ struct StreamingOptions {
   /// Yesterday's fitted forward fraction.
   double f = 0.25;
   /// Yesterday's fitted preference vector (length n; normalised
-  /// internally).  Empty = uniform.
+  /// internally).  Empty = uniform.  Construction throws ictm::Error
+  /// on a non-finite or negative entry or an all-zero vector.
   linalg::Vector preference;
   /// Inner solver knobs; `estimation.threads` is ignored (the worker
   /// pool replaces the per-series fan-out).

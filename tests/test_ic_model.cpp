@@ -1,10 +1,17 @@
 // Tests for the IC model family, including the paper's Sec. 3 worked
-// example (Fig. 2) and the DoF accounting of Sec. 5.1.
+// example (Fig. 2), the DoF accounting of Sec. 5.1 and the closed-form
+// stable-fP kernel against its dense oracle.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "core/gravity.hpp"
 #include "core/ic_model.hpp"
+#include "linalg/svd.hpp"
 #include "topology/routing.hpp"
+#include "traffic/tm_series.hpp"
 #include "test_util.hpp"
 
 namespace ictm::core {
@@ -121,7 +128,7 @@ TEST(ActivityOperator, MatchesModelEvaluation) {
   stats::Rng rng(6);
   const linalg::Vector pref = test::RandomPositiveVector(5, rng);
   const linalg::Vector act = test::RandomPositiveVector(5, rng);
-  const linalg::Matrix phi = BuildActivityOperator(0.3, pref);
+  const linalg::Matrix phi = test::BuildActivityOperator(0.3, pref);
   const linalg::Vector x = phi * act;
   const linalg::Matrix tm = EvaluateSimplifiedIc({0.3, act, pref});
   test::ExpectVectorNear(x, topology::FlattenTm(tm), 1e-12);
@@ -132,12 +139,117 @@ TEST(ActivityOperator, ColumnSumsAreOne) {
   // columns each sum to f + (1 - f) = 1.
   stats::Rng rng(7);
   const linalg::Vector pref = test::RandomPositiveVector(6, rng);
-  const linalg::Matrix phi = BuildActivityOperator(0.27, pref);
+  const linalg::Matrix phi = test::BuildActivityOperator(0.27, pref);
   for (std::size_t k = 0; k < 6; ++k) {
     double colSum = 0.0;
     for (std::size_t r = 0; r < phi.rows(); ++r) colSum += phi(r, k);
     EXPECT_NEAR(colSum, 1.0, 1e-12);
   }
+}
+
+// ---- closed-form stable-fP kernel vs the dense oracle -------------------
+//
+// The oracle is the paper's literal construction: Phi (Eq. 7), the
+// marginal operator Q and the Jacobi-SVD pseudo-inverse of Q Phi
+// (Eq. 8).  The grid covers the least-squares case: ingress and
+// egress totals differ, so no activity vector reproduces both.
+
+// Un-normalised preference shapes: uniform, one node holding ~0.99 of
+// the mass, and exact zeros (every third node from the second on).
+linalg::Vector OraclePreference(int shape, std::size_t n, stats::Rng& rng) {
+  linalg::Vector p(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shape == 0) {
+      p[i] = 3.0;
+    } else if (shape == 1) {
+      p[i] = i == 0 ? 0.99 : 0.01 / static_cast<double>(n - 1);
+    } else {
+      p[i] = i % 3 == 1 ? 0.0 : rng.uniform(0.5, 2.0);
+    }
+  }
+  return p;
+}
+
+// max |got - want| relative to max |want|.
+double MaxRelDiff(const double* got, const double* want, std::size_t len) {
+  double diff = 0.0;
+  double scale = 0.0;
+  for (std::size_t k = 0; k < len; ++k) {
+    diff = std::max(diff, std::fabs(got[k] - want[k]));
+    scale = std::max(scale, std::fabs(want[k]));
+  }
+  return scale > 0.0 ? diff / scale : diff;
+}
+
+// Runs `check(f, n, preference, rng)` over f x n x preference shape.
+template <typename Check>
+void ForEachOracleCase(const Check& check) {
+  for (double f : {0.05, 0.25, 0.5, 0.75, 0.95}) {
+    for (std::size_t n : {1u, 2u, 7u, 23u, 64u}) {
+      for (int shape : {0, 1, 2}) {
+        SCOPED_TRACE("f=" + std::to_string(f) + " n=" + std::to_string(n) +
+                     " shape=" + std::to_string(shape));
+        stats::Rng rng(1000 * n + 10 * static_cast<std::uint64_t>(shape) +
+                       static_cast<std::uint64_t>(f * 100));
+        check(f, n, OraclePreference(shape, n, rng), rng);
+      }
+    }
+  }
+}
+
+TEST(StableFPKernel, PriorBinMatchesDensePseudoInverse) {
+  std::size_t clamped = 0;
+  ForEachOracleCase([&clamped](double f, std::size_t n,
+                               const linalg::Vector& pref, stats::Rng& rng) {
+    const linalg::Matrix phi = test::BuildActivityOperator(f, pref);
+    const linalg::Matrix qphiPinv =
+        linalg::PseudoInverse(traffic::BuildMarginalOperator(n) * phi);
+    // Egress carries ~1.3x the ingress volume: inconsistent marginals.
+    linalg::Vector counts(2 * n);
+    for (std::size_t i = 0; i < n; ++i) counts[i] = rng.uniform(0.0, 1e7);
+    for (std::size_t i = 0; i < n; ++i) {
+      counts[n + i] = 1.3 * rng.uniform(0.0, 1e7);
+    }
+    const linalg::Vector wantActivity = qphiPinv * counts;
+    linalg::Vector wantBin = phi * wantActivity;
+    for (double& x : wantBin) {
+      if (x < 0.0) ++clamped;
+      x = std::max(x, 0.0);
+    }
+
+    linalg::Vector activity(n), bin(n * n);
+    StableFPKernel(f, pref).PriorBin(counts.data(), counts.data() + n,
+                                     activity.data(), bin.data());
+    EXPECT_LE(MaxRelDiff(activity.data(), wantActivity.data(), n), 1e-10);
+    EXPECT_LE(MaxRelDiff(bin.data(), wantBin.data(), n * n), 1e-10);
+  });
+  EXPECT_GT(clamped, 0u) << "the grid never exercised the Eq. 9 clamp";
+}
+
+TEST(StableFPKernel, GramAndTransposeApplyMatchDenseOperator) {
+  ForEachOracleCase([](double f, std::size_t n, const linalg::Vector& pref,
+                       stats::Rng& rng) {
+    const linalg::Matrix phi = test::BuildActivityOperator(f, pref);
+    const StableFPKernel kernel(f, pref);
+    const linalg::Matrix wantGram = phi.transposed() * phi;
+    EXPECT_LE(MaxRelDiff(kernel.Gram().data().data(), wantGram.data().data(),
+                         n * n),
+              1e-10);
+    const linalg::Vector x = test::RandomVector(n * n, rng, 0.0, 1e9);
+    const linalg::Vector want = linalg::TransposeTimes(phi, x);
+    EXPECT_LE(MaxRelDiff(kernel.TransposeApply(x.data()).data(), want.data(),
+                         n),
+              1e-10);
+  });
+}
+
+TEST(StableFPKernel, KeepsPreferenceAsGiven) {
+  // The checkpoint stores the un-normalised vector; normalising twice
+  // is not bit-stable, so the kernel must hand back its input verbatim.
+  const linalg::Vector pref{0.3, 1.7, 0.0, 2.9};
+  const StableFPKernel kernel(0.25, pref);
+  EXPECT_EQ(kernel.preference(), pref);
+  EXPECT_EQ(kernel.nodeCount(), 4u);
 }
 
 TEST(DegreesOfFreedomTest, MatchesPaperSection51) {

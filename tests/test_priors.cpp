@@ -2,6 +2,9 @@
 // stable-fP (Eqs. 7-9) and stable-f closed forms (Eqs. 11-12).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/fit.hpp"
 #include "core/gravity.hpp"
 #include "core/ic_model.hpp"
@@ -107,6 +110,33 @@ TEST(StableFPPriorTest, OutputNonNegative) {
   const MarginalSeries m = ExtractMarginals(inst.series);
   const auto prior = StableFPPrior(0.3, inst.preference, m);
   EXPECT_TRUE(prior.isValid());
+}
+
+TEST(StableFPPriorTest, RejectsInvalidPreference) {
+  // {2, -1, 1} used to pass the positive-sum check and silently give a
+  // wrong prior; a sum that overflows cannot be normalised.
+  const Instance inst = MakeInstance(3, 2, 13);
+  const MarginalSeries m = ExtractMarginals(inst.series);
+  const std::vector<linalg::Vector> bad = {
+      {2.0, -1.0, 1.0},
+      {0.0, 0.0, 0.0},
+      {1.0, std::numeric_limits<double>::quiet_NaN(), 1.0},
+      {1.0, 1.0, std::numeric_limits<double>::infinity()},
+      {1e308, 1e308, 1e308}};
+  for (const linalg::Vector& pref : bad) {
+    EXPECT_THROW(StableFPPrior(0.25, pref, m), ictm::Error);
+  }
+}
+
+TEST(StableFPPriorTest, RecoversExactSeriesAtThousandNodes) {
+  // No n^2 x n operator is built (a dense Phi alone would take 8 GB at
+  // n = 1000), so a bin costs O(n^2).
+  const Instance inst = MakeInstance(1000, 2, 14);
+  const auto prior = StableFPPrior(inst.f, inst.preference,
+                                   ExtractMarginals(inst.series));
+  for (std::size_t t = 0; t < 2; ++t) {
+    EXPECT_LT(RelL2Temporal(inst.series.bin(t), prior.bin(t)), 1e-9);
+  }
 }
 
 TEST(StableFEstimatesTest, ClosedFormsExactOnExactData) {

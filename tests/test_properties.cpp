@@ -50,7 +50,7 @@ TEST_P(IcModelSweep, ActivityOperatorConsistent) {
   const linalg::Vector pref = test::RandomPositiveVector(n, rng);
   const linalg::Vector act = test::RandomPositiveVector(n, rng);
   const linalg::Vector viaOperator =
-      core::BuildActivityOperator(f, pref) * act;
+      test::BuildActivityOperator(f, pref) * act;
   const linalg::Matrix direct =
       core::EvaluateSimplifiedIc({f, act, pref});
   test::ExpectVectorNear(viaOperator, topology::FlattenTm(direct), 1e-10);

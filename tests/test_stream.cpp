@@ -957,6 +957,24 @@ TEST(StreamingEstimator, RejectsBadConfiguration) {
     EXPECT_THROW(
         StreamingEstimator e(fx.routing, 6, opts, noop), Error);
   }
+  // A preference with a negative, non-finite or all-zero entry set is
+  // refused at construction and on resume from a checkpoint.
+  const std::vector<linalg::Vector> badPreferences = {
+      {2.0, -1.0, 1.0, 1.0, 1.0, 1.0},
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+      {1.0, 1.0, std::nan(""), 1.0, 1.0, 1.0},
+      {1.0, 1.0, 1.0, 1.0, 1.0, HUGE_VAL}};
+  for (const linalg::Vector& preference : badPreferences) {
+    StreamingOptions opts;
+    opts.preference = preference;
+    EXPECT_THROW(
+        StreamingEstimator e(fx.routing, 6, opts, noop), Error);
+    StreamingOptions resumed;
+    resumed.resume = StreamingCheckpoint{0, preference, linalg::Vector(6, 0.0),
+                                         linalg::Vector(6, 0.0), 0};
+    EXPECT_THROW(
+        StreamingEstimator e(fx.routing, 6, resumed, noop), Error);
+  }
   {
     StreamingOptions opts;
     StreamingEstimator e(fx.routing, 6, opts, noop);

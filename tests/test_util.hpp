@@ -101,4 +101,27 @@ inline void ExpectVectorNear(const linalg::Vector& a,
   }
 }
 
+/// Dense oracle of the stable-fP activity operator (paper Eq. 7): the
+/// n^2 x n matrix Phi with x = Phi * A for fixed (f, P), row i*n+j
+/// holding X_ij; preference is normalised internally.  The library
+/// evaluates Phi in closed form (core::StableFPKernel); this explicit
+/// build, with traffic::BuildMarginalOperator and
+/// linalg::PseudoInverse, is what the closed forms are tested against.
+inline linalg::Matrix BuildActivityOperator(double f,
+                                            const linalg::Vector& preference) {
+  const std::size_t n = preference.size();
+  double prefSum = 0.0;
+  for (double p : preference) prefSum += p;
+  linalg::Matrix phi(n * n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t row = i * n + j;
+      // X_ij = f * Pn_j * A_i + (1-f) * Pn_i * A_j.
+      phi(row, i) += f * preference[j] / prefSum;
+      phi(row, j) += (1.0 - f) * preference[i] / prefSum;
+    }
+  }
+  return phi;
+}
+
 }  // namespace ictm::test
