@@ -31,7 +31,7 @@ class SolverBackend;  // core/solver_backend.hpp
 /// How each bin's normal equations are solved (see
 /// core/solver_backend.hpp for the backend layer).
 enum class SolverKind {
-  kAuto,    ///< dense below kAutoSolverRowThreshold rows, cg at/above
+  kAuto,    ///< dense through 4095 augmented rows, cg from 4096 up
   kDense,   ///< dense normal matrix + blocked in-place Cholesky
   kSparse,  ///< fill-reducing sparse Cholesky, symbolic shared per system
   kCg,      ///< matrix-free CG, frozen-Gram preconditioner per system
@@ -61,7 +61,8 @@ struct EstimationOptions {
   std::size_t threads = 1;
   /// Backend for the per-bin normal-equations solve.  Every backend is
   /// bit-identical across thread counts and agrees with kDense to
-  /// solver tolerance; kAuto picks by problem size.
+  /// solver tolerance; kAuto is dense through 4095 augmented rows and
+  /// cg above (kAutoSolverRowThreshold).
   SolverKind solver = SolverKind::kAuto;
 };
 

@@ -16,8 +16,9 @@ namespace ictm::core {
 namespace {
 
 // One bin-solve per call, so per-backend solve counts are invariant
-// under the worker fan-out (deterministic class); the factor /
-// substitute split is wall time (timing class).
+// under the worker fan-out (deterministic class); a cg bin that falls
+// back to dense counts once, as dense.  The factor / substitute split
+// is wall time (timing class).
 void CountSolve(const char* counterName) {
   static obs::Counter& dense = obs::GetCounter(
       "solver.solves.dense", obs::MetricClass::kDeterministic);
@@ -51,9 +52,8 @@ obs::Counter& SubstituteNsCounter() {
 // `dense` results are bit-identical to the pre-backend code.
 class DenseBackend final : public SolverBackend {
  public:
-  DenseBackend(const AugmentedTmSystem& system,
-               const EstimationOptions& options)
-      : system_(system), relativeRidge_(options.relativeRidge) {
+  DenseBackend(const AugmentedTmSystem& system, double relativeRidge)
+      : system_(system), relativeRidge_(relativeRidge) {
     const std::size_t rows = system.rowCount();
     arena_.Reserve(rows * rows);
     m_ = arena_.Take(rows * rows);
@@ -95,10 +95,8 @@ class DenseBackend final : public SolverBackend {
 // the numeric buffers are per thread.
 class SparseBackend final : public SolverBackend {
  public:
-  SparseBackend(const AugmentedTmSystem& system,
-                const EstimationOptions& options)
-      : analysis_(system.sparseAnalysis()),
-        relativeRidge_(options.relativeRidge) {
+  SparseBackend(const AugmentedTmSystem& system, double relativeRidge)
+      : analysis_(system.sparseAnalysis()), relativeRidge_(relativeRidge) {
     arena_.Reserve(linalg::SparseNormalSolver::RequiredScratch(analysis_));
     solver_.emplace(analysis_, arena_.Take(
         linalg::SparseNormalSolver::RequiredScratch(analysis_)));
@@ -126,34 +124,47 @@ class SparseBackend final : public SolverBackend {
   std::optional<linalg::SparseNormalSolver> solver_;
 };
 
-// Matrix-free PCG straight off the system's compressed operator.
+// Matrix-free PCG straight off the system's compressed operator.  A
+// bin on which PCG stalls is re-solved by a dense backend, created on
+// the first stall, so a heavy-tailed prior degrades one bin's cost
+// instead of aborting the stream.  Which bins fall back is a pure
+// function of the bin's inputs, so results stay bit-identical across
+// thread counts.
 class CgBackend final : public SolverBackend {
  public:
-  CgBackend(const AugmentedTmSystem& system,
-            const EstimationOptions& options)
-      : system_(system), relativeRidge_(options.relativeRidge) {
-    arena_.Reserve(linalg::NormalPcg::RequiredScratch(system.matrix()));
+  CgBackend(const AugmentedTmSystem& system, double relativeRidge)
+      : system_(system), relativeRidge_(relativeRidge) {
+    const std::size_t scratch =
+        linalg::NormalPcg::RequiredScratch(system.matrix());
+    arena_.Reserve(scratch + system.rowCount());
     solver_.emplace(system.matrix(), system.cgPreconditioner(),
-                    arena_.Take(linalg::NormalPcg::RequiredScratch(
-                        system.matrix())));
+                    arena_.Take(scratch));
+    rhsCopy_ = arena_.Take(system.rowCount());
   }
 
   const char* name() const noexcept override { return "cg"; }
 
   void SolveNormal(const double* weights, double* rhs) override {
-    CountSolve(name());
+    const std::size_t rows = system_.rowCount();
+    std::copy(rhs, rhs + rows, rhsCopy_);
     const linalg::PcgResult result =
         solver_->Solve(weights, relativeRidge_, rhs);
     // The residual can floor out marginally above the tolerance along
     // the redundant-marginal null direction (harmless — that
     // component never reaches the estimate), but a residual this
-    // large means the range-space solve genuinely stalled; failing
-    // loudly beats silently degraded estimates, matching the direct
-    // backends' throw-on-numerical-failure behaviour.
-    ICTM_REQUIRE(result.converged || result.relativeResidual < 1e-6,
-                 "cg backend did not converge (relative residual " +
-                     std::to_string(result.relativeResidual) +
-                     "); retry with --solver dense or sparse");
+    // large means the range-space solve genuinely stalled.
+    if (result.converged || result.relativeResidual < 1e-6) {
+      CountSolve(name());
+      return;
+    }
+    static obs::Counter& fallbacks = obs::GetCounter(
+        "solver.cg_fallbacks", obs::MetricClass::kDeterministic);
+    fallbacks.add();
+    if (!fallback_) {
+      fallback_ = std::make_unique<DenseBackend>(system_, relativeRidge_);
+    }
+    std::copy(rhsCopy_, rhsCopy_ + rows, rhs);
+    fallback_->SolveNormal(weights, rhs);  // counted as a dense solve
   }
 
  private:
@@ -161,6 +172,8 @@ class CgBackend final : public SolverBackend {
   double relativeRidge_;
   WorkspaceArena arena_;
   std::optional<linalg::NormalPcg> solver_;
+  double* rhsCopy_;  // rows: the bin's rhs, kept for a fallback re-solve
+  std::unique_ptr<DenseBackend> fallback_;  // created on the first stall
 };
 
 }  // namespace
@@ -189,14 +202,14 @@ std::unique_ptr<SolverBackend> MakeSolverBackend(
   }
   switch (resolved) {
     case SolverKind::kSparse:
-      return std::make_unique<SparseBackend>(system, options);
+      return std::make_unique<SparseBackend>(system, options.relativeRidge);
     case SolverKind::kCg:
-      return std::make_unique<CgBackend>(system, options);
+      return std::make_unique<CgBackend>(system, options.relativeRidge);
     case SolverKind::kDense:
     case SolverKind::kAuto:
       break;
   }
-  return std::make_unique<DenseBackend>(system, options);
+  return std::make_unique<DenseBackend>(system, options.relativeRidge);
 }
 
 }  // namespace ictm::core

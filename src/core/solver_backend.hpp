@@ -20,10 +20,12 @@
 //             never forms the per-bin normal matrix; preconditioned
 //             by the frozen unweighted-Gram factor computed once per
 //             AugmentedTmSystem, so iteration counts track the
-//             per-bin weight spread (linalg/pcg.hpp).  The fast path
-//             at scale,
+//             per-bin weight spread (linalg/pcg.hpp).  Per worker it
+//             holds vectors only, where dense holds a rows² normal
+//             matrix.  A bin on which PCG stalls is re-solved densely
+//             and counted as solver.cg_fallbacks,
 //   auto    — picks dense below kAutoSolverRowThreshold rows and cg
-//             at or above it (the measured crossover).
+//             at or above it.
 //
 // One backend instance belongs to one TmBinSolver (one worker thread)
 // and owns all per-thread scratch through a WorkspaceArena, so the hot
@@ -83,10 +85,23 @@ class SolverBackend {
 };
 
 /// Row count at and above which `auto` switches from the dense
-/// reference to the cg backend.  Measured crossover: dense still wins
-/// at the 290-row 50-node hierarchy (~0.8 vs ~1.1 ms/bin), cg wins
-/// ~2x at the 586-row 100-node hierarchy and ~4x at 200 nodes.
-inline constexpr std::size_t kAutoSolverRowThreshold = 400;
+/// reference to the cg backend.  On the paper's IC traffic (Sec. 5.5
+/// synthesis, stable-fP prior) the frozen unweighted preconditioner
+/// needs 200-1000 PCG iterations per bin, and dense wins at every
+/// measured size (ms/bin, one thread):
+///
+///   system         rows   dense    cg     PCG iterations
+///   hierarchy:100   586     6.8    63.6   198
+///   hierarchy:200  1186    67.7   407     252
+///   hierarchy:400  2386   627    3252     480
+///   hierarchy:600  3586  3136   15908     742
+///
+/// Only near-uniform traffic (the topo sweep's U(1e6, 1e7) OD pairs,
+/// ~10 iterations) favours cg: 15.6 vs 91 ms/bin at hierarchy:200.
+/// cg is kept above the measured range, where the dense normal matrix
+/// (rows² doubles per worker, 128 MiB at 4096 rows) becomes the
+/// binding cost.
+inline constexpr std::size_t kAutoSolverRowThreshold = 4096;
 
 /// Maps `auto` to a concrete backend for a system with `rows`
 /// augmented rows; concrete kinds pass through unchanged.

@@ -1,8 +1,9 @@
 // Tests for the pluggable solver-backend layer (core/solver_backend.hpp):
 // dense/sparse/cg agreement on the tier-1 fixtures, per-backend
 // thread-count bit-identity, streaming == batch equivalence under the
-// non-dense backends, and the linalg building blocks against their
-// dense references.
+// non-dense backends, the `auto` crossover, the cg backend's dense
+// fallback on a stalled bin, and the linalg building blocks against
+// their dense references.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include "linalg/pcg.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_chol.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/common.hpp"
 #include "stream/online.hpp"
 #include "test_util.hpp"
@@ -100,8 +102,8 @@ TEST(SolverBackendsTest, AgreeOnHierarchy50) {
 }
 
 TEST(SolverBackendsTest, AutoMatchesItsResolvedBackendBitForBit) {
-  // geant22 and hierarchy:50 sit below the threshold (dense),
-  // hierarchy:100 above (cg); auto must be the same code path, not
+  // hierarchy:50 and hierarchy:100 (586 rows) sit below the threshold,
+  // so auto resolves to dense; it must be the same code path, not
   // merely close.
   const Fixture small("hierarchy:50", 2, 13);
   EXPECT_TRUE(
@@ -110,7 +112,7 @@ TEST(SolverBackendsTest, AutoMatchesItsResolvedBackendBitForBit) {
   const Fixture large("hierarchy:100", 2, 14);
   EXPECT_TRUE(
       BitIdentical(large.Estimate(core::SolverKind::kAuto),
-                   large.Estimate(core::SolverKind::kCg)));
+                   large.Estimate(core::SolverKind::kDense)));
 }
 
 // ---- per-backend thread-count bit-identity -------------------------
@@ -161,12 +163,24 @@ TEST(SolverBackendsTest, StreamingMatchesBatchUnderSparseAndCg) {
 TEST(SolverBackendsTest, AutoResolvesByRowCount) {
   using core::ResolveSolverKind;
   using core::SolverKind;
-  EXPECT_EQ(ResolveSolverKind(SolverKind::kAuto,
-                              core::kAutoSolverRowThreshold - 1),
-            SolverKind::kDense);
-  EXPECT_EQ(ResolveSolverKind(SolverKind::kAuto,
-                              core::kAutoSolverRowThreshold),
-            SolverKind::kCg);
+  // Dense at every system the repo runs: geant22 and hierarchy:50,
+  // 100, 200, 400 and 600.
+  const std::size_t denseRows[] = {120, 290, 586, 1186, 2386, 3586, 4095};
+  for (const std::size_t rows : denseRows) {
+    EXPECT_STREQ(core::SolverKindName(
+                     ResolveSolverKind(SolverKind::kAuto, rows)),
+                 "dense")
+        << rows << " rows";
+  }
+  // cg from 4096 rows up, where the dense normal matrix alone is
+  // 128 MiB per worker.
+  const std::size_t cgRows[] = {4096, 4097, 10000, std::size_t{1} << 20};
+  for (const std::size_t rows : cgRows) {
+    EXPECT_STREQ(core::SolverKindName(
+                     ResolveSolverKind(SolverKind::kAuto, rows)),
+                 "cg")
+        << rows << " rows";
+  }
   // Concrete kinds pass through regardless of size.
   EXPECT_EQ(ResolveSolverKind(SolverKind::kSparse, 10),
             SolverKind::kSparse);
@@ -185,6 +199,14 @@ TEST(SolverBackendsTest, SolverNameReportsResolvedBackend) {
   EXPECT_STREQ(core::TmBinSolver(sys, options).solverName(), "sparse");
   options.solver = core::SolverKind::kCg;
   EXPECT_STREQ(core::TmBinSolver(sys, options).solverName(), "cg");
+}
+
+TEST(SolverBackendsTest, DefaultOptionsPickDenseOnHierarchy200) {
+  const topology::Graph g = topology::MakeTopology("hierarchy:200", 0);
+  const core::AugmentedTmSystem sys(topology::BuildRoutingCsr(g),
+                                    g.nodeCount(), true);
+  EXPECT_EQ(sys.rowCount(), 1186u);
+  EXPECT_STREQ(core::TmBinSolver(sys, {}).solverName(), "dense");
 }
 
 TEST(SolverBackendsTest, ParseSolverKindRoundTrips) {
@@ -232,6 +254,102 @@ TEST(SolverBackendsTest, CgHandlesSparseSupportPriors) {
   const auto cg =
       core::EstimateSeries(fx.routing, fx.truth, sparsePriors, options);
   EXPECT_LT(MaxRelDiff(dense, cg), 1e-6);
+}
+
+// ---- cg stall fallback ---------------------------------------------
+
+// A prior spanning twelve decades, 1e6·10^U(−6, 6) per OD pair: the
+// frozen unweighted preconditioner cannot see that spread, and PCG
+// stalls at a ~3e-4 relative residual on hierarchy:22.
+void FillHeavyTailedPrior(std::size_t n, double* bin) {
+  stats::Rng rng(3);
+  for (std::size_t k = 0; k < n * n; ++k) {
+    bin[k] = 1e6 * std::pow(10.0, rng.uniform(-6.0, 6.0));
+  }
+}
+
+// The deterministic per-bin solve counters of this process.
+struct SolveCounts {
+  std::uint64_t cg = 0;
+  std::uint64_t dense = 0;
+  std::uint64_t fallbacks = 0;
+
+  static SolveCounts Read() {
+    const auto value = [](const char* name) {
+      return obs::GetCounter(name, obs::MetricClass::kDeterministic)
+          .value();
+    };
+    return {value("solver.solves.cg"), value("solver.solves.dense"),
+            value("solver.cg_fallbacks")};
+  }
+};
+
+// Expects exactly `cg` cg solves, `dense` dense solves and `fallbacks`
+// cg-to-dense fallbacks since `before`; a no-op when the observability
+// layer is compiled out.
+void ExpectSolvesSince(const SolveCounts& before, std::uint64_t cg,
+                       std::uint64_t dense, std::uint64_t fallbacks) {
+#if defined(ICTM_OBS_DISABLED)
+  (void)before;
+  (void)cg;
+  (void)dense;
+  (void)fallbacks;
+#else
+  const SolveCounts now = SolveCounts::Read();
+  EXPECT_EQ(now.cg - before.cg, cg);
+  EXPECT_EQ(now.dense - before.dense, dense);
+  EXPECT_EQ(now.fallbacks - before.fallbacks, fallbacks);
+#endif
+}
+
+TEST(SolverBackendsTest, CgStallFallsBackToDenseForThatBin) {
+  const topology::Graph g = topology::MakeTopology("hierarchy:22", 0);
+  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const std::size_t n = g.nodeCount();
+  const auto truth = MakeTraffic(n, 1, 210);
+  traffic::TrafficMatrixSeries prior(n, 1, 300.0);
+  FillHeavyTailedPrior(n, prior.binData(0));
+
+  core::EstimationOptions options;
+  options.solver = core::SolverKind::kCg;
+  const SolveCounts before = SolveCounts::Read();
+  const auto cg = core::EstimateSeries(routing, truth, prior, options);
+  ExpectSolvesSince(before, 0, 1, 1);  // the bin counts once, as dense
+  options.solver = core::SolverKind::kDense;
+  const auto dense = core::EstimateSeries(routing, truth, prior, options);
+  EXPECT_TRUE(BitIdentical(cg, dense));
+}
+
+TEST(SolverBackendsTest, CgFallbackBitIdenticalAcrossThreadCounts) {
+  // One stalling bin among gravity-prior bins that cg solves itself.
+  const topology::Graph g = topology::MakeTopology("hierarchy:22", 0);
+  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const std::size_t n = g.nodeCount();
+  const std::size_t stalled = 3;
+  const auto truth = MakeTraffic(n, 6, 210);
+  traffic::TrafficMatrixSeries priors = core::GravityPredictSeries(truth);
+  FillHeavyTailedPrior(n, priors.binData(stalled));
+
+  core::EstimationOptions options;
+  options.solver = core::SolverKind::kCg;
+  SolveCounts before = SolveCounts::Read();
+  options.threads = 1;
+  const auto t1 = core::EstimateSeries(routing, truth, priors, options);
+  ExpectSolvesSince(before, 5, 1, 1);
+  before = SolveCounts::Read();
+  options.threads = 8;
+  const auto t8 = core::EstimateSeries(routing, truth, priors, options);
+  ExpectSolvesSince(before, 5, 1, 1);
+  EXPECT_TRUE(BitIdentical(t1, t8));
+
+  options.solver = core::SolverKind::kDense;
+  const auto dense = core::EstimateSeries(routing, truth, priors, options);
+  EXPECT_LT(MaxRelDiff(t1, dense), 1e-6);
+  const double* fallbackBin = t1.binData(stalled);
+  const double* denseBin = dense.binData(stalled);
+  for (std::size_t k = 0; k < n * n; ++k) {
+    ASSERT_EQ(fallbackBin[k], denseBin[k]) << "element " << k;
+  }
 }
 
 // ---- degenerate inputs ---------------------------------------------

@@ -170,8 +170,9 @@ int Usage() {
                "                      topology-aware scenarios (name,\n"
                "                      generator spec or .ictp file)\n"
                "      --solver K      normal-equations backend for the\n"
-               "                      estimation scenarios (auto picks\n"
-               "                      by problem size; default)\n"
+               "                      estimation scenarios (auto, the\n"
+               "                      default: dense through 4095\n"
+               "                      augmented rows, cg above)\n"
                "  ictm synthesize <out.csv> [nodes] [bins] [f] [seed]\n"
                "  ictm fit <tm.csv>\n"
                "  ictm gravity <tm.csv>\n"
@@ -189,8 +190,9 @@ int Usage() {
                "      seed:     generator seed for seeded topology\n"
                "                specs (default 0; must match the seed\n"
                "                the topology was generated with)\n"
-               "      --solver  normal-equations backend (auto picks\n"
-               "                by problem size; default)\n"
+               "      --solver  normal-equations backend (auto, the\n"
+               "                default: dense through 4095 augmented\n"
+               "                rows, cg above)\n"
                "  ictm stream <trace.ictmb|tm.csv> [--topology T]\n"
                "           [--seed S] [--threads N] [--window W]\n"
                "           [--queue C] [--f F] [--out DIR]\n"
@@ -214,8 +216,9 @@ int Usage() {
                "                    DIR/priors.ictmb\n"
                "      --codec C     chunk codec for the --out traces\n"
                "                    (raw|shuffle-lz|delta; default raw)\n"
-               "      --solver K    normal-equations backend (auto\n"
-               "                    picks by problem size; default)\n"
+               "      --solver K    normal-equations backend (auto,\n"
+               "                    the default: dense through 4095\n"
+               "                    augmented rows, cg above)\n"
                "      --trace-out FILE   Chrome trace_event JSON of the\n"
                "                    run (chrome://tracing / perfetto)\n"
                "      --metrics-out FILE ictm-metrics-v1 JSON snapshot\n"
