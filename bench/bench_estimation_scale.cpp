@@ -12,19 +12,12 @@
 // engine must agree with the legacy pipeline to solver tolerance.
 //
 // A second mode sweeps generated hierarchical backbones from 22 to 200
-// nodes through every solver backend (dense, sparse, cg, plus the
-// production `auto` path) and writes two JSON artifacts: the perf
-// trajectory over node count (BENCH_topology_scale.json, from the
-// `auto` runs) and the per-backend comparison
-// (BENCH_solver_backends.json).  The sweep enforces the backend-layer
-// contract: every backend bit-identical for threads 1 vs 8, sparse
-// within solver tolerance of dense everywhere, the best non-dense
-// backend >= 3x faster than dense per bin at hierarchy:200, and
-// `auto` no slower than dense at 22 nodes.
+// nodes and writes the perf trajectory over node count
+// (BENCH_topology_scale.json).  The sweep's gate: every entry's
+// estimates finite and bit-identical for threads 1 vs T.
 //
 // usage: bench_estimation_scale [bins] [threads]
 //        bench_estimation_scale --topo-sweep [out.json] [threads]
-//                               [backends_out.json]
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -39,7 +32,6 @@
 #include "core/estimation.hpp"
 #include "core/gravity.hpp"
 #include "core/metrics.hpp"
-#include "core/solver_backend.hpp"
 #include "linalg/lsq.hpp"
 #include "scenario/common.hpp"
 #include "stats/rng.hpp"
@@ -257,187 +249,60 @@ bool WriteJsonFile(const std::string& path,
   return true;
 }
 
-// Node-count sweep over generated hierarchical backbones, per solver
-// backend: times every backend at 1 and `threads` workers per size
-// and writes the rows as JSON.  The sweep table and per-entry
-// measurement are shared with the topo_scale scenario
-// (scenario::RunTopoSweepEntry); timings are run-environment facts,
-// so this file is a bench artifact, not a deterministic scenario
-// result.
-int RunTopoSweep(const std::string& outPath, std::size_t threads,
-                 const std::string& backendsOutPath) {
+// Node-count sweep over generated hierarchical backbones: times the
+// estimation at 1 and `threads` workers per size and writes the rows
+// as JSON.  The sweep table and per-entry measurement are shared with
+// the topo_scale scenario (scenario::RunTopoSweepEntry); timings are
+// run-environment facts, so this file is a bench artifact, not a
+// deterministic scenario result.
+int RunTopoSweep(const std::string& outPath, std::size_t threads) {
   namespace json = ictm::scenario::json;
   const auto& sweep = scenario::DefaultTopoSweep();
 
-  struct BackendSpec {
-    core::SolverKind kind;
-    const char* label;
-  };
-  const BackendSpec backends[] = {
-      {core::SolverKind::kDense, "dense"},
-      {core::SolverKind::kSparse, "sparse"},
-      {core::SolverKind::kCg, "cg"},
-      {core::SolverKind::kAuto, "auto"},
-  };
-
   bool allPass = true;
-  // Sanitizer CI runs set this: the bit-identity and backend-agreement
-  // contracts stay enforced, but timing-ratio gates are skipped — a
-  // ~10x instrumented slowdown says nothing about the real ratios.
-  const bool correctnessOnly =
-      std::getenv("ICTM_BENCH_CORRECTNESS_ONLY") != nullptr;
-  json::Array autoRows;
-  json::Array backendRows;
-  std::printf("topology scale sweep (%zu threads%s)\n\n", threads,
-              correctnessOnly ? ", correctness-only" : "");
+  json::Array rows;
+  std::printf("topology scale sweep (%zu threads)\n\n", threads);
   for (std::size_t idx = 0; idx < sweep.size(); ++idx) {
     const scenario::TopoSweepEntry& entry = sweep[idx];
-    double denseMsPerBin = 0.0;
-    double bestNonDenseSpeedup = 0.0;
-    double autoMsPerBin = 0.0;
-    const traffic::TrafficMatrixSeries* denseEst = nullptr;
-    std::vector<scenario::TopoSweepRun> runs;
-    // denseEst points into `runs`; reserving for every backend keeps
-    // the later push_backs from reallocating under it.
-    runs.reserve(std::size(backends));
+    const scenario::TopoSweepRun run = scenario::RunTopoSweepEntry(
+        entry, /*topologySeed=*/0, /*trafficSeed=*/42 + idx,
+        /*baselineThreads=*/1, threads);
+    // Contract: finite estimates, bit-identical across thread counts.
+    allPass = allPass && run.bitIdentical && scenario::AllFinite(run.errEst);
+    const double msPerBin1 = 1e3 * run.secBaseline / double(entry.bins);
+    const double msPerBinN = 1e3 * run.secFanout / double(entry.bins);
+    std::printf("%-14s %4zu nodes: %8.2f ms/bin x1, %8.2f ms/bin x%zu%s\n",
+                entry.spec.c_str(), run.nodes, msPerBin1, msPerBinN,
+                threads, run.bitIdentical ? "" : " THREAD-MISMATCH");
 
-    for (const BackendSpec& backend : backends) {
-      runs.push_back(scenario::RunTopoSweepEntry(
-          entry, /*topologySeed=*/0, /*trafficSeed=*/42 + idx,
-          /*baselineThreads=*/1, threads, backend.kind));
-      const scenario::TopoSweepRun& run = runs.back();
-      const double msPerBin =
-          1e3 * run.secBaseline / double(entry.bins);
-
-      bool finite = true;
-      for (double e : run.errEst) finite = finite && std::isfinite(e);
-      // Contract: every backend bit-identical across thread counts.
-      allPass = allPass && run.bitIdentical && finite;
-
-      double relDiffVsDense = 0.0;
-      if (backend.kind == core::SolverKind::kDense) {
-        denseMsPerBin = msPerBin;
-        denseEst = &run.estimates;
-      } else {
-        relDiffVsDense = MaxRelDiff(*denseEst, run.estimates);
-        if (backend.kind == core::SolverKind::kSparse) {
-          // The direct backends must agree everywhere.
-          allPass = allPass && relDiffVsDense < 1e-6;
-        }
-        if (backend.kind != core::SolverKind::kAuto &&
-            msPerBin > 0.0) {
-          bestNonDenseSpeedup = std::max(bestNonDenseSpeedup,
-                                         denseMsPerBin / msPerBin);
-        }
-        if (backend.kind == core::SolverKind::kAuto) {
-          autoMsPerBin = msPerBin;
-        }
-      }
-
-      std::printf("%-14s %-6s %4zu nodes: %8.2f ms/bin x1, "
-                  "%8.2f ms/bin x%zu%s%s\n",
-                  entry.spec.c_str(), backend.label, run.nodes,
-                  msPerBin,
-                  1e3 * run.secFanout / double(entry.bins), threads,
-                  run.bitIdentical ? "" : " THREAD-MISMATCH",
-                  backend.kind != core::SolverKind::kDense &&
-                          relDiffVsDense >= 1e-6
-                      ? " (diverges from dense)"
-                      : "");
-
-      json::Object row;
-      row.set("topology", entry.spec);
-      row.set("backend", backend.label);
-      row.set("nodes", run.nodes);
-      row.set("augmented_rows",
-              core::AugmentedRowCount(run.routingRows, run.nodes, true));
-      row.set("bins", entry.bins);
-      row.set("ms_per_bin_1_thread", msPerBin);
-      row.set("ms_per_bin_n_threads",
-              1e3 * run.secFanout / double(entry.bins));
-      row.set("speedup_vs_dense",
-              msPerBin > 0.0 ? denseMsPerBin / msPerBin : 0.0);
-      row.set("bit_identical_across_threads", run.bitIdentical);
-      row.set("max_rel_diff_vs_dense", relDiffVsDense);
-      row.set("est_err_mean", core::Mean(run.errEst));
-      backendRows.push_back(json::Value(std::move(row)));
-    }
-
-    // Acceptance gates: >= 3x from the best non-dense backend at the
-    // 200-node hierarchy; `auto` (same code path as its resolved
-    // backend) never slower than dense at 22 nodes, with slack for
-    // timer noise.
-    if (entry.spec == "hierarchy:200" && !correctnessOnly) {
-      if (bestNonDenseSpeedup < 3.0) {
-        std::printf("  -> FAIL: best non-dense speedup %.2fx < 3x at "
-                    "%s\n",
-                    bestNonDenseSpeedup, entry.spec.c_str());
-        allPass = false;
-      } else {
-        std::printf("  -> best non-dense backend %.2fx vs dense at "
-                    "%s\n",
-                    bestNonDenseSpeedup, entry.spec.c_str());
-      }
-    }
-    // At 22 nodes `auto` resolves to dense — literally the same code
-    // path — so any measured gap is timer noise; the slack is sized to
-    // still catch a mis-resolved threshold (cg would be ~2x slower).
-    if (runs.front().nodes == 22 && !correctnessOnly) {
-      if (autoMsPerBin > denseMsPerBin * 1.35) {
-        std::printf("  -> FAIL: auto %.2f ms/bin slower than dense "
-                    "%.2f ms/bin at 22 nodes\n",
-                    autoMsPerBin, denseMsPerBin);
-        allPass = false;
-      }
-    }
-
-    // The legacy topology-scale artifact keeps its schema, reporting
-    // the production `auto` path.
-    const scenario::TopoSweepRun& autoRun = runs.back();
     json::Object row;
     row.set("topology", entry.spec);
-    row.set("nodes", autoRun.nodes);
-    row.set("links", autoRun.links);
-    row.set("routing_rows", autoRun.routingRows);
-    row.set("routing_nnz", autoRun.routingNnz);
+    row.set("nodes", run.nodes);
+    row.set("links", run.links);
+    row.set("routing_rows", run.routingRows);
+    row.set("routing_nnz", run.routingNnz);
     row.set("bins", entry.bins);
-    row.set("solver",
-            core::SolverKindName(core::ResolveSolverKind(
-                core::SolverKind::kAuto,
-                core::AugmentedRowCount(autoRun.routingRows,
-                                        autoRun.nodes, true))));
-    row.set("sec_1_thread", autoRun.secBaseline);
-    row.set("sec_n_threads", autoRun.secFanout);
-    row.set("ms_per_bin_1_thread",
-            1e3 * autoRun.secBaseline / double(entry.bins));
-    row.set("ms_per_bin_n_threads",
-            1e3 * autoRun.secFanout / double(entry.bins));
-    row.set("speedup", autoRun.secFanout > 0.0
-                           ? autoRun.secBaseline / autoRun.secFanout
+    row.set("solver", "dense");
+    row.set("sec_1_thread", run.secBaseline);
+    row.set("sec_n_threads", run.secFanout);
+    row.set("ms_per_bin_1_thread", msPerBin1);
+    row.set("ms_per_bin_n_threads", msPerBinN);
+    row.set("speedup", run.secFanout > 0.0
+                           ? run.secBaseline / run.secFanout
                            : 0.0);
-    row.set("bit_identical", autoRun.bitIdentical);
-    row.set("est_err_mean", core::Mean(autoRun.errEst));
-    autoRows.push_back(json::Value(std::move(row)));
+    row.set("bit_identical", run.bitIdentical);
+    row.set("est_err_mean", core::Mean(run.errEst));
+    rows.push_back(json::Value(std::move(row)));
   }
 
   json::Object doc;
   doc.set("schema", "ictm-bench-topology-scale-v1");
   doc.set("threads", threads);
-  doc.set("rows", json::Value(std::move(autoRows)));
+  doc.set("rows", json::Value(std::move(rows)));
   if (!WriteJsonFile(outPath, json::Value(std::move(doc)))) return 1;
 
-  json::Object backendsDoc;
-  backendsDoc.set("schema", "ictm-bench-solver-backends-v1");
-  backendsDoc.set("threads", threads);
-  backendsDoc.set("pass", allPass);
-  backendsDoc.set("rows", json::Value(std::move(backendRows)));
-  if (!WriteJsonFile(backendsOutPath,
-                     json::Value(std::move(backendsDoc)))) {
-    return 1;
-  }
-
-  std::printf("\nwrote %s and %s: %s\n", outPath.c_str(),
-              backendsOutPath.c_str(), allPass ? "PASS" : "FAIL");
+  std::printf("\nwrote %s: %s\n", outPath.c_str(),
+              allPass ? "PASS" : "FAIL");
   return allPass ? 0 : 1;
 }
 
@@ -449,10 +314,7 @@ int main(int argc, char** argv) {
         argc > 2 ? argv[2] : "BENCH_topology_scale.json";
     const std::size_t sweepThreads =
         argc > 3 ? static_cast<std::size_t>(std::atoll(argv[3])) : 8;
-    const std::string backendsOut =
-        argc > 4 ? argv[4] : "BENCH_solver_backends.json";
-    return RunTopoSweep(out, std::max<std::size_t>(1, sweepThreads),
-                        backendsOut);
+    return RunTopoSweep(out, std::max<std::size_t>(1, sweepThreads));
   }
   const std::size_t bins =
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 2016;
@@ -513,26 +375,6 @@ int main(int argc, char** argv) {
               "%.2fx vs legacy, %.2fx vs 1 thread)\n",
               threads, sparseTSec, 1e3 * sparseTSec / double(bins),
               legacySec / sparseTSec, sparse1Sec / sparseTSec);
-
-  // Per-backend comparison at Géant scale (informational here; the
-  // topo sweep gates the backend contract).  At 22 nodes `auto`
-  // resolves to dense, so the engine runs above already cover it.
-  std::printf("\n");
-  for (const core::SolverKind kind :
-       {core::SolverKind::kDense, core::SolverKind::kSparse,
-        core::SolverKind::kCg}) {
-    core::EstimationOptions backendOptions;
-    backendOptions.solver = kind;
-    backendOptions.threads = threads;
-    t0 = std::chrono::steady_clock::now();
-    const auto est =
-        core::EstimateSeries(routingCsr, truth, priors, backendOptions);
-    const double sec = SecondsSince(t0);
-    std::printf("backend %-6s, %2zu threads : %7.3f s  (%.2f ms/bin, "
-                "max rel diff vs dense %.2e)\n",
-                core::SolverKindName(kind), threads, sec,
-                1e3 * sec / double(bins), MaxRelDiff(sparseT, est));
-  }
 
   const bool identical = BitIdentical(sparse1, sparseT);
   const double relDiff = MaxRelDiff(legacyEst, sparse1);

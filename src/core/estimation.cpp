@@ -4,10 +4,9 @@
 #include <cmath>
 
 #include "common/parallel.hpp"
-#include "core/solver_backend.hpp"
 #include "linalg/lsq.hpp"
-#include "linalg/pcg.hpp"
-#include "linalg/sparse_chol.hpp"
+#include "obs/metrics.hpp"
+#include "obs/now.hpp"
 #include "topology/routing.hpp"
 #include "traffic/tm_series.hpp"
 
@@ -70,31 +69,42 @@ void IpfInPlace(double* tm, std::size_t n, const double* rowTargets,
   }
 }
 
-}  // namespace
-
-const char* SolverKindName(SolverKind kind) noexcept {
-  switch (kind) {
-    case SolverKind::kDense:
-      return "dense";
-    case SolverKind::kSparse:
-      return "sparse";
-    case SolverKind::kCg:
-      return "cg";
-    case SolverKind::kAuto:
-      break;
-  }
-  return "auto";
+// Rows of the augmented operator for a routing matrix with `links`
+// rows over `nodes` nodes: links plus, with marginal constraints, the
+// 2·nodes ingress/egress rows.
+std::size_t AugmentedRowCount(std::size_t links, std::size_t nodes,
+                              bool marginalConstraints) {
+  return marginalConstraints ? links + 2 * nodes : links;
 }
+
+// One count per bin solve, so the total is invariant under the worker
+// fan-out (deterministic class).  The factor / substitute split is
+// wall time (timing class).
+obs::Counter& SolvesCounter() {
+  static obs::Counter& c = obs::GetCounter(
+      "solver.solves.dense", obs::MetricClass::kDeterministic);
+  return c;
+}
+
+obs::Counter& FactorNsCounter() {
+  static obs::Counter& c =
+      obs::GetCounter("solver.factor_ns", obs::MetricClass::kTiming);
+  return c;
+}
+
+obs::Counter& SubstituteNsCounter() {
+  static obs::Counter& c =
+      obs::GetCounter("solver.substitute_ns", obs::MetricClass::kTiming);
+  return c;
+}
+
+}  // namespace
 
 bool ParseSolverKind(std::string_view name, SolverKind* out) noexcept {
   if (name == "auto") {
     *out = SolverKind::kAuto;
   } else if (name == "dense") {
     *out = SolverKind::kDense;
-  } else if (name == "sparse") {
-    *out = SolverKind::kSparse;
-  } else if (name == "cg") {
-    *out = SolverKind::kCg;
   } else {
     return false;
   }
@@ -128,36 +138,12 @@ AugmentedTmSystem::AugmentedTmSystem(const linalg::CsrMatrix& routing,
   a_ = linalg::CscMatrix::FromTriplets(rows_, n_ * n_, std::move(entries));
 }
 
-AugmentedTmSystem::~AugmentedTmSystem() = default;
-
-const linalg::SparseNormalAnalysis& AugmentedTmSystem::sparseAnalysis()
-    const {
-  std::call_once(sparseOnce_, [this] {
-    sparse_ = std::make_unique<linalg::SparseNormalAnalysis>(a_);
-  });
-  return *sparse_;
-}
-
-const linalg::FrozenNormalPreconditioner&
-AugmentedTmSystem::cgPreconditioner() const {
-  std::call_once(cgOnce_, [this] {
-    cgPrecond_ = std::make_unique<linalg::FrozenNormalPreconditioner>(a_);
-  });
-  return *cgPrecond_;
-}
-
 TmBinSolver::TmBinSolver(const AugmentedTmSystem& system,
                          const EstimationOptions& options)
     : system_(system),
       options_(options),
       d_(system.rowCount(), 0.0),
-      backend_(MakeSolverBackend(system, options)) {}
-
-TmBinSolver::~TmBinSolver() = default;
-
-const char* TmBinSolver::solverName() const noexcept {
-  return backend_->name();
-}
+      m_(system.rowCount() * system.rowCount(), 0.0) {}
 
 void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
                         const double* ingress, const double* egress,
@@ -191,9 +177,27 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
   }
 
   // Solve (A W Aᵀ + ridge) z = d with W = diag(xp) (prior-weighted
-  // deviations, per tomogravity) through the configured backend, then
-  // push back: x = xp + W Aᵀ z.
-  backend_->SolveNormal(priorBin, d);
+  // deviations, per tomogravity), then push back: x = xp + W Aᵀ z.
+  SolvesCounter().add();
+  double* m = m_.data();
+  linalg::WeightedGramInto(system_.matrix(), priorBin, m);
+  double trace = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) trace += m[r * rows + r];
+  const double ridge =
+      std::max(trace, 1.0) * options_.relativeRidge +
+      1e-30;  // keep strictly positive even for an all-zero prior
+  for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge;
+  // Factor + substitute is exactly CholeskySolveInPlace (the split is
+  // the documented definition), timed per phase.
+  const bool recording = obs::Enabled();
+  const std::uint64_t t0 = recording ? obs::Now() : 0;
+  linalg::CholeskyFactorInPlace(m, rows);
+  const std::uint64_t t1 = recording ? obs::Now() : 0;
+  linalg::CholeskySubstituteInPlace(m, d, rows);
+  if (recording) {
+    FactorNsCounter().add(t1 - t0);
+    SubstituteNsCounter().add(obs::Now() - t1);
+  }
   for (std::size_t c = 0; c < n2; ++c) {
     const double xp = priorBin[c];
     double x = xp;

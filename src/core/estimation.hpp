@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -19,27 +17,16 @@
 #include "linalg/sparse.hpp"
 #include "traffic/tm_series.hpp"
 
-namespace ictm::linalg {
-class FrozenNormalPreconditioner;  // linalg/pcg.hpp
-class SparseNormalAnalysis;        // linalg/sparse_chol.hpp
-}  // namespace ictm::linalg
-
 namespace ictm::core {
 
-class SolverBackend;  // core/solver_backend.hpp
-
-/// How each bin's normal equations are solved (see
-/// core/solver_backend.hpp for the backend layer).
+/// The `--solver` value.  Both kinds name the one dense Cholesky solve
+/// of TmBinSolver; the enum survives as a configuration echo in the
+/// HELLO frame and the ICKS checkpoint (wire values 0 and 1; the
+/// retired sparse and cg values 2 and 3 are refused).
 enum class SolverKind {
-  kAuto,    ///< dense through 4095 augmented rows, cg from 4096 up
-  kDense,   ///< dense normal matrix + blocked in-place Cholesky
-  kSparse,  ///< fill-reducing sparse Cholesky, symbolic shared per system
-  kCg,      ///< matrix-free CG, frozen-Gram preconditioner per system
+  kAuto,   ///< the default; runs the dense solve
+  kDense,  ///< dense normal matrix + blocked in-place Cholesky
 };
-
-/// Stable lowercase name of a solver kind ("auto", "dense", "sparse",
-/// "cg") for CLI/JSON reporting.
-const char* SolverKindName(SolverKind kind) noexcept;
 
 /// Parses a solver-kind name as accepted by `--solver`; returns false
 /// (leaving `out` untouched) on anything else.
@@ -59,21 +46,10 @@ struct EstimationOptions {
   /// independent, so results are bit-identical for any value); 0 means
   /// all hardware threads.
   std::size_t threads = 1;
-  /// Backend for the per-bin normal-equations solve.  Every backend is
-  /// bit-identical across thread counts and agrees with kDense to
-  /// solver tolerance; kAuto is dense through 4095 augmented rows and
-  /// cg above (kAutoSolverRowThreshold).
+  /// The `--solver` value, kept as a configuration echo: both kinds
+  /// run the one dense solve.
   SolverKind solver = SolverKind::kAuto;
 };
-
-/// Rows of the augmented operator for a routing matrix with `links`
-/// rows over `nodes` nodes: links plus, with marginal constraints,
-/// the 2·nodes ingress/egress rows.  The one formula every layer that
-/// predicts or reports a solver resolution shares.
-inline std::size_t AugmentedRowCount(std::size_t links, std::size_t nodes,
-                                     bool marginalConstraints) noexcept {
-  return marginalConstraints ? links + 2 * nodes : links;
-}
 
 /// The augmented measurement operator A = [R; Q] compressed once into
 /// column form: one column per OD pair holding that pair's few path
@@ -88,7 +64,6 @@ class AugmentedTmSystem {
   /// is set, the 2n ingress/egress rows.
   AugmentedTmSystem(const linalg::CsrMatrix& routing, std::size_t nodes,
                     bool marginalConstraints);
-  ~AugmentedTmSystem();  ///< out of line for the lazy shared analyses
 
   /// Number of nodes n.
   std::size_t nodeCount() const noexcept { return n_; }
@@ -99,45 +74,32 @@ class AugmentedTmSystem {
   /// The compressed operator (rowCount() x n²).
   const linalg::CscMatrix& matrix() const noexcept { return a_; }
 
-  /// The sparse-Cholesky analysis (pattern, fill-reducing ordering,
-  /// symbolic factor, assembly map) of this system's normal operator.
-  /// Built lazily on first use — the weight-independent part of the
-  /// sparse backend — then shared read-only by every bin solver and
-  /// worker thread.  Thread-safe.
-  const linalg::SparseNormalAnalysis& sparseAnalysis() const;
-
-  /// The frozen (unweighted-Gram) CG preconditioner of this system's
-  /// normal operator — the cg backend's weight-independent setup,
-  /// with the same lazy once-per-system sharing as sparseAnalysis().
-  /// Thread-safe.
-  const linalg::FrozenNormalPreconditioner& cgPreconditioner() const;
-
  private:
   std::size_t n_ = 0;
   std::size_t links_ = 0;
   std::size_t rows_ = 0;
   linalg::CscMatrix a_;
-  mutable std::once_flag sparseOnce_;
-  mutable std::unique_ptr<linalg::SparseNormalAnalysis> sparse_;
-  mutable std::once_flag cgOnce_;
-  mutable std::unique_ptr<linalg::FrozenNormalPreconditioner> cgPrecond_;
 };
 
 /// One bin of the three-step pipeline (Sec. 6) with reusable scratch:
 /// prior-weighted least-squares refinement of the prior against the
 /// link loads (and marginals), clamped non-negative, then IPF onto the
-/// marginals.  Create one solver per worker thread; Solve may be called
-/// repeatedly and performs the exact same floating-point operations
-/// regardless of which solver instance runs it, so any fan-out over
-/// bins is bit-identical to a serial sweep.
+/// marginals.  The refinement solves the ridged normal equations
+///   (A·diag(xp)·Aᵀ + ridge·I) z = y − A·xp,
+///   ridge = max(trace, 1)·relativeRidge + 1e-30,
+/// by assembling the rows² normal matrix densely and running the
+/// blocked in-place Cholesky.  Create one solver per worker thread;
+/// Solve may be called repeatedly, allocates nothing, and performs the
+/// exact same floating-point operations regardless of which solver
+/// instance runs it, so any fan-out over bins is bit-identical to a
+/// serial sweep.
 class TmBinSolver {
  public:
   /// Binds the solver to a shared system (which must outlive it) and
-  /// builds the backend selected by `options.solver` with its
-  /// per-thread workspace.
+  /// allocates its per-thread scratch: rows² doubles for the normal
+  /// matrix plus the rows-long right-hand side.
   explicit TmBinSolver(const AugmentedTmSystem& system,
                        const EstimationOptions& options = {});
-  ~TmBinSolver();  ///< out of line for the backend's incomplete type
 
   TmBinSolver(const TmBinSolver&) = delete;             ///< non-copyable
   TmBinSolver& operator=(const TmBinSolver&) = delete;  ///< non-copyable
@@ -148,15 +110,11 @@ class TmBinSolver {
   void Solve(const double* linkLoads, const double* priorBin,
              const double* ingress, const double* egress, double* outBin);
 
-  /// Name of the backend actually in use ("dense", "sparse", "cg") —
-  /// kAuto resolved by system size.
-  const char* solverName() const noexcept;
-
  private:
   const AugmentedTmSystem& system_;
   EstimationOptions options_;
   std::vector<double> d_;  // rows: rhs, then the dual solution
-  std::unique_ptr<SolverBackend> backend_;  // per-thread solve workspace
+  std::vector<double> m_;  // rows x rows: normal matrix, then its factor
 };
 
 /// Iterative proportional fitting: rescales rows and columns of `tm`
@@ -204,10 +162,10 @@ traffic::TrafficMatrixSeries EstimateSeries(
     const EstimationOptions& options = {});
 
 /// EstimateSeries against a caller-owned augmented system, so repeated
-/// runs over the same topology (benchmark sweeps, per-backend
-/// comparisons, re-estimation services) reuse one compression and the
-/// backends' shared per-system setup.  `system` must have been built
-/// from `routing` with `options.useMarginalConstraints`.
+/// runs over the same topology (benchmark sweeps, thread-count
+/// comparisons, re-estimation services) reuse one compression.
+/// `system` must have been built from `routing` with
+/// `options.useMarginalConstraints`.
 traffic::TrafficMatrixSeries EstimateSeries(
     const AugmentedTmSystem& system, const linalg::CsrMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,

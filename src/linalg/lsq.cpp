@@ -20,38 +20,6 @@ Vector SolveLeastSquares(const Matrix& a, const Vector& b) {
   return SolveMinNorm(a, b);
 }
 
-Vector SolveWeightedLeastSquares(const Matrix& a, const Vector& b,
-                                 const Vector& weights) {
-  ICTM_REQUIRE(a.rows() == b.size(), "rhs length mismatch");
-  ICTM_REQUIRE(a.rows() == weights.size(), "weight length mismatch");
-  Matrix wa = a;
-  Vector wb = b;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    ICTM_REQUIRE(weights[i] >= 0.0, "negative weight");
-    const double sw = std::sqrt(weights[i]);
-    for (std::size_t j = 0; j < a.cols(); ++j) wa(i, j) *= sw;
-    wb[i] *= sw;
-  }
-  return SolveLeastSquares(wa, wb);
-}
-
-Vector SolveRidge(const Matrix& a, const Vector& b, double lambda) {
-  ICTM_REQUIRE(lambda > 0.0, "ridge parameter must be positive");
-  ICTM_REQUIRE(a.rows() == b.size(), "rhs length mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  // Augmented system [A; sqrt(lambda) I] x = [b; 0].
-  Matrix aug(m + n, n, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) aug(i, j) = a(i, j);
-  const double sl = std::sqrt(lambda);
-  for (std::size_t j = 0; j < n; ++j) aug(m + j, j) = sl;
-  Vector bAug(m + n, 0.0);
-  for (std::size_t i = 0; i < m; ++i) bAug[i] = b[i];
-  HouseholderQR qr(aug);
-  return qr.solve(bAug);
-}
-
 double ResidualNorm(const Matrix& a, const Vector& x, const Vector& b) {
   return Norm2(Sub(a * x, b));
 }

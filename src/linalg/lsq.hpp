@@ -1,5 +1,5 @@
-// Least-squares solvers layered on QR/SVD, plus weighted and ridge
-// variants used throughout the model-fitting and TM-estimation code.
+// Least-squares solvers layered on QR/SVD, plus the Cholesky and NNLS
+// helpers used throughout the model-fitting and TM-estimation code.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -10,15 +10,6 @@ namespace ictm::linalg {
 /// QR.  Falls back to the SVD minimum-norm solution when `a` is rank
 /// deficient.
 Vector SolveLeastSquares(const Matrix& a, const Vector& b);
-
-/// Weighted least squares: min_x ||W^(1/2) (a x - b)||_2 where
-/// `weights[i] >= 0` multiplies the squared residual of row i.
-Vector SolveWeightedLeastSquares(const Matrix& a, const Vector& b,
-                                 const Vector& weights);
-
-/// Ridge regression: min_x ||a x - b||^2 + lambda ||x||^2 with
-/// lambda > 0, solved via the augmented system.  Always well posed.
-Vector SolveRidge(const Matrix& a, const Vector& b, double lambda);
 
 /// Residual 2-norm ||a x - b||_2.
 double ResidualNorm(const Matrix& a, const Vector& x, const Vector& b);

@@ -16,10 +16,11 @@
 //    floating-point accumulators anywhere in the registry.
 //
 //  * Two metric classes.  kDeterministic metrics (bins processed,
-//    PCG iterations, cache hits) are pure functions of the workload
-//    and must be identical across thread counts — tests assert them
-//    exactly.  kTiming metrics (queue waits, solve nanoseconds) are
-//    scheduling-dependent by nature and are never asserted exactly.
+//    normal-equation solves, cache hits) are pure functions of the
+//    workload and must be identical across thread counts — tests
+//    assert them exactly.  kTiming metrics (queue waits, solve
+//    nanoseconds) are scheduling-dependent by nature and are never
+//    asserted exactly.
 //
 // Hot-path cost: one relaxed atomic load (the enable check) plus one
 // relaxed fetch_add on a per-thread shard.  Registration (name

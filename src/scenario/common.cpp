@@ -5,7 +5,6 @@
 
 #include "core/estimation.hpp"
 #include "core/gravity.hpp"
-#include "core/solver_backend.hpp"
 #include "core/metrics.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
@@ -13,22 +12,6 @@
 #include "topology/routing.hpp"
 
 namespace ictm::scenario {
-
-core::SolverKind ContextSolverKind(const ScenarioContext& ctx) {
-  if (ctx.solver.empty()) return core::SolverKind::kAuto;
-  core::SolverKind kind;
-  ICTM_REQUIRE(core::ParseSolverKind(ctx.solver, &kind),
-               "unknown solver backend: " + ctx.solver);
-  return kind;
-}
-
-std::string SolverNote(core::SolverKind kind, std::size_t rows) {
-  std::string note = "solver backend: ";
-  note += core::SolverKindName(core::ResolveSolverKind(kind, rows));
-  if (kind == core::SolverKind::kAuto) note += " (auto)";
-  note += "\n";
-  return note;
-}
 
 std::chrono::steady_clock::time_point StartTimer() {
   return std::chrono::steady_clock::now();
@@ -100,8 +83,10 @@ WeeklyFitResult FitWeekly(const ScenarioContext& ctx, bool totem,
 
 const std::vector<TopoSweepEntry>& DefaultTopoSweep() {
   // Bin counts shrink as n² grows so a full sweep stays fast; the
-  // 22-node entry gets a week-scale count so the auto-vs-dense timing
-  // gate in bench_estimation_scale measures more than timer noise.
+  // 22-node entry gets 96 bins so its ms/bin timings (the topo_scale
+  // notes, bench_estimation_scale --topo-sweep) sit well above timer
+  // noise.  The counts shape topo_scale.json, so changing one changes
+  // that document.
   static const std::vector<TopoSweepEntry> sweep = {
       {"hierarchy:22", 96},
       {"hierarchy:50", 16},
@@ -114,8 +99,7 @@ TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,
                                std::uint64_t topologySeed,
                                std::uint64_t trafficSeed,
                                std::size_t baselineThreads,
-                               std::size_t fanoutThreads,
-                               core::SolverKind solver) {
+                               std::size_t fanoutThreads) {
   const topology::Graph g =
       topology::MakeTopology(entry.spec, topologySeed);
   const std::size_t n = g.nodeCount();
@@ -135,20 +119,16 @@ TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,
   const traffic::TrafficMatrixSeries priors =
       core::GravityPredictSeries(truth);
 
+  // Compress the system once, outside the timed runs, so they measure
+  // steady-state per-bin throughput — the regime a production
+  // deployment estimating week-long series lives in.
   core::EstimationOptions options;
-  options.solver = solver;
-
-  // Compress the system once and pre-warm the backend's shared
-  // per-system setup (sparse symbolic / frozen CG factor), so the
-  // timed runs measure steady-state per-bin throughput — the regime a
-  // production deployment estimating week-long series lives in.
   const core::AugmentedTmSystem system(routing, n,
                                        options.useMarginalConstraints);
-  { core::TmBinSolver warmup(system, options); }
 
   options.threads = baselineThreads;
   auto t0 = StartTimer();
-  auto estBase =
+  const auto estBase =
       core::EstimateSeries(system, routing, truth, priors, options);
   const double secBase = SecondsSince(t0);
 
@@ -170,7 +150,6 @@ TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,
   run.bitIdentical = BitIdentical(estBase, estFan);
   run.errEst = core::RelL2TemporalSeries(truth, estBase);
   run.errPrior = core::RelL2TemporalSeries(truth, priors);
-  run.estimates = std::move(estBase);
   return run;
 }
 

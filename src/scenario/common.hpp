@@ -18,15 +18,6 @@
 
 namespace ictm::scenario {
 
-/// The context's solver-backend request as a core::SolverKind (empty
-/// string = auto); throws on an unknown name — the CLI validates
-/// before any scenario runs, so this only fires on programmatic use.
-core::SolverKind ContextSolverKind(const ScenarioContext& ctx);
-
-/// One "solver backend: ..." notes line: the requested kind plus what
-/// `auto` resolved to for a system with `rows` augmented rows.
-std::string SolverNote(core::SolverKind kind, std::size_t rows);
-
 /// Starts a notes-channel timer.  StartTimer/SecondsSince are the only
 /// sanctioned wall-clock reads in src/ (see ICTM-D002 in
 /// docs/ARCHITECTURE.md "Correctness tooling"): timings feed the
@@ -81,7 +72,7 @@ struct TopoSweepEntry {
 const std::vector<TopoSweepEntry>& DefaultTopoSweep();
 
 /// Measurements from one sweep entry run through the compressed
-/// estimation path at two thread counts under one solver backend.
+/// estimation path at two thread counts.
 struct TopoSweepRun {
   std::size_t nodes = 0;          ///< resolved node count
   std::size_t links = 0;          ///< directed link count
@@ -93,22 +84,18 @@ struct TopoSweepRun {
   bool bitIdentical = false;      ///< fan-out ≡ baseline bit for bit
   std::vector<double> errEst;     ///< per-bin RelL2 of the estimate
   std::vector<double> errPrior;   ///< per-bin RelL2 of the gravity prior
-  /// The baseline-thread estimates, for cross-backend comparisons.
-  traffic::TrafficMatrixSeries estimates{1, 1};
 };
 
 /// Resolves `entry.spec` (seeded generators use `topologySeed`),
 /// synthesizes diurnally varying random traffic from `trafficSeed`
 /// with gravity priors, and runs the CSR-only EstimateSeries at the
-/// two thread counts under `solver`.  The dense routing matrix is
-/// never materialised — the point of the sweep at n = 200.
+/// two thread counts.  The dense routing matrix is never materialised
+/// — the point of the sweep at n = 200.
 TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,
                                std::uint64_t topologySeed,
                                std::uint64_t trafficSeed,
                                std::size_t baselineThreads,
-                               std::size_t fanoutThreads,
-                               core::SolverKind solver =
-                                   core::SolverKind::kAuto);
+                               std::size_t fanoutThreads);
 
 /// {"mean","p10","p50","p90","min","max"} of a sample.
 json::Value SummaryJson(const std::vector<double>& xs);

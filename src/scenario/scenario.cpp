@@ -204,7 +204,7 @@ int RunScenarioMain(const std::string& name, int argc, char** argv) {
       core::SolverKind kind;
       if (!core::ParseSolverKind(argv[i + 1], &kind)) {
         std::fprintf(stderr,
-                     "unknown solver: %s (expected dense|sparse|cg|auto)\n",
+                     "unknown solver: %s (expected auto|dense)\n",
                      argv[i + 1]);
         return 2;
       }
@@ -212,7 +212,7 @@ int RunScenarioMain(const std::string& name, int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--tiny] [--threads N] [--seed S] "
-                   "[--topology SPEC] [--solver dense|sparse|cg|auto]\n",
+                   "[--topology SPEC] [--solver auto|dense]\n",
                    argv[0]);
       return 2;
     }

@@ -46,11 +46,9 @@ struct ScenarioContext {
   /// topology.  Like the seed offset this is configuration: result
   /// documents depend on it, thread counts never.
   std::string topology;
-  /// Solver backend for the estimation kernels: "auto" (default when
-  /// empty), "dense", "sparse" or "cg" — see core/solver_backend.hpp.
-  /// Configuration like the seed offset (backends differ in low-order
-  /// floating-point bits); the resolved backend is reported through
-  /// the notes channel, never inside result documents.
+  /// The `--solver` value: "auto" (default when empty) or "dense".
+  /// Both name the one dense solve, so result documents never depend
+  /// on it; the manifest echoes it as configuration.
   std::string solver;
 
   /// The effective seed for a canonical per-scenario seed constant.

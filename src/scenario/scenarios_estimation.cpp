@@ -34,7 +34,6 @@ json::Value EstimationComparison(
     const char* icLabel, bool* finiteOut) {
   core::EstimationOptions options;
   options.threads = ctx.threads;
-  options.solver = ContextSolverKind(ctx);
   const auto estIc = core::EstimateSeries(routing, ref, icPrior, options);
   const auto estGrav =
       core::EstimateSeries(routing, ref, gravPrior, options);

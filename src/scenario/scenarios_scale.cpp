@@ -68,11 +68,6 @@ json::Value RunEstimationScale(const ScenarioContext& ctx,
       core::GravityPredictSeries(truth);
 
   core::EstimationOptions options;
-  options.solver = ContextSolverKind(ctx);
-  notes += SolverNote(options.solver,
-                      core::AugmentedRowCount(
-                          routing.rows(), n,
-                          options.useMarginalConstraints));
   options.threads = kBaselineThreads;
   auto t0 = StartTimer();
   const auto est1 = core::EstimateSeries(routing, truth, priors, options);

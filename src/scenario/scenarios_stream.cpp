@@ -60,11 +60,6 @@ json::Value RunStreamEquivalence(const ScenarioContext& ctx,
   base.f = 0.25;
   base.window = window;
   base.threads = 1;
-  base.estimation.solver = ContextSolverKind(ctx);
-  notes += SolverNote(base.estimation.solver,
-                      core::AugmentedRowCount(
-                          setup.routing.rows(), n,
-                          base.estimation.useMarginalConstraints));
   const auto t0 = StartTimer();
   const stream::StreamingRunResult serial =
       stream::EstimateSeriesStreaming(setup.routing, setup.truth, base);
@@ -93,7 +88,6 @@ json::Value RunStreamEquivalence(const ScenarioContext& ctx,
   // per-bin solver, different orchestration.
   core::EstimationOptions batchOpts;
   batchOpts.threads = 2;
-  batchOpts.solver = ContextSolverKind(ctx);
   const auto t1 = StartTimer();
   const auto batch = core::EstimateSeries(setup.routing, setup.truth,
                                           serial.priors, batchOpts);
@@ -139,7 +133,6 @@ json::Value RunStreamScale(const ScenarioContext& ctx,
   stream::StreamingOptions opts;
   opts.f = 0.25;
   opts.window = window;
-  opts.estimation.solver = ContextSolverKind(ctx);
   traffic::TrafficMatrixSeries first(setup.truth.nodeCount(), bins,
                                      300.0);
   bool identical = true;

@@ -36,7 +36,6 @@ std::vector<TopoSweepEntry> BuildSweep(const ScenarioContext& ctx) {
 
 json::Value RunTopoScale(const ScenarioContext& ctx, std::string& notes) {
   const std::vector<TopoSweepEntry> sweep = BuildSweep(ctx);
-  const core::SolverKind solver = ContextSolverKind(ctx);
 
   bool allIdentical = true;
   bool allFinite = true;
@@ -46,11 +45,7 @@ json::Value RunTopoScale(const ScenarioContext& ctx, std::string& notes) {
     const TopoSweepRun run = RunTopoSweepEntry(
         entry, ctx.seed(kTopologySeed),
         ctx.seed(kTrafficSeed) + idx * 1000003, kBaselineThreads,
-        kFanoutThreads, solver);
-    notes += entry.spec + ": " +
-             SolverNote(solver,
-                        core::AugmentedRowCount(run.routingRows,
-                                                run.nodes, true));
+        kFanoutThreads);
     allIdentical = allIdentical && run.bitIdentical;
     allFinite = allFinite && AllFinite(run.errEst);
 

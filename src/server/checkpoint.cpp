@@ -141,8 +141,6 @@ bool Deserialize(const std::vector<std::uint8_t>& body,
   switch (solver) {
     case static_cast<std::uint64_t>(core::SolverKind::kAuto):
     case static_cast<std::uint64_t>(core::SolverKind::kDense):
-    case static_cast<std::uint64_t>(core::SolverKind::kSparse):
-    case static_cast<std::uint64_t>(core::SolverKind::kCg):
       cp.solver = static_cast<core::SolverKind>(solver);
       break;
     default:

@@ -217,8 +217,6 @@ bool HelloRequest::decode(const std::vector<std::uint8_t>& payload) {
   switch (solverByte) {
     case static_cast<std::uint8_t>(core::SolverKind::kAuto):
     case static_cast<std::uint8_t>(core::SolverKind::kDense):
-    case static_cast<std::uint8_t>(core::SolverKind::kSparse):
-    case static_cast<std::uint8_t>(core::SolverKind::kCg):
       solver = static_cast<core::SolverKind>(solverByte);
       return true;
     default:

@@ -129,7 +129,7 @@ struct HelloRequest {
   std::uint64_t topologySeed = 0;  ///< generator seed for seeded specs
   double f = 0.25;              ///< forward fraction of the prior
   std::uint64_t window = 0;     ///< preference re-fit window (0 = off)
-  core::SolverKind solver = core::SolverKind::kAuto;  ///< backend
+  core::SolverKind solver = core::SolverKind::kAuto;  ///< config echo
   std::uint32_t threads = 1;    ///< requested workers (server caps)
   std::uint32_t queueCapacity = 64;  ///< requested queue (server caps)
   std::uint64_t clientFrames = 0;  ///< estimate frames the client already

@@ -1,20 +1,18 @@
 // Shared per-topology state for the estimation server.
 //
 // Opening a session costs far more than serving one bin: the topology
-// must be materialised, routing computed, the augmented [R; Q]
-// operator compressed, and — lazily, on first solve — the sparse
-// symbolic factorisation or frozen PCG preconditioner built.  All of
-// that is a pure function of (topology spec, generator seed), so N
-// concurrent sessions on the same topology should pay it once.
+// must be materialised, routing computed and the augmented [R; Q]
+// operator compressed.  All of that is a pure function of (topology
+// spec, generator seed), so N concurrent sessions on the same
+// topology should pay it once.
 //
 // TopologyStateCache interns exactly that: acquire() returns a
 // shared_ptr<const TopologyState> holding the routing matrix and the
-// shared core::AugmentedTmSystem (whose lazy sparseAnalysis() /
-// cgPreconditioner() are themselves built once and shared read-only
-// across every bin solver).  The shared_ptr is the refcount; the
-// cache keeps entries past their last user up to `capacity`, evicting
-// the least-recently-acquired idle entry first.  Entries still
-// referenced by a live session are never evicted.
+// shared core::AugmentedTmSystem, read-only across every bin solver.
+// The shared_ptr is the refcount; the cache keeps entries past their
+// last user up to `capacity`, evicting the least-recently-acquired
+// idle entry first.  Entries still referenced by a live session are
+// never evicted.
 #pragma once
 
 #include <cstddef>

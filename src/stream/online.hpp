@@ -108,8 +108,8 @@ class StreamingEstimator {
                      StreamingOptions options, EstimateCallback onEstimate);
   /// Same, but over a caller-shared augmented system (which the
   /// estimator keeps alive), so many estimators on the same topology
-  /// pay the compression and the backends' per-system setup once —
-  /// the estimation server's per-topology state cache feeds this.
+  /// pay the compression once — the estimation server's per-topology
+  /// state cache feeds this.
   StreamingEstimator(std::shared_ptr<const core::AugmentedTmSystem> system,
                      StreamingOptions options, EstimateCallback onEstimate);
   /// Drains and joins (finish() fallback; errors are swallowed — call

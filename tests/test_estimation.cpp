@@ -1,10 +1,13 @@
 // Tests for IPF and the tomogravity estimation pipeline (paper Sec. 6).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/estimation.hpp"
 #include "core/gravity.hpp"
 #include "core/ic_model.hpp"
 #include "core/metrics.hpp"
+#include "topology/registry.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
 #include "test_util.hpp"
@@ -164,6 +167,19 @@ TEST(EstimateTmBinTest, OutputNonNegative) {
     for (std::size_t j = 0; j < 6; ++j) EXPECT_GE(est(i, j), 0.0);
 }
 
+TEST(EstimateTmBinTest, AllZeroPriorIsIpfOfZeroMatrix) {
+  // With an all-zero prior the least-squares correction vanishes (every
+  // Gram weight is zero and the push-back multiplies by the prior), so
+  // the estimate is exactly IPF seeded from the zero matrix.
+  EstimationFixture fx;
+  const linalg::Matrix zeros(6, 6, 0.0);
+  const linalg::Matrix est = EstimateTmBin(fx.routing, fx.loads, zeros,
+                                           fx.ingress(), fx.egress());
+  const linalg::Matrix ipf = Ipf(zeros, fx.ingress(), fx.egress());
+  for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t j = 0; j < 6; ++j) ASSERT_EQ(est(i, j), ipf(i, j));
+}
+
 TEST(EstimateTmBinTest, ShapeErrorsThrow) {
   EstimationFixture fx;
   EXPECT_THROW(EstimateTmBin(fx.routing, linalg::Vector(3), fx.truth,
@@ -196,6 +212,48 @@ TEST(EstimateSeriesTest, PipelineOverMultipleBins) {
     EXPECT_LE(errEst[t], errPrior[t] + 1e-9);
   }
   EXPECT_THROW(EstimateSeries(r, truth, prior.slice(0, 2)), ictm::Error);
+}
+
+TEST(EstimateSeriesTest, TwelveDecadePriorFiniteAndThreadInvariant) {
+  // A prior spanning twelve decades, 1e6·10^U(−6, 6) per OD pair, is
+  // the worst conditioning the ridged Cholesky sees; the estimate must
+  // stay finite, non-negative and bit-identical across thread counts.
+  const topology::Graph g = topology::MakeTopology("hierarchy:22", 0);
+  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const std::size_t n = g.nodeCount();
+  const auto truth = test::RandomSeries(n, 6, 210);
+  traffic::TrafficMatrixSeries prior(n, truth.binCount(), 300.0);
+  stats::Rng rng(3);
+  for (std::size_t t = 0; t < prior.binCount(); ++t) {
+    for (std::size_t k = 0; k < n * n; ++k) {
+      prior.binData(t)[k] = 1e6 * std::pow(10.0, rng.uniform(-6.0, 6.0));
+    }
+  }
+  EstimationOptions options;
+  const auto serial = EstimateSeries(routing, truth, prior, options);
+  options.threads = 8;
+  test::ExpectBitIdentical(
+      serial, EstimateSeries(routing, truth, prior, options));
+  for (std::size_t t = 0; t < serial.binCount(); ++t) {
+    for (std::size_t k = 0; k < n * n; ++k) {
+      ASSERT_TRUE(std::isfinite(serial.binData(t)[k]));
+      ASSERT_GE(serial.binData(t)[k], 0.0);
+    }
+  }
+}
+
+TEST(SolverKindTest, ParseAcceptsAutoAndDenseOnly) {
+  SolverKind kind = SolverKind::kDense;
+  EXPECT_TRUE(ParseSolverKind("auto", &kind));
+  EXPECT_EQ(kind, SolverKind::kAuto);
+  EXPECT_TRUE(ParseSolverKind("dense", &kind));
+  EXPECT_EQ(kind, SolverKind::kDense);
+  // The retired backends, a wrong case and the empty string are
+  // refused and leave the output untouched.
+  for (const char* name : {"sparse", "cg", "Dense", ""}) {
+    EXPECT_FALSE(ParseSolverKind(name, &kind)) << name;
+    EXPECT_EQ(kind, SolverKind::kDense) << name;
+  }
 }
 
 }  // namespace

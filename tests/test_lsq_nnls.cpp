@@ -34,42 +34,6 @@ TEST(LeastSquares, FallsBackToMinNormWhenRankDeficient) {
   EXPECT_LT(MaxAbs(grad), 1e-8);
 }
 
-TEST(WeightedLeastSquares, ZeroWeightIgnoresRow) {
-  // Two inconsistent equations: x = 1 (weight 1) and x = 5 (weight 0).
-  const Matrix a{{1.0}, {1.0}};
-  const Vector b{1.0, 5.0};
-  const Vector x = SolveWeightedLeastSquares(a, b, {1.0, 0.0});
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-}
-
-TEST(WeightedLeastSquares, WeightsInterpolate) {
-  const Matrix a{{1.0}, {1.0}};
-  const Vector b{0.0, 10.0};
-  // Equal weights -> mean 5; weight ratio 3:1 -> 2.5.
-  EXPECT_NEAR(SolveWeightedLeastSquares(a, b, {1, 1})[0], 5.0, 1e-12);
-  EXPECT_NEAR(SolveWeightedLeastSquares(a, b, {3, 1})[0], 2.5, 1e-12);
-  EXPECT_THROW(SolveWeightedLeastSquares(a, b, {-1, 1}), ictm::Error);
-}
-
-TEST(Ridge, ShrinksTowardsZero) {
-  stats::Rng rng(3);
-  const Matrix a = test::RandomMatrix(8, 3, rng);
-  const Vector b = test::RandomVector(8, rng);
-  const Vector x0 = SolveLeastSquares(a, b);
-  const Vector xBig = SolveRidge(a, b, 1e6);
-  EXPECT_LT(Norm2(xBig), Norm2(x0));
-  EXPECT_LT(Norm2(xBig), 1e-3);
-  EXPECT_THROW(SolveRidge(a, b, 0.0), ictm::Error);
-}
-
-TEST(Ridge, TinyLambdaMatchesLeastSquares) {
-  stats::Rng rng(4);
-  const Matrix a = test::RandomMatrix(9, 4, rng);
-  const Vector b = test::RandomVector(9, rng);
-  test::ExpectVectorNear(SolveRidge(a, b, 1e-12),
-                         SolveLeastSquares(a, b), 1e-5);
-}
-
 TEST(Cholesky, FactorReconstructs) {
   stats::Rng rng(5);
   const Matrix m = test::RandomMatrix(5, 5, rng);

@@ -155,12 +155,13 @@ TEST(FrameCodec, MalformedPayloadsFailToDecode) {
   bytes.push_back(0);
   EXPECT_FALSE(hello.decode(bytes));  // trailing junk
 
-  auto badSolver = ValidHello();
-  bytes = badSolver.encode();
   // The solver byte sits after sentinel(4) version(4) resume(1)
-  // seed(8) f(8) window(8).
-  bytes[4 + 4 + 1 + 8 + 8 + 8] = 0xee;
-  EXPECT_FALSE(hello.decode(bytes));
+  // seed(8) f(8) window(8).  2 and 3 are the retired sparse and cg.
+  for (const int solverByte : {0x02, 0x03, 0xee}) {
+    bytes = ValidHello().encode();
+    bytes[4 + 4 + 1 + 8 + 8 + 8] = static_cast<std::uint8_t>(solverByte);
+    EXPECT_FALSE(hello.decode(bytes)) << "solver byte " << solverByte;
+  }
 
   auto wrongOrder = ValidHello().encode();
   wrongOrder[0] ^= 0xff;  // byte-order sentinel
@@ -380,6 +381,14 @@ TEST_F(ProtocolServerTest, RefusalsCarryTheRightCode) {
     hello.f = 1.5;
     ASSERT_TRUE(probe.sendFrame(FrameType::kHello, hello.encode()));
     probe.expectError(ErrorCode::kBadHandshake);
+  }
+  {
+    // Solver byte 3, the retired cg backend, is a malformed HELLO.
+    Probe probe = Probe::ConnectTo(*server_);
+    auto hello = ValidHello();
+    hello.solver = static_cast<core::SolverKind>(3);
+    ASSERT_TRUE(probe.sendFrame(FrameType::kHello, hello.encode()));
+    probe.expectError(ErrorCode::kProtocol);
   }
   {
     // This server has no checkpoint store, so resume cannot work.

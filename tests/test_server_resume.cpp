@@ -277,6 +277,16 @@ TEST(CheckpointStoreFormat, RoundTripRetentionCorruptionAndDrop) {
   ASSERT_TRUE(fallback.has_value());
   EXPECT_EQ(fallback->state.seq, 8u);
 
+  // So must a newer file carrying a retired solver value (3, the old
+  // cg backend).  Saved through a keep=3 store so nothing is pruned.
+  SessionCheckpoint retired = checkpoint;
+  retired.state.seq = 16;
+  retired.solver = static_cast<core::SolverKind>(3);
+  CheckpointStore(dir, /*keep=*/3).save(retired);
+  const auto skipped = store.load(checkpoint.sessionKey, 100);
+  ASSERT_TRUE(skipped.has_value());
+  EXPECT_EQ(skipped->state.seq, 8u);
+
   // Wrong key sees nothing; drop removes everything.
   EXPECT_FALSE(store.load("other-key", 100).has_value());
   store.drop(checkpoint.sessionKey);

@@ -66,7 +66,6 @@
 #include "obs/trace.hpp"
 #include "conngen/packet_trace.hpp"
 #include "core/estimation.hpp"
-#include "core/solver_backend.hpp"
 #include "core/fit.hpp"
 #include "core/gravity.hpp"
 #include "core/metrics.hpp"
@@ -156,7 +155,7 @@ int Usage() {
                "              title, expectation) for tooling\n"
                "  ictm run <scenario...|all> [--threads N] [--out DIR]\n"
                "           [--seed S] [--tiny] [--topology SPEC]\n"
-               "           [--solver dense|sparse|cg|auto]\n"
+               "           [--solver auto|dense]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      run scenarios; deterministic JSON per scenario\n"
                "      (bit-identical for every --threads value) goes to\n"
@@ -169,17 +168,16 @@ int Usage() {
                "      --topology SPEC substitute topology for the\n"
                "                      topology-aware scenarios (name,\n"
                "                      generator spec or .ictp file)\n"
-               "      --solver K      normal-equations backend for the\n"
-               "                      estimation scenarios (auto, the\n"
-               "                      default: dense through 4095\n"
-               "                      augmented rows, cg above)\n"
+               "      --solver K      auto (default) or dense; both run\n"
+               "                      the dense Cholesky normal-equations\n"
+               "                      solve\n"
                "  ictm synthesize <out.csv> [nodes] [bins] [f] [seed]\n"
                "  ictm fit <tm.csv>\n"
                "  ictm gravity <tm.csv>\n"
                "  ictm prior <tm.csv> <f>\n"
                "  ictm fmeasure [durationSec] [connPerSec] [seed]\n"
                "  ictm estimate <tm.csv> [topology] [threads] [seed]\n"
-               "           [--solver dense|sparse|cg|auto]\n"
+               "           [--solver auto|dense]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      topology: auto (default) picks a canned topology\n"
                "                by node count; otherwise any registry\n"
@@ -190,13 +188,12 @@ int Usage() {
                "      seed:     generator seed for seeded topology\n"
                "                specs (default 0; must match the seed\n"
                "                the topology was generated with)\n"
-               "      --solver  normal-equations backend (auto, the\n"
-               "                default: dense through 4095 augmented\n"
-               "                rows, cg above)\n"
+               "      --solver  auto (default) or dense; both run the\n"
+               "                dense Cholesky normal-equations solve\n"
                "  ictm stream <trace.ictmb|tm.csv> [--topology T]\n"
                "           [--seed S] [--threads N] [--window W]\n"
                "           [--queue C] [--f F] [--out DIR]\n"
-               "           [--solver dense|sparse|cg|auto]\n"
+               "           [--solver auto|dense]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      online estimation through the streaming subsystem\n"
                "      (bounded queue + worker pool + reorder buffer);\n"
@@ -216,9 +213,9 @@ int Usage() {
                "                    DIR/priors.ictmb\n"
                "      --codec C     chunk codec for the --out traces\n"
                "                    (raw|shuffle-lz|delta; default raw)\n"
-               "      --solver K    normal-equations backend (auto,\n"
-               "                    the default: dense through 4095\n"
-               "                    augmented rows, cg above)\n"
+               "      --solver K    auto (default) or dense; both run the\n"
+               "                    dense Cholesky normal-equations\n"
+               "                    solve\n"
                "      --trace-out FILE   Chrome trace_event JSON of the\n"
                "                    run (chrome://tracing / perfetto)\n"
                "      --metrics-out FILE ictm-metrics-v1 JSON snapshot\n"
@@ -252,7 +249,7 @@ int Usage() {
                "  ictm client <trace.ictmb|tm.csv> --connect SPEC\n"
                "           [--topology T] [--seed S] [--threads N]\n"
                "           [--window W] [--queue C] [--f F]\n"
-               "           [--solver dense|sparse|cg|auto]\n"
+               "           [--solver auto|dense]\n"
                "           [--session KEY] [--resume] [--have N]\n"
                "           [--out DIR] [--codec C]\n"
                "      stream a trace through a running server; same\n"
@@ -340,7 +337,7 @@ core::SolverKind ParseSolver(const char* arg) {
   core::SolverKind kind;
   if (!core::ParseSolverKind(arg, &kind)) {
     throw UsageError(std::string("unknown solver: ") + arg +
-                     " (expected dense|sparse|cg|auto)");
+                     " (expected auto|dense)");
   }
   return kind;
 }
@@ -533,6 +530,15 @@ int CmdRun(int argc, char** argv) {
   return allPass ? 0 : 1;
 }
 
+// Improvement of a candidate over a baseline as the ratio of their mean
+// errors over the same bins: 100·(1 − candidate/baseline).  A mean of
+// per-bin percentages instead lets bins whose baseline error is near
+// zero dominate, and can print the wrong sign.
+double ImprovementPct(double meanCandidate, double meanBaseline) {
+  return meanBaseline > 0.0 ? 100.0 * (1.0 - meanCandidate / meanBaseline)
+                            : 0.0;
+}
+
 double ArgOr(int argc, char** argv, int idx, double fallback) {
   return argc > idx ? std::stod(argv[idx]) : fallback;
 }
@@ -576,10 +582,11 @@ int CmdFit(int argc, char** argv) {
   const auto rec = core::ReconstructSeries(fit, series.binSeconds());
   const auto icErr = core::RelL2TemporalSeries(series, rec);
   const auto gErr = core::RelL2TemporalSeries(series, grav);
+  const double icMean = core::Mean(icErr);
+  const double gMean = core::Mean(gErr);
   std::printf("mean RelL2: IC %.4f vs gravity %.4f (improvement "
               "%.1f%%)\n",
-              core::Mean(icErr), core::Mean(gErr),
-              core::Mean(core::PercentImprovementSeries(gErr, icErr)));
+              icMean, gMean, ImprovementPct(icMean, gMean));
   return 0;
 }
 
@@ -665,14 +672,9 @@ int CmdEstimate(int argc, char** argv) {
   const std::size_t workers = std::min(
       ictm::ResolveThreadCount(options.threads), truth.binCount());
   std::printf("loaded %zu nodes x %zu bins; topology %s (%zu links), "
-              "%zu threads, solver %s\n",
+              "%zu threads, solver dense\n",
               truth.nodeCount(), truth.binCount(), topoName.c_str(),
-              g.linkCount(), workers,
-              core::SolverKindName(core::ResolveSolverKind(
-                  options.solver,
-                  core::AugmentedRowCount(routing.rows(),
-                                          truth.nodeCount(),
-                                          options.useMarginalConstraints))));
+              g.linkCount(), workers);
 
   const auto priors = core::GravityPredictSeries(truth);
   const auto start = std::chrono::steady_clock::now();
@@ -687,10 +689,11 @@ int CmdEstimate(int argc, char** argv) {
   std::printf("estimated %zu bins in %.3f s (%.2f ms/bin)\n",
               truth.binCount(), sec,
               1e3 * sec / double(truth.binCount()));
+  const double estMean = core::Mean(errEst);
+  const double priorMean = core::Mean(errPrior);
   std::printf("mean RelL2: tomogravity %.4f vs gravity prior %.4f "
               "(improvement %.1f%%)\n",
-              core::Mean(errEst), core::Mean(errPrior),
-              core::Mean(core::PercentImprovementSeries(errPrior, errEst)));
+              estMean, priorMean, ImprovementPct(estMean, priorMean));
   obsOut.finish();
   return 0;
 }
@@ -762,14 +765,9 @@ int CmdStream(int argc, char** argv) {
 
   const std::size_t workers = ictm::ResolveThreadCount(options.threads);
   std::printf("streaming %zu bins x %zu nodes; topology %s (%zu links), "
-              "%zu worker(s), window %zu, queue %zu, solver %s\n",
+              "%zu worker(s), window %zu, queue %zu, solver dense\n",
               bins, nodes, topoName.c_str(), g.linkCount(), workers,
-              options.window, options.queueCapacity,
-              core::SolverKindName(core::ResolveSolverKind(
-                  options.estimation.solver,
-                  core::AugmentedRowCount(
-                      routing.rows(), nodes,
-                      options.estimation.useMarginalConstraints))));
+              options.window, options.queueCapacity);
 
   std::optional<stream::TraceWriter> estWriter, priorWriter;
   if (!outDir.empty()) {
@@ -790,8 +788,8 @@ int CmdStream(int argc, char** argv) {
   // scoring; the bounded queue keeps this map small.
   std::mutex truthMutex;
   std::map<std::size_t, std::vector<double>> inflight;
-  double sumErrEst = 0.0, sumErrPrior = 0.0, sumImprovePct = 0.0;
-  std::size_t scoredBins = 0, improveBins = 0;
+  double sumErrEst = 0.0, sumErrPrior = 0.0;
+  std::size_t scoredBins = 0;
 
   const auto start = std::chrono::steady_clock::now();
   {
@@ -814,15 +812,9 @@ int CmdStream(int argc, char** argv) {
             priorSq += (x - prior[k]) * (x - prior[k]);
           }
           if (truthSq > 0.0) {
-            const double errEst = std::sqrt(estSq / truthSq);
-            const double errPrior = std::sqrt(priorSq / truthSq);
-            sumErrEst += errEst;
-            sumErrPrior += errPrior;
+            sumErrEst += std::sqrt(estSq / truthSq);
+            sumErrPrior += std::sqrt(priorSq / truthSq);
             ++scoredBins;
-            if (errPrior > 0.0) {
-              sumImprovePct += 100.0 * (errPrior - errEst) / errPrior;
-              ++improveBins;
-            }
           }
           if (estWriter) {
             estWriter->append(estimate);
@@ -855,12 +847,12 @@ int CmdStream(int argc, char** argv) {
   if (scoredBins > 0) {
     // Means over the bins that carry traffic (all-zero bins have no
     // defined RelL2 and are excluded from numerator and denominator).
+    const double estMean = sumErrEst / double(scoredBins);
+    const double priorMean = sumErrPrior / double(scoredBins);
     std::printf("mean RelL2 over %zu scored bin(s): streaming estimate "
                 "%.4f vs IC prior %.4f (improvement %.1f%%)\n",
-                scoredBins, sumErrEst / double(scoredBins),
-                sumErrPrior / double(scoredBins),
-                improveBins > 0 ? sumImprovePct / double(improveBins)
-                                : 0.0);
+                scoredBins, estMean, priorMean,
+                ImprovementPct(estMean, priorMean));
   } else {
     std::printf("no bins carried traffic; RelL2 undefined\n");
   }

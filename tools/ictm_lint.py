@@ -2,10 +2,10 @@
 """ictm determinism lint — static enforcement of the repo's correctness
 contracts (see docs/ARCHITECTURE.md, "Correctness tooling").
 
-The library guarantees bit-identical estimates for any thread count,
-queue capacity, and solver backend.  The dynamic tests can only prove
-that for the schedules they happen to see; this lint statically rejects
-the constructs that break the contract in ways a lucky schedule hides:
+The library guarantees bit-identical estimates for any thread count
+and queue capacity.  The dynamic tests can only prove that for the
+schedules they happen to see; this lint statically rejects the
+constructs that break the contract in ways a lucky schedule hides:
 
   ICTM-D001  iteration over std::unordered_{map,set} — hash-order
              iteration makes results depend on pointer values / library

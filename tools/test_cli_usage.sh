@@ -4,8 +4,9 @@
 # Contract (docs/CLI.md "Exit codes"): bad option *values* — an
 # unknown --solver, a non-numeric --threads — are usage errors: the
 # command exits 2 before doing any work and prints a one-line usage
-# hint on stderr.  Valid --solver values must be accepted by
-# estimate, stream and run.
+# hint on stderr.  The two --solver values, auto and dense, must be
+# accepted by estimate, stream and run; the retired sparse and cg are
+# usage errors.  The printed improvement must have the right sign.
 #
 # usage: test_cli_usage.sh <path-to-ictm>
 set -u
@@ -91,12 +92,35 @@ expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --resume
 expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --threads abc
 expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --frobnicate
 
-# Every valid solver value is accepted on each surface.
-for solver in auto dense sparse cg; do
+# Both solver values are accepted on each surface ...
+for solver in auto dense; do
   expect_ok estimate "$WORK/tm.csv" ring:6:2 1 0 --solver "$solver"
   expect_ok stream "$WORK/tm.csv" --threads 1 --solver "$solver"
 done
-expect_ok run fig2_example --solver sparse --tiny
+expect_ok run fig2_example --solver dense --tiny
+# ... and the retired backends are usage errors.
+for solver in sparse cg; do
+  expect_usage_error estimate "$WORK/tm.csv" ring:6:2 1 0 --solver "$solver"
+  expect_usage_error stream "$WORK/tm.csv" --threads 1 --solver "$solver"
+  expect_usage_error run fig2_example --solver "$solver" --tiny
+done
+
+# The printed improvement is 100·(1 − mean estimate error / mean prior
+# error), so its sign is the sign of (prior − estimate).  On this trace
+# a mean of per-bin percentages printed a negative improvement for an
+# estimate better than its prior.
+expect_ok synthesize "$WORK/s50.csv" 50 12 0.25 7
+line=$("$BIN" stream "$WORK/s50.csv" --topology hierarchy:50 --seed 1 \
+  --threads 1 --window 1 2>/dev/null | grep 'streaming estimate')
+read -r est prior pct < <(printf '%s\n' "$line" | sed -E \
+  's/.*estimate ([0-9.]+) vs IC prior ([0-9.]+) \(improvement (-?[0-9.]+)%\).*/\1 \2 \3/')
+if awk -v e="${est:-x}" -v p="${prior:-x}" -v i="${pct:-x}" \
+    'BEGIN { exit !(e ~ /^[0-9.]+$/ && (p - e) * i > 0) }'; then
+  echo "ok (sign): $line"
+else
+  echo "FAIL: improvement sign does not match prior - estimate: $line"
+  FAILURES=$((FAILURES + 1))
+fi
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES CLI usage check(s) failed"
