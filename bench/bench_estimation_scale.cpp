@@ -187,8 +187,7 @@ traffic::TrafficMatrixSeries EstimateSeries(
                                    truth.binSeconds());
   for (std::size_t t = 0; t < truth.binCount(); ++t) {
     const linalg::Matrix truthBin = truth.bin(t);
-    const linalg::Vector loads =
-        topology::ComputeLinkLoads(routing, truthBin);
+    const linalg::Vector loads = routing * topology::FlattenTm(truthBin);
     out.setBin(t, legacy::EstimateTmBin(routing, loads, priors.bin(t),
                                         truth.ingress(t), truth.egress(t),
                                         options));

@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the numerical kernels the
-// reproduction is built on: QR/SVD factorisations, NNLS, gravity,
+// reproduction is built on: the QR factorisation, NNLS, gravity,
 // the stable-fP prior, and one tomogravity estimation bin at Géant
 // scale.
 #include <benchmark/benchmark.h>
@@ -10,7 +10,6 @@
 #include "core/priors.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/svd.hpp"
 #include "stats/rng.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
@@ -38,15 +37,6 @@ void BM_QrFactorSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QrFactorSolve)->Arg(8)->Arg(22)->Arg(64);
-
-void BM_JacobiSvd(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = RandomMatrix(2 * n, n, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::ComputeSvd(a));
-  }
-}
-BENCHMARK(BM_JacobiSvd)->Arg(8)->Arg(22)->Arg(44);
 
 void BM_Nnls(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -85,7 +75,7 @@ BENCHMARK(BM_GravityPredict)->Arg(22)->Arg(64);
 // pairs + marginal constraints).
 void BM_EstimateTmBinGeant(benchmark::State& state) {
   const topology::Graph g = topology::MakeGeant22();
-  const linalg::Matrix routing = topology::BuildRoutingMatrix(g);
+  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
   const std::size_t n = g.nodeCount();
   stats::Rng rng(7);
   linalg::Matrix truth(n, n);

@@ -187,8 +187,7 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
       std::max(trace, 1.0) * options_.relativeRidge +
       1e-30;  // keep strictly positive even for an all-zero prior
   for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge;
-  // Factor + substitute is exactly CholeskySolveInPlace (the split is
-  // the documented definition), timed per phase.
+  // Factor, then substitute, timed per phase.
   const bool recording = obs::Enabled();
   const std::uint64_t t0 = recording ? obs::Now() : 0;
   linalg::CholeskyFactorInPlace(m, rows);
@@ -251,16 +250,6 @@ linalg::Matrix EstimateTmBin(const linalg::CsrMatrix& routing,
   return out;
 }
 
-linalg::Matrix EstimateTmBin(const linalg::Matrix& routing,
-                             const linalg::Vector& linkLoads,
-                             const linalg::Matrix& prior,
-                             const linalg::Vector& ingress,
-                             const linalg::Vector& egress,
-                             const EstimationOptions& options) {
-  return EstimateTmBin(linalg::CsrMatrix::FromDense(routing), linkLoads,
-                       prior, ingress, egress, options);
-}
-
 traffic::TrafficMatrixSeries EstimateSeries(
     const linalg::CsrMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,
@@ -317,15 +306,6 @@ traffic::TrafficMatrixSeries EstimateSeries(
         }
       });
   return out;
-}
-
-traffic::TrafficMatrixSeries EstimateSeries(
-    const linalg::Matrix& routing,
-    const traffic::TrafficMatrixSeries& truth,
-    const traffic::TrafficMatrixSeries& priors,
-    const EstimationOptions& options) {
-  return EstimateSeries(linalg::CsrMatrix::FromDense(routing), truth,
-                        priors, options);
 }
 
 }  // namespace ictm::core

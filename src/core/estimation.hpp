@@ -127,16 +127,8 @@ linalg::Matrix Ipf(linalg::Matrix tm, const linalg::Vector& rowTargets,
 
 /// One bin of tomogravity refinement: returns the estimate
 ///   x = xp + W R^T (R W R^T + ridge)^-1 (y - R xp),   W = diag(xp),
-/// clamped non-negative and IPF'd to the marginals.  The sparse
-/// overload is the primary implementation; the dense one compresses
-/// `routing` first and produces identical results.
+/// clamped non-negative and IPF'd to the marginals.
 linalg::Matrix EstimateTmBin(const linalg::CsrMatrix& routing,
-                             const linalg::Vector& linkLoads,
-                             const linalg::Matrix& prior,
-                             const linalg::Vector& ingress,
-                             const linalg::Vector& egress,
-                             const EstimationOptions& options = {});
-linalg::Matrix EstimateTmBin(const linalg::Matrix& routing,
                              const linalg::Vector& linkLoads,
                              const linalg::Matrix& prior,
                              const linalg::Vector& ingress,
@@ -148,15 +140,9 @@ linalg::Matrix EstimateTmBin(const linalg::Matrix& routing,
 /// three-step pipeline with `priors`, and returns the estimated series.
 /// The augmented system is compressed once and shared by all bins, and
 /// bins fan out across `options.threads` workers; every thread count
-/// yields bit-identical estimates.  The dense overload compresses
-/// `routing` first and produces identical results.
+/// yields bit-identical estimates.
 traffic::TrafficMatrixSeries EstimateSeries(
     const linalg::CsrMatrix& routing,
-    const traffic::TrafficMatrixSeries& truth,
-    const traffic::TrafficMatrixSeries& priors,
-    const EstimationOptions& options = {});
-traffic::TrafficMatrixSeries EstimateSeries(
-    const linalg::Matrix& routing,
     const traffic::TrafficMatrixSeries& truth,
     const traffic::TrafficMatrixSeries& priors,
     const EstimationOptions& options = {});

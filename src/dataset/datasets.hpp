@@ -7,7 +7,7 @@
 //      672 bins/week, up to 7+ weeks;
 //   D3 "Abilene-like": two-hour bidirectional packet-header traces on
 //      an instrumented link pair (built directly with
-//      conngen::SimulatePacketTraces; see bench_fig4).
+//      conngen::SimulatePacketTraces; see the fig4_f_traces scenario).
 //
 // Ground truth is generated at the *connection* level: initiators
 // proportional to cyclo-stationary node activities, responders drawn

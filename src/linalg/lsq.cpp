@@ -115,11 +115,6 @@ void CholeskySubstituteInPlace(const double* m, double* d,
   }
 }
 
-void CholeskySolveInPlace(double* m, double* d, std::size_t n) {
-  CholeskyFactorInPlace(m, n);
-  CholeskySubstituteInPlace(m, d, n);
-}
-
 Vector SolveGramNnls(Matrix gram, const Vector& rhs) {
   ICTM_REQUIRE(gram.rows() == gram.cols(), "Gram matrix must be square");
   ICTM_REQUIRE(rhs.size() == gram.rows(), "rhs length mismatch");

@@ -1,5 +1,7 @@
 // Least-squares solvers layered on QR/SVD, plus the Cholesky and NNLS
-// helpers used throughout the model-fitting and TM-estimation code.
+// helpers used throughout the model-fitting and TM-estimation code:
+// CholeskyUpper for the small dense fits, and the allocation-free
+// in-place factor and substitution that TmBinSolver runs per bin.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -39,12 +41,5 @@ void CholeskyFactorInPlace(double* m, std::size_t n);
 /// Substitution against a factor produced by CholeskyFactorInPlace:
 /// overwrites `d` with the solution of (Uᵀ U) z = d.
 void CholeskySubstituteInPlace(const double* m, double* d, std::size_t n);
-
-/// Solves m z = d for symmetric positive-definite `m` given as a
-/// row-major n x n buffer: CholeskyFactorInPlace followed by
-/// CholeskySubstituteInPlace.  This is the allocation-free hot-path
-/// variant of CholeskyUpper + substitution, used per bin by the TM
-/// estimation fan-out.
-void CholeskySolveInPlace(double* m, double* d, std::size_t n);
 
 }  // namespace ictm::linalg

@@ -5,32 +5,6 @@
 
 namespace ictm::linalg {
 
-Vector ProjectToSimplex(const Vector& v, double radius) {
-  ICTM_REQUIRE(radius > 0.0, "simplex radius must be positive");
-  ICTM_REQUIRE(!v.empty(), "cannot project an empty vector");
-  // Sort descending and find the threshold tau such that
-  // sum max(v_i - tau, 0) = radius.
-  Vector u = v;
-  std::sort(u.begin(), u.end(), std::greater<double>());
-  double cumsum = 0.0;
-  double tau = 0.0;
-  std::size_t rho = 0;
-  for (std::size_t i = 0; i < u.size(); ++i) {
-    cumsum += u[i];
-    const double candidate =
-        (cumsum - radius) / static_cast<double>(i + 1);
-    if (u[i] - candidate > 0.0) {
-      rho = i + 1;
-      tau = candidate;
-    }
-  }
-  ICTM_REQUIRE(rho > 0, "simplex projection failed (degenerate input)");
-  Vector x(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i)
-    x[i] = std::max(v[i] - tau, 0.0);
-  return x;
-}
-
 Vector NormalizeNonNegative(const Vector& v, double total) {
   ICTM_REQUIRE(total > 0.0, "normalisation total must be positive");
   ICTM_REQUIRE(!v.empty(), "cannot normalise an empty vector");

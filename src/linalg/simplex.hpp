@@ -1,16 +1,10 @@
-// Euclidean projection onto the probability simplex and related
-// normalisation helpers (used for preference vectors {P_i}, which the
-// paper constrains to be non-negative and sum to one).
+// Normalisation onto the simplex for preference vectors {P_i}, which
+// the paper constrains to be non-negative and sum to one.
 #pragma once
 
 #include "linalg/matrix.hpp"
 
 namespace ictm::linalg {
-
-/// Euclidean projection of `v` onto the simplex
-/// { x : x_i >= 0, sum x_i = radius } (Duchi et al. 2008 algorithm).
-/// `radius` must be positive.
-Vector ProjectToSimplex(const Vector& v, double radius = 1.0);
 
 /// Clamps negatives to zero then rescales to sum to `total`.
 /// Falls back to the uniform vector when everything clamps to zero.

@@ -53,24 +53,6 @@ void Compress(std::size_t majorCount, std::size_t majorBound,
 
 // ---- CsrMatrix -------------------------------------------------------
 
-CsrMatrix CsrMatrix::FromDense(const Matrix& m) {
-  CsrMatrix out;
-  out.rows_ = m.rows();
-  out.cols_ = m.cols();
-  out.rowPtr_.assign(m.rows() + 1, 0);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      const double v = m(r, c);
-      if (v != 0.0) {
-        out.colIdx_.push_back(c);
-        out.values_.push_back(v);
-      }
-    }
-    out.rowPtr_[r + 1] = out.colIdx_.size();
-  }
-  return out;
-}
-
 CsrMatrix CsrMatrix::FromTriplets(std::size_t rows, std::size_t cols,
                                   std::vector<Triplet> entries) {
   CsrMatrix out;
@@ -83,13 +65,6 @@ CsrMatrix CsrMatrix::FromTriplets(std::size_t rows, std::size_t cols,
   return out;
 }
 
-Vector CsrMatrix::Multiply(const Vector& x) const {
-  ICTM_REQUIRE(x.size() == cols_, "SpMV dimension mismatch");
-  Vector y(rows_, 0.0);
-  MultiplyInto(x.data(), y.data());
-  return y;
-}
-
 void CsrMatrix::MultiplyInto(const double* x, double* y) const {
   for (std::size_t r = 0; r < rows_; ++r) {
     double acc = 0.0;
@@ -98,19 +73,6 @@ void CsrMatrix::MultiplyInto(const double* x, double* y) const {
     }
     y[r] = acc;
   }
-}
-
-Vector CsrMatrix::TransposeMultiply(const Vector& x) const {
-  ICTM_REQUIRE(x.size() == rows_, "SpMV dimension mismatch");
-  Vector y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k) {
-      y[colIdx_[k]] += values_[k] * xr;
-    }
-  }
-  return y;
 }
 
 Matrix CsrMatrix::ToDense() const {
@@ -125,35 +87,6 @@ Matrix CsrMatrix::ToDense() const {
 
 // ---- CscMatrix -------------------------------------------------------
 
-CscMatrix CscMatrix::FromDense(const Matrix& m) {
-  CscMatrix out;
-  out.rows_ = m.rows();
-  out.cols_ = m.cols();
-  out.colPtr_.assign(m.cols() + 1, 0);
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-      const double v = m(r, c);
-      if (v != 0.0) {
-        out.rowIdx_.push_back(r);
-        out.values_.push_back(v);
-      }
-    }
-    out.colPtr_[c + 1] = out.rowIdx_.size();
-  }
-  return out;
-}
-
-CscMatrix CscMatrix::FromCsr(const CsrMatrix& m) {
-  std::vector<Triplet> entries;
-  entries.reserve(m.nonZeros());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t k = m.rowPtr()[r]; k < m.rowPtr()[r + 1]; ++k) {
-      entries.push_back({r, m.colIdx()[k], m.values()[k]});
-    }
-  }
-  return FromTriplets(m.rows(), m.cols(), std::move(entries));
-}
-
 CscMatrix CscMatrix::FromTriplets(std::size_t rows, std::size_t cols,
                                   std::vector<Triplet> entries) {
   CscMatrix out;
@@ -166,55 +99,7 @@ CscMatrix CscMatrix::FromTriplets(std::size_t rows, std::size_t cols,
   return out;
 }
 
-Vector CscMatrix::Multiply(const Vector& x) const {
-  ICTM_REQUIRE(x.size() == cols_, "SpMV dimension mismatch");
-  Vector y(rows_, 0.0);
-  for (std::size_t c = 0; c < cols_; ++c) {
-    const double xc = x[c];
-    if (xc == 0.0) continue;
-    for (std::size_t k = colPtr_[c]; k < colPtr_[c + 1]; ++k) {
-      y[rowIdx_[k]] += values_[k] * xc;
-    }
-  }
-  return y;
-}
-
-Vector CscMatrix::TransposeMultiply(const Vector& x) const {
-  ICTM_REQUIRE(x.size() == rows_, "SpMV dimension mismatch");
-  Vector y(cols_, 0.0);
-  for (std::size_t c = 0; c < cols_; ++c) {
-    double acc = 0.0;
-    for (std::size_t k = colPtr_[c]; k < colPtr_[c + 1]; ++k) {
-      acc += values_[k] * x[rowIdx_[k]];
-    }
-    y[c] = acc;
-  }
-  return y;
-}
-
-Matrix CscMatrix::ToDense() const {
-  Matrix m(rows_, cols_, 0.0);
-  for (std::size_t c = 0; c < cols_; ++c) {
-    for (std::size_t k = colPtr_[c]; k < colPtr_[c + 1]; ++k) {
-      m(rowIdx_[k], c) = values_[k];
-    }
-  }
-  return m;
-}
-
 // ---- kernels ---------------------------------------------------------
-
-Matrix WeightedGram(const CscMatrix& a, const Vector& w) {
-  ICTM_REQUIRE(w.size() == a.cols(), "weight length mismatch");
-  Matrix m(a.rows(), a.rows(), 0.0);
-  WeightedGramInto(a, w.data(), m.data().data());
-  // The kernel writes only the upper triangle; mirror it to honour
-  // this function's full-matrix contract.
-  for (std::size_t r = 1; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < r; ++c) m(r, c) = m(c, r);
-  }
-  return m;
-}
 
 void WeightedGramInto(const CscMatrix& a, const double* w, double* out) {
   const std::size_t rows = a.rows();

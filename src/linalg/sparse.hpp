@@ -34,9 +34,6 @@ class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Compresses a dense matrix, dropping exact zeros.
-  static CsrMatrix FromDense(const Matrix& m);
-
   /// Assembles from (row, col, value) entries in any order; duplicate
   /// positions are summed and resulting exact zeros dropped.
   static CsrMatrix FromTriplets(std::size_t rows, std::size_t cols,
@@ -46,16 +43,14 @@ class CsrMatrix {
   std::size_t cols() const noexcept { return cols_; }
   std::size_t nonZeros() const noexcept { return values_.size(); }
 
-  /// SpMV y = A x.
-  Vector Multiply(const Vector& x) const;
-  /// SpMV off raw buffers: x has cols() elements, y gets rows()
-  /// elements (overwritten).  Lets callers feed matrix views (e.g. a
-  /// TrafficMatrixSeries bin) without copying into a Vector first.
+  /// SpMV y = A x off raw buffers: x has cols() elements, y gets
+  /// rows() elements (overwritten).  Lets callers feed matrix views
+  /// (e.g. a TrafficMatrixSeries bin) without copying into a Vector
+  /// first.
   void MultiplyInto(const double* x, double* y) const;
-  /// y = Aᵀ x (x has rows() elements).
-  Vector TransposeMultiply(const Vector& x) const;
 
-  /// Expands back to dense (tests / interop with the dense solvers).
+  /// Expands to dense: the one dense view, for tests that read single
+  /// entries and for dense reference pipelines.
   Matrix ToDense() const;
 
   const std::vector<std::size_t>& rowPtr() const noexcept { return rowPtr_; }
@@ -76,12 +71,6 @@ class CscMatrix {
  public:
   CscMatrix() = default;
 
-  /// Compresses a dense matrix, dropping exact zeros.
-  static CscMatrix FromDense(const Matrix& m);
-
-  /// Re-compresses a CSR matrix column-wise.
-  static CscMatrix FromCsr(const CsrMatrix& m);
-
   /// Assembles from (row, col, value) entries in any order; duplicate
   /// positions are summed and resulting exact zeros dropped.
   static CscMatrix FromTriplets(std::size_t rows, std::size_t cols,
@@ -90,14 +79,6 @@ class CscMatrix {
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t nonZeros() const noexcept { return values_.size(); }
-
-  /// SpMV y = A x.
-  Vector Multiply(const Vector& x) const;
-  /// y = Aᵀ x (x has rows() elements).
-  Vector TransposeMultiply(const Vector& x) const;
-
-  /// Expands back to dense.
-  Matrix ToDense() const;
 
   const std::vector<std::size_t>& colPtr() const noexcept { return colPtr_; }
   const std::vector<std::size_t>& rowIdx() const noexcept { return rowIdx_; }
@@ -111,16 +92,13 @@ class CscMatrix {
   std::vector<double> values_;
 };
 
-/// Weighted Gram matrix A·diag(w)·Aᵀ as a dense (rows x rows) matrix —
-/// the tomogravity normal matrix R·diag(xp)·Rᵀ.  Cost is
-/// sum over columns of nnz(col)² instead of rows²·cols; columns whose
-/// weight is <= 0 are skipped (matching the prior-support convention of
-/// the estimation pipeline).  `w` has a.cols() elements.
-Matrix WeightedGram(const CscMatrix& a, const Vector& w);
-
-/// Same kernel writing into a caller-owned row-major buffer of
+/// Weighted Gram matrix A·diag(w)·Aᵀ — the tomogravity normal matrix
+/// R·diag(xp)·Rᵀ — written into a caller-owned row-major buffer of
 /// a.rows()² doubles (overwritten), so per-bin callers can reuse one
-/// allocation across thousands of solves.  Only the upper triangle
+/// allocation across thousands of solves.  Cost is sum over columns of
+/// nnz(col)² instead of rows²·cols; columns whose weight is <= 0 are
+/// skipped (matching the prior-support convention of the estimation
+/// pipeline).  `w` has a.cols() elements.  Only the upper triangle
 /// (row <= col) is written — the matrix is symmetric and the Cholesky
 /// consumer reads nothing below the diagonal; the rest is zero-filled.
 void WeightedGramInto(const CscMatrix& a, const double* w, double* out);

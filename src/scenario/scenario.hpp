@@ -4,9 +4,8 @@
 // plus the repo's own scaling/what-if studies is a *scenario*: a named,
 // seeded, thread-aware function producing a deterministic JSON result
 // document.  The registry lets `ictm list` enumerate them and
-// `ictm run <scenario|all>` execute them — fanning independent
-// scenarios out across workers — while the per-figure bench binaries
-// remain as thin wrappers over the same entries.
+// `ictm run <scenario|all>` execute them, fanning independent
+// scenarios out across workers.
 //
 // Determinism contract: a scenario's JSON document depends only on
 // (scenario, seed offset, scale).  Thread counts, wall-clock timings
@@ -122,11 +121,5 @@ std::vector<ScenarioResult> RunScenarios(
 void WriteResultFiles(const std::vector<ScenarioResult>& results,
                       const ScenarioContext& ctx,
                       const std::string& outDir);
-
-/// Entry point shared by the per-figure bench binaries: parses
-/// optional flags (--tiny, --threads N, --seed S), runs `name`, prints
-/// a header, the pretty JSON document and the notes, and returns the
-/// process exit code (0 pass, 1 fail/error).
-int RunScenarioMain(const std::string& name, int argc, char** argv);
 
 }  // namespace ictm::scenario

@@ -50,11 +50,6 @@ void AccumulateFractions(const Graph& g, const ShortestPaths& sp,
 
 }  // namespace
 
-linalg::Matrix BuildRoutingMatrix(const Graph& g,
-                                  const RoutingOptions& options) {
-  return BuildRoutingCsr(g, options).ToDense();
-}
-
 linalg::CsrMatrix BuildRoutingCsr(const Graph& g,
                                   const RoutingOptions& options) {
   const std::size_t n = g.nodeCount();
@@ -81,11 +76,6 @@ linalg::CsrMatrix BuildRoutingCsr(const Graph& g,
   }
   return linalg::CsrMatrix::FromTriplets(g.linkCount(), n * n,
                                          std::move(entries));
-}
-
-linalg::Vector ComputeLinkLoads(const linalg::Matrix& routing,
-                                const linalg::Matrix& tm) {
-  return routing * FlattenTm(tm);
 }
 
 linalg::Vector ComputeLinkLoads(const linalg::CsrMatrix& routing,

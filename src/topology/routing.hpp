@@ -20,27 +20,21 @@ struct RoutingOptions {
   bool ecmp = true;
 };
 
-/// Builds the (#links x n^2) routing matrix for the graph.
-/// OD pair (i,j) maps to column i*n + j; diagonal OD pairs (i == i)
-/// stay inside the PoP and use no backbone link (all-zero column).
-linalg::Matrix BuildRoutingMatrix(const Graph& g,
-                                  const RoutingOptions& options = {});
-
-/// Same matrix emitted directly in compressed form — the natural
-/// representation: a column holds only the links on one OD pair's
-/// shortest path(s), so density is about (path length)/links.
+/// Builds the (#links x n^2) routing matrix for the graph in compressed
+/// form — the natural representation: a column holds only the links on
+/// one OD pair's shortest path(s), so density is about
+/// (path length)/links.  OD pair (i,j) maps to column i*n + j; diagonal
+/// OD pairs (i == i) stay inside the PoP and use no backbone link
+/// (empty column).
 linalg::CsrMatrix BuildRoutingCsr(const Graph& g,
                                   const RoutingOptions& options = {});
 
 /// Computes per-link loads Y = R x for a TM given as an n x n matrix.
-linalg::Vector ComputeLinkLoads(const linalg::Matrix& routing,
-                                const linalg::Matrix& tm);
-/// ComputeLinkLoads over the compressed routing matrix (same result).
 linalg::Vector ComputeLinkLoads(const linalg::CsrMatrix& routing,
                                 const linalg::Matrix& tm);
 
 /// Flattens an n x n TM into the x vector ordering used by
-/// BuildRoutingMatrix (row-major, x[i*n+j] = X_ij).
+/// BuildRoutingCsr (row-major, x[i*n+j] = X_ij).
 linalg::Vector FlattenTm(const linalg::Matrix& tm);
 
 /// Inverse of FlattenTm.

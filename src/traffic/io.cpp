@@ -1,5 +1,6 @@
 #include "traffic/io.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -7,6 +8,34 @@
 #include <sstream>
 
 namespace ictm::traffic {
+
+namespace {
+
+// Header fields are parsed over the whole token: counts take no sign
+// and no trailing junk, so "nodes=6x" or "bins=-1" is an error naming
+// the field rather than a truncated or wrapped value.
+std::size_t ParseHeaderCount(const std::string& value, const char* field) {
+  std::size_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  ICTM_REQUIRE(ec == std::errc{} && ptr == end && !value.empty(),
+               std::string("malformed TM CSV header: ") + field +
+                   " is not a count: '" + value + "'");
+  return v;
+}
+
+double ParseHeaderSeconds(const std::string& value, const char* field) {
+  double v = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  ICTM_REQUIRE(ec == std::errc{} && ptr == end && std::isfinite(v) &&
+                   v > 0.0,
+               std::string("malformed TM CSV header: ") + field +
+                   " is not a finite positive number: '" + value + "'");
+  return v;
+}
+
+}  // namespace
 
 CsvHeader ReadCsvHeader(std::istream& is) {
   std::string header;
@@ -18,11 +47,11 @@ CsvHeader ReadCsvHeader(std::istream& is) {
     std::string token;
     while (hs >> token) {
       if (token.rfind("nodes=", 0) == 0) {
-        h.nodes = static_cast<std::size_t>(std::stoul(token.substr(6)));
+        h.nodes = ParseHeaderCount(token.substr(6), "nodes");
       } else if (token.rfind("bins=", 0) == 0) {
-        h.bins = static_cast<std::size_t>(std::stoul(token.substr(5)));
+        h.bins = ParseHeaderCount(token.substr(5), "bins");
       } else if (token.rfind("binSeconds=", 0) == 0) {
-        h.binSeconds = std::stod(token.substr(11));
+        h.binSeconds = ParseHeaderSeconds(token.substr(11), "binSeconds");
       }
     }
   }

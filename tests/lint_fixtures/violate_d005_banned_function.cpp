@@ -1,10 +1,12 @@
 // Lint fixture: MUST fire ICTM-D005 (and nothing else).
 // sprintf/strcpy overflow silently; atoi/atof accept trailing junk and
-// return 0 on error — the repo's strict strtod/strtoul parsers reject
-// malformed input with a located error instead.
+// return 0 on error; std::stoul accepts trailing junk and throws an
+// untyped exception — the repo's strict strtod/from_chars parsers
+// reject malformed input with a located error instead.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 int ParseLoosely(const char* text) {
   char buffer[16];
@@ -15,4 +17,8 @@ int ParseLoosely(const char* text) {
 
 double ParseRate(const char* text) {
   return std::atof(text);             // ICTM-D005
+}
+
+unsigned long ParseCount(const std::string& text) {
+  return std::stoul(text);            // ICTM-D005
 }

@@ -70,7 +70,7 @@ TEST(IpfTest, RejectsBadInputs) {
 
 struct EstimationFixture {
   topology::Graph graph = topology::MakeRing(6, 2);
-  linalg::Matrix routing = topology::BuildRoutingMatrix(graph);
+  linalg::CsrMatrix routing = topology::BuildRoutingCsr(graph);
   linalg::Matrix truth;
   linalg::Vector loads;
 
@@ -195,7 +195,7 @@ TEST(EstimateTmBinTest, ShapeErrorsThrow) {
 
 TEST(EstimateSeriesTest, PipelineOverMultipleBins) {
   const topology::Graph g = topology::MakeRing(5, 2);
-  const linalg::Matrix r = topology::BuildRoutingMatrix(g);
+  const linalg::CsrMatrix r = topology::BuildRoutingCsr(g);
   stats::Rng rng(9);
   traffic::TrafficMatrixSeries truth(5, 4, 300.0);
   for (std::size_t t = 0; t < 4; ++t)

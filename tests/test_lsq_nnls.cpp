@@ -1,5 +1,5 @@
 // Tests for least-squares solvers, Cholesky helpers, NNLS and the
-// simplex projection.
+// simplex normalisation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -142,42 +142,7 @@ TEST(Nnls, BeatsClampedLeastSquares) {
   }
 }
 
-// ---- Simplex projection -------------------------------------------------
-
-TEST(Simplex, ProjectionLandsOnSimplex) {
-  stats::Rng rng(8);
-  for (int rep = 0; rep < 20; ++rep) {
-    const Vector v = test::RandomVector(6, rng, -2.0, 2.0);
-    const Vector p = ProjectToSimplex(v);
-    EXPECT_NEAR(Sum(p), 1.0, 1e-10);
-    for (double x : p) EXPECT_GE(x, 0.0);
-  }
-}
-
-TEST(Simplex, FixedPointForSimplexVectors) {
-  const Vector v{0.2, 0.3, 0.5};
-  test::ExpectVectorNear(ProjectToSimplex(v), v, 1e-12);
-}
-
-TEST(Simplex, ProjectionIsClosestPoint) {
-  // For any other simplex point, the distance must not be smaller.
-  stats::Rng rng(9);
-  const Vector v = test::RandomVector(4, rng, -1.0, 2.0);
-  const Vector p = ProjectToSimplex(v);
-  for (int rep = 0; rep < 50; ++rep) {
-    Vector q = test::RandomPositiveVector(4, rng, 0.0, 1.0);
-    const double s = Sum(q);
-    if (s <= 0) continue;
-    for (double& x : q) x /= s;
-    EXPECT_LE(Norm2(Sub(v, p)), Norm2(Sub(v, q)) + 1e-10);
-  }
-}
-
-TEST(Simplex, CustomRadius) {
-  const Vector p = ProjectToSimplex({5.0, 1.0}, 2.0);
-  EXPECT_NEAR(Sum(p), 2.0, 1e-12);
-  EXPECT_THROW(ProjectToSimplex({1.0}, 0.0), ictm::Error);
-}
+// ---- Simplex normalisation ----------------------------------------------
 
 TEST(NormalizeNonNegative, ClampsAndRescales) {
   const Vector v{-1.0, 1.0, 3.0};

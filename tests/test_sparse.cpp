@@ -1,8 +1,8 @@
 // Tests for the compressed sparse-matrix kernels (linalg/sparse.hpp),
+// the in-place Cholesky kernels that consume them (linalg/lsq.hpp),
 // the ParallelFor fan-out (common/parallel.hpp), and the regression
-// guarantees of the parallel estimation path: EstimateSeries must be
-// bit-identical across thread counts and across the dense/sparse
-// routing overloads.
+// guarantee of the parallel estimation path: EstimateSeries must be
+// bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,30 +33,26 @@ Matrix RandomSparseDense(std::size_t rows, std::size_t cols,
   return m;
 }
 
-TEST(CsrMatrix, DenseRoundTrip) {
-  stats::Rng rng(1);
-  const Matrix dense = RandomSparseDense(7, 11, rng);
-  const CsrMatrix csr = CsrMatrix::FromDense(dense);
-  EXPECT_EQ(csr.rows(), 7u);
-  EXPECT_EQ(csr.cols(), 11u);
-  EXPECT_TRUE(csr.ToDense() == dense);
+// The nonzero entries of `m`, for assembling its compressed forms.
+std::vector<Triplet> NonZeroTriplets(const Matrix& m) {
+  std::vector<Triplet> entries;
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      if (m(r, c) != 0.0) entries.push_back({r, c, m(r, c)});
+    }
+  }
+  return entries;
 }
 
 TEST(CsrMatrix, SpMVMatchesDense) {
   stats::Rng rng(2);
   const Matrix dense = RandomSparseDense(9, 13, rng);
-  const CsrMatrix csr = CsrMatrix::FromDense(dense);
+  const CsrMatrix csr =
+      CsrMatrix::FromTriplets(9, 13, NonZeroTriplets(dense));
   const Vector x = test::RandomVector(13, rng);
-  test::ExpectVectorNear(csr.Multiply(x), dense * x, 1e-12);
-  const Vector y = test::RandomVector(9, rng);
-  test::ExpectVectorNear(csr.TransposeMultiply(y), TransposeTimes(dense, y),
-                         1e-12);
-}
-
-TEST(CsrMatrix, SpMVRejectsBadLength) {
-  const CsrMatrix csr = CsrMatrix::FromDense(Matrix(3, 4, 1.0));
-  EXPECT_THROW(csr.Multiply(Vector(3)), ictm::Error);
-  EXPECT_THROW(csr.TransposeMultiply(Vector(4)), ictm::Error);
+  Vector y(9, -1.0);  // overwritten, not accumulated into
+  csr.MultiplyInto(x.data(), y.data());
+  test::ExpectVectorNear(y, dense * x, 1e-12);
 }
 
 TEST(CsrMatrix, TripletsAccumulateDuplicatesAndDropZeros) {
@@ -70,18 +66,24 @@ TEST(CsrMatrix, TripletsAccumulateDuplicatesAndDropZeros) {
   EXPECT_THROW(CsrMatrix::FromTriplets(2, 3, {{0, 3, 1.0}}), ictm::Error);
 }
 
-TEST(CscMatrix, DenseAndCsrRoundTrip) {
-  stats::Rng rng(3);
-  const Matrix dense = RandomSparseDense(8, 6, rng);
-  const CscMatrix fromDense = CscMatrix::FromDense(dense);
-  const CscMatrix fromCsr = CscMatrix::FromCsr(CsrMatrix::FromDense(dense));
-  EXPECT_TRUE(fromDense.ToDense() == dense);
-  EXPECT_TRUE(fromCsr.ToDense() == dense);
-  const Vector x = test::RandomVector(6, rng);
-  test::ExpectVectorNear(fromDense.Multiply(x), dense * x, 1e-12);
-  const Vector y = test::RandomVector(8, rng);
-  test::ExpectVectorNear(fromDense.TransposeMultiply(y),
-                         TransposeTimes(dense, y), 1e-12);
+// WeightedGramInto on the compressed `a` against the dense `expected`:
+// the upper triangle must match and every strictly-lower entry must be
+// zero (the kernel writes the upper triangle only).
+void ExpectGramMatchesDense(const Matrix& a, const Vector& w,
+                            const Matrix& expected, double tol) {
+  const CscMatrix csc =
+      CscMatrix::FromTriplets(a.rows(), a.cols(), NonZeroTriplets(a));
+  Matrix got(a.rows(), a.rows(), -1.0);  // overwritten everywhere
+  WeightedGramInto(csc, w.data(), got.data().data());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.rows(); ++c) {
+      if (c >= r) {
+        EXPECT_NEAR(got(r, c), expected(r, c), tol) << r << "," << c;
+      } else {
+        EXPECT_EQ(got(r, c), 0.0) << r << "," << c;
+      }
+    }
+  }
 }
 
 TEST(WeightedGram, MatchesDenseTripleProduct) {
@@ -93,8 +95,7 @@ TEST(WeightedGram, MatchesDenseTripleProduct) {
   w[3] = 0.0;
   w[17] = 0.0;
   const Matrix expected = a * Matrix::Diagonal(w) * a.transposed();
-  const Matrix got = WeightedGram(CscMatrix::FromDense(a), w);
-  test::ExpectMatrixNear(got, expected, 1e-10);
+  ExpectGramMatchesDense(a, w, expected, 1e-10);
 }
 
 TEST(WeightedGram, NegativeWeightsTreatedAsUnsupported) {
@@ -106,13 +107,13 @@ TEST(WeightedGram, NegativeWeightsTreatedAsUnsupported) {
   Vector clamped{0.0, 2.0};
   const Matrix expected =
       a * Matrix::Diagonal(clamped) * a.transposed();
-  test::ExpectMatrixNear(WeightedGram(CscMatrix::FromDense(a), w),
-                         expected, 1e-12);
+  ExpectGramMatchesDense(a, w, expected, 1e-12);
 }
 
-TEST(CholeskySolveInPlace, MatchesTextbookCholeskyPath) {
-  // The blocked in-place kernel against CholeskyUpper + substitution,
-  // on sizes around the rank-4 blocking boundaries (n mod 4 = 0..3).
+TEST(CholeskyInPlace, MatchesTextbookCholeskyPath) {
+  // The blocked in-place factor and its substitution against
+  // CholeskyUpper + substitution, on sizes around the rank-4 blocking
+  // boundaries (n mod 4 = 0..3).
   stats::Rng rng(5);
   for (std::size_t n : {1u, 3u, 4u, 7u, 16u, 21u}) {
     // SPD by construction: AᵀA + n·I.
@@ -132,7 +133,8 @@ TEST(CholeskySolveInPlace, MatchesTextbookCholeskyPath) {
 
     Matrix work = spd;
     Vector z = b;
-    CholeskySolveInPlace(work.data().data(), z.data(), n);
+    CholeskyFactorInPlace(work.data().data(), n);
+    CholeskySubstituteInPlace(work.data().data(), z.data(), n);
     test::ExpectVectorNear(z, expected, 1e-9);
     // The factor itself must match too (upper triangle only).
     for (std::size_t i = 0; i < n; ++i)
@@ -141,11 +143,9 @@ TEST(CholeskySolveInPlace, MatchesTextbookCholeskyPath) {
   }
 }
 
-TEST(CholeskySolveInPlace, RejectsIndefiniteMatrix) {
+TEST(CholeskyInPlace, RejectsIndefiniteMatrix) {
   Matrix m{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  Vector d{1.0, 1.0};
-  EXPECT_THROW(CholeskySolveInPlace(m.data().data(), d.data(), 2),
-               ictm::Error);
+  EXPECT_THROW(CholeskyFactorInPlace(m.data().data(), 2), ictm::Error);
 }
 
 }  // namespace
@@ -233,48 +233,6 @@ TEST(EstimateSeriesParallel, ThreadedRunsBitIdenticalToSerial) {
             << "threads=" << threads << " bin " << t << " entry " << k;
       }
     }
-  }
-}
-
-TEST(EstimateSeriesParallel, DenseOverloadMatchesSparse) {
-  SeriesFixture fx;
-  const linalg::Matrix dense = fx.routingCsr.ToDense();
-  EstimationOptions opt;
-  opt.threads = 3;
-  const auto fromSparse =
-      EstimateSeries(fx.routingCsr, fx.truth, fx.priors, opt);
-  const auto fromDense = EstimateSeries(dense, fx.truth, fx.priors, opt);
-  for (std::size_t t = 0; t < fx.truth.binCount(); ++t) {
-    const double* a = fromSparse.binData(t);
-    const double* b = fromDense.binData(t);
-    for (std::size_t k = 0; k < 11 * 11; ++k) {
-      ASSERT_EQ(a[k], b[k]) << "bin " << t << " entry " << k;
-    }
-  }
-}
-
-TEST(EstimateSeriesParallel, SparseBinMatchesDenseBin) {
-  // Single-bin API: the CSR overload and the dense overload must agree
-  // exactly (the dense one compresses and delegates).
-  SeriesFixture fx;
-  const linalg::Matrix dense = fx.routingCsr.ToDense();
-  const linalg::Matrix truthBin = fx.truth.bin(0);
-  const linalg::Vector loads =
-      topology::ComputeLinkLoads(fx.routingCsr, truthBin);
-  test::ExpectVectorNear(loads, topology::ComputeLinkLoads(dense, truthBin),
-                         1e-9);
-  const auto a = EstimateTmBin(fx.routingCsr, loads, fx.priors.bin(0),
-                               fx.truth.ingress(0), fx.truth.egress(0));
-  const auto b = EstimateTmBin(dense, loads, fx.priors.bin(0),
-                               fx.truth.ingress(0), fx.truth.egress(0));
-  EXPECT_TRUE(a == b);
-}
-
-TEST(RoutingCsr, MatchesDenseRoutingMatrix) {
-  for (const topology::Graph& g :
-       {topology::MakeAbilene11(), topology::MakeRing(6, 2)}) {
-    const linalg::CsrMatrix csr = topology::BuildRoutingCsr(g);
-    EXPECT_TRUE(csr.ToDense() == topology::BuildRoutingMatrix(g));
   }
 }
 

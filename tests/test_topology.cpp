@@ -89,7 +89,7 @@ TEST(RoutingMatrix, SingleLinkNetwork) {
   g.addNode("a");
   g.addNode("b");
   g.addBidirectionalLink(0, 1, 1.0);
-  const linalg::Matrix r = BuildRoutingMatrix(g);
+  const linalg::Matrix r = BuildRoutingCsr(g).ToDense();
   ASSERT_EQ(r.rows(), 2u);
   ASSERT_EQ(r.cols(), 4u);
   // OD (0,1) = column 1 rides link 0; OD (1,0) = column 2 rides link 1.
@@ -108,7 +108,7 @@ TEST(RoutingMatrix, EcmpSplitsEvenly) {
   g.addBidirectionalLink(1, 2, 1.0);
   g.addBidirectionalLink(0, 3, 1.0);
   g.addBidirectionalLink(3, 2, 1.0);
-  const linalg::Matrix r = BuildRoutingMatrix(g, {.ecmp = true});
+  const linalg::Matrix r = BuildRoutingCsr(g, {.ecmp = true}).ToDense();
   const std::size_t col = 0 * 4 + 2;
   double onLinks = 0.0;
   double maxFrac = 0.0;
@@ -120,7 +120,7 @@ TEST(RoutingMatrix, EcmpSplitsEvenly) {
   EXPECT_NEAR(onLinks, 2.0, 1e-9);
   EXPECT_NEAR(maxFrac, 0.5, 1e-9);
 
-  const linalg::Matrix r1 = BuildRoutingMatrix(g, {.ecmp = false});
+  const linalg::Matrix r1 = BuildRoutingCsr(g, {.ecmp = false}).ToDense();
   double maxFrac1 = 0.0;
   for (std::size_t l = 0; l < g.linkCount(); ++l)
     maxFrac1 = std::max(maxFrac1, r1(l, col));
@@ -131,7 +131,7 @@ TEST(RoutingMatrix, FlowConservationOnRandomTm) {
   // Per OD pair, the flow leaving the origin equals 1 and the flow
   // arriving at the destination equals 1 (fractions sum correctly).
   const Graph g = MakeRing(8, 2);
-  const linalg::Matrix r = BuildRoutingMatrix(g);
+  const linalg::Matrix r = BuildRoutingCsr(g).ToDense();
   const std::size_t n = g.nodeCount();
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
@@ -153,7 +153,7 @@ TEST(RoutingMatrix, FlowConservationOnRandomTm) {
 
 TEST(RoutingMatrix, LinkLoadsMatchManualPathSum) {
   const Graph g = Triangle();
-  const linalg::Matrix r = BuildRoutingMatrix(g);
+  const linalg::CsrMatrix r = BuildRoutingCsr(g);
   linalg::Matrix tm(3, 3, 0.0);
   tm(0, 2) = 10.0;  // routed a->b->c
   const linalg::Vector y = ComputeLinkLoads(r, tm);
@@ -210,7 +210,7 @@ TEST(RoutingMatrix, GeantRankDeficiency) {
   // The TM estimation problem is under-constrained: rank(R) < n^2.
   // (This is the paper's Sec. 6 premise.)
   const Graph g = MakeGeant22();
-  const linalg::Matrix r = BuildRoutingMatrix(g);
+  const linalg::CsrMatrix r = BuildRoutingCsr(g);
   EXPECT_EQ(r.cols(), 22u * 22u);
   EXPECT_LT(r.rows(), r.cols());
 }

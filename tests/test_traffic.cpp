@@ -179,6 +179,17 @@ TEST(CsvIo, RejectsMalformedInput) {
   std::stringstream shortRow(
       "# ictm-tm nodes=2 bins=1 binSeconds=300\n1,2,3\n");
   EXPECT_THROW(ReadCsv(shortRow), ictm::Error);
+
+  // Header fields are parsed strictly, each failure a typed error.
+  for (const char* header : {
+           "# ictm-tm nodes=abc bins=1 binSeconds=300\n",
+           "# ictm-tm nodes=2x bins=1 binSeconds=300\n",
+           "# ictm-tm nodes=2 bins=-1 binSeconds=300\n",
+           "# ictm-tm nodes=2 bins=1 binSeconds=inf\n",
+       }) {
+    std::stringstream in(std::string(header) + "1,2,3,4\n");
+    EXPECT_THROW(ReadCsv(in), ictm::Error) << header;
+  }
 }
 
 TEST(CsvIo, RejectsNanInfAndNegativeValues) {

@@ -79,7 +79,6 @@
 #include "topology/ictp.hpp"
 #include "topology/registry.hpp"
 #include "topology/routing.hpp"
-#include "topology/topologies.hpp"
 #include "traffic/io.hpp"
 
 using namespace ictm;
@@ -539,21 +538,19 @@ double ImprovementPct(double meanCandidate, double meanBaseline) {
                             : 0.0;
 }
 
-double ArgOr(int argc, char** argv, int idx, double fallback) {
-  return argc > idx ? std::stod(argv[idx]) : fallback;
-}
-
 int CmdSynthesize(int argc, char** argv) {
   if (argc < 3) return Usage();
   core::SynthesisConfig cfg;
-  cfg.nodes = static_cast<std::size_t>(ArgOr(argc, argv, 3, 22));
-  cfg.bins = static_cast<std::size_t>(ArgOr(argc, argv, 4, 2016));
-  cfg.f = ArgOr(argc, argv, 5, 0.25);
+  cfg.nodes = argc > 3 ? ParseSize(argv[3], "nodes", 1, 1 << 16) : 22;
+  cfg.bins = argc > 4 ? ParseSize(argv[4], "bins", 1, 1 << 24) : 2016;
+  cfg.f = argc > 5 ? ParseDouble(argv[5], "f") : 0.25;
   cfg.activityModel.profile.binsPerDay = std::max<std::size_t>(
       1, cfg.bins >= 7 ? cfg.bins / 7 : cfg.bins);
   cfg.threads = 0;  // all cores; output is thread-count invariant
-  stats::Rng rng(
-      static_cast<std::uint64_t>(ArgOr(argc, argv, 6, 42)));
+  stats::Rng rng(argc > 6 ? static_cast<std::uint64_t>(ParseSize(
+                                argv[6], "seed", 0,
+                                std::numeric_limits<long>::max()))
+                          : 42);
   const core::SyntheticTm synth = core::GenerateSyntheticTm(cfg, rng);
   traffic::WriteCsvFile(argv[2], synth.series);
   std::printf("wrote %zu bins x %zu nodes to %s (f=%.3f)\n", cfg.bins,
@@ -602,8 +599,8 @@ int CmdGravity(int argc, char** argv) {
 
 int CmdPrior(int argc, char** argv) {
   if (argc < 4) return Usage();
+  const double f = ParseDouble(argv[3], "f");
   const auto series = traffic::ReadCsvFile(argv[2]);
-  const double f = std::stod(argv[3]);
   const auto margs = core::ExtractMarginals(series);
   const auto prior = core::StableFPrior(f, margs, series.binSeconds());
   const auto err = core::RelL2TemporalSeries(series, prior);
@@ -615,12 +612,15 @@ int CmdPrior(int argc, char** argv) {
   return 0;
 }
 
-topology::Graph TopologyByName(const std::string& name, std::size_t nodes,
-                               std::uint64_t seed) {
-  if (name != "auto") return topology::MakeTopology(name, seed);
-  if (nodes == 22) return topology::MakeGeant22();
-  if (nodes == 23) return topology::MakeTotem23();
-  if (nodes == 11) return topology::MakeAbilene11();
+// The topology argument of estimate, stream and client as a registry
+// spec.  "auto" maps the node count to a canned topology, else to a
+// ring with chords; one rule for all three keeps `ictm client` output
+// byte-identical to `ictm stream` (the server resolves specs too).
+std::string TopologySpec(const std::string& name, std::size_t nodes) {
+  if (name != "auto") return name;
+  if (nodes == 22) return "geant22";
+  if (nodes == 23) return "totem23";
+  if (nodes == 11) return "abilene11";
   // No canned topology of this size: fall back to a synthetic ring so
   // synthesize -> estimate round trips still work, but say so — the
   // routing (and hence the estimates) will not match any real network.
@@ -629,7 +629,7 @@ topology::Graph TopologyByName(const std::string& name, std::size_t nodes,
                "synthetic ring-with-chords instead (pass a registry "
                "spec or .ictp file to choose the topology)\n",
                nodes);
-  return topology::MakeRing(nodes, 2);
+  return "ring:" + std::to_string(nodes) + ":2";
 }
 
 int CmdEstimate(int argc, char** argv) {
@@ -661,8 +661,8 @@ int CmdEstimate(int argc, char** argv) {
                 ParseSize(positional[3].c_str(), "seed", 0,
                           std::numeric_limits<long>::max()))
           : 0;
-  const topology::Graph g =
-      TopologyByName(topoName, truth.nodeCount(), topoSeed);
+  const topology::Graph g = topology::MakeTopology(
+      TopologySpec(topoName, truth.nodeCount()), topoSeed);
   ICTM_REQUIRE(g.nodeCount() == truth.nodeCount(),
                "topology node count does not match the TM series");
   const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
@@ -758,7 +758,8 @@ int CmdStream(int argc, char** argv) {
   const std::size_t bins = csvHeader.bins;
   ICTM_REQUIRE(bins > 0, "trace holds no bins: " + inPath);
 
-  const topology::Graph g = TopologyByName(topoName, nodes, topoSeed);
+  const topology::Graph g =
+      topology::MakeTopology(TopologySpec(topoName, nodes), topoSeed);
   ICTM_REQUIRE(g.nodeCount() == nodes,
                "topology node count does not match the trace");
   const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
@@ -1002,19 +1003,6 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-// The client-side analogue of TopologyByName: "auto" maps the node
-// count to a canned registry spec that can be sent over the wire (the
-// server resolves specs, not CLI conveniences).
-std::string TopologySpecByNodes(const std::string& name, std::size_t nodes) {
-  if (name != "auto") return name;
-  if (nodes == 22) return "geant22";
-  if (nodes == 23) return "totem23";
-  if (nodes == 11) return "abilene11";
-  throw UsageError("no canned topology has " + std::to_string(nodes) +
-                   " nodes; pass --topology with a registry spec or "
-                   ".ictp file");
-}
-
 // `ictm client --stats --connect SPEC`: one-shot metrics probe — no
 // trace, no session; prints the server's flattened registry snapshot
 // as "name value" lines (name-sorted, so output is diffable).
@@ -1114,7 +1102,7 @@ int CmdClient(int argc, char** argv) {
       stream::IsTraceFile(inPath) ? stream::ReadTraceFile(inPath)
                                   : traffic::ReadCsvFile(inPath);
   const std::size_t nodes = truth.nodeCount();
-  config.hello.topologySpec = TopologySpecByNodes(topoName, nodes);
+  config.hello.topologySpec = TopologySpec(topoName, nodes);
   config.hello.threads = static_cast<std::uint32_t>(
       std::min<std::size_t>(ResolveThreadCount(threadsOpt), 4096));
 
@@ -1406,9 +1394,13 @@ int CmdTopo(int argc, char** argv) {
 
 int CmdFMeasure(int argc, char** argv) {
   conngen::TraceSimConfig cfg;
-  cfg.durationSec = ArgOr(argc, argv, 2, 3600.0);
-  cfg.connectionsPerSec = ArgOr(argc, argv, 3, 10.0);
-  stats::Rng rng(static_cast<std::uint64_t>(ArgOr(argc, argv, 4, 1)));
+  cfg.durationSec = argc > 2 ? ParseDouble(argv[2], "durationSec") : 3600.0;
+  cfg.connectionsPerSec =
+      argc > 3 ? ParseDouble(argv[3], "connPerSec") : 10.0;
+  stats::Rng rng(argc > 4 ? static_cast<std::uint64_t>(ParseSize(
+                                argv[4], "seed", 0,
+                                std::numeric_limits<long>::max()))
+                          : 1);
   const auto trace = conngen::SimulatePacketTraces(cfg, rng);
   const auto m = conngen::MeasureForwardFraction(trace);
   std::printf("trace: %.0f s, %zu + %zu packets, unknown bytes %.2f%%\n",

@@ -32,8 +32,10 @@ constructs that break the contract in ways a lucky schedule hides:
              referent is atomic, order-independent (u64 accumulation
              commutes) and never feeds results.
   ICTM-D005  banned C functions (sprintf, strcpy, strcat, gets, atoi,
-             atof, atol, strtok, ...) — use snprintf and the strict
-             strtod/strtoul-based parsers, which reject trailing junk.
+             atof, atol, strtok, ...) and the std::sto* parsers (stoi,
+             stoul, stod, ...), which accept trailing junk and throw
+             untyped exceptions — use snprintf and the strict strtod /
+             std::from_chars parsers, which reject the whole token.
 
 No compiler dependency: pure stdlib regex over comment- and
 string-stripped sources, so the gate runs anywhere Python 3 runs.
@@ -66,8 +68,8 @@ RULES = {
                  "in double",
     "ICTM-D004": "static mutable local/global; shared mutable state "
                  "breaks thread-count determinism",
-    "ICTM-D005": "banned C function; use snprintf / the strict strtod-"
-                 "based parsers",
+    "ICTM-D005": "banned C function or std::sto* parser; use snprintf / "
+                 "the strict strtod- or from_chars-based parsers",
 }
 
 # Directories (relative to the repo root) whose floating-point code is
@@ -109,7 +111,8 @@ OBS_METRIC_REF = re.compile(
 
 BANNED_CALL = re.compile(
     r"(?<![\w.])(?:sprintf|vsprintf|strcpy|strncpy|strcat|strncat|gets|"
-    r"atoi|atol|atoll|atof|strtok)\s*\(")
+    r"atoi|atol|atoll|atof|strtok|"
+    r"stoi|stol|stoll|stoul|stoull|stof|stod|stold)\s*\(")
 
 
 class Finding(NamedTuple):
@@ -336,11 +339,21 @@ def run_scan(root: str) -> int:
 
 FIXTURE_RE = re.compile(r"^violate_(d\d{3})_[a-z0-9_]+\.cpp$")
 CLEAN_FIXTURE_RE = re.compile(r"^clean_[a-z0-9_]+\.cpp$")
+# A violating fixture ends every line that must fire with a
+# "// ICTM-DNNN" comment; exactly those lines must fire, so a rule that
+# stops matching one spelling fails the self-test.
+MARKER_RE = re.compile(r"^\s*[^\s/].*//\s*ICTM-D\d{3}")
+
+
+def marked_lines(path: str) -> List[int]:
+    with open(path, "r", encoding="utf-8") as f:
+        return [i for i, line in enumerate(f, 1) if MARKER_RE.search(line)]
 
 
 def run_self_test(root: str) -> int:
-    """Proves every rule is live (each fixture fires exactly its rule,
-    the clean fixture fires nothing), then requires a clean src/."""
+    """Proves every rule is live (each fixture fires exactly its rule on
+    exactly its marked lines, the clean fixture fires nothing), then
+    requires a clean src/."""
     fixture_dir = os.path.join(root, "tests", "lint_fixtures")
     if not os.path.isdir(fixture_dir):
         print(f"ictm_lint: missing fixture dir {fixture_dir}")
@@ -368,12 +381,18 @@ def run_self_test(root: str) -> int:
         expected = "ICTM-" + m.group(1).upper()
         findings = scan_file(path, rel, estimation_path=True)
         fired = {f.rule for f in findings}
+        fired_lines = sorted({f.line for f in findings})
+        marked = marked_lines(path)
         if not findings:
             print(f"FAIL {rel}: rule {expected} did not fire")
             failures += 1
         elif fired != {expected}:
             print(f"FAIL {rel}: expected only {expected}, got {sorted(fired)}:")
             report(findings)
+            failures += 1
+        elif fired_lines != marked:
+            print(f"FAIL {rel}: {expected} fired on lines {fired_lines}, "
+                  f"marked lines are {marked}")
             failures += 1
         else:
             print(f"ok   {rel}: {expected} fired {len(findings)} time(s)")

@@ -59,6 +59,12 @@ expect_usage_error stream "$WORK/tm.csv" --window -3
 expect_usage_error stream "$WORK/tm.csv" --f not-a-number
 expect_usage_error run fig2_example --threads abc
 expect_usage_error run fig2_example --seed -1
+expect_usage_error synthesize "$WORK/x.csv" 6 3 0.25 -1
+expect_usage_error synthesize "$WORK/x.csv" 6.9 3
+expect_usage_error synthesize "$WORK/x.csv" 6 -3
+expect_usage_error synthesize "$WORK/x.csv" abc
+expect_usage_error prior "$WORK/tm.csv" abc
+expect_usage_error fmeasure abc
 
 # Unknown flags keep exiting 2 (pre-existing contract).
 expect_usage_error estimate "$WORK/tm.csv" --frobnicate

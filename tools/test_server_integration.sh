@@ -2,11 +2,11 @@
 # End-to-end server integration test, registered with CTest as
 # `server_integration` and run in CI under ASan/UBSan and TSan.
 #
-# Contract (ISSUE 7): one `ictm serve` daemon, four `ictm client`
-# sessions running in parallel over mixed topologies and thread
-# counts — every client's estimates.ictmb and priors.ictmb must be
-# byte-identical to the `ictm stream` run of the same trace, and the
-# daemon must shut down cleanly on SIGTERM having served all four.
+# Contract: one `ictm serve` daemon, five `ictm client` sessions
+# running in parallel over mixed topologies and thread counts — every
+# client's estimates.ictmb and priors.ictmb must be byte-identical to
+# the `ictm stream` run of the same trace, and the daemon must shut
+# down cleanly on SIGTERM having served all five.
 #
 # usage: test_server_integration.sh <path-to-ictm>
 set -u
@@ -29,16 +29,17 @@ fail() {
 
 # Per-session workload: trace geometry, topology spec, thread count.
 # Two sessions share abilene11 so the server's topology cache serves
-# hits as well as misses.
-NAMES=(a b c d)
-NODES=(11 11 8 9)
-TOPOS=(auto auto ring:8:2 grid:3x3)
-THREADS=(1 4 2 4)
+# hits as well as misses; session e has no canned topology of its
+# size, so `auto` must resolve to the same ring for client and stream.
+NAMES=(a b c d e)
+NODES=(11 11 8 9 6)
+TOPOS=(auto auto ring:8:2 grid:3x3 auto)
+THREADS=(1 4 2 4 1)
 BINS=20
 WINDOW=4
 
 # Traces + single-process baselines.
-for i in 0 1 2 3; do
+for i in "${!NAMES[@]}"; do
   name=${NAMES[$i]}
   "$BIN" synthesize "$WORK/tm_$name.csv" "${NODES[$i]}" $BINS 0.25 $((7 + i)) \
     >/dev/null || fail "synthesize $name"
@@ -63,9 +64,9 @@ if ! grep -q "listening on" "$WORK/server.log"; then
   exit 1
 fi
 
-# Four clients in parallel.
+# All clients in parallel.
 CLIENT_PIDS=()
-for i in 0 1 2 3; do
+for i in "${!NAMES[@]}"; do
   name=${NAMES[$i]}
   "$BIN" client "$WORK/tm_$name.csv" --connect "$SOCK" \
     --topology "${TOPOS[$i]}" --threads "${THREADS[$i]}" --window $WINDOW \
@@ -73,7 +74,7 @@ for i in 0 1 2 3; do
     >"$WORK/client_$name.log" 2>&1 &
   CLIENT_PIDS+=($!)
 done
-for i in 0 1 2 3; do
+for i in "${!NAMES[@]}"; do
   if ! wait "${CLIENT_PIDS[$i]}"; then
     cat "$WORK/client_${NAMES[$i]}.log"
     fail "client ${NAMES[$i]} exited non-zero"
@@ -81,7 +82,7 @@ for i in 0 1 2 3; do
 done
 
 # Byte-identity against the stream baselines.
-for i in 0 1 2 3; do
+for i in "${!NAMES[@]}"; do
   name=${NAMES[$i]}
   for kind in estimates priors; do
     if ! cmp -s "$WORK/baseline_$name/$kind.ictmb" \
@@ -97,8 +98,8 @@ done
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero on SIGTERM"
 SERVER_PID=
-grep -q "served 4 session(s)" "$WORK/server.log" ||
-  fail "server log lacks 'served 4 session(s)': $(tail -2 "$WORK/server.log")"
+grep -q "served ${#NAMES[@]} session(s)" "$WORK/server.log" ||
+  fail "server log lacks 'served ${#NAMES[@]} session(s)': $(tail -2 "$WORK/server.log")"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES server integration check(s) failed"
