@@ -34,7 +34,6 @@
 #include "core/metrics.hpp"
 #include "linalg/lsq.hpp"
 #include "scenario/common.hpp"
-#include "stats/rng.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
 
@@ -152,7 +151,7 @@ linalg::Matrix EstimateTmBin(const linalg::Matrix& routing,
   }
   double trace = 0.0;
   for (std::size_t r = 0; r < rows; ++r) trace += m(r, r);
-  const double ridge = std::max(trace, 1.0) * options.relativeRidge + 1e-30;
+  const double ridge = std::max(trace, 1.0) * 1e-10 + 1e-30;
   for (std::size_t r = 0; r < rows; ++r) m(r, r) += ridge;
 
   const linalg::Matrix u = linalg::CholeskyUpper(m);
@@ -173,8 +172,7 @@ linalg::Matrix EstimateTmBin(const linalg::Matrix& routing,
   }
   for (double& xi : x) xi = std::max(xi, 0.0);
 
-  return Ipf(topology::UnflattenTm(x, n), ingress, egress,
-             options.ipfIterations, options.ipfTolerance);
+  return Ipf(topology::UnflattenTm(x, n), ingress, egress, 100, 1e-9);
 }
 
 traffic::TrafficMatrixSeries EstimateSeries(
@@ -333,15 +331,8 @@ int main(int argc, char** argv) {
   // A week of diurnally varying traffic plus gravity priors from the
   // marginals (the realistic worst case for the refinement: every OD
   // pair active, dense prior support).
-  stats::Rng rng(42);
-  traffic::TrafficMatrixSeries truth(n, bins, 300.0);
-  for (std::size_t t = 0; t < bins; ++t) {
-    const double diurnal =
-        1.0 + 0.5 * std::sin(2.0 * M_PI * double(t) / 288.0);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        truth(t, i, j) = diurnal * rng.uniform(1e6, 1e7);
-  }
+  const traffic::TrafficMatrixSeries truth =
+      scenario::DiurnalTraffic(n, bins, 42);
   const traffic::TrafficMatrixSeries priors =
       core::GravityPredictSeries(truth);
   std::printf("series: %zu bins x %zu nodes\n\n", bins, n);

@@ -14,6 +14,12 @@ namespace ictm::core {
 
 namespace {
 
+// Ridge added to the normal-equations diagonal, relative to its trace,
+// making the solve robust to rank deficiency.
+constexpr double kRelativeRidge = 1e-10;
+constexpr std::size_t kIpfIterations = 100;  // max IPF iterations (step 3)
+constexpr double kIpfTolerance = 1e-9;  // IPF marginal convergence tolerance
+
 // Core IPF loop on a raw row-major n x n buffer, so series estimation
 // can scale bins in place without a Matrix round-trip per bin.
 // Preconditions (square shape, non-negative targets) are checked by
@@ -139,9 +145,8 @@ AugmentedTmSystem::AugmentedTmSystem(const linalg::CsrMatrix& routing,
 }
 
 TmBinSolver::TmBinSolver(const AugmentedTmSystem& system,
-                         const EstimationOptions& options)
+                         const EstimationOptions& /*options*/)
     : system_(system),
-      options_(options),
       d_(system.rowCount(), 0.0),
       m_(system.rowCount() * system.rowCount(), 0.0) {}
 
@@ -184,7 +189,7 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
   double trace = 0.0;
   for (std::size_t r = 0; r < rows; ++r) trace += m[r * rows + r];
   const double ridge =
-      std::max(trace, 1.0) * options_.relativeRidge +
+      std::max(trace, 1.0) * kRelativeRidge +
       1e-30;  // keep strictly positive even for an all-zero prior
   for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge;
   // Factor, then substitute, timed per phase.
@@ -210,8 +215,7 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
     outBin[c] = std::max(x, 0.0);
   }
 
-  IpfInPlace(outBin, n, ingress, egress, options_.ipfIterations,
-             options_.ipfTolerance);
+  IpfInPlace(outBin, n, ingress, egress, kIpfIterations, kIpfTolerance);
 }
 
 linalg::Matrix Ipf(linalg::Matrix tm, const linalg::Vector& rowTargets,

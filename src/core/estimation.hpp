@@ -37,11 +37,6 @@ struct EstimationOptions {
   /// Append the marginal equations (Q x = [ingress; egress]) to the
   /// link system, as operators do (access-link SNMP counters).
   bool useMarginalConstraints = true;
-  /// Ridge added to the normal-equations diagonal, relative to its
-  /// trace, making the solve robust to rank deficiency.
-  double relativeRidge = 1e-10;
-  std::size_t ipfIterations = 100;  ///< max IPF iterations (step 3)
-  double ipfTolerance = 1e-9;       ///< IPF marginal convergence tolerance
   /// Worker threads for EstimateSeries' per-bin fan-out (bins are
   /// independent, so results are bit-identical for any value); 0 means
   /// all hardware threads.
@@ -86,7 +81,7 @@ class AugmentedTmSystem {
 /// link loads (and marginals), clamped non-negative, then IPF onto the
 /// marginals.  The refinement solves the ridged normal equations
 ///   (A·diag(xp)·Aᵀ + ridge·I) z = y − A·xp,
-///   ridge = max(trace, 1)·relativeRidge + 1e-30,
+///   ridge = max(trace, 1)·1e-10 + 1e-30,
 /// by assembling the rows² normal matrix densely and running the
 /// blocked in-place Cholesky.  Create one solver per worker thread;
 /// Solve may be called repeatedly, allocates nothing, and performs the
@@ -97,7 +92,9 @@ class TmBinSolver {
  public:
   /// Binds the solver to a shared system (which must outlive it) and
   /// allocates its per-thread scratch: rows² doubles for the normal
-  /// matrix plus the rows-long right-hand side.
+  /// matrix plus the rows-long right-hand side.  No field of
+  /// `options` changes the solve (marginal constraints are a property
+  /// of the system).
   explicit TmBinSolver(const AugmentedTmSystem& system,
                        const EstimationOptions& options = {});
 
@@ -112,7 +109,6 @@ class TmBinSolver {
 
  private:
   const AugmentedTmSystem& system_;
-  EstimationOptions options_;
   std::vector<double> d_;  // rows: rhs, then the dual solution
   std::vector<double> m_;  // rows x rows: normal matrix, then its factor
 };

@@ -95,6 +95,21 @@ const std::vector<TopoSweepEntry>& DefaultTopoSweep() {
   return sweep;
 }
 
+traffic::TrafficMatrixSeries DiurnalTraffic(std::size_t nodes,
+                                            std::size_t bins,
+                                            std::uint64_t seed) {
+  stats::Rng rng(seed);
+  traffic::TrafficMatrixSeries truth(nodes, bins, 300.0);
+  for (std::size_t t = 0; t < bins; ++t) {
+    const double diurnal =
+        1.0 + 0.5 * std::sin(2.0 * M_PI * double(t) / 288.0);
+    for (std::size_t k = 0; k < nodes * nodes; ++k) {
+      truth.binData(t)[k] = diurnal * rng.uniform(1e6, 1e7);
+    }
+  }
+  return truth;
+}
+
 TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,
                                std::uint64_t topologySeed,
                                std::uint64_t trafficSeed,
@@ -105,17 +120,8 @@ TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,
   const std::size_t n = g.nodeCount();
   const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
 
-  // Diurnally varying random traffic plus gravity priors, as the
-  // estimation_scale scenario uses — every OD pair active.
-  stats::Rng rng(trafficSeed);
-  traffic::TrafficMatrixSeries truth(n, entry.bins, 300.0);
-  for (std::size_t t = 0; t < entry.bins; ++t) {
-    const double diurnal =
-        1.0 + 0.5 * std::sin(2.0 * M_PI * double(t) / 288.0);
-    for (std::size_t k = 0; k < n * n; ++k) {
-      truth.binData(t)[k] = diurnal * rng.uniform(1e6, 1e7);
-    }
-  }
+  const traffic::TrafficMatrixSeries truth =
+      DiurnalTraffic(n, entry.bins, trafficSeed);
   const traffic::TrafficMatrixSeries priors =
       core::GravityPredictSeries(truth);
 

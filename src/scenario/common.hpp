@@ -59,6 +59,14 @@ struct WeeklyFitResult {
 WeeklyFitResult FitWeekly(const ScenarioContext& ctx, bool totem,
                           std::size_t weeks, std::uint64_t canonicalSeed);
 
+/// Diurnally varying random traffic, every OD pair active: entry
+/// (t, i, j) is (1 + 0.5·sin(2πt/288))·uniform(1e6, 1e7), drawn from
+/// `seed` in bin-major, row-major order, with 300 s bins.  The
+/// workload of the estimation and streaming scaling studies.
+traffic::TrafficMatrixSeries DiurnalTraffic(std::size_t nodes,
+                                            std::size_t bins,
+                                            std::uint64_t seed);
+
 /// One entry of the generated-backbone node-count sweep shared by the
 /// topo_scale scenario and `bench_estimation_scale --topo-sweep`.
 struct TopoSweepEntry {

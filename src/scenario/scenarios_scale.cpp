@@ -55,15 +55,8 @@ json::Value RunEstimationScale(const ScenarioContext& ctx,
   // Diurnally varying random traffic plus gravity priors from the
   // marginals (the realistic worst case for the refinement: every OD
   // pair active, dense prior support).
-  stats::Rng rng(ctx.seed(42));
-  traffic::TrafficMatrixSeries truth(n, bins, 300.0);
-  for (std::size_t t = 0; t < bins; ++t) {
-    const double diurnal =
-        1.0 + 0.5 * std::sin(2.0 * M_PI * double(t) / 288.0);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        truth(t, i, j) = diurnal * rng.uniform(1e6, 1e7);
-  }
+  const traffic::TrafficMatrixSeries truth =
+      DiurnalTraffic(n, bins, ctx.seed(42));
   const traffic::TrafficMatrixSeries priors =
       core::GravityPredictSeries(truth);
 

@@ -37,17 +37,8 @@ struct StreamSetup {
       : graph(ctx.tiny ? topology::MakeRing(6, 2)
                        : topology::MakeGeant22()),
         routing(topology::BuildRoutingCsr(graph)),
-        truth(graph.nodeCount(), ctx.tiny ? 24 : fullBins, 300.0) {
-    stats::Rng rng(ctx.seed(canonicalSeed));
-    const std::size_t n = graph.nodeCount();
-    for (std::size_t t = 0; t < truth.binCount(); ++t) {
-      const double diurnal =
-          1.0 + 0.5 * std::sin(2.0 * M_PI * double(t) / 288.0);
-      for (std::size_t k = 0; k < n * n; ++k) {
-        truth.binData(t)[k] = diurnal * rng.uniform(1e6, 1e7);
-      }
-    }
-  }
+        truth(DiurnalTraffic(graph.nodeCount(), ctx.tiny ? 24 : fullBins,
+                             ctx.seed(canonicalSeed))) {}
 };
 
 json::Value RunStreamEquivalence(const ScenarioContext& ctx,

@@ -8,9 +8,13 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "server/bytes.hpp"
 #include "stream/format.hpp"
 
 namespace ictm::server {
+
+using namespace detail;
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -29,20 +33,6 @@ std::string HexEncode(const std::string& raw) {
   return out;
 }
 
-void PutBytes(std::vector<std::uint8_t>& out, const void* data,
-              std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), p, p + len);
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  PutBytes(out, &v, sizeof(v));
-}
-
-void PutF64(std::vector<std::uint8_t>& out, double v) {
-  PutBytes(out, &v, sizeof(v));
-}
-
 void PutString(std::vector<std::uint8_t>& out, const std::string& s) {
   PutU64(out, s.size());
   PutBytes(out, s.data(), s.size());
@@ -53,58 +43,15 @@ void PutVector(std::vector<std::uint8_t>& out, const linalg::Vector& v) {
   PutBytes(out, v.data(), v.size() * sizeof(double));
 }
 
-struct Reader {
-  const std::vector<std::uint8_t>& bytes;
-  std::size_t at = 0;
-  bool ok = true;
+std::string GetString(ByteCursor& c) { return c.getString(c.getU64()); }
 
-  bool take(std::size_t len) {
-    if (!ok || bytes.size() - at < len) {
-      ok = false;
-      return false;
-    }
-    at += len;
-    return true;
-  }
-
-  std::uint64_t getU64() {
-    std::uint64_t v = 0;
-    if (take(sizeof(v))) std::memcpy(&v, bytes.data() + at - sizeof(v), sizeof(v));
-    return v;
-  }
-
-  double getF64() {
-    double v = 0;
-    if (take(sizeof(v))) std::memcpy(&v, bytes.data() + at - sizeof(v), sizeof(v));
-    return v;
-  }
-
-  std::string getString() {
-    const std::uint64_t len = getU64();
-    if (len > bytes.size() || !take(static_cast<std::size_t>(len))) {
-      ok = false;
-      return {};
-    }
-    return std::string(
-        reinterpret_cast<const char*>(bytes.data() + at - len),
-        static_cast<std::size_t>(len));
-  }
-
-  linalg::Vector getVector() {
-    const std::uint64_t count = getU64();
-    if (count > bytes.size() ||
-        !take(static_cast<std::size_t>(count) * sizeof(double))) {
-      ok = false;
-      return {};
-    }
-    linalg::Vector v(static_cast<std::size_t>(count));
-    if (count > 0) {
-      std::memcpy(v.data(), bytes.data() + at - count * sizeof(double),
-                  static_cast<std::size_t>(count) * sizeof(double));
-    }
-    return v;
-  }
-};
+linalg::Vector GetVector(ByteCursor& c) {
+  const std::uint64_t count = c.getU64();
+  linalg::Vector v(c.holdsDoubles(count) ? static_cast<std::size_t>(count)
+                                         : 0);
+  if (!c.getDoubles(v.data(), count)) return {};
+  return v;
+}
 
 std::vector<std::uint8_t> Serialize(const SessionCheckpoint& cp) {
   std::vector<std::uint8_t> body;
@@ -124,20 +71,20 @@ std::vector<std::uint8_t> Serialize(const SessionCheckpoint& cp) {
 
 bool Deserialize(const std::vector<std::uint8_t>& body,
                  SessionCheckpoint* out) {
-  Reader r{body};
+  ByteCursor c(body);
   SessionCheckpoint cp;
-  cp.sessionKey = r.getString();
-  cp.topologySpec = r.getString();
-  cp.topologySeed = r.getU64();
-  cp.f = r.getF64();
-  cp.window = r.getU64();
-  const std::uint64_t solver = r.getU64();
-  cp.state.seq = r.getU64();
-  cp.state.preference = r.getVector();
-  cp.state.windowIngress = r.getVector();
-  cp.state.windowEgress = r.getVector();
-  cp.state.windowFill = static_cast<std::size_t>(r.getU64());
-  if (!r.ok || r.at != body.size()) return false;
+  cp.sessionKey = GetString(c);
+  cp.topologySpec = GetString(c);
+  cp.topologySeed = c.getU64();
+  cp.f = c.getF64();
+  cp.window = c.getU64();
+  const std::uint64_t solver = c.getU64();
+  cp.state.seq = c.getU64();
+  cp.state.preference = GetVector(c);
+  cp.state.windowIngress = GetVector(c);
+  cp.state.windowEgress = GetVector(c);
+  cp.state.windowFill = static_cast<std::size_t>(c.getU64());
+  if (!c.atEnd()) return false;
   switch (solver) {
     case static_cast<std::uint64_t>(core::SolverKind::kAuto):
     case static_cast<std::uint64_t>(core::SolverKind::kDense):

@@ -1,57 +1,31 @@
 #include "server/client.hpp"
 
 #include <cstddef>
+#include <exception>
 #include <thread>
 #include <utility>
 
 namespace ictm::server {
 namespace {
 
-/// Buffered frame reader over a socket (client side).
-class FrameReader {
- public:
-  explicit FrameReader(Socket* socket) : socket_(socket) {}
-
-  /// Reads the next frame.  False on EOF / error / damage, with
-  /// `*error` describing why.
-  bool next(std::size_t maxFrameBytes, Frame* frame, std::string* error) {
-    for (;;) {
-      std::size_t consumed = 0;
-      const DecodeStatus status = DecodeFrame(
-          buffer_.data() + parsed_, buffer_.size() - parsed_, maxFrameBytes,
-          frame, &consumed);
-      if (status == DecodeStatus::kOk) {
-        parsed_ += consumed;
-        return true;
-      }
-      if (status == DecodeStatus::kCrcMismatch) {
-        *error = "frame CRC mismatch from server";
-        return false;
-      }
-      if (status == DecodeStatus::kOversize) {
-        *error = "oversize frame from server";
-        return false;
-      }
-      if (parsed_ > 0) {
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<std::ptrdiff_t>(parsed_));
-        parsed_ = 0;
-      }
-      std::uint8_t chunk[16384];
-      const long n = socket_->recvSome(chunk, sizeof(chunk));
-      if (n <= 0) {
-        *error = "connection closed by server";
-        return false;
-      }
-      buffer_.insert(buffer_.end(), chunk, chunk + n);
-    }
+/// Reads the next frame; false with `*error` set on damage or close.
+bool ReadFrame(FrameReader& reader, std::size_t maxFrameBytes, Frame* frame,
+               std::string* error) {
+  switch (reader.next(maxFrameBytes, frame)) {
+    case DecodeStatus::kOk:
+      return true;
+    case DecodeStatus::kCrcMismatch:
+      *error = "frame CRC mismatch from server";
+      return false;
+    case DecodeStatus::kOversize:
+      *error = "oversize frame from server";
+      return false;
+    case DecodeStatus::kNeedMore:
+      break;
   }
-
- private:
-  Socket* socket_;
-  std::vector<std::uint8_t> buffer_;
-  std::size_t parsed_ = 0;
-};
+  *error = "connection closed by server";
+  return false;
+}
 
 bool SendFrame(Socket* socket, FrameType type,
                const std::vector<std::uint8_t>& payload) {
@@ -83,7 +57,7 @@ ClientResult Client::Run(const ClientConfig& config, std::uint64_t totalBins,
 
   FrameReader reader(&socket);
   Frame frame;
-  if (!reader.next(kMaxHandshakeFrameBytes, &frame, &error)) {
+  if (!ReadFrame(reader, kMaxHandshakeFrameBytes, &frame, &error)) {
     result.transportError = error;
     return result;
   }
@@ -125,7 +99,7 @@ ClientResult Client::Run(const ClientConfig& config, std::uint64_t totalBins,
     for (;;) {
       Frame in;
       std::string recvError;
-      if (!reader.next(maxFrameBytes, &in, &recvError)) {
+      if (!ReadFrame(reader, maxFrameBytes, &in, &recvError)) {
         recv.transportError = recvError;
         return;
       }
@@ -165,23 +139,32 @@ ClientResult Client::Run(const ClientConfig& config, std::uint64_t totalBins,
 
   // Sender: bins the server asked for, then FIN.  A send failure just
   // stops sending — the receiver owns the diagnosis (it will see the
-  // ERROR frame or the close that caused it).
-  bool sendOk = true;
-  std::vector<std::uint8_t> binPayload;
-  for (std::uint64_t seq = welcome.resumeFrom; sendOk && seq < totalBins;
-       ++seq) {
-    const double* bin = source(seq);
-    binPayload = EncodeBinPayload(seq, bin, nodes);
-    sendOk = SendFrame(&socket, FrameType::kBin, binPayload);
-  }
-  if (sendOk) {
-    sendOk = SendFrame(&socket, FrameType::kFin, EncodeCountPayload(totalBins));
+  // ERROR frame or the close that caused it).  A source that throws
+  // (a damaged input) ends the session: shutting the socket returns
+  // the receiver, which must be joined before the result is built.
+  std::optional<std::string> sourceError;
+  try {
+    bool sendOk = true;
+    for (std::uint64_t seq = welcome.resumeFrom; sendOk && seq < totalBins;
+         ++seq) {
+      const double* bin = source(seq);
+      sendOk = SendFrame(&socket, FrameType::kBin,
+                         EncodeBinPayload(seq, bin, nodes));
+    }
+    if (sendOk) {
+      SendFrame(&socket, FrameType::kFin, EncodeCountPayload(totalBins));
+    }
+  } catch (const std::exception& e) {
+    sourceError = e.what();
+    socket.shutdownBoth();
   }
 
   receiver.join();
   result.finished = recv.finished;
   result.serverError = std::move(recv.serverError);
-  result.transportError = std::move(recv.transportError);
+  result.transportError = sourceError.has_value()
+                              ? "input failed: " + *sourceError
+                              : std::move(recv.transportError);
   result.estimatePayloads = std::move(recv.payloads);
   if (!result.finished && result.transportError.empty()) {
     result.transportError = "session ended before FIN_ACK";
@@ -199,7 +182,7 @@ bool Client::FetchStats(const Endpoint& endpoint, StatsReply* reply,
   }
   FrameReader reader(&socket);
   Frame frame;
-  if (!reader.next(kMaxHandshakeFrameBytes, &frame, error)) return false;
+  if (!ReadFrame(reader, kMaxHandshakeFrameBytes, &frame, error)) return false;
   if (frame.type == FrameType::kError) {
     ErrorInfo info;
     *error = info.decode(frame.payload)

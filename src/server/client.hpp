@@ -50,7 +50,10 @@ struct ClientResult {
 class Client {
  public:
   /// Returns the truth bin for `seq` (n² doubles, valid until the next
-  /// call).  Called from the sending thread in ascending seq order.
+  /// call).  Called from the sending thread in ascending seq order,
+  /// starting at the server's resume point.  A source that throws
+  /// ends the session: Run() returns it unfinished, with the
+  /// exception's message in `transportError`.
   using BinSource = std::function<const double*(std::uint64_t seq)>;
 
   /// Observes each kept estimate frame, on the receiver thread, in

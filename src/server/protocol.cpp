@@ -2,96 +2,19 @@
 
 #include <cstring>
 
+#include "obs/metrics.hpp"
+#include "server/bytes.hpp"
+#include "server/socket.hpp"
 #include "stream/format.hpp"
 
 namespace ictm::server {
+
+using namespace detail;
+
 namespace {
 
 constexpr std::size_t kLenPrefixBytes = 4;
 constexpr std::size_t kCrcBytes = 4;
-
-// Byte-at-a-time on purpose: GCC 12's -Wstringop-overflow misfires on
-// vector::insert/memcpy of small scalar ranges inlined into the
-// encode() bodies, and -Werror would turn that false positive fatal.
-void PutBytes(std::vector<std::uint8_t>& out, const void* data,
-              std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) out.push_back(p[i]);
-}
-
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  PutBytes(out, &v, sizeof(v));
-}
-
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  PutBytes(out, &v, sizeof(v));
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  PutBytes(out, &v, sizeof(v));
-}
-
-void PutF64(std::vector<std::uint8_t>& out, double v) {
-  PutBytes(out, &v, sizeof(v));
-}
-
-/// Sequential reader over a payload; every Get* fails sticky once the
-/// payload runs short, so decode() bodies can chain reads and check
-/// ok() once at the end.
-class Cursor {
- public:
-  explicit Cursor(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
-
-  bool ok() const noexcept { return ok_; }
-  bool atEnd() const noexcept { return ok_ && at_ == bytes_.size(); }
-
-  std::uint8_t getU8() { return getScalar<std::uint8_t>(); }
-  std::uint16_t getU16() { return getScalar<std::uint16_t>(); }
-  std::uint32_t getU32() { return getScalar<std::uint32_t>(); }
-  std::uint64_t getU64() { return getScalar<std::uint64_t>(); }
-  double getF64() { return getScalar<double>(); }
-
-  std::string getString(std::size_t len) {
-    if (!take(len)) return {};
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + at_ - len),
-                  len);
-    return s;
-  }
-
-  bool getDoubles(double* out, std::size_t count) {
-    const std::size_t len = count * sizeof(double);
-    if (!take(len)) return false;
-    if (len > 0) std::memcpy(out, bytes_.data() + at_ - len, len);
-    return true;
-  }
-
- private:
-  template <typename T>
-  T getScalar() {
-    T v{};
-    if (take(sizeof(T))) {
-      std::memcpy(&v, bytes_.data() + at_ - sizeof(T), sizeof(T));
-    }
-    return v;
-  }
-
-  bool take(std::size_t len) {
-    if (!ok_ || bytes_.size() - at_ < len) {
-      ok_ = false;
-      return false;
-    }
-    at_ += len;
-    return true;
-  }
-
-  const std::vector<std::uint8_t>& bytes_;
-  std::size_t at_ = 0;
-  bool ok_ = true;
-};
 
 }  // namespace
 
@@ -125,22 +48,16 @@ const char* ErrorCodeName(ErrorCode code) noexcept {
   return "unknown";
 }
 
-void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
-                 const std::uint8_t* payload, std::size_t payloadLen) {
-  const std::uint32_t length = static_cast<std::uint32_t>(1 + payloadLen);
-  out.reserve(out.size() + kLenPrefixBytes + length + kCrcBytes);
-  PutU32(out, length);
-  const std::size_t bodyAt = out.size();
-  PutU8(out, static_cast<std::uint8_t>(type));
-  PutBytes(out, payload, payloadLen);
-  PutU32(out, stream::Crc32(out.data() + bodyAt, length));
-}
-
 std::vector<std::uint8_t> EncodeFrame(FrameType type,
                                       const std::uint8_t* payload,
                                       std::size_t payloadLen) {
+  const std::uint32_t length = static_cast<std::uint32_t>(1 + payloadLen);
   std::vector<std::uint8_t> out;
-  AppendFrame(out, type, payload, payloadLen);
+  out.reserve(kLenPrefixBytes + length + kCrcBytes);
+  PutU32(out, length);
+  PutU8(out, static_cast<std::uint8_t>(type));
+  PutBytes(out, payload, payloadLen);
+  PutU32(out, stream::Crc32(out.data() + kLenPrefixBytes, length));
   return out;
 }
 
@@ -166,6 +83,34 @@ DecodeStatus DecodeFrame(const std::uint8_t* data, std::size_t len,
                       data + kLenPrefixBytes + bodyLen);
   *consumed = total;
   return DecodeStatus::kOk;
+}
+
+FrameReader::FrameReader(Socket* socket, obs::Counter* bytesReceived)
+    : socket_(socket), bytesReceived_(bytesReceived) {}
+
+DecodeStatus FrameReader::next(std::size_t maxFrameBytes, Frame* frame) {
+  for (;;) {
+    std::size_t consumed = 0;
+    const DecodeStatus status =
+        DecodeFrame(buffer_.data() + parsed_, buffer_.size() - parsed_,
+                    maxFrameBytes, frame, &consumed);
+    if (status != DecodeStatus::kNeedMore) {
+      parsed_ += consumed;
+      return status;
+    }
+    if (parsed_ > 0) {
+      buffer_.erase(buffer_.begin(),
+                    buffer_.begin() + static_cast<std::ptrdiff_t>(parsed_));
+      parsed_ = 0;
+    }
+    std::uint8_t chunk[16384];
+    const long n = socket_->recvSome(chunk, sizeof(chunk));
+    if (n <= 0) return DecodeStatus::kNeedMore;
+    if (bytesReceived_ != nullptr) {
+      bytesReceived_->add(static_cast<std::uint64_t>(n));
+    }
+    buffer_.insert(buffer_.end(), chunk, chunk + n);
+  }
 }
 
 std::size_t MaxFrameBytesForNodes(std::size_t nodes) noexcept {
@@ -196,7 +141,7 @@ std::vector<std::uint8_t> HelloRequest::encode() const {
 }
 
 bool HelloRequest::decode(const std::vector<std::uint8_t>& payload) {
-  Cursor c(payload);
+  ByteCursor c(payload);
   if (c.getU32() != kByteOrderSentinel) return false;
   version = c.getU32();
   resume = c.getU8() != 0;
@@ -234,7 +179,7 @@ std::vector<std::uint8_t> WelcomeReply::encode() const {
 }
 
 bool WelcomeReply::decode(const std::vector<std::uint8_t>& payload) {
-  Cursor c(payload);
+  ByteCursor c(payload);
   if (c.getU32() != kByteOrderSentinel) return false;
   version = c.getU32();
   nodes = c.getU64();
@@ -251,7 +196,7 @@ std::vector<std::uint8_t> ErrorInfo::encode() const {
 }
 
 bool ErrorInfo::decode(const std::vector<std::uint8_t>& payload) {
-  Cursor c(payload);
+  ByteCursor c(payload);
   code = static_cast<ErrorCode>(c.getU16());
   const std::uint32_t msgLen = c.getU32();
   if (msgLen > kMaxHandshakeFrameBytes) return false;
@@ -271,7 +216,7 @@ std::vector<std::uint8_t> EncodeBinPayload(std::uint64_t seq,
 
 bool DecodeBinPayload(const std::vector<std::uint8_t>& payload,
                       std::size_t nodes, std::uint64_t* seq, double* bin) {
-  Cursor c(payload);
+  ByteCursor c(payload);
   *seq = c.getU64();
   if (!c.getDoubles(bin, nodes * nodes)) return false;
   return c.atEnd();
@@ -292,7 +237,7 @@ std::vector<std::uint8_t> EncodeEstimatePayload(std::uint64_t seq,
 bool DecodeEstimatePayload(const std::vector<std::uint8_t>& payload,
                            std::size_t nodes, std::uint64_t* seq,
                            double* estimate, double* prior) {
-  Cursor c(payload);
+  ByteCursor c(payload);
   *seq = c.getU64();
   if (!c.getDoubles(estimate, nodes * nodes)) return false;
   if (!c.getDoubles(prior, nodes * nodes)) return false;
@@ -307,7 +252,7 @@ std::vector<std::uint8_t> EncodeCountPayload(std::uint64_t count) {
 
 bool DecodeCountPayload(const std::vector<std::uint8_t>& payload,
                         std::uint64_t* count) {
-  Cursor c(payload);
+  ByteCursor c(payload);
   *count = c.getU64();
   return c.atEnd();
 }
@@ -324,7 +269,7 @@ std::vector<std::uint8_t> StatsReply::encode() const {
 }
 
 bool StatsReply::decode(const std::vector<std::uint8_t>& payload) {
-  Cursor c(payload);
+  ByteCursor c(payload);
   const std::uint32_t count = c.getU32();
   // The reply travels pre-handshake, so it must fit the handshake
   // frame cap; reject counts that could not possibly (12 bytes is the

@@ -30,6 +30,10 @@
 
 #include "core/estimation.hpp"
 
+namespace ictm::obs {
+class Counter;
+}  // namespace ictm::obs
+
 namespace ictm::server {
 
 /// Protocol version spoken by this build (HELLO/WELCOME carry it; a
@@ -93,12 +97,7 @@ enum class DecodeStatus {
   kOversize,     ///< length prefix exceeds maxFrameBytes
 };
 
-/// Appends one encoded frame (length prefix, type, payload, CRC) to
-/// `out`.
-void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
-                 const std::uint8_t* payload, std::size_t payloadLen);
-
-/// Encodes one frame as a fresh byte vector.
+/// Encodes one frame: length prefix, type, payload, CRC.
 std::vector<std::uint8_t> EncodeFrame(FrameType type,
                                       const std::uint8_t* payload,
                                       std::size_t payloadLen);
@@ -116,6 +115,28 @@ DecodeStatus DecodeFrame(const std::uint8_t* data, std::size_t len,
 /// largest legal frame (kEstimate: seq + 2 n² doubles) with headroom
 /// for the control frames.
 std::size_t MaxFrameBytesForNodes(std::size_t nodes) noexcept;
+
+class Socket;
+
+/// Buffered frame reader over a socket, shared by the client and the
+/// server session.
+class FrameReader {
+ public:
+  /// `bytesReceived` (may be null) counts every byte read from
+  /// `socket`, which must outlive the reader.
+  explicit FrameReader(Socket* socket, obs::Counter* bytesReceived = nullptr);
+
+  /// Reads the next frame, receiving until one is whole.  Returns kOk
+  /// with `*frame` filled, kCrcMismatch or kOversize on damage, and
+  /// kNeedMore when the peer closed (or the read failed) first.
+  DecodeStatus next(std::size_t maxFrameBytes, Frame* frame);
+
+ private:
+  Socket* socket_;
+  obs::Counter* bytesReceived_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t parsed_ = 0;  ///< bytes of buffer_ already decoded
+};
 
 // ---- payload schemas -------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <exception>
 #include <memory>
@@ -64,10 +65,21 @@ void FrameQueue::close(bool discardPending) {
 
 namespace {
 
+/// Cap on a session's estimator input queue (HELLO requests are
+/// clamped to it, never trusted).
+constexpr std::size_t kMaxQueueCapacity = 256;
+
 /// Encodes one whole frame ready for the wire.
 std::vector<std::uint8_t> MakeFrame(FrameType type,
                                     const std::vector<std::uint8_t>& payload) {
   return EncodeFrame(type, payload.data(), payload.size());
+}
+
+/// True when a checkpoint's config echo matches a resume HELLO.
+bool EchoMatches(const SessionCheckpoint& cp, const HelloRequest& hello) {
+  return cp.topologySpec == hello.topologySpec &&
+         cp.topologySeed == hello.topologySeed && cp.f == hello.f &&
+         cp.window == hello.window && cp.solver == hello.solver;
 }
 
 std::vector<std::uint8_t> MakeErrorFrame(ErrorCode code,
@@ -152,87 +164,86 @@ struct Session::Impl {
     socket.shutdownBoth();
   }
 
-  // ---- handshake -----------------------------------------------------------
-
-  /// Answers a handshake failure and reports "session over".
-  bool refuse(ErrorCode code, const std::string& message) {
-    sendDirect(FrameType::kError, [&] {
-      ErrorInfo info;
-      info.code = code;
-      info.message = message;
-      return info.encode();
-    }());
+  /// Answers a failure with a typed ERROR frame and reports "session
+  /// over": through the writer, then teardown, once the handshake
+  /// started it; straight onto the socket before.
+  bool fail(ErrorCode code, const std::string& message) {
+    auto error = MakeErrorFrame(code, message);
+    if (handshaken) {
+      teardown(std::move(error), /*discardPending=*/false);
+    } else {
+      socket.sendAll(error.data(), error.size());
+    }
     return false;
   }
 
+  // ---- handshake -----------------------------------------------------------
+
   bool handleHello(const Frame& frame) {
     if (handshaken) {
-      // Replay after a successful handshake: typed error, teardown.
-      teardown(MakeErrorFrame(ErrorCode::kHandshakeReplay,
-                              "session already established"),
-               /*discardPending=*/false);
-      return false;
+      return fail(ErrorCode::kHandshakeReplay, "session already established");
     }
     if (!hello.decode(frame.payload)) {
-      return refuse(ErrorCode::kProtocol, "malformed HELLO payload");
+      return fail(ErrorCode::kProtocol, "malformed HELLO payload");
     }
     if (hello.version != kProtocolVersion) {
-      return refuse(ErrorCode::kVersion,
-                    "unsupported protocol version " +
-                        std::to_string(hello.version));
+      return fail(ErrorCode::kVersion,
+                  "unsupported protocol version " +
+                      std::to_string(hello.version));
     }
     if (stopping != nullptr && stopping->load(std::memory_order_acquire)) {
-      return refuse(ErrorCode::kShuttingDown, "server is shutting down");
+      return fail(ErrorCode::kShuttingDown, "server is shutting down");
     }
     if (hello.topologySpec.empty()) {
-      return refuse(ErrorCode::kBadHandshake, "empty topology spec");
+      return fail(ErrorCode::kBadHandshake, "empty topology spec");
     }
     if (!std::isfinite(hello.f) || hello.f <= 0.0 || hello.f >= 1.0) {
-      return refuse(ErrorCode::kBadHandshake,
-                    "forward fraction f must lie in (0, 1)");
+      return fail(ErrorCode::kBadHandshake,
+                  "forward fraction f must lie in (0, 1)");
     }
     if (hello.queueCapacity == 0) {
-      return refuse(ErrorCode::kBadHandshake,
-                    "queue capacity must be positive");
+      return fail(ErrorCode::kBadHandshake,
+                  "queue capacity must be positive");
     }
     if (hello.threads == 0) {
-      return refuse(ErrorCode::kBadHandshake,
-                    "thread count must be positive");
+      return fail(ErrorCode::kBadHandshake,
+                  "thread count must be positive");
     }
     if (hello.resume && hello.sessionKey.empty()) {
-      return refuse(ErrorCode::kBadHandshake,
-                    "resume requires a session key");
+      return fail(ErrorCode::kBadHandshake,
+                  "resume requires a session key");
     }
     if (hello.resume && store == nullptr) {
-      return refuse(ErrorCode::kUnknownSession,
-                    "server has checkpointing disabled");
+      return fail(ErrorCode::kUnknownSession,
+                  "server has checkpointing disabled");
     }
 
     try {
       topo = cache->acquire(hello.topologySpec, hello.topologySeed);
     } catch (const std::exception& e) {
-      return refuse(ErrorCode::kBadHandshake, e.what());
+      return fail(ErrorCode::kBadHandshake, e.what());
     }
 
     std::optional<SessionCheckpoint> resumePoint;
     if (hello.resume) {
+      // The newest checkpoint is checked too, whatever its seq: when
+      // the server ran far past the client, none may lie at or below
+      // clientFrames, and a resume from bin 0 must not silently switch
+      // configuration.
+      const auto newest = store->load(hello.sessionKey, UINT64_MAX);
       resumePoint = store->load(hello.sessionKey, hello.clientFrames);
-      if (resumePoint.has_value()) {
-        const SessionCheckpoint& cp = *resumePoint;
-        if (cp.topologySpec != hello.topologySpec ||
-            cp.topologySeed != hello.topologySeed || cp.f != hello.f ||
-            cp.window != hello.window || cp.solver != hello.solver) {
-          return refuse(ErrorCode::kSessionMismatch,
-                        "resume HELLO disagrees with the checkpointed "
-                        "topology/options");
-        }
+      if ((newest.has_value() && !EchoMatches(*newest, hello)) ||
+          (resumePoint.has_value() && !EchoMatches(*resumePoint, hello))) {
+        return fail(ErrorCode::kSessionMismatch,
+                    "resume HELLO disagrees with the checkpointed "
+                    "topology/options");
       }
     }
 
     stream::StreamingOptions options;
     options.threads = std::min<std::size_t>(hello.threads, limits.maxThreads);
     options.queueCapacity =
-        std::min<std::size_t>(hello.queueCapacity, limits.maxQueueCapacity);
+        std::min<std::size_t>(hello.queueCapacity, kMaxQueueCapacity);
     options.window = static_cast<std::size_t>(hello.window);
     options.f = hello.f;
     options.estimation.solver = hello.solver;
@@ -279,13 +290,11 @@ struct Session::Impl {
   /// protocol violation like any other out-of-place type.
   bool handleStats(const Frame& frame) {
     if (handshaken) {
-      teardown(MakeErrorFrame(ErrorCode::kProtocol,
-                              "STATS is only valid before the handshake"),
-               /*discardPending=*/false);
-      return false;
+      return fail(ErrorCode::kProtocol,
+                  "STATS is only valid before the handshake");
     }
     if (!frame.payload.empty()) {
-      return refuse(ErrorCode::kProtocol, "STATS payload must be empty");
+      return fail(ErrorCode::kProtocol, "STATS payload must be empty");
     }
     StatsReply reply;
     reply.entries = obs::Registry::Instance().snapshot().flatten();
@@ -303,16 +312,12 @@ struct Session::Impl {
     std::uint64_t seq = 0;
     std::vector<double> bin(topo->nodes * topo->nodes);
     if (!DecodeBinPayload(frame.payload, topo->nodes, &seq, bin.data())) {
-      teardown(MakeErrorFrame(ErrorCode::kProtocol, "malformed BIN payload"),
-               /*discardPending=*/false);
-      return false;
+      return fail(ErrorCode::kProtocol, "malformed BIN payload");
     }
     if (seq != expectedSeq) {
-      teardown(MakeErrorFrame(ErrorCode::kBadSequence,
-                              "expected bin " + std::to_string(expectedSeq) +
-                                  ", got " + std::to_string(seq)),
-               /*discardPending=*/false);
-      return false;
+      return fail(ErrorCode::kBadSequence,
+                  "expected bin " + std::to_string(expectedSeq) + ", got " +
+                      std::to_string(seq));
     }
     try {
       estimator->push(
@@ -335,9 +340,7 @@ struct Session::Impl {
         store->save(cp);
       }
     } catch (const std::exception& e) {
-      teardown(MakeErrorFrame(ErrorCode::kInternal, e.what()),
-               /*discardPending=*/false);
-      return false;
+      return fail(ErrorCode::kInternal, e.what());
     }
     return true;
   }
@@ -345,31 +348,28 @@ struct Session::Impl {
   bool handleFin(const Frame& frame) {
     std::uint64_t count = 0;
     if (!DecodeCountPayload(frame.payload, &count)) {
-      teardown(MakeErrorFrame(ErrorCode::kProtocol, "malformed FIN payload"),
-               /*discardPending=*/false);
-      return false;
+      return fail(ErrorCode::kProtocol, "malformed FIN payload");
     }
     if (count != expectedSeq) {
-      teardown(MakeErrorFrame(ErrorCode::kBadSequence,
-                              "FIN count " + std::to_string(count) +
-                                  " does not match " +
-                                  std::to_string(expectedSeq) + " bins"),
-               /*discardPending=*/false);
-      return false;
+      return fail(ErrorCode::kBadSequence,
+                  "FIN count " + std::to_string(count) + " does not match " +
+                      std::to_string(expectedSeq) + " bins");
     }
     try {
       estimator->finish();
     } catch (const std::exception& e) {
-      teardown(MakeErrorFrame(ErrorCode::kInternal, e.what()),
-               /*discardPending=*/false);
-      return false;
-    }
-    if (store != nullptr && !hello.sessionKey.empty()) {
-      store->drop(hello.sessionKey);
+      return fail(ErrorCode::kInternal, e.what());
     }
     outQueue->pushUnbounded(
         MakeFrame(FrameType::kFinAck, EncodeCountPayload(count)));
     teardown({}, /*discardPending=*/false);
+    // Only a written FIN_ACK retires the checkpoints: a session that
+    // completes from buffered bytes after its client vanished keeps
+    // them for the client's resume.
+    if (store != nullptr && !hello.sessionKey.empty() &&
+        !writeFailed.load(std::memory_order_relaxed)) {
+      store->drop(hello.sessionKey);
+    }
     return false;  // session complete
   }
 
@@ -380,12 +380,12 @@ struct Session::Impl {
         return handleHello(frame);
       case FrameType::kBin:
         if (!handshaken) {
-          return refuse(ErrorCode::kProtocol, "BIN before HELLO");
+          return fail(ErrorCode::kProtocol, "BIN before HELLO");
         }
         return handleBin(frame);
       case FrameType::kFin:
         if (!handshaken) {
-          return refuse(ErrorCode::kProtocol, "FIN before HELLO");
+          return fail(ErrorCode::kProtocol, "FIN before HELLO");
         }
         return handleFin(frame);
       case FrameType::kStats:
@@ -399,72 +399,33 @@ struct Session::Impl {
       case FrameType::kFinAck:
         break;  // server-to-client types are invalid inbound
     }
-    const auto error = MakeErrorFrame(
-        ErrorCode::kUnknownType,
-        "unexpected frame type " +
-            std::to_string(static_cast<unsigned>(frame.type)));
-    if (handshaken) {
-      teardown(error, /*discardPending=*/false);
-    } else {
-      socket.sendAll(error.data(), error.size());
-    }
-    return false;
+    return fail(ErrorCode::kUnknownType,
+                "unexpected frame type " +
+                    std::to_string(static_cast<unsigned>(frame.type)));
   }
 
   void runLoop() {
-    std::vector<std::uint8_t> rx;
-    std::size_t parsed = 0;
-    std::uint8_t chunk[16384];
+    static obs::Counter& bytesReceived = obs::GetCounter(
+        "server.bytes_received", obs::MetricClass::kDeterministic);
+    FrameReader reader(&socket, &bytesReceived);
     for (;;) {
-      // Drain every complete frame already buffered.
-      for (;;) {
-        const std::size_t cap = handshaken
-                                    ? MaxFrameBytesForNodes(topo->nodes)
-                                    : kMaxHandshakeFrameBytes;
-        Frame frame;
-        std::size_t consumed = 0;
-        const DecodeStatus status =
-            DecodeFrame(rx.data() + parsed, rx.size() - parsed, cap, &frame,
-                        &consumed);
-        if (status == DecodeStatus::kNeedMore) break;
-        if (status == DecodeStatus::kOversize) {
-          const auto error =
-              MakeErrorFrame(ErrorCode::kOversize, "frame length exceeds bound");
-          if (handshaken) {
-            teardown(error, /*discardPending=*/false);
-          } else {
-            socket.sendAll(error.data(), error.size());
-          }
-          return;
-        }
-        if (status == DecodeStatus::kCrcMismatch) {
-          const auto error =
-              MakeErrorFrame(ErrorCode::kCrc, "frame CRC mismatch");
-          if (handshaken) {
-            teardown(error, /*discardPending=*/false);
-          } else {
-            socket.sendAll(error.data(), error.size());
-          }
-          return;
-        }
-        parsed += consumed;
+      const std::size_t cap = handshaken ? MaxFrameBytesForNodes(topo->nodes)
+                                         : kMaxHandshakeFrameBytes;
+      Frame frame;
+      const DecodeStatus status = reader.next(cap, &frame);
+      if (status == DecodeStatus::kOk) {
         if (!handleFrame(frame)) return;
+        continue;
       }
-      if (parsed > 0) {
-        rx.erase(rx.begin(),
-                 rx.begin() + static_cast<std::ptrdiff_t>(parsed));
-        parsed = 0;
-      }
-      const long n = socket.recvSome(chunk, sizeof(chunk));
-      if (n <= 0) {
+      if (status == DecodeStatus::kNeedMore) {
         // Peer vanished (or abort() shut the socket): nothing to say.
         teardown({}, /*discardPending=*/true);
-        return;
+      } else if (status == DecodeStatus::kOversize) {
+        fail(ErrorCode::kOversize, "frame length exceeds bound");
+      } else {
+        fail(ErrorCode::kCrc, "frame CRC mismatch");
       }
-      static obs::Counter& bytesReceived = obs::GetCounter(
-          "server.bytes_received", obs::MetricClass::kDeterministic);
-      bytesReceived.add(static_cast<std::uint64_t>(n));
-      rx.insert(rx.end(), chunk, chunk + n);
+      return;
     }
   }
 };

@@ -73,7 +73,6 @@ class FrameQueue {
 /// these affect estimate bytes — the determinism contract.
 struct SessionLimits {
   std::size_t maxThreads = 4;         ///< cap on estimator workers
-  std::size_t maxQueueCapacity = 256;  ///< cap on estimator input queue
   std::size_t outputQueueCapacity = 16;  ///< writer-side frame queue bound
   std::size_t checkpointEvery = 16;   ///< checkpoint period in bins
   int socketBufferBytes = 0;          ///< >0 shrinks SO_SNDBUF/SO_RCVBUF

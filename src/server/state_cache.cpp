@@ -76,14 +76,17 @@ std::shared_ptr<const TopologyState> TopologyStateCache::acquire(
     it->second.state = std::move(state);
     ++stats_.misses;
     CacheMisses().add();
-    evictIdleLocked();
   } else {
     ++stats_.hits;
     CacheHits().add();
   }
   it->second.lastUse = ++clock_;
+  // The caller's reference pins the new entry, so eviction picks an
+  // idle one and never the entry (and iterator) being returned.
+  std::shared_ptr<const TopologyState> acquired = it->second.state;
+  evictIdleLocked();
   CacheEntries().set(static_cast<std::int64_t>(entries_.size()));
-  return it->second.state;
+  return acquired;
 }
 
 TopologyStateCache::Stats TopologyStateCache::stats() const {

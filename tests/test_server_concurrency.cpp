@@ -151,6 +151,22 @@ TEST(ServerConcurrency, MixedSessionsBitIdenticalToStreamBaseline) {
   server.stop();
 }
 
+TEST(ServerConcurrency, CacheMissPastCapacityEvictsAnIdleEntry) {
+  // The entry a miss inserts is idle in the cache until it is
+  // returned; eviction must pick the older idle entry, not it.
+  TopologyStateCache cache(/*capacity=*/1);
+  EXPECT_EQ(cache.acquire("ring:6:2", 0)->nodes, 6u);
+  const auto second = cache.acquire("ring:8:2", 0);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->nodes, 8u);
+  EXPECT_EQ(cache.acquire("ring:8:2", 0), second);  // resident: a hit
+  const TopologyStateCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+}
+
 TEST(ServerConcurrency, SlowReaderStallsOnlyItsOwnSession) {
   // Small socket buffers and a tiny output queue so a non-reading
   // client exhausts every elastic stage of its own pipeline while the

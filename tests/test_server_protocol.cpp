@@ -203,6 +203,58 @@ TEST(FrameCodec, StatsReplyRoundTripsAndRejectsDamage) {
   EXPECT_FALSE(back.decode(huge));
 }
 
+TEST(FrameCodec, PayloadBytesMatchGolden) {
+  // Expected bytes were captured from the encoder before the wire and
+  // checkpoint codecs were merged; any byte change breaks old peers.
+  HelloRequest hello;
+  hello.resume = true;
+  hello.topologySeed = 7;
+  hello.f = 0.3;
+  hello.window = 5;
+  hello.solver = core::SolverKind::kDense;
+  hello.threads = 2;
+  hello.queueCapacity = 8;
+  hello.clientFrames = 13;
+  hello.topologySpec = "abilene11";
+  hello.sessionKey = "job-1";
+  EXPECT_EQ(test::Hex(hello.encode()),
+            "0403020101000000010700000000000000333333333333d33f05000000000000"
+            "000102000000080000000d00000000000000090000006162696c656e65313105"
+            "0000006a6f622d31");
+
+  WelcomeReply welcome;
+  welcome.nodes = 11;
+  welcome.resumeFrom = 8;
+  EXPECT_EQ(test::Hex(welcome.encode()),
+            "04030201010000000b000000000000000800000000000000");
+
+  ErrorInfo error;
+  error.code = ErrorCode::kSessionMismatch;
+  error.message = "mismatch";
+  EXPECT_EQ(test::Hex(error.encode()), "0900080000006d69736d61746368");
+
+  StatsReply stats;
+  stats.entries = {{"a.b", 3}, {"server.bins", 42}};
+  EXPECT_EQ(test::Hex(stats.encode()),
+            "0200000003000000612e6203000000000000000b0000007365727665722e6269"
+            "6e732a00000000000000");
+
+  const double bin[4] = {1.5, 0.0, 2.25, 1e6};
+  const double prior[4] = {1.0, 0.5, 2.0, 999999.0};
+  EXPECT_EQ(test::Hex(EncodeBinPayload(5, bin, 2)),
+            "0500000000000000000000000000f83f00000000000000000000000000000240"
+            "0000000080842e41");
+  EXPECT_EQ(test::Hex(EncodeEstimatePayload(5, bin, prior, 2)),
+            "0500000000000000000000000000f83f00000000000000000000000000000240"
+            "0000000080842e41000000000000f03f000000000000e03f0000000000000040"
+            "000000007e842e41");
+
+  const auto fin = EncodeCountPayload(48);
+  EXPECT_EQ(test::Hex(fin), "3000000000000000");
+  EXPECT_EQ(test::Hex(EncodeFrame(FrameType::kFin, fin.data(), fin.size())),
+            "090000000530000000000000009c025329");
+}
+
 TEST(FrameCodec, ErrorCodeNamesAreStable) {
   EXPECT_STREQ(ErrorCodeName(ErrorCode::kCrc), "crc");
   EXPECT_STREQ(ErrorCodeName(ErrorCode::kOversize), "oversize");

@@ -7,11 +7,14 @@
 // checkpoint/resume contract the whole scheme rests on.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "server/socket.hpp"
 #include "stats/rng.hpp"
 #include "stream/online.hpp"
 #include "test_util.hpp"
@@ -192,10 +196,11 @@ TEST(ServerResume, KillAtRandomizedCheckpointsThenResumeBitIdentical) {
           << "estimate frame " << t << " differs across the crash";
     }
 
-    // Clean completion dropped the session's checkpoints.
+    // Clean completion dropped the session's checkpoints once its
+    // FIN_ACK was written; stop() joins the session that does it.
+    server->stop();
     CheckpointStore store(checkpointDir);
     EXPECT_FALSE(store.load(sessionKey, kBins).has_value());
-    server->stop();
   }
 }
 
@@ -224,6 +229,148 @@ TEST(ServerResume, ResumeWithChangedOptionsIsRefused) {
   ASSERT_TRUE(second.serverError.has_value());
   EXPECT_EQ(second.serverError->code, ErrorCode::kSessionMismatch);
   server->stop();
+}
+
+TEST(ServerResume, MismatchAgainstNewerCheckpointsIsRefused) {
+  // The server ran past the client: every retained checkpoint lies
+  // above the client's frame count.  A resume with changed options
+  // must still be refused, not silently restarted at bin 0.
+  const std::string checkpointDir = test::TempPath("resume_newer_ckpt");
+  const std::string sessionKey = "newer-job";
+  SessionCheckpoint checkpoint;
+  checkpoint.sessionKey = sessionKey;
+  checkpoint.topologySpec = kSpec;
+  checkpoint.f = kF;
+  checkpoint.window = kWindow;
+  checkpoint.state.preference = linalg::Vector(11, 1.0);
+  checkpoint.state.windowIngress = linalg::Vector(11, 0.0);
+  checkpoint.state.windowEgress = linalg::Vector(11, 0.0);
+  CheckpointStore store(checkpointDir);
+  for (const std::uint64_t seq : {20u, 24u}) {
+    checkpoint.state.seq = seq;
+    store.save(checkpoint);
+  }
+
+  const auto truth = test::RandomSeries(11, kBins, 304);
+  const auto source = [&truth](std::uint64_t seq) {
+    return truth.binData(static_cast<std::size_t>(seq));
+  };
+  auto server = StartServer("newer.sock", checkpointDir, 4);
+  ASSERT_NE(server, nullptr);
+  HelloRequest hello = HelloFor(sessionKey);
+  hello.resume = true;
+  hello.clientFrames = 10;
+  hello.window = kWindow + 1;
+  const ClientResult refused =
+      Client::Run({server->endpoint(), hello, 0}, kBins, source);
+  EXPECT_FALSE(refused.finished);
+  ASSERT_TRUE(refused.serverError.has_value());
+  EXPECT_EQ(refused.serverError->code, ErrorCode::kSessionMismatch);
+
+  // With matching options the resume restarts from bin 0, the newest
+  // checkpoint at or below the client's frames being none.
+  hello.window = kWindow;
+  const ClientResult restarted =
+      Client::Run({server->endpoint(), hello, 0}, kBins, source);
+  EXPECT_TRUE(restarted.finished) << restarted.transportError;
+  EXPECT_EQ(restarted.resumeFrom, 0u);
+  server->stop();
+}
+
+TEST(ServerResume, SessionCompletedAfterItsClientLeftKeepsCheckpoints) {
+  // The client sends every BIN and FIN, then closes without reading a
+  // frame.  The server completes the session from buffered bytes, but
+  // no FIN_ACK reaches the client, so its checkpoints must survive.
+  constexpr std::size_t kSentBins = 16;
+  const std::string checkpointDir = test::TempPath("resume_vanished_ckpt");
+  const std::string sessionKey = "vanished-job";
+  auto server = StartServer("vanished.sock", checkpointDir, 4);
+  ASSERT_NE(server, nullptr);
+
+  const auto truth = test::RandomSeries(11, kSentBins, 305);
+  HelloRequest hello = HelloFor(sessionKey);
+  hello.queueCapacity = 64;  // the server reads every bin unblocked
+  std::string error;
+  Socket socket = Socket::Connect(server->endpoint(), &error);
+  ASSERT_TRUE(socket.valid()) << error;
+  socket.setBufferSizes(4096);
+  const auto send = [&socket](FrameType type,
+                              const std::vector<std::uint8_t>& payload) {
+    const auto frame = EncodeFrame(type, payload.data(), payload.size());
+    return socket.sendAll(frame.data(), frame.size());
+  };
+  ASSERT_TRUE(send(FrameType::kHello, hello.encode()));
+  for (std::size_t t = 0; t < kSentBins; ++t) {
+    ASSERT_TRUE(send(FrameType::kBin,
+                     EncodeBinPayload(t, truth.binData(t), 11)));
+  }
+  ASSERT_TRUE(send(FrameType::kFin, EncodeCountPayload(kSentBins)));
+  socket.close();
+
+  // Wait until the last bin's checkpoint is durable, then stop.
+  CheckpointStore store(checkpointDir);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const auto newest = store.load(sessionKey, kSentBins);
+    if (newest.has_value() && newest->state.seq == kSentBins) break;
+    if (std::chrono::steady_clock::now() > deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server->stop();
+  const auto kept = store.load(sessionKey, kSentBins);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->state.seq, kSentBins);
+}
+
+TEST(ServerResume, ThrowingBinSourceEndsTheSessionUnfinished) {
+  // A damaged input surfaces as an exception from the bin source on
+  // the sending thread; Run() must return, not terminate.
+  const auto truth = test::RandomSeries(11, kBins, 306);
+  const auto source = [&truth](std::uint64_t seq) -> const double* {
+    if (seq == 5) throw std::runtime_error("damaged bin 5");
+    return truth.binData(static_cast<std::size_t>(seq));
+  };
+  auto server = StartServer("throwing.sock", "", 4);
+  ASSERT_NE(server, nullptr);
+  const ClientResult result =
+      Client::Run({server->endpoint(), HelloFor(""), 0}, kBins, source);
+  EXPECT_FALSE(result.finished);
+  EXPECT_NE(result.transportError.find("damaged bin 5"), std::string::npos)
+      << result.transportError;
+  EXPECT_LE(result.estimatePayloads.size(), 5u);
+  server->stop();
+}
+
+TEST(CheckpointStoreFormat, FileBytesMatchGolden) {
+  // Expected bytes were captured from the writer before the wire and
+  // checkpoint codecs were merged; any byte change strands old files.
+  const std::string dir = test::TempPath("ckpt_golden");
+  SessionCheckpoint checkpoint;
+  checkpoint.sessionKey = "job-1";
+  checkpoint.topologySpec = "abilene11";
+  checkpoint.topologySeed = 7;
+  checkpoint.f = 0.3;
+  checkpoint.window = 5;
+  checkpoint.solver = core::SolverKind::kDense;
+  checkpoint.state.seq = 12;
+  checkpoint.state.preference = linalg::Vector{0.25, 0.75};
+  checkpoint.state.windowIngress = linalg::Vector{1.0, 2.0};
+  checkpoint.state.windowEgress = linalg::Vector{3.0, 4.0};
+  checkpoint.state.windowFill = 2;
+  CheckpointStore(dir).save(checkpoint);
+
+  std::ifstream in(dir + "/6a6f622d31-12.icks", std::ios::binary);
+  ASSERT_TRUE(in.is_open());
+  const std::vector<std::uint8_t> bytes(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(test::Hex(bytes),
+            "49434b53310d0a00960000000000000005000000000000006a6f622d31090000"
+            "00000000006162696c656e6531310700000000000000333333333333d33f0500"
+            "00000000000001000000000000000c0000000000000002000000000000000000"
+            "00000000d03f000000000000e83f0200000000000000000000000000f03f0000"
+            "0000000000400200000000000000000000000000084000000000000010400200"
+            "0000000000004eff5de3");
 }
 
 TEST(CheckpointStoreFormat, RoundTripRetentionCorruptionAndDrop) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "stats/rng.hpp"
@@ -19,6 +21,17 @@ namespace ictm::test {
 inline std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/ictm-" + std::to_string(::getpid()) + "-" +
          name;
+}
+
+/// Lower-case hex of a byte buffer, for golden-bytes comparisons.
+inline std::string Hex(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0x0f]);
+  }
+  return out;
 }
 
 /// Deterministic random TM series (entries uniform in [0, 1e9),

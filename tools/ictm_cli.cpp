@@ -698,40 +698,136 @@ int CmdEstimate(int argc, char** argv) {
   return 0;
 }
 
+// The flags `ictm stream` and `ictm client` share: the topology, the
+// estimation options and the --out traces.  stream runs `options` as
+// they are; client maps them to the HELLO it sends.
+struct StreamFlags {
+  std::string topology = "auto";
+  std::uint64_t seed = 0;
+  stream::StreamingOptions options;
+  stream::ChunkCodec codec = stream::ChunkCodec::kRaw;
+  std::string outDir;
+
+  StreamFlags() { options.threads = 0; }  // saturate by default
+
+  /// Consumes one of the shared flags; false if `arg` is not ours.
+  bool parseFlag(const std::string& arg, int argc, char** argv, int* i) {
+    if (*i + 1 >= argc) return false;
+    const char* value = argv[*i + 1];
+    if (arg == "--topology") {
+      topology = value;
+    } else if (arg == "--seed") {
+      seed = static_cast<std::uint64_t>(
+          ParseSize(value, "seed", 0, std::numeric_limits<long>::max()));
+    } else if (arg == "--threads") {
+      options.threads = ParseThreads(value);
+    } else if (arg == "--window") {
+      options.window = ParseSize(value, "window", 0, 1 << 20);
+    } else if (arg == "--queue") {
+      options.queueCapacity = ParseSize(value, "queue", 1, 1 << 20);
+    } else if (arg == "--f") {
+      options.f = ParseDouble(value, "f");
+    } else if (arg == "--solver") {
+      options.estimation.solver = ParseSolver(value);
+    } else if (arg == "--codec") {
+      codec = ParseCodec(value);
+    } else if (arg == "--out") {
+      outDir = value;
+    } else {
+      return false;
+    }
+    ++*i;
+    return true;
+  }
+};
+
+// The trace input of stream and client: ictmb or TM CSV, sniffed by
+// magic rather than extension, read one bin at a time in ascending
+// order, so memory never grows with the trace length.
+class TraceInput {
+ public:
+  explicit TraceInput(const std::string& path) {
+    if (stream::IsTraceFile(path)) {
+      // No prefetch: it would keep a second decoded chunk resident,
+      // and decoding is a small share of a bin's estimation time.
+      trace_.emplace(path);
+      header = {trace_->info().nodes, trace_->info().bins,
+                trace_->info().binSeconds};
+    } else {
+      csv_.open(path);
+      ICTM_REQUIRE(csv_.is_open(), "cannot open file for reading: " + path);
+      header = traffic::ReadCsvHeader(csv_);
+    }
+  }
+
+  /// Reads bin `t` (n² doubles) into `bin`.  Skipped bins cost an O(1)
+  /// seek for ictmb and a parse-and-discard for CSV.
+  void read(std::size_t t, double* bin) {
+    if (trace_) {
+      trace_->seek(t);
+      ICTM_REQUIRE(trace_->next(bin),
+                   "trace ended before the indexed bin count");
+      return;
+    }
+    ICTM_REQUIRE(t >= csvNext_, "CSV bins requested out of order");
+    for (; csvNext_ <= t; ++csvNext_) {
+      traffic::ReadCsvBin(csv_, header, csvNext_, bin);
+    }
+  }
+
+  traffic::CsvHeader header;  ///< nodes, bins and bin length
+
+ private:
+  std::optional<stream::TraceReader> trace_;
+  std::ifstream csv_;
+  std::size_t csvNext_ = 0;
+};
+
+// DIR/estimates.ictmb and DIR/priors.ictmb for --out DIR; none
+// without it.
+struct OutputTraces {
+  std::optional<stream::TraceWriter> estimates, priors;
+
+  OutputTraces(const StreamFlags& flags, std::size_t nodes,
+               double binSeconds) {
+    if (flags.outDir.empty()) return;
+    std::filesystem::create_directories(flags.outDir);
+    stream::TraceWriterOptions options;
+    options.codec = flags.codec;
+    // File bytes are identical for any pool size, so one background
+    // compressor is pure overlap when a real codec is selected.
+    options.compressThreads = flags.codec == stream::ChunkCodec::kRaw ? 0 : 1;
+    estimates.emplace(flags.outDir + "/estimates.ictmb", nodes, binSeconds,
+                      options);
+    priors.emplace(flags.outDir + "/priors.ictmb", nodes, binSeconds,
+                   options);
+  }
+
+  void append(const double* estimate, const double* prior) {
+    if (!estimates) return;
+    estimates->append(estimate);
+    priors->append(prior);
+  }
+
+  /// Finishes both files (valid ictmb however many bins they hold);
+  /// false when there are none.
+  bool close() {
+    if (!estimates) return false;
+    estimates->close();
+    priors->close();
+    return true;
+  }
+};
+
 int CmdStream(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string inPath = argv[2];
-  std::string topoName = "auto";
-  std::string outDir;
-  std::uint64_t topoSeed = 0;
-  stream::StreamingOptions options;
-  options.threads = 0;  // saturate by default
-  stream::ChunkCodec codec = stream::ChunkCodec::kRaw;
+  StreamFlags flags;
   ObsOutputs obsOut;
-
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--topology" && i + 1 < argc) {
-      topoName = argv[++i];
-    } else if (obsOut.parseFlag(arg, argc, argv, &i)) {
-    } else if (arg == "--seed" && i + 1 < argc) {
-      topoSeed = static_cast<std::uint64_t>(ParseSize(
-          argv[++i], "seed", 0, std::numeric_limits<long>::max()));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = ParseThreads(argv[++i]);
-    } else if (arg == "--window" && i + 1 < argc) {
-      options.window = ParseSize(argv[++i], "window", 0, 1 << 20);
-    } else if (arg == "--queue" && i + 1 < argc) {
-      options.queueCapacity = ParseSize(argv[++i], "queue", 1, 1 << 20);
-    } else if (arg == "--f" && i + 1 < argc) {
-      options.f = ParseDouble(argv[++i], "f");
-    } else if (arg == "--solver" && i + 1 < argc) {
-      options.estimation.solver = ParseSolver(argv[++i]);
-    } else if (arg == "--codec" && i + 1 < argc) {
-      codec = ParseCodec(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      outDir = argv[++i];
-    } else {
+    if (!flags.parseFlag(arg, argc, argv, &i) &&
+        !obsOut.parseFlag(arg, argc, argv, &i)) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return Usage();
     }
@@ -739,51 +835,26 @@ int CmdStream(int argc, char** argv) {
 
   obsOut.begin();
 
-  // Sniff the input format; either way bins stream one at a time —
-  // peak memory is O(n² · (queue + workers)), never O(n² · T).
-  std::optional<stream::TraceReader> trace;
-  std::ifstream csv;
-  traffic::CsvHeader csvHeader;
-  if (stream::IsTraceFile(inPath)) {
-    // One-chunk-ahead prefetch overlaps decompression with estimation.
-    trace.emplace(inPath, stream::TraceReaderOptions{true});
-    csvHeader = {trace->info().nodes, trace->info().bins,
-                 trace->info().binSeconds};
-  } else {
-    csv.open(inPath);
-    ICTM_REQUIRE(csv.is_open(), "cannot open file for reading: " + inPath);
-    csvHeader = traffic::ReadCsvHeader(csv);
-  }
-  const std::size_t nodes = csvHeader.nodes;
-  const std::size_t bins = csvHeader.bins;
+  // Peak memory is O(n² · (queue + workers)), never O(n² · T).
+  TraceInput input(inPath);
+  const std::size_t nodes = input.header.nodes;
+  const std::size_t bins = input.header.bins;
   ICTM_REQUIRE(bins > 0, "trace holds no bins: " + inPath);
 
-  const topology::Graph g =
-      topology::MakeTopology(TopologySpec(topoName, nodes), topoSeed);
+  const topology::Graph g = topology::MakeTopology(
+      TopologySpec(flags.topology, nodes), flags.seed);
   ICTM_REQUIRE(g.nodeCount() == nodes,
                "topology node count does not match the trace");
   const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
 
+  const stream::StreamingOptions& options = flags.options;
   const std::size_t workers = ictm::ResolveThreadCount(options.threads);
   std::printf("streaming %zu bins x %zu nodes; topology %s (%zu links), "
               "%zu worker(s), window %zu, queue %zu, solver dense\n",
-              bins, nodes, topoName.c_str(), g.linkCount(), workers,
+              bins, nodes, flags.topology.c_str(), g.linkCount(), workers,
               options.window, options.queueCapacity);
 
-  std::optional<stream::TraceWriter> estWriter, priorWriter;
-  if (!outDir.empty()) {
-    std::filesystem::create_directories(outDir);
-    stream::TraceWriterOptions writerOptions;
-    writerOptions.codec = codec;
-    // File bytes are identical for any pool size, so one background
-    // compressor is pure overlap when a real codec is selected.
-    writerOptions.compressThreads =
-        codec == stream::ChunkCodec::kRaw ? 0 : 1;
-    estWriter.emplace(outDir + "/estimates.ictmb", nodes,
-                      csvHeader.binSeconds, writerOptions);
-    priorWriter.emplace(outDir + "/priors.ictmb", nodes,
-                        csvHeader.binSeconds, writerOptions);
-  }
+  OutputTraces out(flags, nodes, input.header.binSeconds);
 
   // Truth bins in flight between push and emission, for per-bin
   // scoring; the bounded queue keeps this map small.
@@ -817,20 +888,12 @@ int CmdStream(int argc, char** argv) {
             sumErrPrior += std::sqrt(priorSq / truthSq);
             ++scoredBins;
           }
-          if (estWriter) {
-            estWriter->append(estimate);
-            priorWriter->append(prior);
-          }
+          out.append(estimate, prior);
         });
 
     std::vector<double> bin(nodes * nodes);
     for (std::size_t t = 0; t < bins; ++t) {
-      if (trace) {
-        ICTM_REQUIRE(trace->next(bin.data()),
-                     "trace ended before the indexed bin count");
-      } else {
-        traffic::ReadCsvBin(csv, csvHeader, t, bin.data());
-      }
+      input.read(t, bin.data());
       {
         std::lock_guard<std::mutex> lock(truthMutex);
         inflight.emplace(t, bin);
@@ -858,11 +921,9 @@ int CmdStream(int argc, char** argv) {
     std::printf("no bins carried traffic; RelL2 undefined\n");
   }
 
-  if (estWriter) {
-    estWriter->close();
-    priorWriter->close();
+  if (out.close()) {
     std::printf("wrote %s/estimates.ictmb and %s/priors.ictmb\n",
-                outDir.c_str(), outDir.c_str());
+                flags.outDir.c_str(), flags.outDir.c_str());
   }
   obsOut.finish();
   return 0;
@@ -1046,31 +1107,13 @@ int CmdClient(int argc, char** argv) {
   }
   const std::string inPath = argv[2];
   std::string connectSpec;
-  std::string topoName = "auto";
-  std::string outDir;
+  StreamFlags flags;
   server::ClientConfig config;
-  std::size_t threadsOpt = 0;
-  stream::ChunkCodec codec = stream::ChunkCodec::kRaw;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--connect" && i + 1 < argc) {
+    if (flags.parseFlag(arg, argc, argv, &i)) {
+    } else if (arg == "--connect" && i + 1 < argc) {
       connectSpec = argv[++i];
-    } else if (arg == "--topology" && i + 1 < argc) {
-      topoName = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      config.hello.topologySeed = static_cast<std::uint64_t>(ParseSize(
-          argv[++i], "seed", 0, std::numeric_limits<long>::max()));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threadsOpt = ParseThreads(argv[++i]);
-    } else if (arg == "--window" && i + 1 < argc) {
-      config.hello.window = ParseSize(argv[++i], "window", 0, 1 << 20);
-    } else if (arg == "--queue" && i + 1 < argc) {
-      config.hello.queueCapacity = static_cast<std::uint32_t>(
-          ParseSize(argv[++i], "queue", 1, 1 << 20));
-    } else if (arg == "--f" && i + 1 < argc) {
-      config.hello.f = ParseDouble(argv[++i], "f");
-    } else if (arg == "--solver" && i + 1 < argc) {
-      config.hello.solver = ParseSolver(argv[++i]);
     } else if (arg == "--session" && i + 1 < argc) {
       config.hello.sessionKey = argv[++i];
     } else if (arg == "--resume") {
@@ -1078,10 +1121,6 @@ int CmdClient(int argc, char** argv) {
     } else if (arg == "--have" && i + 1 < argc) {
       config.hello.clientFrames = static_cast<std::uint64_t>(ParseSize(
           argv[++i], "have", 0, std::numeric_limits<long>::max()));
-    } else if (arg == "--codec" && i + 1 < argc) {
-      codec = ParseCodec(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      outDir = argv[++i];
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return Usage();
@@ -1096,19 +1135,25 @@ int CmdClient(int argc, char** argv) {
     throw UsageError("--resume requires --session KEY");
   }
 
-  // The whole series is held in memory: resume re-sends bins from the
-  // server's checkpoint, which needs random access by sequence number.
-  const traffic::TrafficMatrixSeries truth =
-      stream::IsTraceFile(inPath) ? stream::ReadTraceFile(inPath)
-                                  : traffic::ReadCsvFile(inPath);
-  const std::size_t nodes = truth.nodeCount();
-  config.hello.topologySpec = TopologySpec(topoName, nodes);
+  // Bins stream from the input as the session asks for them, starting
+  // at the server's resume point.
+  TraceInput input(inPath);
+  const std::size_t nodes = input.header.nodes;
+  const std::size_t bins = input.header.bins;
+  const stream::StreamingOptions& options = flags.options;
+  config.hello.topologySpec = TopologySpec(flags.topology, nodes);
+  config.hello.topologySeed = flags.seed;
   config.hello.threads = static_cast<std::uint32_t>(
-      std::min<std::size_t>(ResolveThreadCount(threadsOpt), 4096));
+      std::min<std::size_t>(ResolveThreadCount(options.threads), 4096));
+  config.hello.window = options.window;
+  config.hello.queueCapacity =
+      static_cast<std::uint32_t>(options.queueCapacity);
+  config.hello.f = options.f;
+  config.hello.solver = options.estimation.solver;
 
   std::printf("session to %s: %zu bins x %zu nodes, topology %s, "
               "%u thread(s)%s%s\n",
-              connectSpec.c_str(), truth.binCount(), nodes,
+              connectSpec.c_str(), bins, nodes,
               config.hello.topologySpec.c_str(), config.hello.threads,
               config.hello.sessionKey.empty() ? "" : ", session ",
               config.hello.sessionKey.c_str());
@@ -1116,40 +1161,27 @@ int CmdClient(int argc, char** argv) {
   // Frames arrive strictly in order, so the writers can append as the
   // receiver thread decodes; estimates/priors land exactly as `ictm
   // stream --out` writes them.
-  std::optional<stream::TraceWriter> estWriter, priorWriter;
-  if (!outDir.empty()) {
-    std::filesystem::create_directories(outDir);
-    stream::TraceWriterOptions writerOptions;
-    writerOptions.codec = codec;
-    writerOptions.compressThreads =
-        codec == stream::ChunkCodec::kRaw ? 0 : 1;
-    estWriter.emplace(outDir + "/estimates.ictmb", nodes,
-                      truth.binSeconds(), writerOptions);
-    priorWriter.emplace(outDir + "/priors.ictmb", nodes,
-                        truth.binSeconds(), writerOptions);
-  }
+  OutputTraces out(flags, nodes, input.header.binSeconds);
+  std::vector<double> bin(nodes * nodes);
   std::vector<double> estimate(nodes * nodes), prior(nodes * nodes);
   const server::ClientResult result = server::Client::Run(
-      config, truth.binCount(),
+      config, bins,
       [&](std::uint64_t seq) {
-        return truth.binData(static_cast<std::size_t>(seq));
+        input.read(static_cast<std::size_t>(seq), bin.data());
+        return bin.data();
       },
       [&](std::uint64_t, const std::vector<std::uint8_t>& payload) {
-        if (!estWriter) return;
         std::uint64_t seq = 0;
-        if (server::DecodeEstimatePayload(payload, nodes, &seq,
+        if (out.estimates &&
+            server::DecodeEstimatePayload(payload, nodes, &seq,
                                           estimate.data(), prior.data())) {
-          estWriter->append(estimate.data());
-          priorWriter->append(prior.data());
+          out.append(estimate.data(), prior.data());
         }
       });
 
   // Close even on failure: the partial ictmb stays valid, and the
   // printed frame count is exactly what a retry passes via --have.
-  if (estWriter) {
-    estWriter->close();
-    priorWriter->close();
-  }
+  const bool wrote = out.close();
   if (!result.finished) {
     if (result.serverError.has_value()) {
       std::fprintf(stderr, "error: server refused: [%s] %s\n",
@@ -1172,9 +1204,9 @@ int CmdClient(int argc, char** argv) {
               "%llu)\n",
               result.estimatePayloads.size(),
               static_cast<unsigned long long>(result.resumeFrom));
-  if (estWriter) {
+  if (wrote) {
     std::printf("wrote %s/estimates.ictmb and %s/priors.ictmb\n",
-                outDir.c_str(), outDir.c_str());
+                flags.outDir.c_str(), flags.outDir.c_str());
   }
   return 0;
 }
