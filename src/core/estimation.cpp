@@ -106,17 +106,6 @@ obs::Counter& SubstituteNsCounter() {
 
 }  // namespace
 
-bool ParseSolverKind(std::string_view name, SolverKind* out) noexcept {
-  if (name == "auto") {
-    *out = SolverKind::kAuto;
-  } else if (name == "dense") {
-    *out = SolverKind::kDense;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 AugmentedTmSystem::AugmentedTmSystem(const linalg::CsrMatrix& routing,
                                      std::size_t nodes,
                                      bool marginalConstraints)

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string_view>
 #include <vector>
 
 #include "core/priors.hpp"
@@ -19,18 +18,14 @@
 
 namespace ictm::core {
 
-/// The `--solver` value.  Both kinds name the one dense Cholesky solve
-/// of TmBinSolver; the enum survives as a configuration echo in the
-/// HELLO frame and the ICKS checkpoint (wire values 0 and 1; the
-/// retired sparse and cg values 2 and 3 are refused).
+/// The solver echoed in the HELLO frame and the ICKS checkpoint.  Both
+/// kinds name the one dense Cholesky solve of TmBinSolver, so the enum
+/// is configuration only (wire values 0 and 1; the retired sparse and
+/// cg values 2 and 3 are refused).
 enum class SolverKind {
   kAuto,   ///< the default; runs the dense solve
   kDense,  ///< dense normal matrix + blocked in-place Cholesky
 };
-
-/// Parses a solver-kind name as accepted by `--solver`; returns false
-/// (leaving `out` untouched) on anything else.
-bool ParseSolverKind(std::string_view name, SolverKind* out) noexcept;
 
 /// Options for the estimation pipeline.
 struct EstimationOptions {

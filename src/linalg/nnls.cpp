@@ -10,6 +10,9 @@ namespace ictm::linalg {
 
 namespace {
 
+// Dual-feasibility tolerance on the gradient.
+constexpr double kTolerance = 1e-10;
+
 // Solves the unconstrained least-squares subproblem restricted to the
 // passive set: columns of `a` indexed by `passive`.
 Vector SolveOnPassiveSet(const Matrix& a, const Vector& b,
@@ -23,12 +26,12 @@ Vector SolveOnPassiveSet(const Matrix& a, const Vector& b,
 
 }  // namespace
 
-NnlsResult SolveNnls(const Matrix& a, const Vector& b,
-                     const NnlsOptions& options) {
+NnlsResult SolveNnls(const Matrix& a, const Vector& b) {
   ICTM_REQUIRE(a.rows() == b.size(), "rhs length mismatch in NNLS");
   const std::size_t n = a.cols();
-  const std::size_t maxIter =
-      options.maxIterations > 0 ? options.maxIterations : 10 * n + 10;
+  // Outer (active-set) iteration cap: the classic bound is 3n; this
+  // allows a safety factor.
+  const std::size_t maxIter = 10 * n + 10;
 
   NnlsResult result;
   result.x.assign(n, 0.0);
@@ -46,7 +49,7 @@ NnlsResult SolveNnls(const Matrix& a, const Vector& b,
 
     // Pick the most positive gradient among active (zero) variables.
     std::size_t best = n;
-    double bestW = options.tolerance;
+    double bestW = kTolerance;
     for (std::size_t j = 0; j < n; ++j) {
       if (!inPassive[j] && w[j] > bestW) {
         bestW = w[j];

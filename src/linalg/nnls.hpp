@@ -11,15 +11,6 @@
 
 namespace ictm::linalg {
 
-/// Options for the NNLS solver.
-struct NnlsOptions {
-  /// Maximum number of outer (active-set) iterations; the classic bound
-  /// is 3n, we allow a safety factor.
-  std::size_t maxIterations = 0;  // 0 => 10 * cols
-  /// Dual-feasibility tolerance on the gradient.
-  double tolerance = 1e-10;
-};
-
 /// Result of an NNLS solve.
 struct NnlsResult {
   Vector x;              ///< solution, elementwise >= 0
@@ -29,7 +20,6 @@ struct NnlsResult {
 };
 
 /// Solves min_x ||a x - b||_2 subject to x >= 0 via Lawson–Hanson.
-NnlsResult SolveNnls(const Matrix& a, const Vector& b,
-                     const NnlsOptions& options = {});
+NnlsResult SolveNnls(const Matrix& a, const Vector& b);
 
 }  // namespace ictm::linalg

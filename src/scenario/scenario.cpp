@@ -146,7 +146,6 @@ void WriteResultFiles(const std::vector<ScenarioResult>& results,
   manifest.set("scale", ctx.tiny ? "tiny" : "full");
   manifest.set("topology",
                ctx.topology.empty() ? "default" : ctx.topology);
-  manifest.set("solver", ctx.solver.empty() ? "auto" : ctx.solver);
   manifest.set("scenarios", json::Value(std::move(names)));
   const fs::path path = fs::path(outDir) / "manifest.json";
   std::ofstream os(path);

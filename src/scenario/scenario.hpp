@@ -45,10 +45,6 @@ struct ScenarioContext {
   /// topology.  Like the seed offset this is configuration: result
   /// documents depend on it, thread counts never.
   std::string topology;
-  /// The `--solver` value: "auto" (default when empty) or "dense".
-  /// Both name the one dense solve, so result documents never depend
-  /// on it; the manifest echoes it as configuration.
-  std::string solver;
 
   /// The effective seed for a canonical per-scenario seed constant.
   std::uint64_t seed(std::uint64_t canonicalSeed) const {

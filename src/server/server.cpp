@@ -7,8 +7,7 @@ namespace ictm::server {
 Server::Server(ServerOptions options)
     : options_(std::move(options)), cache_(options_.cacheCapacity) {
   if (!options_.checkpointDir.empty()) {
-    store_ = std::make_unique<CheckpointStore>(options_.checkpointDir,
-                                               options_.checkpointKeep);
+    store_ = std::make_unique<CheckpointStore>(options_.checkpointDir);
   }
 }
 

@@ -31,7 +31,6 @@ struct ServerOptions {
   Endpoint listen;            ///< where to accept sessions
   std::string checkpointDir;  ///< empty = checkpointing (and resume) off
   std::size_t cacheCapacity = 4;  ///< resident TopologyState entries
-  std::size_t checkpointKeep = 8;  ///< retained checkpoints per session
   SessionLimits limits;       ///< per-session caps and test hooks
 };
 

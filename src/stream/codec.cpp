@@ -349,13 +349,15 @@ void DecodeChunk(ChunkCodec codec, const std::uint8_t* payload,
           false, "ictmb: unknown chunk codec tag " +
                      std::to_string(static_cast<std::uint32_t>(codec)));
   }
-  if (recording) {
-    const CodecMetrics& m = MetricsFor(codec);
-    m.decompressChunks.add();
-    m.decompressBytesIn.add(payloadSize);
-    m.decompressBytesOut.add(rawBytes);
-    m.decompressNs.add(obs::Now() - t0);
-  }
+  if (recording) MetricsFor(codec).decompressNs.add(obs::Now() - t0);
+}
+
+void CountDecodedChunk(ChunkCodec codec, std::size_t payloadSize,
+                       std::size_t rawBytes) {
+  const CodecMetrics& m = MetricsFor(codec);
+  m.decompressChunks.add();
+  m.decompressBytesIn.add(payloadSize);
+  m.decompressBytesOut.add(rawBytes);
 }
 
 }  // namespace ictm::stream

@@ -61,10 +61,18 @@ std::vector<std::uint8_t> EncodeChunk(ChunkCodec codec, const double* bins,
 /// `binCount * valuesPerBin` doubles at `out`.  The payload is treated
 /// as untrusted input: truncation, trailing garbage, out-of-window
 /// matches and a decoded size that disagrees with the declared one all
-/// raise ictm::Error.
+/// raise ictm::Error.  Records only the timing-class decompress_ns;
+/// the caller counts the chunk with CountDecodedChunk.
 void DecodeChunk(ChunkCodec codec, const std::uint8_t* payload,
                  std::size_t payloadSize, double* out, std::size_t binCount,
                  std::size_t valuesPerBin);
+
+/// Adds one chunk to the deterministic
+/// `trace_codec.<codec>.decompress_{chunks,bytes_in,bytes_out}`
+/// counters.  TraceReader calls it when it first serves a bin of the
+/// chunk, so a prefetch that nothing reads is never counted.
+void CountDecodedChunk(ChunkCodec codec, std::size_t payloadSize,
+                       std::size_t rawBytes);
 
 /// Byte-shuffle `count` doubles: byte k of every double lands in plane
 /// k of `dst` (dst[k*count + i] = byte k of src[i]).  `dst` must hold

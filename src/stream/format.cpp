@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/now.hpp"
 #include "obs/trace.hpp"
+#include "stream/ordered_pool.hpp"
 #include "traffic/io.hpp"
 
 namespace ictm::stream {
@@ -118,6 +119,19 @@ TraceWriter::TraceWriter(const std::string& path, std::size_t nodes,
   WriteRaw(out_, binSeconds);
   WriteRaw(out_, static_cast<std::uint64_t>(options.binsPerChunk));
   ICTM_REQUIRE(out_.good(), "ictmb: header write failed: " + path);
+
+  if (options.compressThreads > 0) {
+    const std::size_t n2 = nodes * nodes;
+    pool_ = std::make_unique<EncodePool>(
+        options.compressThreads, 2 * options.compressThreads,
+        "trace_io.encode",
+        [this, n2] {
+          return [this, n2](const std::vector<double>& bins) {
+            return encodeChunk(bins.data(), bins.size() / n2);
+          };
+        },
+        [this](std::size_t, EncodedChunk&& chunk) { writeFrame(chunk); });
+  }
 }
 
 TraceWriter::TraceWriter(const std::string& path, std::size_t nodes,
@@ -136,12 +150,6 @@ TraceWriter::~TraceWriter() {
 
 void TraceWriter::append(const double* bin) {
   ICTM_REQUIRE(!closed_, "ictmb: append after close: " + path_);
-  if (poolStarted_) {
-    // Surface a worker failure as early as possible instead of
-    // accepting bins that can never land.
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    if (poolError_) std::rethrow_exception(firstError_);
-  }
   buffer_.insert(buffer_.end(), bin, bin + nodes_ * nodes_);
   ++binsWritten_;
   if (buffer_.size() == options_.binsPerChunk * nodes_ * nodes_) {
@@ -203,142 +211,21 @@ void TraceWriter::writeFrame(const EncodedChunk& chunk) {
 
 void TraceWriter::flushChunk() {
   if (buffer_.empty()) return;
-  if (options_.compressThreads > 0) {
-    if (!poolStarted_) startPool();
-    enqueueChunk();
+  const std::size_t n2 = nodes_ * nodes_;
+  if (pool_ != nullptr) {
+    pool_->push(std::exchange(buffer_, {}));
+    buffer_.reserve(options_.binsPerChunk * n2);
     return;
   }
-  const std::size_t n2 = nodes_ * nodes_;
   writeFrame(encodeChunk(buffer_.data(), buffer_.size() / n2));
   buffer_.clear();
-}
-
-void TraceWriter::startPool() {
-  poolStarted_ = true;
-  jobCapacity_ = 2 * options_.compressThreads;
-  resultWindow_ = options_.compressThreads + 2;
-  compressors_.reserve(options_.compressThreads);
-  for (std::size_t i = 0; i < options_.compressThreads; ++i) {
-    compressors_.emplace_back([this] { compressLoop(); });
-  }
-  writerThread_ = std::thread([this] { writeLoop(); });
-}
-
-void TraceWriter::enqueueChunk() {
-  const std::size_t n2 = nodes_ * nodes_;
-  PendingChunk job;
-  job.binCount = buffer_.size() / n2;
-  job.bins = std::move(buffer_);
-  buffer_ = {};
-  buffer_.reserve(options_.binsPerChunk * n2);
-  std::unique_lock<std::mutex> lock(poolMutex_);
-  cvSpace_.wait(lock,
-                [&] { return jobs_.size() < jobCapacity_ || poolError_; });
-  // A failed pool stops accepting chunks; close() (or the next
-  // append()) reports the stored error.
-  if (poolError_) return;
-  job.seq = sealed_++;
-  jobs_.push_back(std::move(job));
-  cvJob_.notify_one();
-}
-
-void TraceWriter::compressLoop() {
-  for (;;) {
-    PendingChunk job;
-    {
-      std::unique_lock<std::mutex> lock(poolMutex_);
-      cvJob_.wait(lock,
-                  [&] { return !jobs_.empty() || done_ || poolError_; });
-      if (poolError_) return;
-      if (jobs_.empty()) return;  // done_ and fully drained
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-      cvSpace_.notify_all();
-    }
-    try {
-      EncodedChunk encoded =
-          encodeChunk(job.bins.data(), static_cast<std::size_t>(job.binCount));
-      std::unique_lock<std::mutex> lock(poolMutex_);
-      // Reorder window: hold the result until the write cursor is
-      // close, bounding results_ memory.  Jobs are popped in seq
-      // order, so the worker holding the cursor's chunk always passes
-      // this predicate — no deadlock.
-      cvSpace_.wait(lock, [&] {
-        return job.seq < written_ + resultWindow_ || poolError_;
-      });
-      if (poolError_) return;
-      results_.emplace(job.seq, std::move(encoded));
-      cvResult_.notify_one();
-    } catch (...) {
-      setPoolError(std::current_exception());
-      return;
-    }
-  }
-}
-
-void TraceWriter::writeLoop() {
-  for (;;) {
-    EncodedChunk chunk;
-    {
-      std::unique_lock<std::mutex> lock(poolMutex_);
-      cvResult_.wait(lock, [&] {
-        return poolError_ || results_.count(written_) != 0 ||
-               (done_ && written_ == sealed_);
-      });
-      if (poolError_) return;
-      auto it = results_.find(written_);
-      if (it == results_.end()) return;  // everything sealed is on disk
-      chunk = std::move(it->second);
-      results_.erase(it);
-    }
-    try {
-      writeFrame(chunk);
-    } catch (...) {
-      setPoolError(std::current_exception());
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(poolMutex_);
-      ++written_;
-    }
-    cvSpace_.notify_all();
-  }
-}
-
-void TraceWriter::setPoolError(std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    if (!poolError_) {
-      poolError_ = true;
-      firstError_ = std::move(error);
-    }
-  }
-  cvJob_.notify_all();
-  cvSpace_.notify_all();
-  cvResult_.notify_all();
-}
-
-void TraceWriter::shutdownPool() {
-  {
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    done_ = true;
-  }
-  cvJob_.notify_all();
-  cvResult_.notify_all();
-  for (std::thread& t : compressors_) t.join();
-  writerThread_.join();
-  compressors_.clear();
 }
 
 void TraceWriter::close() {
   ICTM_REQUIRE(!closed_, "ictmb: close called twice: " + path_);
   closed_ = true;
   flushChunk();
-  if (poolStarted_) {
-    shutdownPool();
-    // Threads are joined; pool state is safe to read unlocked.
-    if (poolError_) std::rethrow_exception(firstError_);
-  }
+  if (pool_ != nullptr) pool_->finish();
 
   // Index frame: marker, chunk count, per-chunk records, total bins,
   // CRC over everything after the marker.
@@ -483,11 +370,9 @@ TraceReader::~TraceReader() {
 }
 
 void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
-                                std::vector<double>& bins) const {
-  static obs::Counter& chunksRead = obs::GetCounter(
-      "trace_io.chunks_read", obs::MetricClass::kDeterministic);
-  static obs::Counter& bytesRead = obs::GetCounter(
-      "trace_io.bytes_read", obs::MetricClass::kDeterministic);
+                                DecodedChunk& out) const {
+  // Timing only: a prefetch that a seek or close drops still took the
+  // time.  loadChunk() counts the chunk itself.
   static obs::Counter& readNs =
       obs::GetCounter("trace_io.read_ns", obs::MetricClass::kTiming);
   static obs::Counter& crcVerifyNs =
@@ -503,6 +388,9 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
   const std::uint64_t n2 = info_.nodes * info_.nodes;
   const std::uint64_t rawExpected = rec.binCount * n2 * sizeof(double);
 
+  std::vector<double>& bins = out.bins;
+  out.storedBytes = storedBytes;
+  out.codec.reset();
   if (info_.version == kVersionV1) {
     // v1 frame: payload length · payload doubles · CRC of payload.
     ICTM_REQUIRE(storedBytes == rawExpected,
@@ -556,17 +444,14 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
     ICTM_REQUIRE(crc == storedCrc,
                  "ictmb: chunk CRC mismatch (corrupt data) in chunk " +
                      std::to_string(chunk) + ": " + path_);
+    const auto codec = static_cast<ChunkCodec>(codecTag);
+    out.codec = codec;
     bins.resize(static_cast<std::size_t>(rawExpected / sizeof(double)));
-    DecodeChunk(static_cast<ChunkCodec>(codecTag), payload.data(),
-                payload.size(), bins.data(),
+    DecodeChunk(codec, payload.data(), payload.size(), bins.data(),
                 static_cast<std::size_t>(rec.binCount),
                 static_cast<std::size_t>(n2));
   }
-  if (recording) {
-    chunksRead.add();
-    bytesRead.add(storedBytes);
-    readNs.add(obs::Now() - t0);
-  }
+  if (recording) readNs.add(obs::Now() - t0);
 }
 
 void TraceReader::startPrefetch() {
@@ -588,21 +473,23 @@ void TraceReader::prefetchLoop() {
       if (prefetchStop_) return;
       chunk = prefetchRequest_;
       prefetchRequest_ = SIZE_MAX;
+      prefetchBusy_ = chunk;
     }
-    std::vector<double> bins;
+    DecodedChunk decoded;
     std::exception_ptr error;
     try {
       ICTM_REQUIRE(in.is_open(),
                    "cannot open file for reading: " + path_);
-      loadChunkData(in, chunk, bins);
+      loadChunkData(in, chunk, decoded);
     } catch (...) {
       error = std::current_exception();
     }
     {
       std::lock_guard<std::mutex> lock(prefetchMutex_);
-      prefetchData_ = std::move(bins);
+      prefetchData_ = std::move(decoded);
       prefetchError_ = error;
       prefetchResultChunk_ = chunk;
+      prefetchBusy_ = SIZE_MAX;
     }
     prefetchCv_.notify_all();
   }
@@ -612,12 +499,15 @@ void TraceReader::requestPrefetch(std::size_t chunk) {
   if (!prefetchStarted_) startPrefetch();
   {
     std::lock_guard<std::mutex> lock(prefetchMutex_);
-    if (prefetchResultChunk_ == chunk || prefetchRequest_ == chunk) return;
+    if (prefetchResultChunk_ == chunk || prefetchRequest_ == chunk ||
+        prefetchBusy_ == chunk) {
+      return;
+    }
     if (prefetchResultChunk_ != SIZE_MAX) {
       // Stale unconsumed result (a seek moved elsewhere) — drop it,
       // deferred error included.
       prefetchResultChunk_ = SIZE_MAX;
-      prefetchData_.clear();
+      prefetchData_ = {};
       prefetchError_ = nullptr;
     }
     prefetchRequest_ = chunk;
@@ -628,35 +518,48 @@ void TraceReader::requestPrefetch(std::size_t chunk) {
 bool TraceReader::consumePrefetch(std::size_t chunk) {
   if (!prefetchStarted_) return false;
   std::unique_lock<std::mutex> lock(prefetchMutex_);
-  if (prefetchRequest_ != chunk && prefetchResultChunk_ != chunk) {
+  if (prefetchRequest_ != chunk && prefetchBusy_ != chunk &&
+      prefetchResultChunk_ != chunk) {
     // Nothing useful in flight; drop any stale result and let the
     // caller load synchronously.
     if (prefetchResultChunk_ != SIZE_MAX) {
       prefetchResultChunk_ = SIZE_MAX;
-      prefetchData_.clear();
+      prefetchData_ = {};
       prefetchError_ = nullptr;
     }
     return false;
   }
+  // Requested or already decoding: wait for that decode rather than
+  // decoding the chunk a second time.
   prefetchCv_.wait(lock, [&] { return prefetchResultChunk_ == chunk; });
   std::exception_ptr error = prefetchError_;
   prefetchError_ = nullptr;
   prefetchResultChunk_ = SIZE_MAX;
   if (error) {
     // A prefetch failure surfaces exactly when its chunk is demanded.
-    prefetchData_.clear();
+    prefetchData_ = {};
     std::rethrow_exception(error);
   }
   std::swap(chunk_, prefetchData_);
-  prefetchData_.clear();
-  loadedChunk_ = chunk;
+  prefetchData_ = {};
   return true;
 }
 
 void TraceReader::loadChunk(std::size_t chunk) {
-  if (!consumePrefetch(chunk)) {
-    loadChunkData(in_, chunk, chunk_);
-    loadedChunk_ = chunk;
+  // Deterministic: counted once per chunk next() serves, never for a
+  // prefetch that nothing reads.
+  static obs::Counter& chunksRead = obs::GetCounter(
+      "trace_io.chunks_read", obs::MetricClass::kDeterministic);
+  static obs::Counter& bytesRead = obs::GetCounter(
+      "trace_io.bytes_read", obs::MetricClass::kDeterministic);
+  loadedChunk_ = SIZE_MAX;  // a failed load must not leave chunk_ served
+  if (!consumePrefetch(chunk)) loadChunkData(in_, chunk, chunk_);
+  loadedChunk_ = chunk;
+  chunksRead.add();
+  bytesRead.add(chunk_.storedBytes);
+  if (chunk_.codec) {
+    CountDecodedChunk(*chunk_.codec, chunk_.storedBytes,
+                      chunk_.bins.size() * sizeof(double));
   }
   if (options_.prefetch && chunk + 1 < index_.size()) {
     requestPrefetch(chunk + 1);
@@ -679,7 +582,7 @@ bool TraceReader::next(double* outBin) {
   if (chunk != loadedChunk_) loadChunk(chunk);
   const std::size_t n2 = info_.nodes * info_.nodes;
   const std::size_t offsetInChunk = position_ - index_[chunk].firstBin;
-  std::memcpy(outBin, chunk_.data() + offsetInChunk * n2,
+  std::memcpy(outBin, chunk_.bins.data() + offsetInChunk * n2,
               n2 * sizeof(double));
   ++position_;
   return true;

@@ -35,11 +35,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <fstream>
-#include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +50,9 @@
 /// Streaming subsystem: chunked binary trace I/O, the online
 /// estimator and the connection-to-bin-event ingest adapter.
 namespace ictm::stream {
+
+template <typename Job, typename Result>
+class OrderedPool;
 
 /// Metadata of an open trace (header + trailing index).
 struct TraceInfo {
@@ -71,11 +74,11 @@ struct TraceWriterOptions {
   std::size_t binsPerChunk = 64;              ///< frame granularity K
   ChunkCodec codec = ChunkCodec::kRaw;        ///< requested chunk codec
   /// Compression worker threads.  0 encodes and writes inline on the
-  /// appending thread; N > 0 starts N compressors plus one writer
-  /// thread that lands frames in seal order, so the file bytes are
-  /// identical for every pool size.  Memory stays bounded: at most
-  /// ~3N sealed-or-encoded chunks are in flight and append() blocks
-  /// when the queue is full.
+  /// appending thread; N > 0 runs N encoders on an OrderedPool whose
+  /// in-order emit lands frames in seal order, so the file bytes are
+  /// identical for every pool size.  Memory stays bounded: append()
+  /// blocks while 2N sealed chunks wait, and at most 3N encoded
+  /// chunks are parked out of order.
   std::size_t compressThreads = 0;
 };
 
@@ -103,8 +106,9 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;             ///< non-copyable
   TraceWriter& operator=(const TraceWriter&) = delete;  ///< non-copyable
 
-  /// Appends one bin (n² doubles in FlattenTm order).  Rethrows a
-  /// pending worker-pool failure instead of accepting more data.
+  /// Appends one bin (n² doubles in FlattenTm order).  The bin that
+  /// seals a chunk rethrows a pending worker-pool failure instead of
+  /// queueing more data.
   void append(const double* bin);
 
   /// Flushes the current chunk, drains the worker pool and writes the
@@ -123,22 +127,11 @@ class TraceWriter {
     std::uint64_t binCount = 0;
     std::vector<std::uint8_t> payload;
   };
-  /// One sealed chunk awaiting compression.
-  struct PendingChunk {
-    std::uint64_t seq = 0;
-    std::uint64_t binCount = 0;
-    std::vector<double> bins;
-  };
+  using EncodePool = OrderedPool<std::vector<double>, EncodedChunk>;
 
   void flushChunk();
   void writeFrame(const EncodedChunk& chunk);
   EncodedChunk encodeChunk(const double* bins, std::size_t binCount) const;
-  void startPool();
-  void enqueueChunk();
-  void compressLoop();
-  void writeLoop();
-  void setPoolError(std::exception_ptr error);
-  void shutdownPool();
 
   std::ofstream out_;
   std::string path_;
@@ -152,27 +145,9 @@ class TraceWriter {
   };
   std::vector<ChunkRecord> index_;
   bool closed_ = false;
-
-  // Worker pool (only active when options_.compressThreads > 0).
-  // jobs_ is bounded by jobCapacity_; results_ is bounded by the
-  // reorder window (a worker holds its result until the write cursor
-  // is close enough), so total in-flight memory is bounded.
-  bool poolStarted_ = false;
-  std::vector<std::thread> compressors_;
-  std::thread writerThread_;
-  std::mutex poolMutex_;
-  std::condition_variable cvJob_;     // job available (compressors wait)
-  std::condition_variable cvSpace_;   // job/result space (producers wait)
-  std::condition_variable cvResult_;  // result available (writer waits)
-  std::deque<PendingChunk> jobs_;
-  std::map<std::uint64_t, EncodedChunk> results_;
-  std::size_t jobCapacity_ = 0;
-  std::size_t resultWindow_ = 0;
-  std::uint64_t sealed_ = 0;   // chunks handed to the pool
-  std::uint64_t written_ = 0;  // chunks landed on disk
-  bool done_ = false;          // no more chunks will be sealed
-  bool poolError_ = false;
-  std::exception_ptr firstError_;
+  // Encoders when options_.compressThreads > 0; its emit writes frames.
+  // Last member, so it is joined before the state it writes goes.
+  std::unique_ptr<EncodePool> pool_;
 };
 
 /// TraceReader knobs.
@@ -182,6 +157,9 @@ struct TraceReaderOptions {
   /// caller's consumption.  Decoded bins are bit-identical to the
   /// serial path; a prefetch failure is rethrown only when the failing
   /// chunk is actually requested (and discarded if a seek skips it).
+  /// A chunk is decoded at most once per demand, and the
+  /// deterministic read counters count it when next() first serves a
+  /// bin from it, so prefetches a seek or close drops never count.
   bool prefetch = false;
 };
 
@@ -220,12 +198,19 @@ class TraceReader {
   traffic::TrafficMatrixSeries readAll();
 
  private:
+  /// One decoded chunk plus what the read counters record for it.
+  struct DecodedChunk {
+    std::vector<double> bins;
+    std::uint64_t storedBytes = 0;    // payload bytes on disk
+    std::optional<ChunkCodec> codec;  // v2 frames only
+  };
+
   void loadChunk(std::size_t chunk);
-  /// Reads + CRC-checks + decodes chunk `chunk` from `in` into `bins`.
+  /// Reads + CRC-checks + decodes chunk `chunk` from `in` into `out`.
   /// Shared by the synchronous path and the prefetch thread (which
   /// passes its own stream), so both decode identically.
   void loadChunkData(std::istream& in, std::size_t chunk,
-                     std::vector<double>& bins) const;
+                     DecodedChunk& out) const;
   void startPrefetch();
   void requestPrefetch(std::size_t chunk);
   bool consumePrefetch(std::size_t chunk);
@@ -242,7 +227,7 @@ class TraceReader {
     std::uint64_t firstBin = 0;
   };
   std::vector<ChunkRecord> index_;
-  std::vector<double> chunk_;            // decoded bins of loadedChunk_
+  DecodedChunk chunk_;                   // decoded loadedChunk_
   std::size_t loadedChunk_ = SIZE_MAX;   // index into index_, or none
   std::size_t position_ = 0;             // next bin to serve
 
@@ -254,8 +239,9 @@ class TraceReader {
   std::condition_variable prefetchCv_;
   bool prefetchStop_ = false;
   std::size_t prefetchRequest_ = SIZE_MAX;      // chunk to fetch next
+  std::size_t prefetchBusy_ = SIZE_MAX;         // chunk being decoded
   std::size_t prefetchResultChunk_ = SIZE_MAX;  // chunk held in result
-  std::vector<double> prefetchData_;
+  DecodedChunk prefetchData_;
   std::exception_ptr prefetchError_;
 };
 

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <exception>
-#include <map>
+#include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -18,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/now.hpp"
 #include "obs/trace.hpp"
+#include "stream/ordered_pool.hpp"
 #include "traffic/tm_series.hpp"
 
 namespace ictm::stream {
@@ -32,16 +30,12 @@ namespace {
 // thread-count/queue-capacity determinism contract.
 using PriorModel = std::shared_ptr<const core::StableFPKernel>;
 
-struct QueueItem {
-  std::size_t seq = 0;
+struct BinJob {
   BinEvent event;
   PriorModel model;
-  // Enqueue timestamp for the queue-wait metric; 0 when metrics are
-  // disabled (obs::Now() is monotonic-since-boot, never 0 live).
-  std::uint64_t enqueueNs = 0;
 };
 
-struct PendingResult {
+struct BinResult {
   std::vector<double> estimate;
   std::vector<double> prior;
 };
@@ -53,34 +47,22 @@ struct StreamingEstimator::Impl {
   StreamingOptions options;
   EstimateCallback callback;
   std::size_t n = 0;
+  std::size_t firstSeq = 0;  // resume offset of the pool's sequence numbers
 
-  // Producer-side state (touched only inside push, which serialises
-  // under queueMutex): window accumulators and the current snapshot.
+  // Producer-side state, written only inside push() under
+  // producerMutex.  push() holds it across the pool's push, so the
+  // pool's sequence stamps follow the order of the model snapshots and
+  // window refits even with concurrent producers.
+  std::mutex producerMutex;
   PriorModel currentModel;
   linalg::Vector windowIngress, windowEgress;
   std::size_t windowFill = 0;
 
-  // Bounded queue.
-  std::mutex queueMutex;
-  std::condition_variable notFull, notEmpty;
-  std::deque<QueueItem> queue;
-  bool finished = false;
-
-  // Reorder buffer: results enter keyed by sequence number and leave
-  // strictly in order through the callback.
-  std::mutex emitMutex;
-  std::map<std::size_t, PendingResult> pending;
-  std::size_t nextEmit = 0;
-
-  // First worker failure; failed unblocks every waiter.
-  std::mutex errorMutex;
-  std::exception_ptr firstError;
-  std::atomic<bool> failed{false};
-
   std::atomic<std::size_t> pushed{0};
   std::atomic<std::size_t> emitted{0};
-  std::vector<std::thread> workers;
-  bool joined = false;
+  // Last member: its destructor drains and joins the workers while the
+  // state above is still alive.
+  std::unique_ptr<OrderedPool<BinJob, BinResult>> pool;
 
   Impl(std::shared_ptr<const core::AugmentedTmSystem> sys,
        StreamingOptions opts, EstimateCallback cb)
@@ -89,104 +71,43 @@ struct StreamingEstimator::Impl {
         callback(std::move(cb)),
         n(system->nodeCount()) {}
 
-  void fail(std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lock(errorMutex);
-      if (!firstError) firstError = e;
-    }
-    // `failed` must flip under queueMutex: both condvars wait on
-    // predicates that read it, and a store+notify outside the mutex
-    // can land between a waiter's predicate check and its block —
-    // the wakeup is lost and push()/workerLoop wait forever on a
-    // failure that already happened (found in the PR-6 TSan audit;
-    // regression-tested by StreamingEstimator.WorkerFailurePropagates).
-    {
-      std::lock_guard<std::mutex> lock(queueMutex);
-      failed.store(true);
-    }
-    notFull.notify_all();
-    notEmpty.notify_all();
+  // One worker's solve function; it owns the thread's TmBinSolver and
+  // activity scratch.
+  auto makeWorker() {
+    return [this, solver = core::TmBinSolver(*system, options.estimation),
+            activity = std::vector<double>(n)](const BinJob& job) mutable {
+      // Timing metrics depend on scheduling (docs/ARCHITECTURE.md
+      // "Observability").
+      static obs::Counter& workerBusyNs =
+          obs::GetCounter("stream.worker_busy_ns", obs::MetricClass::kTiming);
+      static obs::Histogram& solveNs =
+          obs::GetHistogram("stream.solve_ns", obs::MetricClass::kTiming,
+                            obs::LatencyBoundsNs());
+      BinResult result{std::vector<double>(n * n), std::vector<double>(n * n)};
+      obs::TraceScope traceSolve("solve", "stream");
+      const bool recording = obs::Enabled();
+      const std::uint64_t solveStart = recording ? obs::Now() : 0;
+      job.model->PriorBin(job.event.ingress.data(), job.event.egress.data(),
+                          activity.data(), result.prior.data());
+      solver.Solve(job.event.linkLoads.data(), result.prior.data(),
+                   job.event.ingress.data(), job.event.egress.data(),
+                   result.estimate.data());
+      if (recording) {
+        const std::uint64_t busy = obs::Now() - solveStart;
+        solveNs.record(static_cast<double>(busy));
+        workerBusyNs.add(busy);
+      }
+      return result;
+    };
   }
 
-  void workerLoop() {
-    // Stage metrics (docs/ARCHITECTURE.md "Observability").  Timing
-    // metrics depend on scheduling; the counters are deterministic
-    // (bins emitted == bins pushed for any thread count).
+  void emit(std::size_t seq, const BinResult& result) {
+    // Deterministic: bins emitted == bins pushed for any thread count.
     static obs::Counter& binsEmitted = obs::GetCounter(
         "stream.bins_emitted", obs::MetricClass::kDeterministic);
-    static obs::Counter& workerIdleNs =
-        obs::GetCounter("stream.worker_idle_ns", obs::MetricClass::kTiming);
-    static obs::Counter& workerBusyNs =
-        obs::GetCounter("stream.worker_busy_ns", obs::MetricClass::kTiming);
-    static obs::Histogram& queueWaitNs =
-        obs::GetHistogram("stream.queue_wait_ns", obs::MetricClass::kTiming,
-                          obs::LatencyBoundsNs());
-    static obs::Histogram& solveNs =
-        obs::GetHistogram("stream.solve_ns", obs::MetricClass::kTiming,
-                          obs::LatencyBoundsNs());
-    static obs::Histogram& reorderOccupancy = obs::GetHistogram(
-        "stream.reorder_occupancy", obs::MetricClass::kTiming,
-        obs::ExponentialBounds(1.0, 2.0, 10));
-    static obs::Gauge& reorderMax = obs::GetGauge(
-        "stream.reorder_pending", obs::MetricClass::kTiming);
-    try {
-      core::TmBinSolver solver(*system, options.estimation);
-      std::vector<double> prior(n * n), estimate(n * n), activity(n);
-      for (;;) {
-        QueueItem item;
-        {
-          std::unique_lock<std::mutex> lock(queueMutex);
-          const bool recording = obs::Enabled();
-          const std::uint64_t idleStart = recording ? obs::Now() : 0;
-          notEmpty.wait(lock, [&] {
-            return !queue.empty() || finished || failed.load();
-          });
-          if (recording) workerIdleNs.add(obs::Now() - idleStart);
-          if (failed.load()) return;
-          if (queue.empty()) return;  // finished and drained
-          item = std::move(queue.front());
-          queue.pop_front();
-        }
-        notFull.notify_one();
-        if (item.enqueueNs != 0) {
-          queueWaitNs.record(
-              static_cast<double>(obs::Now() - item.enqueueNs));
-        }
-
-        {
-          obs::TraceScope traceSolve("solve", "stream");
-          const bool recording = obs::Enabled();
-          const std::uint64_t solveStart = recording ? obs::Now() : 0;
-          item.model->PriorBin(item.event.ingress.data(),
-                               item.event.egress.data(), activity.data(),
-                               prior.data());
-          solver.Solve(item.event.linkLoads.data(), prior.data(),
-                       item.event.ingress.data(), item.event.egress.data(),
-                       estimate.data());
-          if (recording) {
-            const std::uint64_t busy = obs::Now() - solveStart;
-            solveNs.record(static_cast<double>(busy));
-            workerBusyNs.add(busy);
-          }
-        }
-
-        std::lock_guard<std::mutex> lock(emitMutex);
-        pending.emplace(item.seq, PendingResult{estimate, prior});
-        reorderOccupancy.record(static_cast<double>(pending.size()));
-        reorderMax.recordMax(static_cast<std::int64_t>(pending.size()));
-        while (!pending.empty() &&
-               pending.begin()->first == nextEmit) {
-          const PendingResult& r = pending.begin()->second;
-          callback(nextEmit, r.estimate.data(), r.prior.data());
-          pending.erase(pending.begin());
-          ++nextEmit;
-          emitted.fetch_add(1);
-          binsEmitted.add();
-        }
-      }
-    } catch (...) {
-      fail(std::current_exception());
-    }
+    callback(firstSeq + seq, result.estimate.data(), result.prior.data());
+    emitted.fetch_add(1);
+    binsEmitted.add();
   }
 };
 
@@ -251,7 +172,7 @@ void StreamingEstimator::initialize() {
     const auto seq = static_cast<std::size_t>(cp.seq);
     impl_->pushed.store(seq);
     impl_->emitted.store(seq);
-    impl_->nextEmit = seq;
+    impl_->firstSeq = seq;
   } else {
     impl_->currentModel =
         std::make_shared<const core::StableFPKernel>(opts.f, opts.preference);
@@ -259,32 +180,20 @@ void StreamingEstimator::initialize() {
     impl_->windowEgress.assign(nodes, 0.0);
   }
 
-  const std::size_t workers = ResolveThreadCount(opts.threads);
-  impl_->workers.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    impl_->workers.emplace_back([this] { impl_->workerLoop(); });
-  }
+  Impl* im = impl_.get();
+  im->pool = std::make_unique<OrderedPool<BinJob, BinResult>>(
+      ResolveThreadCount(opts.threads), opts.queueCapacity, "stream",
+      [im] { return im->makeWorker(); },
+      [im](std::size_t seq, BinResult&& result) { im->emit(seq, result); });
 }
 
-StreamingEstimator::~StreamingEstimator() {
-  if (impl_->joined) return;
-  try {
-    finish();
-  } catch (...) {
-    // Destructor fallback only; call finish() to observe failures.
-  }
-}
+StreamingEstimator::~StreamingEstimator() = default;
 
 void StreamingEstimator::push(BinEvent event) {
   static obs::Counter& binsPushed = obs::GetCounter(
       "stream.bins_pushed", obs::MetricClass::kDeterministic);
   static obs::Counter& windowRefits = obs::GetCounter(
       "stream.window_refits", obs::MetricClass::kDeterministic);
-  static obs::Counter& queueFullStalls = obs::GetCounter(
-      "stream.queue_full_stalls", obs::MetricClass::kTiming);
-  static obs::Histogram& pushWaitNs =
-      obs::GetHistogram("stream.push_wait_ns", obs::MetricClass::kTiming,
-                        obs::LatencyBoundsNs());
   obs::TraceScope tracePush("push", "stream");
   Impl& im = *impl_;
   ICTM_REQUIRE(event.linkLoads.size() == im.system->linkCount(),
@@ -292,77 +201,39 @@ void StreamingEstimator::push(BinEvent event) {
   ICTM_REQUIRE(event.ingress.size() == im.n && event.egress.size() == im.n,
                "marginal length mismatch");
 
-  QueueItem item;
-  item.event = std::move(event);
+  std::lock_guard<std::mutex> lock(im.producerMutex);
+  BinJob job{std::move(event), im.currentModel};
 
-  {
-    std::unique_lock<std::mutex> lock(im.queueMutex);
-    ICTM_REQUIRE(!im.finished, "push after finish");
-    // Sequence-stamp and snapshot the prior model under the queue lock
-    // so concurrent producers still observe one global arrival order.
-    item.seq = im.pushed.fetch_add(1);
-    item.model = im.currentModel;
-    binsPushed.add();
-
-    // Window accounting: the bin completing a window still uses the
-    // old model; bins after it use the re-fitted one.
-    if (im.options.window > 0) {
-      for (std::size_t i = 0; i < im.n; ++i) {
-        im.windowIngress[i] += item.event.ingress[i];
-        im.windowEgress[i] += item.event.egress[i];
-      }
-      if (++im.windowFill == im.options.window) {
-        // Stable-f closed forms on the window-aggregated marginals
-        // (preference is scale-invariant, so sums work as means);
-        // yesterday's f is kept, per the paper's stability result.
-        const core::StableFEstimates est =
-            core::EstimateStableFParameters(
-                im.options.f, im.windowIngress, im.windowEgress);
-        im.currentModel = std::make_shared<const core::StableFPKernel>(
-            im.options.f, est.preference);
-        im.windowIngress.assign(im.n, 0.0);
-        im.windowEgress.assign(im.n, 0.0);
-        im.windowFill = 0;
-        windowRefits.add();
-      }
+  // Window accounting: the bin completing a window still uses the old
+  // model; bins after it use the re-fitted one.
+  if (im.options.window > 0) {
+    for (std::size_t i = 0; i < im.n; ++i) {
+      im.windowIngress[i] += job.event.ingress[i];
+      im.windowEgress[i] += job.event.egress[i];
     }
-
-    const bool recording = obs::Enabled();
-    if (recording && im.queue.size() >= im.options.queueCapacity) {
-      queueFullStalls.add();
-    }
-    const std::uint64_t waitStart = recording ? obs::Now() : 0;
-    im.notFull.wait(lock, [&] {
-      return im.queue.size() < im.options.queueCapacity ||
-             im.failed.load();
-    });
-    if (recording) {
-      pushWaitNs.record(static_cast<double>(obs::Now() - waitStart));
-      item.enqueueNs = obs::Now();
-    }
-    if (!im.failed.load()) {
-      im.queue.push_back(std::move(item));
+    if (++im.windowFill == im.options.window) {
+      // Stable-f closed forms on the window-aggregated marginals
+      // (preference is scale-invariant, so sums work as means);
+      // yesterday's f is kept, per the paper's stability result.
+      const core::StableFEstimates est = core::EstimateStableFParameters(
+          im.options.f, im.windowIngress, im.windowEgress);
+      im.currentModel = std::make_shared<const core::StableFPKernel>(
+          im.options.f, est.preference);
+      im.windowIngress.assign(im.n, 0.0);
+      im.windowEgress.assign(im.n, 0.0);
+      im.windowFill = 0;
+      windowRefits.add();
     }
   }
-  im.notEmpty.notify_one();
-  if (im.failed.load()) finish();  // rethrows the worker error
+
+  im.pool->push(std::move(job));
+  im.pushed.fetch_add(1);
+  binsPushed.add();
 }
 
 void StreamingEstimator::finish() {
   Impl& im = *impl_;
-  if (!im.joined) {
-    {
-      std::lock_guard<std::mutex> lock(im.queueMutex);
-      im.finished = true;
-    }
-    im.notEmpty.notify_all();
-    for (std::thread& t : im.workers) t.join();
-    im.joined = true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(im.errorMutex);
-    if (im.firstError) std::rethrow_exception(im.firstError);
-  }
+  im.pool->finish();
   ICTM_REQUIRE(im.emitted.load() == im.pushed.load(),
                "streaming estimator lost bins");
 }
@@ -374,9 +245,9 @@ std::size_t StreamingEstimator::pushedCount() const noexcept {
 StreamingCheckpoint StreamingEstimator::checkpoint() const {
   Impl& im = *impl_;
   // The producer-side state is only written inside push() under
-  // queueMutex; taking the same lock gives a consistent snapshot at
+  // producerMutex; taking the same lock gives a consistent snapshot at
   // the current push boundary.
-  std::lock_guard<std::mutex> lock(im.queueMutex);
+  std::lock_guard<std::mutex> lock(im.producerMutex);
   StreamingCheckpoint cp;
   cp.seq = im.pushed.load();
   cp.preference = im.currentModel->preference();

@@ -5,9 +5,14 @@
 // turns today's SNMP readings into TM estimates as they arrive.
 // StreamingEstimator implements that loop with bounded memory:
 //
-//   push(event) ──▶ bounded MPMC queue ──▶ worker pool ──▶ reorder
-//                                                          buffer ──▶
-//                                              callback (arrival order)
+//   push(event) ──▶ bounded queue ──▶ worker pool ──▶ reorder buffer
+//                                                          │
+//                                      callback (arrival order) ◀──┘
+//
+// The queue, workers and reorder buffer are one OrderedPool
+// (ordered_pool.hpp): `queueCapacity` queued bins, `threads` workers,
+// and at most `queueCapacity + threads` finished bins parked out of
+// order.
 //
 // Per event the worker builds the stable-fP IC prior from the event's
 // ingress/egress marginals (Eqs. 7-9) with core::StableFPKernel — the
@@ -98,8 +103,9 @@ class StreamingEstimator {
  public:
   /// Called once per bin, in push order: `seq` counts from 0,
   /// `estimate` and `prior` are n² doubles (FlattenTm order) valid for
-  /// the duration of the call.  Invoked under the emit lock — keep it
-  /// cheap and never call back into push() from it.
+  /// the duration of the call.  Invoked on a worker thread, one call
+  /// at a time, each ordered before the next — keep it cheap and never
+  /// call back into push() or checkpoint() from it.
   using EstimateCallback = std::function<void(
       std::size_t seq, const double* estimate, const double* prior)>;
 

@@ -12,7 +12,7 @@ namespace {
 // splitting at every branch point.  `sp` is the shortest-path result
 // from `source`.
 void AccumulateFractions(const Graph& g, const ShortestPaths& sp,
-                         NodeId source, NodeId target, bool ecmp,
+                         NodeId source, NodeId target,
                          std::vector<double>& linkFraction) {
   // Walk backwards from target to source, distributing the unit of
   // traffic across predecessor links proportionally.  We process nodes
@@ -34,24 +34,17 @@ void AccumulateFractions(const Graph& g, const ShortestPaths& sp,
     if (v == source || nodeMass[v] <= 0.0) continue;
     const auto& preds = sp.predecessors[v];
     ICTM_REQUIRE(!preds.empty(), "unreachable node in routing tree");
-    if (ecmp) {
-      const double share = nodeMass[v] / static_cast<double>(preds.size());
-      for (LinkId lid : preds) {
-        linkFraction[lid] += share;
-        nodeMass[g.link(lid).src] += share;
-      }
-    } else {
-      const LinkId lid = *std::min_element(preds.begin(), preds.end());
-      linkFraction[lid] += nodeMass[v];
-      nodeMass[g.link(lid).src] += nodeMass[v];
+    const double share = nodeMass[v] / static_cast<double>(preds.size());
+    for (LinkId lid : preds) {
+      linkFraction[lid] += share;
+      nodeMass[g.link(lid).src] += share;
     }
   }
 }
 
 }  // namespace
 
-linalg::CsrMatrix BuildRoutingCsr(const Graph& g,
-                                  const RoutingOptions& options) {
+linalg::CsrMatrix BuildRoutingCsr(const Graph& g) {
   const std::size_t n = g.nodeCount();
   ICTM_REQUIRE(n > 0, "routing matrix of empty graph");
   ICTM_REQUIRE(IsStronglyConnected(g),
@@ -65,7 +58,7 @@ linalg::CsrMatrix BuildRoutingCsr(const Graph& g,
     for (NodeId dst = 0; dst < n; ++dst) {
       if (src == dst) continue;  // intra-PoP traffic uses no backbone link
       std::fill(linkFraction.begin(), linkFraction.end(), 0.0);
-      AccumulateFractions(g, sp, src, dst, options.ecmp, linkFraction);
+      AccumulateFractions(g, sp, src, dst, linkFraction);
       const std::size_t col = src * n + dst;
       for (LinkId lid = 0; lid < g.linkCount(); ++lid) {
         if (linkFraction[lid] != 0.0) {

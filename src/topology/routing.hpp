@@ -12,22 +12,14 @@
 
 namespace ictm::topology {
 
-/// Options controlling routing-matrix construction.
-struct RoutingOptions {
-  /// Split traffic evenly across equal-cost shortest paths (per-link
-  /// ECMP splitting, as deployed IGPs do).  When false, the
-  /// lowest-link-id shortest path carries everything.
-  bool ecmp = true;
-};
-
 /// Builds the (#links x n^2) routing matrix for the graph in compressed
 /// form — the natural representation: a column holds only the links on
 /// one OD pair's shortest path(s), so density is about
-/// (path length)/links.  OD pair (i,j) maps to column i*n + j; diagonal
-/// OD pairs (i == i) stay inside the PoP and use no backbone link
-/// (empty column).
-linalg::CsrMatrix BuildRoutingCsr(const Graph& g,
-                                  const RoutingOptions& options = {});
+/// (path length)/links.  Traffic splits evenly across equal-cost
+/// shortest paths (per-link ECMP splitting, as deployed IGPs do).  OD
+/// pair (i,j) maps to column i*n + j; diagonal OD pairs (i == i) stay
+/// inside the PoP and use no backbone link (empty column).
+linalg::CsrMatrix BuildRoutingCsr(const Graph& g);
 
 /// Computes per-link loads Y = R x for a TM given as an n x n matrix.
 linalg::Vector ComputeLinkLoads(const linalg::CsrMatrix& routing,

@@ -242,19 +242,5 @@ TEST(EstimateSeriesTest, TwelveDecadePriorFiniteAndThreadInvariant) {
   }
 }
 
-TEST(SolverKindTest, ParseAcceptsAutoAndDenseOnly) {
-  SolverKind kind = SolverKind::kDense;
-  EXPECT_TRUE(ParseSolverKind("auto", &kind));
-  EXPECT_EQ(kind, SolverKind::kAuto);
-  EXPECT_TRUE(ParseSolverKind("dense", &kind));
-  EXPECT_EQ(kind, SolverKind::kDense);
-  // The retired backends, a wrong case and the empty string are
-  // refused and leave the output untouched.
-  for (const char* name : {"sparse", "cg", "Dense", ""}) {
-    EXPECT_FALSE(ParseSolverKind(name, &kind)) << name;
-    EXPECT_EQ(kind, SolverKind::kDense) << name;
-  }
-}
-
 }  // namespace
 }  // namespace ictm::core

@@ -1,13 +1,20 @@
 // Tests for the streaming subsystem: the ictmb binary trace format
 // (v2 codecs, round-trip, the corruption/fuzz battery, converters,
-// repack), the StreamingEstimator's streaming ≡ batch bit-identity
-// contract, and the connection aggregator.
+// repack), the OrderedPool both the writer and the estimator run on,
+// the StreamingEstimator's streaming ≡ batch bit-identity contract,
+// and the connection aggregator.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "conngen/generator.hpp"
@@ -19,6 +26,7 @@
 #include "stream/codec.hpp"
 #include "stream/format.hpp"
 #include "stream/online.hpp"
+#include "stream/ordered_pool.hpp"
 #include "test_util.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
@@ -75,6 +83,14 @@ traffic::TrafficMatrixSeries SmoothSeries(std::size_t nodes,
     }
   }
   return s;
+}
+
+// Current value of a registry counter (0 before its first use).
+std::uint64_t CounterTotal(const std::string& name) {
+  for (const auto& c : obs::Registry::Instance().snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
 }
 
 // splitmix64: high-entropy deterministic bit patterns — genuinely
@@ -262,6 +278,28 @@ TEST(TraceFormat, RejectsTruncationAndCorruption) {
     EXPECT_THROW(TraceReader r(p), Error);
   }
   EXPECT_TRUE(IsTraceFile(path));
+}
+
+TEST(TraceFormat, FailedChunkLoadNeverServesAStaleChunk) {
+  // A v1 chunk is read into the reader's buffer before its CRC is
+  // checked.  After chunk 1 fails, a seek back into chunk 0 must
+  // reload it rather than serve the failed chunk's bytes.
+  const auto series = RandomSeries(3, 12, 7);
+  const std::string path = TempPath("stale_chunk.ictmb");
+  WriteV1TraceFile(path, series, 8);  // chunks of 8 and 4 bins
+  std::string bytes = ReadBytes(path);
+  // 40-byte header, then chunk 0: 8-byte length, 8·9 doubles, CRC.
+  const std::size_t chunk1Payload = 40 + (8 + 8 * 9 * 8 + 4) + 8;
+  bytes[chunk1Payload] = static_cast<char>(bytes[chunk1Payload] ^ 0x01);
+  WriteBytes(path, bytes);
+  TraceReader reader(path);
+  std::vector<double> bin(9);
+  ASSERT_TRUE(reader.next(bin.data()));  // loads chunk 0
+  reader.seek(8);
+  EXPECT_THROW(reader.next(bin.data()), Error);
+  reader.seek(1);
+  ASSERT_TRUE(reader.next(bin.data()));
+  for (std::size_t k = 0; k < 9; ++k) EXPECT_EQ(bin[k], series.binData(1)[k]);
 }
 
 TEST(TraceFormat, CsvConvertersRoundTrip) {
@@ -575,6 +613,59 @@ TEST(TraceFormatV2, CodecMetricsAccumulate) {
             valueOf(after, "trace_codec.delta.compress_bytes_out"));
 }
 
+TEST(TraceFormatV2, PrefetchSequentialReadCountsEachChunkOnce) {
+  // The deterministic read counters count a chunk when next() first
+  // serves a bin from it, so the prefetch thread racing the consumer
+  // cannot change them.
+  const auto series = SmoothSeries(16, 512, 59);
+  const std::string path = TempPath("prefetch_sequential.ictmb");
+  WriteTraceFile(path, series, TraceWriterOptions{64, ChunkCodec::kDelta, 0});
+  const std::size_t chunks = TraceReader(path).info().chunks;
+  std::vector<double> bin(16 * 16);
+  for (int pass = 0; pass < 20; ++pass) {
+    const std::uint64_t read = CounterTotal("trace_io.chunks_read");
+    const std::uint64_t decoded =
+        CounterTotal("trace_codec.delta.decompress_chunks");
+    {
+      TraceReader reader(path, TraceReaderOptions{true});
+      while (reader.next(bin.data())) {
+      }
+    }
+    EXPECT_EQ(CounterTotal("trace_io.chunks_read") - read, chunks)
+        << "pass " << pass;
+    EXPECT_EQ(CounterTotal("trace_codec.delta.decompress_chunks") - decoded,
+              chunks)
+        << "pass " << pass;
+  }
+}
+
+TEST(TraceFormatV2, PrefetchOfAnUnreadChunkIsNotCounted) {
+  // Reads confined to chunk 0 count one chunk, whether or not the
+  // prefetch of chunk 1 ran before the reader closed.
+  const auto series = SmoothSeries(16, 32, 67);
+  const std::string path = TempPath("prefetch_unread.ictmb");
+  WriteTraceFile(path, series, TraceWriterOptions{16, ChunkCodec::kDelta, 0});
+  std::vector<double> bin(16 * 16);
+  for (std::size_t i = 0; i < 200; ++i) {
+    const std::uint64_t read = CounterTotal("trace_io.chunks_read");
+    const std::uint64_t decoded =
+        CounterTotal("trace_codec.delta.decompress_chunks");
+    {
+      TraceReader reader(path, TraceReaderOptions{true});
+      reader.seek(i % 8);
+      ASSERT_TRUE(reader.next(bin.data()));
+      // Consumer work on the first bin gives the prefetch time to run.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      for (std::size_t t = 1; t < 8; ++t) ASSERT_TRUE(reader.next(bin.data()));
+    }
+    EXPECT_EQ(CounterTotal("trace_io.chunks_read") - read, 1u)
+        << "lifetime " << i;
+    EXPECT_EQ(CounterTotal("trace_codec.delta.decompress_chunks") - decoded,
+              1u)
+        << "lifetime " << i;
+  }
+}
+
 // ---- ictmb v2: corruption matrix and fuzz battery --------------------------
 
 // Small compressed fixture shared by the corruption tests: 3 nodes,
@@ -829,6 +920,202 @@ TEST(TraceWriter, CloseSurfacesWriteFailuresOnFullDevice) {
       // still-unclosed writer must stay silent either way.
     }
   }
+}
+
+// ---- ordered pool ----------------------------------------------------------
+
+using IndexPool = OrderedPool<std::size_t, std::size_t>;
+
+// Every worker thread runs a copy of the same stateless `work`.
+template <typename Work>
+auto OnEveryThread(Work work) {
+  return [work] { return work; };
+}
+
+TEST(OrderedPool, EmitsInPushOrderForEveryShape) {
+  // Seeded per-job delays finish jobs out of order; the results are
+  // move-only, so the pool must move them, never copy.
+  constexpr std::size_t kJobs = 64;
+  stats::Rng rng(71);
+  std::vector<int> delayUs(kJobs);
+  for (int& d : delayUs) d = static_cast<int>(rng.uniform(0.0, 200.0));
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    for (std::size_t capacity : {1u, 4u, 64u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " capacity=" + std::to_string(capacity));
+      std::vector<std::size_t> seqs, values;
+      OrderedPool<std::size_t, std::unique_ptr<std::size_t>> pool(
+          workers, capacity, "test.ordered_pool",
+          OnEveryThread([&](std::size_t job) {
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(delayUs[job]));
+            return std::make_unique<std::size_t>(7 * job);
+          }),
+          [&](std::size_t seq, std::unique_ptr<std::size_t>&& result) {
+            seqs.push_back(seq);
+            values.push_back(*result);
+          });
+      for (std::size_t i = 0; i < kJobs; ++i) pool.push(i);
+      pool.finish();
+      ASSERT_EQ(seqs.size(), kJobs);
+      for (std::size_t i = 0; i < kJobs; ++i) {
+        EXPECT_EQ(seqs[i], i);
+        EXPECT_EQ(values[i], 7 * i);
+      }
+    }
+  }
+}
+
+TEST(OrderedPool, ParkedResultsStayWithinCapacityPlusWorkers) {
+  // Job 0 is held, so nothing can be emitted.  The other workers park
+  // results up to capacity + workers - 1 ahead of it and then each
+  // wait holding one more; the queue fills and push() blocks.
+  for (std::size_t workers : {2u, 4u}) {
+    for (std::size_t capacity : {1u, 4u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " capacity=" + std::to_string(capacity));
+      const std::string prefix = "test.ordered_pool.bound." +
+                                 std::to_string(workers) + "x" +
+                                 std::to_string(capacity);
+      obs::Gauge& parked = obs::GetGauge(
+          (prefix + ".reorder_pending").c_str(), obs::MetricClass::kTiming);
+      const std::size_t bound = capacity + workers;
+      const std::size_t expectCompleted = bound - 1 + (workers - 1);
+      const std::size_t expectAccepted = 1 + expectCompleted + capacity;
+      const std::size_t jobs = 4 * bound + 8;
+
+      std::promise<void> release;
+      std::shared_future<void> held = release.get_future().share();
+      std::atomic<std::size_t> completed{0}, accepted{0};
+      std::vector<std::size_t> order;
+      IndexPool pool(
+          workers, capacity, prefix,
+          OnEveryThread([&](std::size_t job) {
+            if (job == 0) {
+              held.wait();
+            } else {
+              ++completed;
+            }
+            return job;
+          }),
+          [&](std::size_t, std::size_t&& job) { order.push_back(job); });
+      std::thread producer([&] {
+        for (std::size_t i = 0; i < jobs; ++i) {
+          pool.push(i);
+          ++accepted;
+        }
+      });
+      for (int ms = 0; ms < 10000 && (completed < expectCompleted ||
+                                      accepted < expectAccepted);
+           ++ms) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      // Nothing may move while job 0 is held.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const std::size_t completedWhileHeld = completed;
+      const std::size_t acceptedWhileHeld = accepted;
+      const bool emittedWhileHeld = !order.empty();
+      const std::int64_t parkedWhileHeld = parked.maxValue();
+      release.set_value();
+      producer.join();
+      pool.finish();
+
+      EXPECT_EQ(completedWhileHeld, expectCompleted);
+      EXPECT_EQ(acceptedWhileHeld, expectAccepted) << "push() did not block";
+      EXPECT_FALSE(emittedWhileHeld);
+      EXPECT_LE(parkedWhileHeld, static_cast<std::int64_t>(bound));
+      EXPECT_LE(parked.maxValue(), static_cast<std::int64_t>(bound));
+      ASSERT_EQ(order.size(), jobs);
+      for (std::size_t i = 0; i < jobs; ++i) EXPECT_EQ(order[i], i);
+    }
+  }
+}
+
+TEST(OrderedPool, WorkAndEmitFailuresSurfaceFromPushAndFinish) {
+  // Capacity 1 keeps push() blocked on a full queue when the failure
+  // lands: the window in which a wakeup outside the mutex was lost.
+  for (const bool inEmit : {false, true}) {
+    for (std::size_t workers : {1u, 4u}) {
+      SCOPED_TRACE(std::string(inEmit ? "emit" : "work") +
+                   " workers=" + std::to_string(workers));
+      IndexPool pool(
+          workers, 1, "test.ordered_pool",
+          OnEveryThread([&](std::size_t job) {
+            if (!inEmit && job == 5) throw Error("work failed");
+            return job;
+          }),
+          [&](std::size_t seq, std::size_t&&) {
+            if (inEmit && seq == 5) throw Error("emit failed");
+          });
+      std::string message;
+      try {
+        for (std::size_t i = 0; i < 1000; ++i) pool.push(i);
+        pool.finish();
+      } catch (const Error& e) {
+        message = e.what();
+      }
+      EXPECT_NE(message.find(inEmit ? "emit failed" : "work failed"),
+                std::string::npos)
+          << message;
+      EXPECT_THROW(pool.finish(), Error);
+      EXPECT_THROW(pool.push(0), Error);
+    }
+  }
+}
+
+TEST(OrderedPool, WorkFailureWhileAnEmitIsBlocked) {
+  // emit(0) is still blocked when job 1 fails: push() must wake and
+  // throw, and finish() rethrows once the emit returns.
+  std::promise<void> emitStarted, release;
+  std::shared_future<void> started = emitStarted.get_future().share();
+  std::shared_future<void> held = release.get_future().share();
+  IndexPool pool(
+      2, 1, "test.ordered_pool",
+      OnEveryThread([&](std::size_t job) {
+        if (job == 1) {
+          started.wait();
+          throw Error("work failed");
+        }
+        return job;
+      }),
+      [&](std::size_t seq, std::size_t&&) {
+        if (seq != 0) return;
+        emitStarted.set_value();
+        held.wait();
+      });
+  bool pushThrew = false;
+  try {
+    for (std::size_t i = 0; i < 1000; ++i) pool.push(i);
+  } catch (const Error&) {
+    pushThrew = true;
+  }
+  release.set_value();
+  EXPECT_TRUE(pushThrew);
+  EXPECT_THROW(pool.finish(), Error);
+}
+
+TEST(OrderedPool, DestructionWithoutFinishDrainsAndJoins) {
+  std::vector<std::size_t> order;
+  {
+    IndexPool pool(
+        4, 8, "test.ordered_pool",
+        OnEveryThread([](std::size_t job) { return job; }),
+        [&](std::size_t seq, std::size_t&&) { order.push_back(seq); });
+    for (std::size_t i = 0; i < 50; ++i) pool.push(i);
+  }
+  ASSERT_EQ(order.size(), 50u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  // A failed pool's destructor joins without throwing.
+  IndexPool failing(
+      2, 1, "test.ordered_pool",
+      OnEveryThread(
+          [](std::size_t) -> std::size_t { throw Error("work failed"); }),
+      [](std::size_t, std::size_t&&) {});
+  EXPECT_THROW(
+      {
+        for (std::size_t i = 0; i < 100; ++i) failing.push(i);
+      },
+      Error);
 }
 
 // ---- streaming estimator ---------------------------------------------------

@@ -27,8 +27,7 @@
 //               v2 with a chosen chunk codec, printing per-codec
 //               compression statistics
 //   topo        topology workbench: list the registry, show stats,
-//               generate .ictp files from the synthetic generators,
-//               export any spec to canonical .ictp
+//               write any spec as canonical .ictp
 //
 // Exit codes: 0 success; 1 runtime error or a failed scenario check;
 // 2 usage error (also printed for no/unknown subcommands).
@@ -85,7 +84,7 @@ using namespace ictm;
 
 namespace {
 
-// Bad option values (non-numeric --threads, unknown --solver, ...)
+// Bad option values (non-numeric --threads, unknown --codec, ...)
 // are usage errors: exit 2 with a one-line hint, distinct from the
 // runtime-error exit 1.
 class UsageError : public std::runtime_error {
@@ -154,7 +153,6 @@ int Usage() {
                "              title, expectation) for tooling\n"
                "  ictm run <scenario...|all> [--threads N] [--out DIR]\n"
                "           [--seed S] [--tiny] [--topology SPEC]\n"
-               "           [--solver auto|dense]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      run scenarios; deterministic JSON per scenario\n"
                "      (bit-identical for every --threads value) goes to\n"
@@ -167,16 +165,12 @@ int Usage() {
                "      --topology SPEC substitute topology for the\n"
                "                      topology-aware scenarios (name,\n"
                "                      generator spec or .ictp file)\n"
-               "      --solver K      auto (default) or dense; both run\n"
-               "                      the dense Cholesky normal-equations\n"
-               "                      solve\n"
                "  ictm synthesize <out.csv> [nodes] [bins] [f] [seed]\n"
                "  ictm fit <tm.csv>\n"
                "  ictm gravity <tm.csv>\n"
                "  ictm prior <tm.csv> <f>\n"
                "  ictm fmeasure [durationSec] [connPerSec] [seed]\n"
                "  ictm estimate <tm.csv> [topology] [threads] [seed]\n"
-               "           [--solver auto|dense]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      topology: auto (default) picks a canned topology\n"
                "                by node count; otherwise any registry\n"
@@ -187,12 +181,9 @@ int Usage() {
                "      seed:     generator seed for seeded topology\n"
                "                specs (default 0; must match the seed\n"
                "                the topology was generated with)\n"
-               "      --solver  auto (default) or dense; both run the\n"
-               "                dense Cholesky normal-equations solve\n"
                "  ictm stream <trace.ictmb|tm.csv> [--topology T]\n"
                "           [--seed S] [--threads N] [--window W]\n"
                "           [--queue C] [--f F] [--out DIR]\n"
-               "           [--solver auto|dense]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      online estimation through the streaming subsystem\n"
                "      (bounded queue + worker pool + reorder buffer);\n"
@@ -212,9 +203,6 @@ int Usage() {
                "                    DIR/priors.ictmb\n"
                "      --codec C     chunk codec for the --out traces\n"
                "                    (raw|shuffle-lz|delta; default raw)\n"
-               "      --solver K    auto (default) or dense; both run the\n"
-               "                    dense Cholesky normal-equations\n"
-               "                    solve\n"
                "      --trace-out FILE   Chrome trace_event JSON of the\n"
                "                    run (chrome://tracing / perfetto)\n"
                "      --metrics-out FILE ictm-metrics-v1 JSON snapshot\n"
@@ -248,7 +236,6 @@ int Usage() {
                "  ictm client <trace.ictmb|tm.csv> --connect SPEC\n"
                "           [--topology T] [--seed S] [--threads N]\n"
                "           [--window W] [--queue C] [--f F]\n"
-               "           [--solver auto|dense]\n"
                "           [--session KEY] [--resume] [--have N]\n"
                "           [--out DIR] [--codec C]\n"
                "      stream a trace through a running server; same\n"
@@ -290,12 +277,10 @@ int Usage() {
                "  ictm topo show <spec> [--seed S] [--json]\n"
                "      resolve a spec and print node/link/routing stats\n"
                "  ictm topo gen <spec> [--seed S] [--out FILE]\n"
-               "      generate a topology and write canonical .ictp\n"
+               "      write any resolvable topology (generator spec,\n"
+               "      canned name or .ictp file) as canonical .ictp\n"
                "      (stdout without --out); byte-reproducible for a\n"
                "      fixed spec and seed\n"
-               "  ictm topo convert <spec> <out.ictp> [--seed S]\n"
-               "      export any resolvable topology (canned name,\n"
-               "      generator spec or .ictp file) to canonical .ictp\n"
                "exit codes: 0 success; 1 runtime error or failed scenario\n"
                "check; 2 usage error\n"
                "full reference: docs/CLI.md\n");
@@ -330,15 +315,6 @@ double ParseDouble(const char* arg, const char* what) {
                      " must be a finite number, got: " + arg);
   }
   return v;
-}
-
-core::SolverKind ParseSolver(const char* arg) {
-  core::SolverKind kind;
-  if (!core::ParseSolverKind(arg, &kind)) {
-    throw UsageError(std::string("unknown solver: ") + arg +
-                     " (expected auto|dense)");
-  }
-  return kind;
 }
 
 stream::ChunkCodec ParseCodec(const char* arg) {
@@ -450,9 +426,6 @@ int CmdRun(int argc, char** argv) {
           argv[++i], "seed", 0, std::numeric_limits<long>::max()));
     } else if (arg == "--topology" && i + 1 < argc) {
       ctx.topology = argv[++i];
-    } else if (arg == "--solver" && i + 1 < argc) {
-      ParseSolver(argv[i + 1]);  // validate before any scenario runs
-      ctx.solver = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       outDir = argv[++i];
     } else if (arg == "all") {
@@ -638,9 +611,7 @@ int CmdEstimate(int argc, char** argv) {
   ObsOutputs obsOut;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--solver" && i + 1 < argc) {
-      options.solver = ParseSolver(argv[++i]);
-    } else if (obsOut.parseFlag(arg, argc, argv, &i)) {
+    if (obsOut.parseFlag(arg, argc, argv, &i)) {
     } else if (!arg.empty() && arg[0] == '-' && arg.size() > 1 &&
                !std::isdigit(static_cast<unsigned char>(arg[1]))) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
@@ -727,8 +698,6 @@ struct StreamFlags {
       options.queueCapacity = ParseSize(value, "queue", 1, 1 << 20);
     } else if (arg == "--f") {
       options.f = ParseDouble(value, "f");
-    } else if (arg == "--solver") {
-      options.estimation.solver = ParseSolver(value);
     } else if (arg == "--codec") {
       codec = ParseCodec(value);
     } else if (arg == "--out") {
@@ -1149,7 +1118,6 @@ int CmdClient(int argc, char** argv) {
   config.hello.queueCapacity =
       static_cast<std::uint32_t>(options.queueCapacity);
   config.hello.f = options.f;
-  config.hello.solver = options.estimation.solver;
 
   std::printf("session to %s: %zu bins x %zu nodes, topology %s, "
               "%u thread(s)%s%s\n",
@@ -1407,16 +1375,6 @@ int CmdTopo(int argc, char** argv) {
       std::printf("wrote %zu nodes, %zu directed links to %s\n",
                   g.nodeCount(), g.linkCount(), outPath.c_str());
     }
-    return 0;
-  }
-
-  if (sub == "convert") {
-    if (positional.size() != 2) return Usage();
-    const topology::Graph g = topology::MakeTopology(positional[0], seed);
-    topology::WriteIctpFile(positional[1], g);
-    std::printf("wrote %s (%zu nodes, %zu directed links) as canonical "
-                ".ictp\n",
-                positional[1].c_str(), g.nodeCount(), g.linkCount());
     return 0;
   }
 

@@ -2,11 +2,11 @@
 # CLI option-validation test, registered with CTest as `cli_usage`.
 #
 # Contract (docs/CLI.md "Exit codes"): bad option *values* — an
-# unknown --solver, a non-numeric --threads — are usage errors: the
+# unknown --codec, a non-numeric --threads — are usage errors: the
 # command exits 2 before doing any work and prints a one-line usage
-# hint on stderr.  The two --solver values, auto and dense, must be
-# accepted by estimate, stream and run; the retired sparse and cg are
-# usage errors.  The printed improvement must have the right sign.
+# hint on stderr.  Retired flags and subcommands (--solver, `topo
+# convert`) are unknown, so they exit 2 too.  The printed improvement
+# must have the right sign.
 #
 # usage: test_cli_usage.sh <path-to-ictm>
 set -u
@@ -45,11 +45,15 @@ expect_ok() {
 # A tiny TM so estimate/stream have real input to reach flag handling.
 expect_ok synthesize "$WORK/tm.csv" 6 3 0.25 1
 
-# Unknown --solver values are rejected with exit 2 everywhere.
-expect_usage_error estimate "$WORK/tm.csv" --solver bogus
-expect_usage_error stream "$WORK/tm.csv" --solver bogus
-expect_usage_error run fig2_example --solver bogus
-expect_usage_error run fig2_example --solver Dense
+# --solver is retired: every command that took it now refuses it.
+expect_usage_error estimate "$WORK/tm.csv" --solver dense
+expect_usage_error stream "$WORK/tm.csv" --solver dense
+expect_usage_error run fig2_example --solver dense
+expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --solver dense
+
+# `topo convert` is retired; `topo gen <spec> --out FILE` writes the
+# same bytes.
+expect_usage_error topo convert geant22 "$WORK/geant.ictp"
 
 # Non-numeric / out-of-range numeric option values: exit 2.
 expect_usage_error estimate "$WORK/tm.csv" ring:6:2 abc
@@ -97,19 +101,6 @@ expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --queue 0
 expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --resume
 expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --threads abc
 expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --frobnicate
-
-# Both solver values are accepted on each surface ...
-for solver in auto dense; do
-  expect_ok estimate "$WORK/tm.csv" ring:6:2 1 0 --solver "$solver"
-  expect_ok stream "$WORK/tm.csv" --threads 1 --solver "$solver"
-done
-expect_ok run fig2_example --solver dense --tiny
-# ... and the retired backends are usage errors.
-for solver in sparse cg; do
-  expect_usage_error estimate "$WORK/tm.csv" ring:6:2 1 0 --solver "$solver"
-  expect_usage_error stream "$WORK/tm.csv" --threads 1 --solver "$solver"
-  expect_usage_error run fig2_example --solver "$solver" --tiny
-done
 
 # The printed improvement is 100·(1 − mean estimate error / mean prior
 # error), so its sign is the sign of (prior − estimate).  On this trace
