@@ -1,16 +1,24 @@
 // Google-benchmark microbenchmarks of the numerical kernels the
 // reproduction is built on: the QR factorisation, NNLS, gravity,
-// the stable-fP prior, and one tomogravity estimation bin at Géant
-// scale.
+// the stable-fP prior, one tomogravity estimation bin at Géant scale,
+// and the dense Cholesky factor of a hierarchy backbone's bin.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/estimation.hpp"
 #include "core/fit.hpp"
 #include "core/gravity.hpp"
+#include "core/ic_model.hpp"
 #include "core/priors.hpp"
+#include "core/synthesis.hpp"
+#include "linalg/lsq.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/qr.hpp"
 #include "stats/rng.hpp"
+#include "topology/registry.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
 
@@ -115,6 +123,56 @@ void BM_StableFPPriorWeek(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StableFPPriorWeek);
+
+// The dense factor TmBinSolver runs once per bin, on the real normal
+// matrix A diag(xp) Aᵀ + ridge of hierarchy:100 (586 rows) and
+// hierarchy:200 (1186 rows), with xp the cold-start stable-fP prior
+// (uniform preference) of one synthetic bin.
+void BM_CholeskyFactor(benchmark::State& state) {
+  const topology::Graph g = topology::MakeTopology(
+      "hierarchy:" + std::to_string(state.range(0)));
+  const std::size_t n = g.nodeCount();
+  const core::AugmentedTmSystem system(topology::BuildRoutingCsr(g), n,
+                                       /*marginalConstraints=*/true);
+  core::SynthesisConfig config;
+  config.nodes = n;
+  config.bins = 1;
+  stats::Rng rng(7);
+  const core::SyntheticTm tm = core::GenerateSyntheticTm(config, rng);
+  const double* truth = tm.series.binData(0);
+  linalg::Vector in(n, 0.0), out(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      in[i] += truth[i * n + j];
+      out[j] += truth[i * n + j];
+    }
+  linalg::Vector activity(n), prior(n * n);
+  core::StableFPKernel(0.25, linalg::Vector(n, 1.0))
+      .PriorBin(in.data(), out.data(), activity.data(), prior.data());
+
+  const std::size_t rows = system.rowCount();
+  std::vector<double> gram(rows * rows);
+  linalg::WeightedGramInto(system.matrix(), prior.data(), gram.data());
+  double trace = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) trace += gram[r * rows + r];
+  const double ridge = std::max(trace, 1.0) * 1e-10 + 1e-30;
+  for (std::size_t r = 0; r < rows; ++r) gram[r * rows + r] += ridge;
+
+  std::vector<double> work(rows * rows);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::copy(gram.begin(), gram.end(), work.begin());
+    state.ResumeTiming();
+    linalg::CholeskyFactorInPlace(work.data(), rows);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_CholeskyFactor)
+    ->Arg(100)
+    ->Arg(200)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -84,23 +84,32 @@ std::size_t AugmentedRowCount(std::size_t links, std::size_t nodes,
 }
 
 // One count per bin solve, so the total is invariant under the worker
-// fan-out (deterministic class).  The factor / substitute split is
-// wall time (timing class).
+// fan-out (deterministic class).
 obs::Counter& SolvesCounter() {
   static obs::Counter& c = obs::GetCounter(
       "solver.solves.dense", obs::MetricClass::kDeterministic);
   return c;
 }
 
-obs::Counter& FactorNsCounter() {
-  static obs::Counter& c =
+// Wall time of each stage of a bin solve, in pipeline order (timing
+// class).
+struct SolveStageCounters {
+  obs::Counter& residual =
+      obs::GetCounter("solver.residual_ns", obs::MetricClass::kTiming);
+  obs::Counter& gram =
+      obs::GetCounter("solver.gram_ns", obs::MetricClass::kTiming);
+  obs::Counter& factor =
       obs::GetCounter("solver.factor_ns", obs::MetricClass::kTiming);
-  return c;
-}
-
-obs::Counter& SubstituteNsCounter() {
-  static obs::Counter& c =
+  obs::Counter& substitute =
       obs::GetCounter("solver.substitute_ns", obs::MetricClass::kTiming);
+  obs::Counter& pushback =
+      obs::GetCounter("solver.pushback_ns", obs::MetricClass::kTiming);
+  obs::Counter& ipf =
+      obs::GetCounter("solver.ipf_ns", obs::MetricClass::kTiming);
+};
+
+const SolveStageCounters& StageCounters() {
+  static const SolveStageCounters c;
   return c;
 }
 
@@ -151,6 +160,10 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
     ICTM_REQUIRE(egress[i] >= 0.0, "negative col target");
   }
 
+  // Each stage is timed only while metrics are recording.
+  const bool recording = obs::Enabled();
+  const std::uint64_t t0 = recording ? obs::Now() : 0;
+
   // Right-hand side y = [loads; ingress; egress] ...
   double* d = d_.data();
   std::copy(linkLoads, linkLoads + links, d);
@@ -170,6 +183,8 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
     }
   }
 
+  const std::uint64_t t1 = recording ? obs::Now() : 0;
+
   // Solve (A W Aᵀ + ridge) z = d with W = diag(xp) (prior-weighted
   // deviations, per tomogravity), then push back: x = xp + W Aᵀ z.
   SolvesCounter().add();
@@ -181,16 +196,11 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
       std::max(trace, 1.0) * kRelativeRidge +
       1e-30;  // keep strictly positive even for an all-zero prior
   for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge;
-  // Factor, then substitute, timed per phase.
-  const bool recording = obs::Enabled();
-  const std::uint64_t t0 = recording ? obs::Now() : 0;
+  const std::uint64_t t2 = recording ? obs::Now() : 0;
   linalg::CholeskyFactorInPlace(m, rows);
-  const std::uint64_t t1 = recording ? obs::Now() : 0;
+  const std::uint64_t t3 = recording ? obs::Now() : 0;
   linalg::CholeskySubstituteInPlace(m, d, rows);
-  if (recording) {
-    FactorNsCounter().add(t1 - t0);
-    SubstituteNsCounter().add(obs::Now() - t1);
-  }
+  const std::uint64_t t4 = recording ? obs::Now() : 0;
   for (std::size_t c = 0; c < n2; ++c) {
     const double xp = priorBin[c];
     double x = xp;
@@ -203,8 +213,18 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
     }
     outBin[c] = std::max(x, 0.0);
   }
+  const std::uint64_t t5 = recording ? obs::Now() : 0;
 
   IpfInPlace(outBin, n, ingress, egress, kIpfIterations, kIpfTolerance);
+  if (recording) {
+    const SolveStageCounters& stages = StageCounters();
+    stages.residual.add(t1 - t0);
+    stages.gram.add(t2 - t1);
+    stages.factor.add(t3 - t2);
+    stages.substitute.add(t4 - t3);
+    stages.pushback.add(t5 - t4);
+    stages.ipf.add(obs::Now() - t5);
+  }
 }
 
 linalg::Matrix Ipf(linalg::Matrix tm, const linalg::Vector& rowTargets,

@@ -7,7 +7,42 @@
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 
+// With GCC on x86-64 the two dense kernels below are compiled once per
+// ISA level (baseline, AVX2, x86-64-v4) and the dynamic loader binds
+// the widest one the CPU supports.  Every clone must write the same
+// bytes, so contraction into FMA is switched off here in the source: a
+// build flag would not reach builds that compile src/ with their own
+// flags, and x86-64-v4 (like avx512f alone) implies FMA.  Clang, and
+// GCC on other targets, build one plain copy with contraction off; so
+// do ThreadSanitizer builds, because GCC instruments the ifunc
+// resolver it generates and the loader runs that resolver before the
+// TSan runtime is up, which crashes every binary at startup.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#define ICTM_DENSE_KERNEL
+#elif defined(__GNUC__) && defined(__x86_64__) && \
+    !defined(__SANITIZE_THREAD__)
+#define ICTM_DENSE_KERNEL                                           \
+  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4"), \
+                 optimize("fp-contract=off")))
+#elif defined(__GNUC__)
+#define ICTM_DENSE_KERNEL __attribute__((optimize("fp-contract=off")))
+#else
+#define ICTM_DENSE_KERNEL
+#endif
+
 namespace ictm::linalg {
+
+namespace {
+
+// Panel height (rows; a multiple of the rank-4 block) and column-chunk
+// width of the tiled factor: a 64 x 512 tile (256 KB) stays in L2
+// while earlier blocks stream past it.  Heights of 32-128 rows and
+// widths of 256-1024 columns measured within noise of each other.
+constexpr std::size_t kPanelRows = 64;
+constexpr std::size_t kChunkCols = 512;
+
+}  // namespace
 
 Vector SolveLeastSquares(const Matrix& a, const Vector& b) {
   ICTM_REQUIRE(a.rows() == b.size(), "rhs length mismatch");
@@ -44,56 +79,89 @@ Matrix CholeskyUpper(const Matrix& a) {
   return u;
 }
 
+ICTM_DENSE_KERNEL
 void CholeskyFactorInPlace(double* m, std::size_t n) {
-  // Factors the upper triangle in place (Uᵀ U = m) in right-looking
-  // form: the inner update — row i minus a multiple of row k, both
-  // contiguous — is a branch-free axpy the compiler vectorises,
-  // unlike the serial reductions of the textbook dot-product form.
-  // Rank-4 blocking fuses four pivot sweeps of the bandwidth-bound
-  // trailing submatrix into one pass.
-  std::size_t k = 0;
-  for (; k + 3 < n; k += 4) {
-    for (std::size_t kk = k; kk < k + 4; ++kk) {
-      double* __restrict ukRow = m + kk * n;
-      for (std::size_t p = k; p < kk; ++p) {
-        const double* __restrict up = m + p * n;
-        const double c = up[kk];
-        for (std::size_t j = kk; j < n; ++j) ukRow[j] -= c * up[j];
+  // Right-looking rank-4 factor, tiled by row panels with delayed
+  // updates.  The untiled loop streams the whole trailing matrix past
+  // every block of four pivots (11 MB at 1186 rows).  Here a panel's
+  // rows first receive every earlier block's update one column chunk
+  // at a time, so the chunk's tile stays in cache while the finished
+  // block rows stream past; then the rank-4 loop runs on the panel's
+  // rows alone.  Every element still sees the same updates, with the
+  // same expressions, in the same ascending-block order, so the factor
+  // is bit-for-bit the untiled one.  The inner loops are branch-free
+  // axpys over contiguous rows, which the compiler vectorises.
+  for (std::size_t p0 = 0; p0 < n; p0 += kPanelRows) {
+    const std::size_t p1 = std::min(p0 + kPanelRows, n);
+    // Delayed updates from every finished block, ascending, chunk by
+    // chunk.  Chunks are independent of each other.
+    for (std::size_t c0 = p0; c0 < n; c0 += kChunkCols) {
+      const std::size_t c1 = std::min(c0 + kChunkCols, n);
+      const std::size_t rowEnd = std::min(p1, c1);
+      for (std::size_t k = 0; k < p0; k += 4) {
+        const double* __restrict u0 = m + k * n;
+        const double* __restrict u1 = m + (k + 1) * n;
+        const double* __restrict u2 = m + (k + 2) * n;
+        const double* __restrict u3 = m + (k + 3) * n;
+        for (std::size_t i = p0; i < rowEnd; ++i) {
+          const double a = u0[i], b = u1[i], c = u2[i], e = u3[i];
+          double* __restrict ui = m + i * n;
+          for (std::size_t j = std::max(i, c0); j < c1; ++j) {
+            ui[j] -= a * u0[j] + b * u1[j] + c * u2[j] + e * u3[j];
+          }
+        }
       }
-      ICTM_REQUIRE(ukRow[kk] > 0.0,
+    }
+
+    // The untiled rank-4 loop, its trailing update cut off at p1.
+    std::size_t k = p0;
+    for (; k + 3 < n && k < p1; k += 4) {
+      for (std::size_t kk = k; kk < k + 4; ++kk) {
+        double* __restrict ukRow = m + kk * n;
+        for (std::size_t p = k; p < kk; ++p) {
+          const double* __restrict up = m + p * n;
+          const double c = up[kk];
+          for (std::size_t j = kk; j < n; ++j) ukRow[j] -= c * up[j];
+        }
+        ICTM_REQUIRE(ukRow[kk] > 0.0,
+                     "matrix is not positive definite in Cholesky");
+        const double diag = std::sqrt(ukRow[kk]);
+        ukRow[kk] = diag;
+        const double inv = 1.0 / diag;
+        for (std::size_t j = kk + 1; j < n; ++j) ukRow[j] *= inv;
+      }
+      const double* __restrict u0 = m + k * n;
+      const double* __restrict u1 = m + (k + 1) * n;
+      const double* __restrict u2 = m + (k + 2) * n;
+      const double* __restrict u3 = m + (k + 3) * n;
+      for (std::size_t i = k + 4; i < p1; ++i) {
+        const double a = u0[i], b = u1[i], c = u2[i], e = u3[i];
+        double* __restrict ui = m + i * n;
+        for (std::size_t j = i; j < n; ++j) {
+          ui[j] -= a * u0[j] + b * u1[j] + c * u2[j] + e * u3[j];
+        }
+      }
+    }
+    // Remainder rows (n mod 4); only the last panel has any, and there
+    // p1 == n.
+    for (; k < p1; ++k) {
+      double* __restrict uk = m + k * n;
+      ICTM_REQUIRE(uk[k] > 0.0,
                    "matrix is not positive definite in Cholesky");
-      const double diag = std::sqrt(ukRow[kk]);
-      ukRow[kk] = diag;
-      const double inv = 1.0 / diag;
-      for (std::size_t j = kk + 1; j < n; ++j) ukRow[j] *= inv;
-    }
-    const double* __restrict u0 = m + k * n;
-    const double* __restrict u1 = m + (k + 1) * n;
-    const double* __restrict u2 = m + (k + 2) * n;
-    const double* __restrict u3 = m + (k + 3) * n;
-    for (std::size_t i = k + 4; i < n; ++i) {
-      const double a = u0[i], b = u1[i], c = u2[i], e = u3[i];
-      double* __restrict ui = m + i * n;
-      for (std::size_t j = i; j < n; ++j) {
-        ui[j] -= a * u0[j] + b * u1[j] + c * u2[j] + e * u3[j];
+      const double ukk = std::sqrt(uk[k]);
+      uk[k] = ukk;
+      const double inv = 1.0 / ukk;
+      for (std::size_t j = k + 1; j < n; ++j) uk[j] *= inv;
+      for (std::size_t i = k + 1; i < n; ++i) {
+        const double uki = uk[i];
+        double* __restrict ui = m + i * n;
+        for (std::size_t j = i; j < n; ++j) ui[j] -= uki * uk[j];
       }
-    }
-  }
-  for (; k < n; ++k) {  // remainder rows (n mod 4)
-    double* __restrict uk = m + k * n;
-    ICTM_REQUIRE(uk[k] > 0.0, "matrix is not positive definite in Cholesky");
-    const double ukk = std::sqrt(uk[k]);
-    uk[k] = ukk;
-    const double inv = 1.0 / ukk;
-    for (std::size_t j = k + 1; j < n; ++j) uk[j] *= inv;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double uki = uk[i];
-      double* __restrict ui = m + i * n;
-      for (std::size_t j = i; j < n; ++j) ui[j] -= uki * uk[j];
     }
   }
 }
 
+ICTM_DENSE_KERNEL
 void CholeskySubstituteInPlace(const double* m, double* d,
                                std::size_t n) {
   // Forward (Uᵀ y = d) in outer-product form: after y[j] is final,

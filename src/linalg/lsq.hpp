@@ -33,13 +33,19 @@ Vector ForwardSubstituteTranspose(const Matrix& u, const Vector& b);
 Vector SolveGramNnls(Matrix gram, const Vector& rhs);
 
 /// Factors the upper triangle of a symmetric positive-definite
-/// row-major n x n buffer in place (Uᵀ U = m; rank-4 blocked, nothing
-/// below the diagonal is read or written).  Throws when `m` is not
-/// numerically positive definite.
+/// row-major n x n buffer in place (Uᵀ U = m; nothing below the
+/// diagonal is read or written).  Right-looking rank-4 blocks, tiled
+/// into 64-row panels with delayed updates so the working set stays in
+/// cache.  On x86-64 (GCC) the function is compiled per ISA level
+/// (baseline, AVX2, x86-64-v4) and the loader binds the widest the CPU
+/// has; contraction into FMA is off in every clone, so the factor's
+/// bytes do not depend on the CPU.  Throws when `m` is not numerically
+/// positive definite.
 void CholeskyFactorInPlace(double* m, std::size_t n);
 
 /// Substitution against a factor produced by CholeskyFactorInPlace:
-/// overwrites `d` with the solution of (Uᵀ U) z = d.
+/// overwrites `d` with the solution of (Uᵀ U) z = d.  Cloned per ISA
+/// level like the factor, with the same CPU-independent bytes.
 void CholeskySubstituteInPlace(const double* m, double* d, std::size_t n);
 
 }  // namespace ictm::linalg

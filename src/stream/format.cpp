@@ -1,7 +1,9 @@
 #include "stream/format.hpp"
 
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -638,19 +640,45 @@ void ConvertCsvToTrace(const std::string& csvPath,
                     TraceWriterOptions{binsPerChunk, ChunkCodec::kRaw, 0});
 }
 
+namespace {
+
+// Opens a writer on `path`, lets `fill` append every bin, and seals
+// the file.  ~TraceWriter seals whatever was appended, so when `fill`
+// or the seal throws, the file is deleted before the error propagates:
+// a failed conversion leaves no readable partial trace behind.  A
+// writer that cannot open `path` throws before anything is deleted.
+template <typename Fill>
+void WriteTraceOrRemove(const std::string& path, std::size_t nodes,
+                        double binSeconds, const TraceWriterOptions& options,
+                        const Fill& fill) {
+  auto writer =
+      std::make_unique<TraceWriter>(path, nodes, binSeconds, options);
+  try {
+    fill(*writer);
+    writer->close();
+  } catch (...) {
+    writer.reset();
+    std::remove(path.c_str());
+    throw;
+  }
+}
+
+}  // namespace
+
 void ConvertCsvToTrace(const std::string& csvPath,
                        const std::string& tracePath,
                        const TraceWriterOptions& options) {
   std::ifstream in(csvPath);
   ICTM_REQUIRE(in.is_open(), "cannot open file for reading: " + csvPath);
   const traffic::CsvHeader h = traffic::ReadCsvHeader(in);
-  TraceWriter writer(tracePath, h.nodes, h.binSeconds, options);
   std::vector<double> bin(h.nodes * h.nodes);
-  for (std::size_t t = 0; t < h.bins; ++t) {
-    traffic::ReadCsvBin(in, h, t, bin.data());
-    writer.append(bin.data());
-  }
-  writer.close();
+  WriteTraceOrRemove(tracePath, h.nodes, h.binSeconds, options,
+                     [&](TraceWriter& writer) {
+                       for (std::size_t t = 0; t < h.bins; ++t) {
+                         traffic::ReadCsvBin(in, h, t, bin.data());
+                         writer.append(bin.data());
+                       }
+                     });
 }
 
 void ConvertTraceToCsv(const std::string& tracePath,
@@ -692,10 +720,13 @@ RepackResult RepackTrace(const std::string& inPath,
   if (writerOptions.binsPerChunk == 0) {
     writerOptions.binsPerChunk = info.binsPerChunk;
   }
-  TraceWriter writer(outPath, info.nodes, info.binSeconds, writerOptions);
   std::vector<double> bin(info.nodes * info.nodes);
-  while (reader.next(bin.data())) writer.append(bin.data());
-  writer.close();
+  WriteTraceOrRemove(outPath, info.nodes, info.binSeconds, writerOptions,
+                     [&](TraceWriter& writer) {
+                       while (reader.next(bin.data())) {
+                         writer.append(bin.data());
+                       }
+                     });
 
   RepackResult result;
   result.bins = info.bins;

@@ -236,6 +236,24 @@ TEST_F(ObsTest, DeterministicMetricsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serialMetrics, threadedMetrics);
 }
 
+TEST_F(ObsTest, SolverStagesAreTimingCounters) {
+  // Every stage of TmBinSolver::Solve reports its wall time, in the
+  // timing class, so it stays out of the determinism comparison above.
+  SKIP_WHEN_COMPILED_OUT();
+  StreamFixture fx;
+  stream::EstimateSeriesStreaming(fx.routing, fx.truth, FixtureOptions(2));
+  std::map<std::string, obs::MetricClass> classes;
+  for (const auto& c : obs::Registry::Instance().snapshot().counters) {
+    classes.emplace(c.name, c.cls);
+  }
+  for (const char* stage : {"residual", "gram", "factor", "substitute",
+                            "pushback", "ipf"}) {
+    const std::string name = std::string("solver.") + stage + "_ns";
+    ASSERT_EQ(classes.count(name), 1u) << name;
+    EXPECT_EQ(classes.at(name), obs::MetricClass::kTiming) << name;
+  }
+}
+
 TEST_F(ObsTest, DisablingMetricsDoesNotChangeResults) {
   StreamFixture fx;
 

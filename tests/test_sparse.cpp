@@ -1,18 +1,25 @@
 // Tests for the compressed sparse-matrix kernels (linalg/sparse.hpp),
-// the in-place Cholesky kernels that consume them (linalg/lsq.hpp),
+// the in-place Cholesky kernels that consume them (linalg/lsq.hpp) and
+// the byte equality of the tiled factor with the untiled oracle,
 // the ParallelFor fan-out (common/parallel.hpp), and the regression
 // guarantee of the parallel estimation path: EstimateSeries must be
 // bit-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
 #include "core/estimation.hpp"
 #include "core/gravity.hpp"
+#include "core/ic_model.hpp"
+#include "core/synthesis.hpp"
 #include "linalg/lsq.hpp"
 #include "linalg/sparse.hpp"
+#include "topology/registry.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
 #include "test_util.hpp"
@@ -115,7 +122,7 @@ TEST(CholeskyInPlace, MatchesTextbookCholeskyPath) {
   // CholeskyUpper + substitution, on sizes around the rank-4 blocking
   // boundaries (n mod 4 = 0..3).
   stats::Rng rng(5);
-  for (std::size_t n : {1u, 3u, 4u, 7u, 16u, 21u}) {
+  for (std::size_t n : {1u, 3u, 4u, 7u, 16u, 21u, 64u, 65u, 129u}) {
     // SPD by construction: AᵀA + n·I.
     const Matrix a = test::RandomMatrix(n, n, rng);
     Matrix spd = a.transposed() * a;
@@ -143,9 +150,100 @@ TEST(CholeskyInPlace, MatchesTextbookCholeskyPath) {
   }
 }
 
+// The normal matrix TmBinSolver factors: A diag(w) Aᵀ from
+// WeightedGramInto plus the solver's trace-relative ridge.
+Matrix SolverGram(const CscMatrix& a, const double* w) {
+  const std::size_t rows = a.rows();
+  Matrix m(rows, rows);
+  WeightedGramInto(a, w, m.data().data());
+  double trace = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) trace += m(r, r);
+  const double ridge = std::max(trace, 1.0) * 1e-10 + 1e-30;
+  for (std::size_t r = 0; r < rows; ++r) m(r, r) += ridge;
+  return m;
+}
+
+// Factors `gram` with the library kernel and with the untiled oracle
+// and requires the two upper triangles to be equal byte for byte.
+void ExpectFactorBytesMatchReference(const Matrix& gram) {
+  const std::size_t n = gram.rows();
+  Matrix got = gram;
+  Matrix want = gram;
+  CholeskyFactorInPlace(got.data().data(), n);
+  test::ReferenceCholeskyFactor(want.data().data(), n);
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    differing += std::memcmp(&got(i, i), &want(i, i),
+                             (n - i) * sizeof(double)) != 0;
+  }
+  EXPECT_EQ(differing, 0u) << "rows of the n=" << n << " factor differ";
+}
+
+// The real normal matrix of one hierarchy:100 bin (586 rows) under the
+// cold-start stable-fP prior (uniform preference) of a synthetic bin.
+Matrix HierarchyGram() {
+  const topology::Graph g = topology::MakeTopology("hierarchy:100", 0);
+  const std::size_t n = g.nodeCount();
+  const core::AugmentedTmSystem system(topology::BuildRoutingCsr(g), n,
+                                       /*marginalConstraints=*/true);
+  core::SynthesisConfig config;
+  config.nodes = n;
+  config.bins = 1;
+  stats::Rng rng(7);
+  const core::SyntheticTm tm = core::GenerateSyntheticTm(config, rng);
+  const double* truth = tm.series.binData(0);
+  Vector ingress(n, 0.0), egress(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      ingress[i] += truth[i * n + j];
+      egress[j] += truth[i * n + j];
+    }
+  }
+  Vector activity(n), prior(n * n);
+  core::StableFPKernel(0.25, Vector(n, 1.0))
+      .PriorBin(ingress.data(), egress.data(), activity.data(),
+                prior.data());
+  return SolverGram(system.matrix(), prior.data());
+}
+
+TEST(CholeskyInPlace, FactorBytesMatchReference) {
+  // Sizes around the rank-4 remainder, the 64-row panel and the
+  // 512-column chunk, up to the hierarchy:200 system (1186 rows).
+  // Weights span twelve decades, as prior entries do.
+  stats::Rng rng(11);
+  for (std::size_t n : {1u, 3u, 4u, 5u, 63u, 64u, 65u, 67u, 127u, 128u,
+                        129u, 131u, 515u, 1186u}) {
+    const Matrix a = RandomSparseDense(n, 2 * n, rng);
+    Vector w(2 * n);
+    for (double& x : w) x = std::pow(10.0, rng.uniform(-6.0, 6.0));
+    const CscMatrix csc =
+        CscMatrix::FromTriplets(n, 2 * n, NonZeroTriplets(a));
+    ExpectFactorBytesMatchReference(SolverGram(csc, w.data()));
+  }
+  const Matrix gram = HierarchyGram();
+  ASSERT_EQ(gram.rows(), 586u);
+  ExpectFactorBytesMatchReference(gram);
+}
+
 TEST(CholeskyInPlace, RejectsIndefiniteMatrix) {
   Matrix m{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
   EXPECT_THROW(CholeskyFactorInPlace(m.data().data(), 2), ictm::Error);
+
+  // Vᵀ D V with V unit upper triangular: the pivots are D's entries, so
+  // the first non-positive one is row 70, in the second 64-row panel,
+  // reached only after the first panel's delayed updates.
+  const std::size_t n = 80;
+  stats::Rng rng(12);
+  Matrix v = Matrix::Identity(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) v(i, j) = rng.uniform(-0.5, 0.5);
+  Vector d = test::RandomPositiveVector(n, rng, 1.0, 2.0);
+  Matrix spd = v.transposed() * Matrix::Diagonal(d) * v;
+  EXPECT_NO_THROW(CholeskyFactorInPlace(spd.data().data(), n));
+  d[70] = -1.0;
+  Matrix indefinite = v.transposed() * Matrix::Diagonal(d) * v;
+  EXPECT_THROW(CholeskyFactorInPlace(indefinite.data().data(), n),
+               ictm::Error);
 }
 
 }  // namespace

@@ -316,6 +316,19 @@ TEST(TraceFormat, CsvConvertersRoundTrip) {
   ExpectBitIdentical(series, traffic::ReadCsvFile(csvBack));
 }
 
+TEST(TraceFormat, FailedConversionLeavesNoTrace) {
+  // A non-finite cell in bin 1 fails the conversion after bin 0 was
+  // appended; the writer must not survive as a readable 1-bin trace.
+  auto series = RandomSeries(3, 4, 17);
+  series.binData(1)[4] = std::nan("");
+  const std::string csv = TempPath("convert_nan.csv");
+  const std::string trace = TempPath("convert_nan.ictmb");
+  traffic::WriteCsvFile(csv, series);
+  EXPECT_THROW(ConvertCsvToTrace(csv, trace, 1), Error);
+  EXPECT_FALSE(std::ifstream(trace).is_open())
+      << "failed conversion left " << trace;
+}
+
 // ---- chunk codecs ----------------------------------------------------------
 
 TEST(ChunkCodecs, NamesAndParsingRoundTrip) {
@@ -817,6 +830,28 @@ TEST(Repack, IdempotentAndInheritsChunking) {
   ExpectBitIdentical(series, reader.readAll());
 
   EXPECT_THROW(RepackTrace(a, a, delta), Error);  // in-place refused
+}
+
+TEST(Repack, FailedRepackLeavesNoOutput) {
+  // A payload bit flip in chunk 2 of a one-bin-per-chunk trace fails
+  // the repack after two bins were appended; no readable 2-bin trace
+  // may survive it.
+  const auto series = RandomSeries(3, 5, 29);
+  const std::string in = TempPath("rp_fail_in.ictmb");
+  WriteTraceFile(in, series, TraceWriterOptions{1, ChunkCodec::kRaw, 0});
+  std::string bytes = ReadBytes(in);
+  // Header 40 bytes; a raw frame is length, codec, raw length, 9
+  // doubles and a CRC.
+  const std::size_t frame = 8 + 4 + 8 + 9 * sizeof(double) + 4;
+  const std::size_t payload2 = 40 + 2 * frame + 8 + 4 + 8;
+  bytes[payload2] = static_cast<char>(bytes[payload2] ^ 0x01);
+  WriteBytes(in, bytes);
+
+  const std::string out = TempPath("rp_fail_out.ictmb");
+  TraceWriterOptions options;
+  options.binsPerChunk = 0;
+  EXPECT_THROW(RepackTrace(in, out, options), Error);
+  EXPECT_FALSE(std::ifstream(out).is_open()) << "failed repack left " << out;
 }
 
 TEST(Repack, CrossCodecCycleRecoversTheOriginalBytes) {

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/rng.hpp"
 #include "traffic/tm_series.hpp"
@@ -135,6 +137,68 @@ inline linalg::Matrix BuildActivityOperator(double f,
     }
   }
   return phi;
+}
+
+/// Untiled right-looking rank-4 Cholesky: the oracle
+/// linalg::CholeskyFactorInPlace is held to byte for byte.  Same
+/// contract (upper triangle of a row-major n x n buffer, Uᵀ U = m;
+/// throws when not positive definite).  Contraction into FMA is off,
+/// as in the library kernel, so the oracle's bits do not depend on
+/// whether the target has FMA.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("fp-contract=off")))
+#endif
+inline void ReferenceCholeskyFactor(double* m, std::size_t n) {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+  // Factors the upper triangle in place (Uᵀ U = m) in right-looking
+  // form: the inner update — row i minus a multiple of row k, both
+  // contiguous — is a branch-free axpy the compiler vectorises,
+  // unlike the serial reductions of the textbook dot-product form.
+  // Rank-4 blocking fuses four pivot sweeps of the bandwidth-bound
+  // trailing submatrix into one pass.
+  std::size_t k = 0;
+  for (; k + 3 < n; k += 4) {
+    for (std::size_t kk = k; kk < k + 4; ++kk) {
+      double* __restrict ukRow = m + kk * n;
+      for (std::size_t p = k; p < kk; ++p) {
+        const double* __restrict up = m + p * n;
+        const double c = up[kk];
+        for (std::size_t j = kk; j < n; ++j) ukRow[j] -= c * up[j];
+      }
+      ICTM_REQUIRE(ukRow[kk] > 0.0,
+                   "matrix is not positive definite in Cholesky");
+      const double diag = std::sqrt(ukRow[kk]);
+      ukRow[kk] = diag;
+      const double inv = 1.0 / diag;
+      for (std::size_t j = kk + 1; j < n; ++j) ukRow[j] *= inv;
+    }
+    const double* __restrict u0 = m + k * n;
+    const double* __restrict u1 = m + (k + 1) * n;
+    const double* __restrict u2 = m + (k + 2) * n;
+    const double* __restrict u3 = m + (k + 3) * n;
+    for (std::size_t i = k + 4; i < n; ++i) {
+      const double a = u0[i], b = u1[i], c = u2[i], e = u3[i];
+      double* __restrict ui = m + i * n;
+      for (std::size_t j = i; j < n; ++j) {
+        ui[j] -= a * u0[j] + b * u1[j] + c * u2[j] + e * u3[j];
+      }
+    }
+  }
+  for (; k < n; ++k) {  // remainder rows (n mod 4)
+    double* __restrict uk = m + k * n;
+    ICTM_REQUIRE(uk[k] > 0.0, "matrix is not positive definite in Cholesky");
+    const double ukk = std::sqrt(uk[k]);
+    uk[k] = ukk;
+    const double inv = 1.0 / ukk;
+    for (std::size_t j = k + 1; j < n; ++j) uk[j] *= inv;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double uki = uk[i];
+      double* __restrict ui = m + i * n;
+      for (std::size_t j = i; j < n; ++j) ui[j] -= uki * uk[j];
+    }
+  }
 }
 
 }  // namespace ictm::test
