@@ -36,8 +36,8 @@ struct EstimationOptions {
   /// independent, so results are bit-identical for any value); 0 means
   /// all hardware threads.
   std::size_t threads = 1;
-  /// The `--solver` value, kept as a configuration echo: both kinds
-  /// run the one dense solve.
+  /// A configuration echo the HELLO and the ICKS checkpoint carry;
+  /// both kinds run the one dense solve (no CLI flag sets it).
   SolverKind solver = SolverKind::kAuto;
 };
 

@@ -6,10 +6,11 @@
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -18,76 +19,17 @@
 
 namespace ictm::server {
 
-FrameQueue::FrameQueue(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-bool FrameQueue::push(std::vector<std::uint8_t> frame) {
-  // Stall count depends on how fast the peer drains — timing class.
-  static obs::Counter& stalls = obs::GetCounter(
-      "server.backpressure_stalls", obs::MetricClass::kTiming);
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (!closed_ && frames_.size() >= capacity_) stalls.add();
-  canPush_.wait(lock,
-                [this] { return closed_ || frames_.size() < capacity_; });
-  if (closed_) return false;
-  frames_.push_back(std::move(frame));
-  canPop_.notify_one();
-  return true;
-}
-
-void FrameQueue::pushUnbounded(std::vector<std::uint8_t> frame) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (closed_) return;
-  frames_.push_back(std::move(frame));
-  canPop_.notify_one();
-}
-
-bool FrameQueue::pop(std::vector<std::uint8_t>* frame) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  canPop_.wait(lock, [this] { return closed_ || !frames_.empty(); });
-  if (discard_ || frames_.empty()) return false;
-  *frame = std::move(frames_.front());
-  frames_.pop_front();
-  canPush_.notify_one();
-  return true;
-}
-
-void FrameQueue::close(bool discardPending) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  closed_ = true;
-  if (discardPending) {
-    discard_ = true;
-    frames_.clear();
-  }
-  canPush_.notify_all();
-  canPop_.notify_all();
-}
-
 namespace {
 
 /// Cap on a session's estimator input queue (HELLO requests are
 /// clamped to it, never trusted).
 constexpr std::size_t kMaxQueueCapacity = 256;
 
-/// Encodes one whole frame ready for the wire.
-std::vector<std::uint8_t> MakeFrame(FrameType type,
-                                    const std::vector<std::uint8_t>& payload) {
-  return EncodeFrame(type, payload.data(), payload.size());
-}
-
 /// True when a checkpoint's config echo matches a resume HELLO.
 bool EchoMatches(const SessionCheckpoint& cp, const HelloRequest& hello) {
   return cp.topologySpec == hello.topologySpec &&
          cp.topologySeed == hello.topologySeed && cp.f == hello.f &&
          cp.window == hello.window && cp.solver == hello.solver;
-}
-
-std::vector<std::uint8_t> MakeErrorFrame(ErrorCode code,
-                                         const std::string& message) {
-  ErrorInfo info;
-  info.code = code;
-  info.message = message;
-  return MakeFrame(FrameType::kError, info.encode());
 }
 
 }  // namespace
@@ -99,15 +41,20 @@ struct Session::Impl {
   SessionLimits limits;
   const std::atomic<bool>* stopping;
 
+  // Send state, shared by the reader and the estimator's emit.  It is
+  // declared before `estimator`, so the estimator (whose emit uses it)
+  // is destroyed first.
+  std::mutex sendMutex;
+  bool sendClosed = false;  ///< guarded by sendMutex
+
   // Populated by the handshake.
   HelloRequest hello;
   std::shared_ptr<const TopologyState> topo;
   std::unique_ptr<stream::StreamingEstimator> estimator;
-  std::unique_ptr<FrameQueue> outQueue;
-  std::thread writer;
-  std::atomic<bool> writeFailed{false};
 
   std::uint64_t expectedSeq = 0;  ///< next BIN seq the reader accepts
+  /// Set once the HELLO is accepted, before the estimator starts; from
+  /// then on sent frames count towards server.bytes_sent.
   bool handshaken = false;
 
   Impl(Socket sock, TopologyStateCache* c, CheckpointStore* s,
@@ -120,60 +67,54 @@ struct Session::Impl {
 
   // ---- writes --------------------------------------------------------------
 
-  /// Direct socket write; legal only before the writer thread starts.
-  bool sendDirect(FrameType type, const std::vector<std::uint8_t>& payload) {
-    const auto frame = MakeFrame(type, payload);
-    return socket.sendAll(frame.data(), frame.size());
-  }
-
-  void startWriter() {
-    outQueue = std::make_unique<FrameQueue>(limits.outputQueueCapacity);
-    writer = std::thread([this] {
-      static obs::Counter& bytesSent = obs::GetCounter(
-          "server.bytes_sent", obs::MetricClass::kDeterministic);
-      std::vector<std::uint8_t> frame;
-      while (outQueue->pop(&frame)) {
-        if (writeFailed.load(std::memory_order_relaxed)) continue;
-        if (!socket.sendAll(frame.data(), frame.size())) {
-          // Keep draining so pushers never wedge on a dead peer.
-          writeFailed.store(true, std::memory_order_relaxed);
-        } else {
-          bytesSent.add(frame.size());
-        }
-      }
-    });
-  }
-
-  /// Tears the data path down.  `errorFrame` (may be empty) is queued
-  /// ahead of the close so a graceful drain still flushes it.
-  void teardown(std::vector<std::uint8_t> errorFrame, bool discardPending) {
-    if (outQueue != nullptr) {
-      if (!errorFrame.empty()) outQueue->pushUnbounded(std::move(errorFrame));
-      outQueue->close(discardPending);
-    } else if (!errorFrame.empty()) {
-      socket.sendAll(errorFrame.data(), errorFrame.size());
+  /// Writes one frame unless sending is closed; `last` closes sending
+  /// in the same critical section, so nothing follows the final frame.
+  /// Returns false when the frame was dropped (sending closed) or the
+  /// write failed, which closes sending too: after a partial write the
+  /// stream is unframed.
+  bool send(FrameType type, const std::vector<std::uint8_t>& payload,
+            bool last) {
+    static obs::Counter& bytesSent = obs::GetCounter(
+        "server.bytes_sent", obs::MetricClass::kDeterministic);
+    // Stall count depends on how fast the peer drains — timing class.
+    static obs::Counter& stalls = obs::GetCounter(
+        "server.backpressure_stalls", obs::MetricClass::kTiming);
+    const auto frame = EncodeFrame(type, payload.data(), payload.size());
+    std::lock_guard<std::mutex> lock(sendMutex);
+    if (sendClosed) return false;
+    sendClosed = last;
+    if (type == FrameType::kEstimate && obs::Enabled() &&
+        !socket.writable()) {
+      stalls.add();
     }
-    // The estimator is destroyed while the queue is closed: its emit
-    // callbacks see push() == false and drop, so the drain inside the
-    // destructor can never block on a full queue.
-    estimator.reset();
-    if (writer.joinable()) writer.join();
+    if (!socket.sendAll(frame.data(), frame.size())) {
+      sendClosed = true;
+      return false;
+    }
+    if (handshaken) bytesSent.add(frame.size());
+    return true;
+  }
+
+  /// Ends the data path: shuts the socket, which frees a send blocked
+  /// on a peer that does not read, then drains and joins the estimator
+  /// (its emits find sending closed or failing and drop their frames).
+  void teardown() {
     // Shutdown, not close: abort() may race us with its own
     // shutdown, which is safe on a live descriptor; the fd itself is
     // closed by ~Session after the owning thread is joined.
     socket.shutdownBoth();
+    estimator.reset();
   }
 
-  /// Answers a failure with a typed ERROR frame and reports "session
-  /// over": through the writer, then teardown, once the handshake
-  /// started it; straight onto the socket before.
+  /// Answers a failure with a typed ERROR frame, the session's last,
+  /// and reports "session over"; once the handshake started the
+  /// session it also tears the data path down.
   bool fail(ErrorCode code, const std::string& message) {
-    auto error = MakeErrorFrame(code, message);
-    if (handshaken) {
-      teardown(std::move(error), /*discardPending=*/false);
-    } else {
-      socket.sendAll(error.data(), error.size());
-    }
+    ErrorInfo info;
+    info.code = code;
+    info.message = message;
+    send(FrameType::kError, info.encode(), /*last=*/true);
+    if (handshaken) teardown();
     return false;
   }
 
@@ -252,33 +193,34 @@ struct Session::Impl {
       expectedSeq = resumePoint->state.seq;
     }
 
-    startWriter();
-    FrameQueue* queue = outQueue.get();
+    handshaken = true;
     const std::size_t nodes = topo->nodes;
     try {
+      // The pool's emit runs in push order, one call at a time and
+      // with no pool lock held, so it writes straight to the socket.
       estimator = std::make_unique<stream::StreamingEstimator>(
           topo->system, std::move(options),
-          [queue, nodes](std::size_t seq, const double* estimate,
-                         const double* prior) {
-            const auto payload = EncodeEstimatePayload(
-                static_cast<std::uint64_t>(seq), estimate, prior, nodes);
-            // push() == false means the session is tearing down; the
+          [this, nodes](std::size_t seq, const double* estimate,
+                        const double* prior) {
+            // A false send means the session is tearing down; the
             // frame is dropped on purpose (the client is gone or the
             // server is aborting — determinism only covers delivered
             // prefixes).
-            (void)queue->push(MakeFrame(FrameType::kEstimate, payload));
+            send(FrameType::kEstimate,
+                 EncodeEstimatePayload(static_cast<std::uint64_t>(seq),
+                                       estimate, prior, nodes),
+                 /*last=*/false);
           });
     } catch (const std::exception& e) {
-      teardown(MakeErrorFrame(ErrorCode::kInternal, e.what()),
-               /*discardPending=*/false);
-      return false;
+      return fail(ErrorCode::kInternal, e.what());
     }
 
+    // Sent before the reader pushes a bin, so it precedes every
+    // ESTIMATE.
     WelcomeReply welcome;
     welcome.nodes = static_cast<std::uint64_t>(nodes);
     welcome.resumeFrom = expectedSeq;
-    outQueue->pushUnbounded(MakeFrame(FrameType::kWelcome, welcome.encode()));
-    handshaken = true;
+    send(FrameType::kWelcome, welcome.encode(), /*last=*/false);
     static obs::Counter& sessionsOpened = obs::GetCounter(
         "server.sessions_opened", obs::MetricClass::kDeterministic);
     sessionsOpened.add();
@@ -298,7 +240,7 @@ struct Session::Impl {
     }
     StatsReply reply;
     reply.entries = obs::Registry::Instance().snapshot().flatten();
-    sendDirect(FrameType::kStats, reply.encode());
+    send(FrameType::kStats, reply.encode(), /*last=*/true);
     // One-shot probe: reply, then close.  The active shutdown (rather
     // than waiting for ~Session) lets the client treat EOF as
     // end-of-reply.
@@ -360,14 +302,15 @@ struct Session::Impl {
     } catch (const std::exception& e) {
       return fail(ErrorCode::kInternal, e.what());
     }
-    outQueue->pushUnbounded(
-        MakeFrame(FrameType::kFinAck, EncodeCountPayload(count)));
-    teardown({}, /*discardPending=*/false);
+    // finish() returned after the last emit, so FIN_ACK follows the
+    // last ESTIMATE.
+    const bool acked =
+        send(FrameType::kFinAck, EncodeCountPayload(count), /*last=*/true);
+    teardown();
     // Only a written FIN_ACK retires the checkpoints: a session that
     // completes from buffered bytes after its client vanished keeps
     // them for the client's resume.
-    if (store != nullptr && !hello.sessionKey.empty() &&
-        !writeFailed.load(std::memory_order_relaxed)) {
+    if (acked && store != nullptr && !hello.sessionKey.empty()) {
       store->drop(hello.sessionKey);
     }
     return false;  // session complete
@@ -392,7 +335,7 @@ struct Session::Impl {
         return handleStats(frame);
       case FrameType::kError:
         // Peer reported an error: tear down quietly.
-        teardown({}, /*discardPending=*/true);
+        teardown();
         return false;
       case FrameType::kWelcome:
       case FrameType::kEstimate:
@@ -419,7 +362,7 @@ struct Session::Impl {
       }
       if (status == DecodeStatus::kNeedMore) {
         // Peer vanished (or abort() shut the socket): nothing to say.
-        teardown({}, /*discardPending=*/true);
+        teardown();
       } else if (status == DecodeStatus::kOversize) {
         fail(ErrorCode::kOversize, "frame length exceeds bound");
       } else {
@@ -445,7 +388,7 @@ void Session::run() {
     impl_->runLoop();
   } catch (...) {
     // A session must never take the server down; force local cleanup.
-    impl_->teardown({}, /*discardPending=*/true);
+    impl_->teardown();
   }
   done_.store(true, std::memory_order_release);
 }

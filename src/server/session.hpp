@@ -7,29 +7,27 @@
 //   reader (the session thread)
 //     decodes frames, validates sequence numbers, turns truth bins
 //     into BinEvents and pushes them into the StreamingEstimator;
-//     captures + persists checkpoints at push boundaries
+//     captures + persists checkpoints at push boundaries; sends
+//     WELCOME, FIN_ACK and ERROR
 //   estimator workers (inside StreamingEstimator)
-//     solve bins; the in-order emit callback encodes each ESTIMATE
-//     frame and pushes it onto the bounded output queue
-//   writer
-//     drains the output queue into the socket
+//     solve bins; the pool's in-order emit encodes each ESTIMATE
+//     frame and writes it straight to the socket
+//
+// Every frame leaves through one mutex-guarded send; the frame that
+// ends the session (FIN_ACK, ERROR or the STATS reply) closes sending
+// in the same critical section, so nothing can follow it.
 //
 // Backpressure is the chain of bounded stages: a client that stops
-// reading fills its kernel socket buffer, which blocks the writer,
-// which fills the output queue, which blocks the emit callback, which
-// stalls the workers, which fills the estimator's input queue, which
-// blocks push() in the reader, which stops reading the socket — so
-// the *client's* sends stall.  Every stage is per-session, so a slow
+// reading fills its kernel socket buffer, which blocks the emit's
+// send, which parks the other workers' results (at most queue +
+// threads), which fills the estimator's input queue, which blocks
+// push() in the reader, which stops reading the socket — so the
+// *client's* sends stall.  Every stage is per-session, so a slow
 // reader throttles exactly itself.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <mutex>
-#include <vector>
 
 #include "server/checkpoint.hpp"
 #include "server/socket.hpp"
@@ -37,43 +35,11 @@
 
 namespace ictm::server {
 
-/// Bounded FIFO of encoded frames between the estimator's emit
-/// callback and the writer thread.  push() blocks while full — that
-/// blocking IS the session's backpressure.  pushUnbounded() bypasses
-/// the bound for the rare control frame (FIN_ACK, ERROR) so teardown
-/// can never deadlock on a full queue.
-class FrameQueue {
- public:
-  /// `capacity` bounds pending frames; at least 1.
-  explicit FrameQueue(std::size_t capacity);
-
-  /// Blocks until space or close; false (frame dropped) once closed.
-  bool push(std::vector<std::uint8_t> frame);
-  /// Appends regardless of capacity; dropped silently once closed.
-  void pushUnbounded(std::vector<std::uint8_t> frame);
-  /// Blocks for the next frame; false when closed and (drained, or
-  /// closed in discard mode).
-  bool pop(std::vector<std::uint8_t>* frame);
-  /// Closes the queue.  `discardPending` drops queued frames (abort
-  /// path); otherwise the writer drains them first (graceful path).
-  void close(bool discardPending);
-
- private:
-  std::mutex mutex_;
-  std::condition_variable canPush_;
-  std::condition_variable canPop_;
-  std::deque<std::vector<std::uint8_t>> frames_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  bool discard_ = false;
-};
-
 /// Per-session resource caps and hooks, fixed server-side (the client
 /// may request less; requests are clamped, never trusted).  None of
 /// these affect estimate bytes — the determinism contract.
 struct SessionLimits {
   std::size_t maxThreads = 4;         ///< cap on estimator workers
-  std::size_t outputQueueCapacity = 16;  ///< writer-side frame queue bound
   std::size_t checkpointEvery = 16;   ///< checkpoint period in bins
   int socketBufferBytes = 0;          ///< >0 shrinks SO_SNDBUF/SO_RCVBUF
                                       ///< (test hook for backpressure)
@@ -100,7 +66,8 @@ class Session {
   void run();
 
   /// Forces teardown: shuts the socket both ways, unblocking the
-  /// reader and writer wherever they are parked.  Thread-safe.
+  /// reader and any blocked send wherever they are parked.
+  /// Thread-safe.
   void abort();
 
   /// True once run() has returned (the owner may reap the thread).

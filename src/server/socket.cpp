@@ -22,6 +22,12 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 constexpr int kSendFlags = 0;
 #endif
 
+/// Pause before retrying an accept() that failed for want of a
+/// resource (EMFILE, ENFILE, ENOBUFS, ...).  The connection stays
+/// pending, so poll keeps reporting it and an immediate retry would
+/// spin.
+constexpr int kAcceptBackoffMs = 50;
+
 bool ParsePort(const std::string& text, std::uint16_t* out) {
   if (text.empty() || text.size() > 5) return false;
   unsigned long value = 0;
@@ -153,6 +159,11 @@ long Socket::recvSome(void* data, std::size_t len) noexcept {
   }
 }
 
+bool Socket::writable() const noexcept {
+  pollfd pfd{fd_, POLLOUT, 0};
+  return ::poll(&pfd, 1, 0) == 1 && (pfd.revents & POLLOUT) != 0;
+}
+
 void Socket::setBufferSizes(int bytes) noexcept {
   ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
@@ -268,11 +279,17 @@ Socket Listener::accept() {
     if ((fds[1].revents & POLLIN) != 0) return Socket();
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int client = ::accept(fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
+    if (client >= 0) return Socket(client);
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    // Only these mean the listener itself is gone.  Anything else,
+    // such as running out of descriptors, passes, and the daemon must
+    // keep accepting once it does: back off on the wake pipe, so
+    // stop() stays prompt, and retry.
+    if (errno == EBADF || errno == EINVAL || errno == ENOTSOCK) {
       return Socket();
     }
-    return Socket(client);
+    pollfd wake{wakePipe_[0], POLLIN, 0};
+    if (::poll(&wake, 1, kAcceptBackoffMs) > 0) return Socket();
   }
 }
 

@@ -4,8 +4,8 @@
 // CLI's `--listen`/`--connect` spec ("unix:/path" or "tcp:host:port").
 //
 // Everything here is blocking by design — backpressure is the
-// feature: a full kernel send buffer stalls exactly the writer that
-// owns the socket, which is how a slow client throttles only its own
+// feature: a full kernel send buffer stalls exactly the thread sending
+// on that socket, which is how a slow client throttles only its own
 // session (docs/FORMATS.md, "Flow control").
 #pragma once
 
@@ -62,6 +62,10 @@ class Socket {
   /// -1 on error.
   long recvSome(void* data, std::size_t len) noexcept;
 
+  /// True when the send buffer has room now (a zero-timeout poll for
+  /// POLLOUT); false means a send would block on the peer.
+  bool writable() const noexcept;
+
   /// Shrinks the kernel send/receive buffers toward `bytes` (the
   /// kernel clamps to its floor).  Test hook: makes backpressure
   /// observable with few frames in flight.
@@ -103,8 +107,9 @@ class Listener {
   const Endpoint& boundEndpoint() const noexcept { return bound_; }
 
   /// Blocks until a connection arrives (returns it), or interrupt()
-  /// is called / an unrecoverable error occurs (returns an empty
-  /// socket).
+  /// is called / the listener itself is gone (returns an empty
+  /// socket).  Transient failures such as running out of descriptors
+  /// are retried after a short back-off.
   Socket accept();
 
   /// Wakes every blocked accept() call; subsequent accepts return

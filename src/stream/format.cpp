@@ -361,19 +361,9 @@ TraceReader::TraceReader(const std::string& path,
   info_.version = version;
 }
 
-TraceReader::~TraceReader() {
-  if (!prefetchStarted_) return;
-  {
-    std::lock_guard<std::mutex> lock(prefetchMutex_);
-    prefetchStop_ = true;
-  }
-  prefetchCv_.notify_all();
-  prefetchThread_.join();
-}
-
 void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
                                 DecodedChunk& out) const {
-  // Timing only: a prefetch that a seek or close drops still took the
+  // Timing only: a read-ahead that a seek or close drops still took the
   // time.  loadChunk() counts the chunk itself.
   static obs::Counter& readNs =
       obs::GetCounter("trace_io.read_ns", obs::MetricClass::kTiming);
@@ -456,106 +446,21 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
   if (recording) readNs.add(obs::Now() - t0);
 }
 
-void TraceReader::startPrefetch() {
-  prefetchStarted_ = true;
-  prefetchThread_ = std::thread([this] { prefetchLoop(); });
-}
-
-void TraceReader::prefetchLoop() {
-  // The prefetch thread owns its own file handle so the synchronous
-  // path's stream state never races with it.
-  std::ifstream in(path_, std::ios::binary);
-  for (;;) {
-    std::size_t chunk = SIZE_MAX;
-    {
-      std::unique_lock<std::mutex> lock(prefetchMutex_);
-      prefetchCv_.wait(lock, [&] {
-        return prefetchStop_ || prefetchRequest_ != SIZE_MAX;
-      });
-      if (prefetchStop_) return;
-      chunk = prefetchRequest_;
-      prefetchRequest_ = SIZE_MAX;
-      prefetchBusy_ = chunk;
-    }
-    DecodedChunk decoded;
-    std::exception_ptr error;
-    try {
-      ICTM_REQUIRE(in.is_open(),
-                   "cannot open file for reading: " + path_);
-      loadChunkData(in, chunk, decoded);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(prefetchMutex_);
-      prefetchData_ = std::move(decoded);
-      prefetchError_ = error;
-      prefetchResultChunk_ = chunk;
-      prefetchBusy_ = SIZE_MAX;
-    }
-    prefetchCv_.notify_all();
-  }
-}
-
-void TraceReader::requestPrefetch(std::size_t chunk) {
-  if (!prefetchStarted_) startPrefetch();
-  {
-    std::lock_guard<std::mutex> lock(prefetchMutex_);
-    if (prefetchResultChunk_ == chunk || prefetchRequest_ == chunk ||
-        prefetchBusy_ == chunk) {
-      return;
-    }
-    if (prefetchResultChunk_ != SIZE_MAX) {
-      // Stale unconsumed result (a seek moved elsewhere) — drop it,
-      // deferred error included.
-      prefetchResultChunk_ = SIZE_MAX;
-      prefetchData_ = {};
-      prefetchError_ = nullptr;
-    }
-    prefetchRequest_ = chunk;
-  }
-  prefetchCv_.notify_all();
-}
-
-bool TraceReader::consumePrefetch(std::size_t chunk) {
-  if (!prefetchStarted_) return false;
-  std::unique_lock<std::mutex> lock(prefetchMutex_);
-  if (prefetchRequest_ != chunk && prefetchBusy_ != chunk &&
-      prefetchResultChunk_ != chunk) {
-    // Nothing useful in flight; drop any stale result and let the
-    // caller load synchronously.
-    if (prefetchResultChunk_ != SIZE_MAX) {
-      prefetchResultChunk_ = SIZE_MAX;
-      prefetchData_ = {};
-      prefetchError_ = nullptr;
-    }
-    return false;
-  }
-  // Requested or already decoding: wait for that decode rather than
-  // decoding the chunk a second time.
-  prefetchCv_.wait(lock, [&] { return prefetchResultChunk_ == chunk; });
-  std::exception_ptr error = prefetchError_;
-  prefetchError_ = nullptr;
-  prefetchResultChunk_ = SIZE_MAX;
-  if (error) {
-    // A prefetch failure surfaces exactly when its chunk is demanded.
-    prefetchData_ = {};
-    std::rethrow_exception(error);
-  }
-  std::swap(chunk_, prefetchData_);
-  prefetchData_ = {};
-  return true;
-}
-
 void TraceReader::loadChunk(std::size_t chunk) {
   // Deterministic: counted once per chunk next() serves, never for a
-  // prefetch that nothing reads.
+  // read-ahead that nothing reads.
   static obs::Counter& chunksRead = obs::GetCounter(
       "trace_io.chunks_read", obs::MetricClass::kDeterministic);
   static obs::Counter& bytesRead = obs::GetCounter(
       "trace_io.bytes_read", obs::MetricClass::kDeterministic);
   loadedChunk_ = SIZE_MAX;  // a failed load must not leave chunk_ served
-  if (!consumePrefetch(chunk)) loadChunkData(in_, chunk, chunk_);
+  if (ahead_.valid() && aheadChunk_ == chunk) {
+    // Decoded once, by the read-ahead; its failure surfaces here, when
+    // the chunk is demanded.
+    chunk_ = ahead_.get();
+  } else {
+    loadChunkData(in_, chunk, chunk_);
+  }
   loadedChunk_ = chunk;
   chunksRead.add();
   bytesRead.add(chunk_.storedBytes);
@@ -564,7 +469,19 @@ void TraceReader::loadChunk(std::size_t chunk) {
                       chunk_.bins.size() * sizeof(double));
   }
   if (options_.prefetch && chunk + 1 < index_.size()) {
-    requestPrefetch(chunk + 1);
+    // Wait for and drop a stale read-ahead first: assigning the new
+    // future would release the old one only after the new task
+    // started, and two tasks must never share aheadIn_.
+    ahead_ = {};
+    aheadChunk_ = chunk + 1;
+    ahead_ = std::async(std::launch::async, [this, next = aheadChunk_] {
+      if (!aheadIn_.is_open()) aheadIn_.open(path_, std::ios::binary);
+      ICTM_REQUIRE(aheadIn_.is_open(),
+                   "cannot open file for reading: " + path_);
+      DecodedChunk decoded;
+      loadChunkData(aheadIn_, next, decoded);
+      return decoded;
+    });
   }
 }
 

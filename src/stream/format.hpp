@@ -32,16 +32,13 @@
 // codec can never inflate a file beyond the per-frame header cost.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <fstream>
+#include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "stream/codec.hpp"
@@ -152,14 +149,15 @@ class TraceWriter {
 
 /// TraceReader knobs.
 struct TraceReaderOptions {
-  /// Read and decode one chunk ahead on a background thread with its
-  /// own file handle, overlapping IO + decompression with the
-  /// caller's consumption.  Decoded bins are bit-identical to the
-  /// serial path; a prefetch failure is rethrown only when the failing
-  /// chunk is actually requested (and discarded if a seek skips it).
-  /// A chunk is decoded at most once per demand, and the
-  /// deterministic read counters count it when next() first serves a
-  /// bin from it, so prefetches a seek or close drops never count.
+  /// Once a chunk loads, read and decode the next one ahead on a
+  /// std::async task with its own file handle, overlapping IO +
+  /// decompression with the caller's consumption.  Decoded bins are
+  /// bit-identical to the serial path; a read-ahead failure is
+  /// rethrown only when the failing chunk is actually requested (and
+  /// discarded if a seek skips it).  A chunk is decoded at most once
+  /// per demand, and the deterministic read counters count it when
+  /// next() first serves a bin from it, so read-aheads a seek or close
+  /// drops never count.
   bool prefetch = false;
 };
 
@@ -172,8 +170,6 @@ class TraceReader {
   /// Opens `path` and loads the trailing index.
   explicit TraceReader(const std::string& path,
                        const TraceReaderOptions& options = {});
-  /// Joins the prefetch thread, if one was started.
-  ~TraceReader();
 
   TraceReader(const TraceReader&) = delete;             ///< non-copyable
   TraceReader& operator=(const TraceReader&) = delete;  ///< non-copyable
@@ -207,14 +203,10 @@ class TraceReader {
 
   void loadChunk(std::size_t chunk);
   /// Reads + CRC-checks + decodes chunk `chunk` from `in` into `out`.
-  /// Shared by the synchronous path and the prefetch thread (which
+  /// Shared by the synchronous path and the read-ahead task (which
   /// passes its own stream), so both decode identically.
   void loadChunkData(std::istream& in, std::size_t chunk,
                      DecodedChunk& out) const;
-  void startPrefetch();
-  void requestPrefetch(std::size_t chunk);
-  bool consumePrefetch(std::size_t chunk);
-  void prefetchLoop();
 
   std::ifstream in_;
   std::string path_;
@@ -231,18 +223,13 @@ class TraceReader {
   std::size_t loadedChunk_ = SIZE_MAX;   // index into index_, or none
   std::size_t position_ = 0;             // next bin to serve
 
-  // Prefetch state (only active when options_.prefetch).  The thread
-  // owns its own ifstream; this block is the only shared state.
-  bool prefetchStarted_ = false;
-  std::thread prefetchThread_;
-  std::mutex prefetchMutex_;
-  std::condition_variable prefetchCv_;
-  bool prefetchStop_ = false;
-  std::size_t prefetchRequest_ = SIZE_MAX;      // chunk to fetch next
-  std::size_t prefetchBusy_ = SIZE_MAX;         // chunk being decoded
-  std::size_t prefetchResultChunk_ = SIZE_MAX;  // chunk held in result
-  DecodedChunk prefetchData_;
-  std::exception_ptr prefetchError_;
+  // Read-ahead (options_.prefetch): at most one task at a time decodes
+  // chunk aheadChunk_ from aheadIn_, a stream only that task touches.
+  // ahead_ is declared last, so destruction waits for an in-flight
+  // decode before the state it reads goes.
+  std::ifstream aheadIn_;
+  std::size_t aheadChunk_ = SIZE_MAX;
+  std::future<DecodedChunk> ahead_;
 };
 
 /// Writes a whole series as one `ictmb` file.

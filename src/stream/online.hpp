@@ -104,8 +104,9 @@ class StreamingEstimator {
   /// Called once per bin, in push order: `seq` counts from 0,
   /// `estimate` and `prior` are n² doubles (FlattenTm order) valid for
   /// the duration of the call.  Invoked on a worker thread, one call
-  /// at a time, each ordered before the next — keep it cheap and never
-  /// call back into push() or checkpoint() from it.
+  /// at a time, each ordered before the next; while it blocks, push()
+  /// eventually blocks too (the server's backpressure).  Never call
+  /// back into push() or checkpoint() from it.
   using EstimateCallback = std::function<void(
       std::size_t seq, const double* estimate, const double* prior)>;
 

@@ -1,10 +1,20 @@
 // Concurrency battery for the estimation server: N simultaneous
 // sessions over mixed topologies and thread counts must each produce
 // estimate frames bit-identical to their single-process `ictm stream`
-// baseline, sharing per-topology state through the cache; and a slow
-// reader must stall only its own session.  Runs under TSan in CI.
+// baseline, sharing per-topology state through the cache; a slow
+// reader must stall only its own session; and running out of
+// descriptors must not stop the daemon accepting.  Runs under TSan in
+// CI.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -13,6 +23,7 @@
 #include <vector>
 
 #include "core/estimation.hpp"
+#include "obs/metrics.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -168,9 +179,9 @@ TEST(ServerConcurrency, CacheMissPastCapacityEvictsAnIdleEntry) {
 }
 
 TEST(ServerConcurrency, SlowReaderStallsOnlyItsOwnSession) {
-  // Small socket buffers and a tiny output queue so a non-reading
-  // client exhausts every elastic stage of its own pipeline while the
-  // streams next to it run to completion.
+  // Small socket buffers so a non-reading client exhausts every
+  // elastic stage of its own pipeline while the streams next to it run
+  // to completion.
   const SessionPlan slowPlan = MakePlan("abilene11", 2, 4, 201, 96);
   const SessionPlan fastA = MakePlan("abilene11", 1, 4, 202, 24);
   const SessionPlan fastB = MakePlan("ring:6", 2, 3, 203, 24);
@@ -178,16 +189,18 @@ TEST(ServerConcurrency, SlowReaderStallsOnlyItsOwnSession) {
   ServerOptions options;
   ASSERT_TRUE(
       Endpoint::Parse(test::TempPath("slow_reader.sock"), &options.listen));
-  options.limits.outputQueueCapacity = 2;
   options.limits.socketBufferBytes = 4096;
   Server server(options);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
+  const obs::Counter& stalls = obs::GetCounter("server.backpressure_stalls",
+                                               obs::MetricClass::kTiming);
+  const std::uint64_t stallsBefore = stalls.value();
 
   // The slow client's estimate hook blocks on a gate after the first
   // frame; because the hook runs on the client's receiver thread, the
   // client stops reading and backpressure propagates through the
-  // server's writer, output queue, estimator and reader — all scoped
+  // server's ESTIMATE sends, estimator workers and reader — all scoped
   // to this one session.
   std::mutex gateMutex;
   std::condition_variable gateCv;
@@ -227,6 +240,19 @@ TEST(ServerConcurrency, SlowReaderStallsOnlyItsOwnSession) {
         << fastResults[i].transportError;
   }
 
+#if !defined(ICTM_OBS_DISABLED)
+  // The gated session's ESTIMATE sends find its socket buffer full.
+  // The count is timing class, so wait for it rather than assume when.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (stalls.value() == stallsBefore &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(stalls.value(), stallsBefore)
+      << "no backpressure stall while the slow client was gated";
+#endif
+
   // The gated session cannot have completed: its hook has run at most
   // once, so at most one estimate frame ever left its reorder buffer.
   {
@@ -256,6 +282,59 @@ TEST(ServerConcurrency, SlowReaderStallsOnlyItsOwnSession) {
           << "fast session " << i << " estimate frame " << t;
     }
   }
+  server.stop();
+}
+
+TEST(ServerConcurrency, AcceptSurvivesDescriptorExhaustion) {
+  ServerOptions options;
+  ASSERT_TRUE(
+      Endpoint::Parse(test::TempPath("accept_emfile.sock"), &options.listen));
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // Under a lowered soft limit, fill the descriptor table but for one
+  // slot.  The client's socket takes it, so the server's accept() of
+  // that connection fails with EMFILE.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 64);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> filler;
+  for (;;) {
+    const int fd = ::open("/dev/null", O_RDONLY);
+    if (fd < 0) break;
+    filler.push_back(fd);
+  }
+  if (!filler.empty()) {
+    ::close(filler.back());
+    filler.pop_back();
+  }
+  Socket first = Socket::Connect(server.endpoint(), &error);
+  // Time for the accept loop to run into the full table.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (const int fd : filler) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_TRUE(first.valid()) << error;
+
+  // With descriptors free again, a STATS probe is answered.  The
+  // receive timeout turns a daemon that stopped accepting into a
+  // failure instead of a hang.
+  Socket probe = Socket::Connect(server.endpoint(), &error);
+  ASSERT_TRUE(probe.valid()) << error;
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(probe.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  const auto request = EncodeFrame(FrameType::kStats, nullptr, 0);
+  ASSERT_TRUE(probe.sendAll(request.data(), request.size()));
+  FrameReader reader(&probe);
+  Frame reply;
+  ASSERT_EQ(reader.next(kMaxHandshakeFrameBytes, &reply), DecodeStatus::kOk)
+      << "no STATS reply: the server stopped accepting";
+  EXPECT_EQ(reply.type, FrameType::kStats);
+  EXPECT_EQ(server.sessionsAccepted(), 2u);
   server.stop();
 }
 

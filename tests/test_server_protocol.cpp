@@ -523,6 +523,50 @@ TEST_F(ProtocolServerTest, OutOfOrderBinIsRejected) {
   probe.expectError(ErrorCode::kBadSequence);
 }
 
+TEST_F(ProtocolServerTest, ErrorIsTheLastFrameOfAFailedSession) {
+  // Four workers are still emitting when the bad BIN arrives.  The
+  // session must send a prefix of its estimates in order, then exactly
+  // one ERROR, then nothing: no ESTIMATE may follow the ERROR.
+  Probe probe = Probe::ConnectTo(*server_);
+  HelloRequest hello = ValidHello();
+  hello.threads = 4;
+  probe.handshake(hello);
+  const std::size_t nodes = 11;
+  const std::size_t bins = 48;
+  const auto truth = test::RandomSeries(nodes, bins, 22);
+  for (std::size_t t = 0; t < bins; ++t) {
+    ASSERT_TRUE(probe.sendFrame(
+        FrameType::kBin, EncodeBinPayload(t, truth.binData(t), nodes)));
+  }
+  ASSERT_TRUE(probe.sendFrame(FrameType::kBin,
+                              EncodeBinPayload(7, truth.binData(7), nodes)));
+
+  std::uint64_t nextSeq = 0;
+  std::size_t errors = 0;
+  std::vector<double> estimate(nodes * nodes), prior(nodes * nodes);
+  Frame frame;
+  while (probe.readFrame(&frame)) {  // until the server closes
+    ASSERT_EQ(errors, 0u) << "frame type "
+                          << static_cast<unsigned>(frame.type)
+                          << " after the ERROR";
+    if (frame.type == FrameType::kEstimate) {
+      std::uint64_t seq = 0;
+      ASSERT_TRUE(DecodeEstimatePayload(frame.payload, nodes, &seq,
+                                        estimate.data(), prior.data()));
+      ASSERT_EQ(seq, nextSeq);
+      ++nextSeq;
+      continue;
+    }
+    ASSERT_EQ(frame.type, FrameType::kError);
+    ErrorInfo info;
+    ASSERT_TRUE(info.decode(frame.payload));
+    EXPECT_EQ(info.code, ErrorCode::kBadSequence) << info.message;
+    ++errors;
+  }
+  EXPECT_EQ(errors, 1u);
+  EXPECT_LE(nextSeq, bins);
+}
+
 TEST(EndpointSpec, ParsesAndRejects) {
   Endpoint ep;
   ASSERT_TRUE(Endpoint::Parse("unix:/tmp/x.sock", &ep));

@@ -80,11 +80,10 @@ std::unique_ptr<Server> StartServer(const std::string& socketName,
   }
   options.checkpointDir = checkpointDir;
   options.limits.checkpointEvery = checkpointEvery;
-  // Keep the per-session pipeline shallow (tiny output queue and
-  // socket buffers) so a gated client bounds how far the server can
-  // run ahead — the kill below must land mid-stream, never after the
-  // whole run has drained into kernel buffers.
-  options.limits.outputQueueCapacity = 2;
+  // Keep the per-session pipeline shallow (tiny socket buffers) so a
+  // gated client bounds how far the server can run ahead — the kill
+  // below must land mid-stream, never after the whole run has drained
+  // into kernel buffers.
   options.limits.socketBufferBytes = 4096;
   auto server = std::make_unique<Server>(options);
   std::string error;

@@ -5,6 +5,7 @@
 // and the connection aggregator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -558,6 +559,30 @@ TEST(TraceFormatV2, PrefetchReaderBitIdenticalIncludingSeeks) {
     ASSERT_TRUE(seeker.next(bin.data()));
     for (std::size_t k = 0; k < bin.size(); ++k) {
       ASSERT_EQ(bin[k], series.binData(t)[k]) << "bin " << t;
+    }
+  }
+
+  // Larger chunks and 200 seeded seek-then-read runs: at most seeks a
+  // read-ahead is still decoding, so it must be waited for and dropped
+  // before the next one starts on the reader's second stream.
+  const std::size_t nodes = 32, bins = 160;
+  const auto big = SmoothSeries(nodes, bins, 47);
+  const std::string bigPath = TempPath("prefetch_seeks.ictmb");
+  WriteTraceFile(bigPath, big,
+                 TraceWriterOptions{16, ChunkCodec::kDelta, 0});
+  TraceReader reader(bigPath, TraceReaderOptions{true});
+  std::vector<double> got(nodes * nodes);
+  stats::Rng rng(53);
+  for (int run = 0; run < 200; ++run) {
+    const auto start = static_cast<std::size_t>(rng.uniformInt(0, bins - 1));
+    const auto count = static_cast<std::size_t>(rng.uniformInt(1, 24));
+    reader.seek(start);
+    for (std::size_t t = start; t < std::min(start + count, bins); ++t) {
+      ASSERT_TRUE(reader.next(got.data())) << "run " << run << " bin " << t;
+      ASSERT_EQ(std::memcmp(got.data(), big.binData(t),
+                            got.size() * sizeof(double)),
+                0)
+          << "run " << run << " bin " << t;
     }
   }
 }

@@ -209,8 +209,7 @@ int Usage() {
                "                    of the metrics registry at exit\n"
                "  ictm serve --listen SPEC [--checkpoint-dir DIR]\n"
                "           [--checkpoint-every K] [--cache N]\n"
-               "           [--max-threads N] [--queue C]\n"
-               "           [--stats-interval SEC]\n"
+               "           [--max-threads N] [--stats-interval SEC]\n"
                "           [--trace-out FILE] [--metrics-out FILE]\n"
                "      long-running estimation server; SPEC is\n"
                "      unix:/path.sock or tcp:host:port (port 0 picks\n"
@@ -224,8 +223,6 @@ int Usage() {
                "                    (default 4, LRU beyond that)\n"
                "      --max-threads N  per-session worker cap\n"
                "                    (default 4)\n"
-               "      --queue C     per-session outbound frame queue\n"
-               "                    capacity (default 16)\n"
                "      --stats-interval SEC  print a metrics summary\n"
                "                    line every SEC seconds\n"
                "      --trace-out/--metrics-out  as for `ictm stream`\n"
@@ -758,7 +755,9 @@ struct OutputTraces {
   std::optional<stream::TraceWriter> estimates, priors;
 
   OutputTraces(const StreamFlags& flags, std::size_t nodes,
-               double binSeconds) {
+               double binSeconds)
+      : estimatesPath_(flags.outDir + "/estimates.ictmb"),
+        priorsPath_(flags.outDir + "/priors.ictmb") {
     if (flags.outDir.empty()) return;
     std::filesystem::create_directories(flags.outDir);
     stream::TraceWriterOptions options;
@@ -766,10 +765,8 @@ struct OutputTraces {
     // File bytes are identical for any pool size, so one background
     // compressor is pure overlap when a real codec is selected.
     options.compressThreads = flags.codec == stream::ChunkCodec::kRaw ? 0 : 1;
-    estimates.emplace(flags.outDir + "/estimates.ictmb", nodes, binSeconds,
-                      options);
-    priors.emplace(flags.outDir + "/priors.ictmb", nodes, binSeconds,
-                   options);
+    estimates.emplace(estimatesPath_, nodes, binSeconds, options);
+    priors.emplace(priorsPath_, nodes, binSeconds, options);
   }
 
   void append(const double* estimate, const double* prior) {
@@ -786,6 +783,19 @@ struct OutputTraces {
     priors->close();
     return true;
   }
+
+  /// Destroys both writers and deletes their files, so a failed run
+  /// leaves no sealed partial trace that reads back as a complete one.
+  void remove() {
+    if (!estimates) return;
+    estimates.reset();
+    priors.reset();
+    std::remove(estimatesPath_.c_str());
+    std::remove(priorsPath_.c_str());
+  }
+
+ private:
+  std::string estimatesPath_, priorsPath_;
 };
 
 int CmdStream(int argc, char** argv) {
@@ -833,7 +843,7 @@ int CmdStream(int argc, char** argv) {
   std::size_t scoredBins = 0;
 
   const auto start = std::chrono::steady_clock::now();
-  {
+  try {
     stream::StreamingEstimator estimator(
         routing, nodes, options,
         [&](std::size_t seq, const double* estimate, const double* prior) {
@@ -870,6 +880,10 @@ int CmdStream(int argc, char** argv) {
       estimator.push(stream::MakeBinEvent(routing, nodes, bin.data()));
     }
     estimator.finish();
+  } catch (...) {
+    // The estimator, whose emit appends to `out`, is already gone.
+    out.remove();
+    throw;
   }
   const double sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -931,9 +945,6 @@ int CmdServe(int argc, char** argv) {
     } else if (arg == "--max-threads" && i + 1 < argc) {
       options.limits.maxThreads =
           ParseSize(argv[++i], "max-threads", 1, 4096);
-    } else if (arg == "--queue" && i + 1 < argc) {
-      options.limits.outputQueueCapacity =
-          ParseSize(argv[++i], "queue", 1, 1 << 20);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return Usage();

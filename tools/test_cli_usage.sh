@@ -4,9 +4,10 @@
 # Contract (docs/CLI.md "Exit codes"): bad option *values* — an
 # unknown --codec, a non-numeric --threads — are usage errors: the
 # command exits 2 before doing any work and prints a one-line usage
-# hint on stderr.  Retired flags and subcommands (--solver, `topo
-# convert`) are unknown, so they exit 2 too.  The printed improvement
-# must have the right sign.
+# hint on stderr.  Retired flags and subcommands (--solver, `serve
+# --queue`, `topo convert`) are unknown, so they exit 2 too.  The
+# printed improvement must have the right sign, and a failed `stream`
+# run leaves no --out files behind.
 #
 # usage: test_cli_usage.sh <path-to-ictm>
 set -u
@@ -17,9 +18,11 @@ trap 'rm -rf "$WORK"' EXIT
 FAILURES=0
 
 # expect_usage_error <args...>: exit code 2 + a usage hint on stderr.
+# Bounded by `timeout`: a `serve` that accepted its flags would run
+# until killed.
 expect_usage_error() {
   local err rc
-  err=$("$BIN" "$@" 2>&1 >/dev/null)
+  err=$(timeout 30 "$BIN" "$@" 2>&1 >/dev/null)
   rc=$?
   if [ "$rc" -ne 2 ]; then
     echo "FAIL: ictm $* exited $rc (want 2)"
@@ -54,6 +57,9 @@ expect_usage_error client "$WORK/tm.csv" --connect "unix:$WORK/s.sock" --solver 
 # `topo convert` is retired; `topo gen <spec> --out FILE` writes the
 # same bytes.
 expect_usage_error topo convert geant22 "$WORK/geant.ictp"
+
+# `serve --queue` is retired: sessions have no output frame queue.
+expect_usage_error serve --queue 4 --listen "unix:$WORK/s.sock"
 
 # Non-numeric / out-of-range numeric option values: exit 2.
 expect_usage_error estimate "$WORK/tm.csv" ring:6:2 abc
@@ -91,7 +97,6 @@ expect_usage_error repack "$WORK/in.ictmb" "$WORK/out.ictmb" --frobnicate
 # surface that has a queue.
 expect_usage_error serve
 expect_usage_error serve --listen "bogus:spec"
-expect_usage_error serve --listen "unix:$WORK/s.sock" --queue 0
 expect_usage_error serve --listen "unix:$WORK/s.sock" --cache 0
 expect_usage_error serve --listen "unix:$WORK/s.sock" --checkpoint-every 0
 expect_usage_error serve --listen "unix:$WORK/s.sock" --frobnicate
@@ -116,6 +121,27 @@ if awk -v e="${est:-x}" -v p="${prior:-x}" -v i="${pct:-x}" \
   echo "ok (sign): $line"
 else
   echo "FAIL: improvement sign does not match prior - estimate: $line"
+  FAILURES=$((FAILURES + 1))
+fi
+
+# A failed `stream --out` run exits 1 and deletes both outputs: a
+# sealed partial trace would read back as a complete, shorter one.
+# 11 nodes in 8-bin raw chunks: a 40-byte header, then 7768-byte
+# frames (20 header bytes, 7744 payload bytes, a 4-byte CRC), so the
+# byte flipped below lies inside chunk 2's payload.
+expect_ok synthesize "$WORK/s11.csv" 11 40 0.25 3
+expect_ok convert "$WORK/s11.csv" "$WORK/s11.ictmb" --chunk 8
+offset=$((40 + 2 * 7768 + 20 + 100))
+byte=$(od -An -tu1 -j "$offset" -N1 "$WORK/s11.ictmb" | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 255)))" |
+  dd of="$WORK/s11.ictmb" bs=1 seek="$offset" count=1 conv=notrunc 2>/dev/null
+"$BIN" stream "$WORK/s11.ictmb" --out "$WORK/failed" >/dev/null 2>&1
+rc=$?
+left=$(ls "$WORK/failed" 2>/dev/null | tr '\n' ' ')
+if [ "$rc" -eq 1 ] && [ -z "$left" ]; then
+  echo "ok (exit 1, no output): ictm stream <damaged> --out DIR"
+else
+  echo "FAIL: stream over a damaged chunk exited $rc (want 1) and left [$left] (want none)"
   FAILURES=$((FAILURES + 1))
 fi
 
