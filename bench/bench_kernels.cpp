@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the numerical kernels the
 // reproduction is built on: the QR factorisation, NNLS, gravity,
 // the stable-fP prior, one tomogravity estimation bin at Géant scale,
-// and the dense Cholesky factor of a hierarchy backbone's bin.
+// the per-topology set-up (routing matrix, augmented operator) and the
+// dense Cholesky factor of a hierarchy backbone's bin.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -123,6 +124,36 @@ void BM_StableFPPriorWeek(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StableFPPriorWeek);
+
+// Set-up, layer by layer, on hierarchy:100 and hierarchy:200 (graph
+// built outside the timed loop): the ECMP routing walk, then the
+// augmented operator A = [R; Q] every bin solver shares.
+void BM_RoutingBuild(benchmark::State& state) {
+  const topology::Graph g = topology::MakeTopology(
+      "hierarchy:" + std::to_string(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(topology::BuildRoutingCsr(g));
+  }
+}
+BENCHMARK(BM_RoutingBuild)
+    ->Arg(100)
+    ->Arg(200)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_AugmentedSystem(benchmark::State& state) {
+  const topology::Graph g = topology::MakeTopology(
+      "hierarchy:" + std::to_string(state.range(0)));
+  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  for (auto _ : state) {
+    const core::AugmentedTmSystem system(routing, g.nodeCount(),
+                                         /*marginalConstraints=*/true);
+    benchmark::DoNotOptimize(system.matrix().values().data());
+  }
+}
+BENCHMARK(BM_AugmentedSystem)
+    ->Arg(100)
+    ->Arg(200)
+    ->Unit(benchmark::kMillisecond);
 
 // The dense factor TmBinSolver runs once per bin, on the real normal
 // matrix A diag(xp) Aᵀ + ridge of hierarchy:100 (586 rows) and

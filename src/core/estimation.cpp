@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/parallel.hpp"
 #include "linalg/lsq.hpp"
@@ -122,24 +123,40 @@ AugmentedTmSystem::AugmentedTmSystem(const linalg::CsrMatrix& routing,
   ICTM_REQUIRE(routing.cols() == n_ * n_,
                "routing matrix column mismatch");
   rows_ = AugmentedRowCount(links_, n_, marginalConstraints);
-  std::vector<linalg::Triplet> entries;
-  entries.reserve(routing.nonZeros() +
-                  (marginalConstraints ? 2 * n_ * n_ : 0));
+  // Counting-sort transpose of the routing CSR: column (i, j) holds the
+  // pair's links in ascending row order (rows are scattered in order),
+  // then, with marginal constraints, ingress row L + i and egress row
+  // L + n + j.
+  const std::size_t cols = n_ * n_;
+  const std::size_t marginalRows = marginalConstraints ? 2 : 0;
+  const auto& rowPtr = routing.rowPtr();
+  const auto& colIdx = routing.colIdx();
+  const auto& values = routing.values();
+  std::vector<std::size_t> colPtr(cols + 1, 0);
+  for (std::size_t c : colIdx) ++colPtr[c + 1];
+  for (std::size_t c = 0; c < cols; ++c) {
+    colPtr[c + 1] += colPtr[c] + marginalRows;
+  }
+  std::vector<std::size_t> rowIdx(colPtr[cols]);
+  std::vector<double> entries(colPtr[cols]);
+  std::vector<std::size_t> next(colPtr.begin(), colPtr.end() - 1);
   for (std::size_t r = 0; r < links_; ++r) {
-    for (std::size_t k = routing.rowPtr()[r]; k < routing.rowPtr()[r + 1];
-         ++k) {
-      entries.push_back({r, routing.colIdx()[k], routing.values()[k]});
+    for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
+      const std::size_t slot = next[colIdx[k]]++;
+      rowIdx[slot] = r;
+      entries[slot] = values[k];
     }
   }
-  if (marginalConstraints) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t j = 0; j < n_; ++j) {
-        entries.push_back({links_ + i, i * n_ + j, 1.0});       // ingress row
-        entries.push_back({links_ + n_ + j, i * n_ + j, 1.0});  // egress row
-      }
+  for (std::size_t i = 0; marginalConstraints && i < n_; ++i) {
+    for (std::size_t j = 0; j < n_; ++j) {
+      const std::size_t slot = next[i * n_ + j];
+      rowIdx[slot] = links_ + i;           // ingress row
+      rowIdx[slot + 1] = links_ + n_ + j;  // egress row
+      entries[slot] = entries[slot + 1] = 1.0;
     }
   }
-  a_ = linalg::CscMatrix::FromTriplets(rows_, n_ * n_, std::move(entries));
+  a_ = linalg::CscMatrix(rows_, cols, std::move(colPtr), std::move(rowIdx),
+                         std::move(entries));
 }
 
 TmBinSolver::TmBinSolver(const AugmentedTmSystem& system,

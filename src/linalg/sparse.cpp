@@ -1,51 +1,35 @@
 #include "linalg/sparse.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace ictm::linalg {
 
 namespace {
 
-// Shared assembly for both compressed layouts: sorts (major, minor)
-// pairs, sums duplicates, drops exact zeros, and fills the three
-// compressed arrays.  `major(t)`/`minor(t)` select which triplet field
-// is the compressed dimension.
-template <typename MajorFn, typename MinorFn>
-void Compress(std::size_t majorCount, std::size_t majorBound,
-              std::size_t minorBound, std::vector<Triplet>& entries,
-              MajorFn major, MinorFn minor, std::vector<std::size_t>& ptr,
-              std::vector<std::size_t>& idx, std::vector<double>& values) {
-  for (const Triplet& t : entries) {
-    ICTM_REQUIRE(major(t) < majorBound && minor(t) < minorBound,
-                 "triplet index out of range");
-  }
-  std::sort(entries.begin(), entries.end(),
-            [&](const Triplet& a, const Triplet& b) {
-              if (major(a) != major(b)) return major(a) < major(b);
-              return minor(a) < minor(b);
-            });
-
-  ptr.assign(majorCount + 1, 0);
-  idx.clear();
-  values.clear();
-  idx.reserve(entries.size());
-  values.reserve(entries.size());
-  std::size_t i = 0;
+// The invariants shared by both compressed layouts: `ptr` has
+// majorCount + 1 non-decreasing entries from 0 to idx.size() ==
+// values.size(), each major's minor indices are strictly increasing
+// and below minorBound, and no value is an exact zero.
+void CheckCompressed(std::size_t majorCount, std::size_t minorBound,
+                     const std::vector<std::size_t>& ptr,
+                     const std::vector<std::size_t>& idx,
+                     const std::vector<double>& values) {
+  ICTM_REQUIRE(ptr.size() == majorCount + 1,
+               "compressed pointer array length mismatch");
+  ICTM_REQUIRE(idx.size() == values.size(),
+               "compressed index and value arrays differ in length");
+  ICTM_REQUIRE(ptr.front() == 0 && ptr.back() == idx.size(),
+               "compressed pointer array does not span the entries");
   for (std::size_t m = 0; m < majorCount; ++m) {
-    while (i < entries.size() && major(entries[i]) == m) {
-      const std::size_t mi = minor(entries[i]);
-      double acc = 0.0;
-      while (i < entries.size() && major(entries[i]) == m &&
-             minor(entries[i]) == mi) {
-        acc += entries[i].value;
-        ++i;
-      }
-      if (acc != 0.0) {
-        idx.push_back(mi);
-        values.push_back(acc);
-      }
+    ICTM_REQUIRE(ptr[m] <= ptr[m + 1] && ptr[m + 1] <= idx.size(),
+                 "compressed pointer array is not monotone");
+    for (std::size_t k = ptr[m]; k < ptr[m + 1]; ++k) {
+      ICTM_REQUIRE(idx[k] < minorBound, "compressed index out of range");
+      ICTM_REQUIRE(k == ptr[m] || idx[k - 1] < idx[k],
+                   "compressed indices are not strictly increasing");
+      ICTM_REQUIRE(values[k] != 0.0, "compressed value is an explicit zero");
     }
-    ptr[m + 1] = idx.size();
   }
 }
 
@@ -53,16 +37,16 @@ void Compress(std::size_t majorCount, std::size_t majorBound,
 
 // ---- CsrMatrix -------------------------------------------------------
 
-CsrMatrix CsrMatrix::FromTriplets(std::size_t rows, std::size_t cols,
-                                  std::vector<Triplet> entries) {
-  CsrMatrix out;
-  out.rows_ = rows;
-  out.cols_ = cols;
-  Compress(
-      rows, rows, cols, entries, [](const Triplet& t) { return t.row; },
-      [](const Triplet& t) { return t.col; }, out.rowPtr_, out.colIdx_,
-      out.values_);
-  return out;
+CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
+                     std::vector<std::size_t> rowPtr,
+                     std::vector<std::size_t> colIdx,
+                     std::vector<double> values)
+    : rows_(rows),
+      cols_(cols),
+      rowPtr_(std::move(rowPtr)),
+      colIdx_(std::move(colIdx)),
+      values_(std::move(values)) {
+  CheckCompressed(rows_, cols_, rowPtr_, colIdx_, values_);
 }
 
 void CsrMatrix::MultiplyInto(const double* x, double* y) const {
@@ -87,16 +71,16 @@ Matrix CsrMatrix::ToDense() const {
 
 // ---- CscMatrix -------------------------------------------------------
 
-CscMatrix CscMatrix::FromTriplets(std::size_t rows, std::size_t cols,
-                                  std::vector<Triplet> entries) {
-  CscMatrix out;
-  out.rows_ = rows;
-  out.cols_ = cols;
-  Compress(
-      cols, cols, rows, entries, [](const Triplet& t) { return t.col; },
-      [](const Triplet& t) { return t.row; }, out.colPtr_, out.rowIdx_,
-      out.values_);
-  return out;
+CscMatrix::CscMatrix(std::size_t rows, std::size_t cols,
+                     std::vector<std::size_t> colPtr,
+                     std::vector<std::size_t> rowIdx,
+                     std::vector<double> values)
+    : rows_(rows),
+      cols_(cols),
+      colPtr_(std::move(colPtr)),
+      rowIdx_(std::move(rowIdx)),
+      values_(std::move(values)) {
+  CheckCompressed(cols_, rows_, colPtr_, rowIdx_, values_);
 }
 
 // ---- kernels ---------------------------------------------------------

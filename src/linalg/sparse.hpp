@@ -1,14 +1,18 @@
 // Sparse matrix primitives for the TM-estimation hot path.
 //
 // Routing matrices are extremely sparse — a link-path column holds the
-// few links on one OD pair's shortest path(s), so densities sit around
-// 2/links.  The estimation pipeline (core/estimation.hpp) therefore
+// few links on one OD pair's shortest path(s): 3.1 non-zeros on average
+// at geant22, 4.0 at hierarchy:200 and 19 at grid:8x8 (where ECMP
+// fans out).  The estimation pipeline (core/estimation.hpp) therefore
 // stores the link system in compressed form and runs its kernels
 // (SpMV for link loads, A·diag(w)·Aᵀ for the tomogravity normal
 // matrix) off the compressed arrays instead of scanning dense zeros.
 //
 // Two layouts are provided: CSR (row-compressed, natural for per-link
 // SpMV) and CSC (column-compressed, natural for per-OD-pair kernels).
+// Builders write the compressed arrays directly (topology::BuildRoutingCsr,
+// core::AugmentedTmSystem) and hand them to the adopting constructors,
+// which check the layout's invariants.
 #pragma once
 
 #include <cstddef>
@@ -18,26 +22,22 @@
 
 namespace ictm::linalg {
 
-/// One explicit entry of a sparse matrix under assembly.
-struct Triplet {
-  std::size_t row = 0;
-  std::size_t col = 0;
-  double value = 0.0;
-};
-
 /// Compressed-sparse-row matrix of doubles.
 ///
 /// Row r's entries live in [rowPtr()[r], rowPtr()[r+1]) of the
 /// colIdx()/values() arrays, with column indices strictly increasing
-/// inside a row.  Explicit zeros are dropped at construction.
+/// inside a row and no stored value an exact zero.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Assembles from (row, col, value) entries in any order; duplicate
-  /// positions are summed and resulting exact zeros dropped.
-  static CsrMatrix FromTriplets(std::size_t rows, std::size_t cols,
-                                std::vector<Triplet> entries);
+  /// Adopts compressed arrays.  Throws ictm::Error unless rowPtr has
+  /// rows + 1 non-decreasing entries from 0 to colIdx.size() ==
+  /// values.size(), every row's column indices are strictly increasing
+  /// and below `cols`, and no value is an exact zero.
+  CsrMatrix(std::size_t rows, std::size_t cols,
+            std::vector<std::size_t> rowPtr, std::vector<std::size_t> colIdx,
+            std::vector<double> values);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -71,10 +71,11 @@ class CscMatrix {
  public:
   CscMatrix() = default;
 
-  /// Assembles from (row, col, value) entries in any order; duplicate
-  /// positions are summed and resulting exact zeros dropped.
-  static CscMatrix FromTriplets(std::size_t rows, std::size_t cols,
-                                std::vector<Triplet> entries);
+  /// Adopts compressed arrays; the checks of the CsrMatrix constructor
+  /// with rows and columns swapped.
+  CscMatrix(std::size_t rows, std::size_t cols,
+            std::vector<std::size_t> colPtr, std::vector<std::size_t> rowIdx,
+            std::vector<double> values);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }

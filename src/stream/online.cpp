@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,6 +40,21 @@ struct BinResult {
   std::vector<double> estimate;
   std::vector<double> prior;
 };
+
+// Throws unless every value of one measurement field is finite and
+// non-negative, naming the bin, the field and the first bad index.
+void RequireMeasurements(std::size_t seq, const char* field,
+                         const std::vector<double>& values) {
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    const double v = values[k];
+    if (std::isfinite(v) && v >= 0.0) continue;
+    const char* cause =
+        std::isnan(v) ? "NaN" : std::isinf(v) ? "infinite" : "negative";
+    throw Error("bin " + std::to_string(seq) + ": " + field + " " +
+                std::to_string(k) + " is " + cause +
+                "; measurements must be finite and non-negative");
+  }
+}
 
 }  // namespace
 
@@ -202,6 +218,12 @@ void StreamingEstimator::push(BinEvent event) {
                "marginal length mismatch");
 
   std::lock_guard<std::mutex> lock(im.producerMutex);
+  // Refused before the window accumulators see it, so the stream can
+  // still finish() the bins pushed before it.
+  const std::size_t seq = im.pushed.load();
+  RequireMeasurements(seq, "link load", event.linkLoads);
+  RequireMeasurements(seq, "ingress", event.ingress);
+  RequireMeasurements(seq, "egress", event.egress);
   BinJob job{std::move(event), im.currentModel};
 
   // Window accounting: the bin completing a window still uses the old

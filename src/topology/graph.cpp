@@ -90,15 +90,40 @@ ShortestPaths ComputeShortestPaths(const Graph& g, NodeId source) {
   return sp;
 }
 
-bool IsStronglyConnected(const Graph& g) {
-  if (g.nodeCount() == 0) return true;
-  for (NodeId s = 0; s < g.nodeCount(); ++s) {
-    const ShortestPaths sp = ComputeShortestPaths(g, s);
-    for (double d : sp.dist) {
-      if (!std::isfinite(d)) return false;
+namespace {
+
+// Nodes reachable from node 0, following every link forwards or (with
+// `reverse`) backwards: O(n + L).
+std::size_t ReachableFromFirstNode(const Graph& g, bool reverse) {
+  std::vector<std::vector<NodeId>> next(g.nodeCount());
+  for (const Link& l : g.links()) {
+    next[reverse ? l.dst : l.src].push_back(reverse ? l.src : l.dst);
+  }
+  std::vector<bool> seen(g.nodeCount(), false);
+  std::vector<NodeId> stack{0};
+  seen[0] = true;
+  std::size_t reached = 1;
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    for (NodeId v : next[u]) {
+      if (seen[v]) continue;
+      seen[v] = true;
+      ++reached;
+      stack.push_back(v);
     }
   }
-  return true;
+  return reached;
+}
+
+}  // namespace
+
+bool IsStronglyConnected(const Graph& g) {
+  // Strongly connected iff node 0 reaches every node and every node
+  // reaches node 0.
+  if (g.nodeCount() == 0) return true;
+  return ReachableFromFirstNode(g, false) == g.nodeCount() &&
+         ReachableFromFirstNode(g, true) == g.nodeCount();
 }
 
 }  // namespace ictm::topology

@@ -97,7 +97,8 @@ struct ShortestPaths {
 /// Dijkstra over IGP weights from `source`.
 ShortestPaths ComputeShortestPaths(const Graph& g, NodeId source);
 
-/// True when every node can reach every other node.
+/// True when every node can reach every other node: one forward and
+/// one reverse reachability sweep from node 0, O(n + L).
 bool IsStronglyConnected(const Graph& g);
 
 }  // namespace ictm::topology

@@ -5,6 +5,7 @@
 // siblings.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -521,6 +522,32 @@ TEST_F(ProtocolServerTest, OutOfOrderBinIsRejected) {
   ASSERT_TRUE(probe.sendFrame(FrameType::kBin,
                               EncodeBinPayload(5, bin.data(), nodes)));
   probe.expectError(ErrorCode::kBadSequence);
+}
+
+TEST_F(ProtocolServerTest, NonFiniteBinIsRefusedNamingTheBin) {
+  // A NaN in a BIN's traffic makes NaN measurements; the estimator
+  // refuses them, and the session's ERROR carries its message.  The
+  // estimate of the bin before may or may not precede it.
+  Probe probe = Probe::ConnectTo(*server_);
+  probe.handshake(ValidHello());
+  const std::size_t nodes = 11;
+  std::vector<double> bin(nodes * nodes, 1.0);
+  ASSERT_TRUE(probe.sendFrame(FrameType::kBin,
+                              EncodeBinPayload(0, bin.data(), nodes)));
+  bin[3] = std::nan("");
+  ASSERT_TRUE(probe.sendFrame(FrameType::kBin,
+                              EncodeBinPayload(1, bin.data(), nodes)));
+  Frame frame;
+  ASSERT_TRUE(probe.readFrame(&frame));
+  if (frame.type == FrameType::kEstimate) {
+    ASSERT_TRUE(probe.readFrame(&frame));
+  }
+  ASSERT_EQ(frame.type, FrameType::kError);
+  ErrorInfo info;
+  ASSERT_TRUE(info.decode(frame.payload));
+  EXPECT_EQ(info.code, ErrorCode::kInternal);
+  EXPECT_EQ(info.message.rfind("bin 1: link load ", 0), 0u) << info.message;
+  EXPECT_NE(info.message.find(" is NaN"), std::string::npos) << info.message;
 }
 
 TEST_F(ProtocolServerTest, ErrorIsTheLastFrameOfAFailedSession) {

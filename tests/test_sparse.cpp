@@ -41,8 +41,8 @@ Matrix RandomSparseDense(std::size_t rows, std::size_t cols,
 }
 
 // The nonzero entries of `m`, for assembling its compressed forms.
-std::vector<Triplet> NonZeroTriplets(const Matrix& m) {
-  std::vector<Triplet> entries;
+std::vector<test::Triplet> NonZeroTriplets(const Matrix& m) {
+  std::vector<test::Triplet> entries;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (std::size_t c = 0; c < m.cols(); ++c) {
       if (m(r, c) != 0.0) entries.push_back({r, c, m(r, c)});
@@ -55,7 +55,7 @@ TEST(CsrMatrix, SpMVMatchesDense) {
   stats::Rng rng(2);
   const Matrix dense = RandomSparseDense(9, 13, rng);
   const CsrMatrix csr =
-      CsrMatrix::FromTriplets(9, 13, NonZeroTriplets(dense));
+      test::CsrFromTriplets(9, 13, NonZeroTriplets(dense));
   const Vector x = test::RandomVector(13, rng);
   Vector y(9, -1.0);  // overwritten, not accumulated into
   csr.MultiplyInto(x.data(), y.data());
@@ -64,13 +64,45 @@ TEST(CsrMatrix, SpMVMatchesDense) {
 
 TEST(CsrMatrix, TripletsAccumulateDuplicatesAndDropZeros) {
   // Duplicate positions sum; a pair cancelling to zero is dropped.
-  const CsrMatrix csr = CsrMatrix::FromTriplets(
+  const CsrMatrix csr = test::CsrFromTriplets(
       2, 3, {{0, 1, 2.0}, {0, 1, 3.0}, {1, 2, 1.0}, {1, 2, -1.0}});
   EXPECT_EQ(csr.nonZeros(), 1u);
   const Matrix expected{{0, 5, 0}, {0, 0, 0}};
   EXPECT_TRUE(csr.ToDense() == expected);
-  EXPECT_THROW(CsrMatrix::FromTriplets(2, 3, {{2, 0, 1.0}}), ictm::Error);
-  EXPECT_THROW(CsrMatrix::FromTriplets(2, 3, {{0, 3, 1.0}}), ictm::Error);
+  EXPECT_THROW(test::CsrFromTriplets(2, 3, {{2, 0, 1.0}}), ictm::Error);
+  EXPECT_THROW(test::CsrFromTriplets(2, 3, {{0, 3, 1.0}}), ictm::Error);
+}
+
+TEST(CsrMatrix, AdoptingConstructorChecksInvariants) {
+  // [[0, 5, 0], [7, 0, 9]] adopted as is.
+  const CsrMatrix csr(2, 3, {0, 1, 3}, {1, 0, 2}, {5.0, 7.0, 9.0});
+  const Matrix expected{{0, 5, 0}, {7, 0, 9}};
+  EXPECT_TRUE(csr.ToDense() == expected);
+  EXPECT_NO_THROW(CsrMatrix(0, 4, {0}, {}, {}));
+  // Pointer array: wrong length, not from 0, not to nnz, not monotone.
+  EXPECT_THROW(CsrMatrix(2, 3, {0, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CsrMatrix(2, 3, {1, 1, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 2}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CsrMatrix(2, 3, {0, 4, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  // Index arrays: length mismatch, out of range, out of order, repeated.
+  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 0, 2}, {5, 7}), ictm::Error);
+  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 0, 3}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 2, 0}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 2, 2}, {5, 7, 9}), ictm::Error);
+  // A stored exact zero.
+  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 0, 2}, {5, 0, 9}), ictm::Error);
+}
+
+TEST(CscMatrix, AdoptingConstructorChecksInvariants) {
+  // The transpose layout of the CSR case: [[0, 7], [5, 0], [0, 9]].
+  const CscMatrix csc(3, 2, {0, 1, 3}, {1, 0, 2}, {5.0, 7.0, 9.0});
+  EXPECT_EQ(csc.nonZeros(), 3u);
+  EXPECT_THROW(CscMatrix(3, 2, {0, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CscMatrix(3, 2, {0, 4, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 0, 2}, {5, 7}), ictm::Error);
+  EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 0, 3}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 2, 0}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 0, 2}, {5, 0, 9}), ictm::Error);
 }
 
 // WeightedGramInto on the compressed `a` against the dense `expected`:
@@ -79,7 +111,7 @@ TEST(CsrMatrix, TripletsAccumulateDuplicatesAndDropZeros) {
 void ExpectGramMatchesDense(const Matrix& a, const Vector& w,
                             const Matrix& expected, double tol) {
   const CscMatrix csc =
-      CscMatrix::FromTriplets(a.rows(), a.cols(), NonZeroTriplets(a));
+      test::CscFromTriplets(a.rows(), a.cols(), NonZeroTriplets(a));
   Matrix got(a.rows(), a.rows(), -1.0);  // overwritten everywhere
   WeightedGramInto(csc, w.data(), got.data().data());
   for (std::size_t r = 0; r < a.rows(); ++r) {
@@ -217,7 +249,7 @@ TEST(CholeskyInPlace, FactorBytesMatchReference) {
     Vector w(2 * n);
     for (double& x : w) x = std::pow(10.0, rng.uniform(-6.0, 6.0));
     const CscMatrix csc =
-        CscMatrix::FromTriplets(n, 2 * n, NonZeroTriplets(a));
+        test::CscFromTriplets(n, 2 * n, NonZeroTriplets(a));
     ExpectFactorBytesMatchReference(SolverGram(csc, w.data()));
   }
   const Matrix gram = HierarchyGram();
@@ -313,6 +345,32 @@ struct SeriesFixture {
     priors = GravityPredictSeries(truth);
   }
 };
+
+TEST(AugmentedTmSystem, MatchesTripletAssembly) {
+  // The counting-sort transpose must reproduce the triplet-assembled
+  // operator to the byte, with and without the marginal rows.
+  for (const char* spec : {"abilene11", "geant22", "grid:8x8",
+                           "hierarchy:100"}) {
+    const topology::Graph g = topology::MakeTopology(spec, 1);
+    const std::size_t n = g.nodeCount();
+    const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+    for (bool marginal : {true, false}) {
+      const AugmentedTmSystem system(routing, n, marginal);
+      const linalg::CscMatrix want =
+          test::ReferenceAugmentedOperator(routing, n, marginal);
+      const linalg::CscMatrix& got = system.matrix();
+      EXPECT_EQ(got.rows(), want.rows()) << spec << " " << marginal;
+      EXPECT_EQ(got.cols(), want.cols()) << spec << " " << marginal;
+      EXPECT_EQ(system.rowCount(), want.rows()) << spec << " " << marginal;
+      EXPECT_TRUE(test::SameBytes(got.colPtr(), want.colPtr()))
+          << spec << " " << marginal;
+      EXPECT_TRUE(test::SameBytes(got.rowIdx(), want.rowIdx()))
+          << spec << " " << marginal;
+      EXPECT_TRUE(test::SameBytes(got.values(), want.values()))
+          << spec << " " << marginal;
+    }
+  }
+}
 
 TEST(EstimateSeriesParallel, ThreadedRunsBitIdenticalToSerial) {
   SeriesFixture fx;

@@ -1335,6 +1335,68 @@ TEST(StreamingEstimator, RejectsBadConfiguration) {
   }
 }
 
+TEST(StreamingEstimator, RefusesNonFiniteOrNegativeMeasurements) {
+  // A NaN, infinite or negative value in any field is refused at push
+  // with an error naming the bin, the field and the index, before the
+  // window accumulators see it: the bins pushed before it still
+  // finish, and the stream goes on exactly as if the bin never came.
+  StreamFixture fx;
+  StreamingOptions opts;
+  opts.window = 2;
+  std::vector<BinEvent> good;
+  for (std::size_t t = 0; t < 5; ++t) {
+    good.push_back(MakeBinEvent(fx.routing, 6, fx.truth.binData(t)));
+  }
+  auto run = [&](const BinEvent* bad, std::string* refusal) {
+    std::vector<std::vector<double>> out;
+    StreamingEstimator e(fx.routing, 6, opts,
+                         [&](std::size_t seq, const double* estimate,
+                             const double*) {
+                           EXPECT_EQ(seq, out.size());
+                           out.emplace_back(estimate, estimate + 36);
+                         });
+    for (std::size_t t = 0; t < good.size(); ++t) {
+      if (t == 2 && bad != nullptr) {
+        try {
+          e.push(*bad);
+          ADD_FAILURE() << "bad bin accepted";
+        } catch (const Error& err) {
+          *refusal = err.what();
+        }
+        EXPECT_EQ(e.pushedCount(), 2u);
+      }
+      e.push(good[t]);
+    }
+    e.finish();
+    return out;
+  };
+  const auto clean = run(nullptr, nullptr);
+  ASSERT_EQ(clean.size(), 5u);
+
+  using Field = std::vector<double> BinEvent::*;
+  const std::vector<std::pair<Field, std::string>> fields = {
+      {&BinEvent::linkLoads, "link load"},
+      {&BinEvent::ingress, "ingress"},
+      {&BinEvent::egress, "egress"}};
+  const std::vector<std::pair<double, std::string>> values = {
+      {std::nan(""), "NaN"}, {HUGE_VAL, "infinite"}, {-1.0, "negative"}};
+  for (const auto& [field, fieldName] : fields) {
+    for (const auto& [value, cause] : values) {
+      SCOPED_TRACE(fieldName + " = " + cause);
+      BinEvent bad = good[2];
+      (bad.*field)[3] = value;
+      std::string refusal;
+      const auto got = run(&bad, &refusal);
+      EXPECT_EQ(refusal, "bin 2: " + fieldName + " 3 is " + cause +
+                             "; measurements must be finite and "
+                             "non-negative");
+      // Bin 2 (refused) is skipped; later bins take its seq.
+      ASSERT_EQ(got.size(), 5u);
+      EXPECT_EQ(got, clean);
+    }
+  }
+}
+
 TEST(StreamingEstimator, WorkerFailurePropagatesWithoutDeadlock) {
   // Regression for the PR-6 TSan audit: fail() used to flip `failed`
   // and notify outside queueMutex, so a producer blocked on a full

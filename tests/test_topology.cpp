@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "stats/rng.hpp"
 #include "topology/graph.hpp"
+#include "topology/registry.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
 #include "test_util.hpp"
@@ -207,6 +209,92 @@ TEST(RoutingMatrix, GeantRankDeficiency) {
   const linalg::CsrMatrix r = BuildRoutingCsr(g);
   EXPECT_EQ(r.cols(), 22u * 22u);
   EXPECT_LT(r.rows(), r.cols());
+}
+
+TEST(RoutingBuild, MatchesReferenceBuilder) {
+  // The walk must reproduce the all-links scan's arrays to the byte,
+  // ECMP ties (ring, grid, waxman) and IGP-weight jitter (hierarchy)
+  // included.
+  for (const char* spec :
+       {"geant22", "totem23", "abilene11", "ring:30", "grid:8x8",
+        "waxman:120", "hierarchy:100", "hierarchy:200"}) {
+    const Graph g = MakeTopology(spec, 1);
+    const linalg::CsrMatrix got = BuildRoutingCsr(g);
+    const linalg::CsrMatrix want = test::ReferenceRoutingCsr(g);
+    EXPECT_EQ(got.rows(), want.rows()) << spec;
+    EXPECT_EQ(got.cols(), want.cols()) << spec;
+    EXPECT_TRUE(test::SameBytes(got.rowPtr(), want.rowPtr())) << spec;
+    EXPECT_TRUE(test::SameBytes(got.colIdx(), want.colIdx())) << spec;
+    EXPECT_TRUE(test::SameBytes(got.values(), want.values())) << spec;
+  }
+}
+
+TEST(RoutingBuild, RefusesGraphThatIsNotStronglyConnected) {
+  Graph g;
+  for (std::size_t i = 0; i < 3; ++i) g.addNode(IndexedName('n', i));
+  g.addBidirectionalLink(0, 1, 1.0);
+  g.addLink(1, 2, 1.0);  // node 2 cannot reach back
+  try {
+    BuildRoutingCsr(g);
+    FAIL() << "expected ictm::Error";
+  } catch (const ictm::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "graph must be strongly connected for routing"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Random directed graph: `links` one-way links between distinct
+// random endpoints, weights in [1, 4).
+Graph RandomDigraph(std::size_t nodes, std::size_t links, stats::Rng& rng) {
+  Graph g;
+  for (std::size_t i = 0; i < nodes; ++i) g.addNode(IndexedName('n', i));
+  for (std::size_t k = 0; k < links; ++k) {
+    const auto a = static_cast<NodeId>(rng.uniformInt(0, nodes - 1));
+    const auto b = static_cast<NodeId>(rng.uniformInt(0, nodes - 1));
+    if (a != b) g.addLink(a, b, rng.uniform(1.0, 4.0));
+  }
+  return g;
+}
+
+TEST(IsStronglyConnected, MatchesAllSourcesDijkstra) {
+  stats::Rng rng(29);
+  std::size_t connected = 0, disconnected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t nodes = 2 + rng.uniformInt(0, 10);
+    const std::size_t links = rng.uniformInt(0, 4 * nodes);
+    const Graph g = RandomDigraph(nodes, links, rng);
+    const bool want = test::ReferenceIsStronglyConnected(g);
+    EXPECT_EQ(IsStronglyConnected(g), want) << "trial " << trial;
+    ++(want ? connected : disconnected);
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(connected, 20u);
+  EXPECT_GT(disconnected, 20u);
+
+  Graph single;
+  single.addNode("a");
+  EXPECT_TRUE(IsStronglyConnected(single));
+  EXPECT_TRUE(test::ReferenceIsStronglyConnected(single));
+
+  // A ring plus one isolated node.
+  Graph isolated = MakeRing(5);
+  isolated.addNode("lonely");
+  EXPECT_FALSE(IsStronglyConnected(isolated));
+  EXPECT_FALSE(test::ReferenceIsStronglyConnected(isolated));
+
+  // One-way cycle: connected; one reversed link breaks it.
+  Graph cycle;
+  for (std::size_t i = 0; i < 4; ++i) cycle.addNode(IndexedName('n', i));
+  for (NodeId i = 0; i < 4; ++i) cycle.addLink(i, (i + 1) % 4);
+  EXPECT_TRUE(IsStronglyConnected(cycle));
+  Graph broken;
+  for (std::size_t i = 0; i < 4; ++i) broken.addNode(IndexedName('n', i));
+  for (NodeId i = 0; i < 3; ++i) broken.addLink(i, i + 1);
+  broken.addLink(0, 3);
+  EXPECT_FALSE(IsStronglyConnected(broken));
+  EXPECT_FALSE(test::ReferenceIsStronglyConnected(broken));
 }
 
 }  // namespace

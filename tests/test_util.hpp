@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/sparse.hpp"
 #include "stats/rng.hpp"
+#include "topology/graph.hpp"
 #include "traffic/tm_series.hpp"
 
 namespace ictm::test {
@@ -199,6 +204,171 @@ inline void ReferenceCholeskyFactor(double* m, std::size_t n) {
       for (std::size_t j = i; j < n; ++j) ui[j] -= uki * uk[j];
     }
   }
+}
+
+/// One explicit entry of a sparse matrix under triplet assembly.
+struct Triplet {
+  std::size_t row = 0;
+  std::size_t col = 0;
+  double value = 0.0;
+};
+
+/// Triplet assembly into one compressed layout: sorts (major, minor)
+/// pairs, sums duplicates, drops exact zeros and fills the three
+/// compressed arrays.  `major(t)`/`minor(t)` select which triplet
+/// field is the compressed dimension.
+template <typename MajorFn, typename MinorFn>
+void CompressTriplets(std::size_t majorCount, std::size_t minorBound,
+                      std::vector<Triplet>& entries, MajorFn major,
+                      MinorFn minor, std::vector<std::size_t>& ptr,
+                      std::vector<std::size_t>& idx,
+                      std::vector<double>& values) {
+  for (const Triplet& t : entries) {
+    ICTM_REQUIRE(major(t) < majorCount && minor(t) < minorBound,
+                 "triplet index out of range");
+  }
+  std::sort(entries.begin(), entries.end(),
+            [&](const Triplet& a, const Triplet& b) {
+              if (major(a) != major(b)) return major(a) < major(b);
+              return minor(a) < minor(b);
+            });
+  ptr.assign(majorCount + 1, 0);
+  idx.clear();
+  values.clear();
+  std::size_t i = 0;
+  for (std::size_t m = 0; m < majorCount; ++m) {
+    while (i < entries.size() && major(entries[i]) == m) {
+      const std::size_t mi = minor(entries[i]);
+      double acc = 0.0;
+      while (i < entries.size() && major(entries[i]) == m &&
+             minor(entries[i]) == mi) {
+        acc += entries[i].value;
+        ++i;
+      }
+      if (acc != 0.0) {
+        idx.push_back(mi);
+        values.push_back(acc);
+      }
+    }
+    ptr[m + 1] = idx.size();
+  }
+}
+
+/// CSR from (row, col, value) entries in any order: duplicates summed,
+/// exact zeros dropped.
+inline linalg::CsrMatrix CsrFromTriplets(std::size_t rows, std::size_t cols,
+                                         std::vector<Triplet> entries) {
+  std::vector<std::size_t> ptr, idx;
+  std::vector<double> values;
+  CompressTriplets(
+      rows, cols, entries, [](const Triplet& t) { return t.row; },
+      [](const Triplet& t) { return t.col; }, ptr, idx, values);
+  return linalg::CsrMatrix(rows, cols, std::move(ptr), std::move(idx),
+                           std::move(values));
+}
+
+/// CSC from (row, col, value) entries in any order: duplicates summed,
+/// exact zeros dropped.
+inline linalg::CscMatrix CscFromTriplets(std::size_t rows, std::size_t cols,
+                                         std::vector<Triplet> entries) {
+  std::vector<std::size_t> ptr, idx;
+  std::vector<double> values;
+  CompressTriplets(
+      cols, rows, entries, [](const Triplet& t) { return t.col; },
+      [](const Triplet& t) { return t.row; }, ptr, idx, values);
+  return linalg::CscMatrix(rows, cols, std::move(ptr), std::move(idx),
+                           std::move(values));
+}
+
+/// Connectivity oracle of topology::IsStronglyConnected: one Dijkstra
+/// per source, every distance finite.
+inline bool ReferenceIsStronglyConnected(const topology::Graph& g) {
+  for (topology::NodeId s = 0; s < g.nodeCount(); ++s) {
+    for (double d : topology::ComputeShortestPaths(g, s).dist) {
+      if (!std::isfinite(d)) return false;
+    }
+  }
+  return true;
+}
+
+/// Routing-matrix oracle that topology::BuildRoutingCsr is held to
+/// byte for byte: per OD pair, every reachable node sorted by
+/// decreasing distance, each unit of traffic split evenly across the
+/// predecessor links, a scan of all links, and triplet assembly.
+inline linalg::CsrMatrix ReferenceRoutingCsr(const topology::Graph& g) {
+  const std::size_t n = g.nodeCount();
+  ICTM_REQUIRE(n > 0, "routing matrix of empty graph");
+  ICTM_REQUIRE(ReferenceIsStronglyConnected(g),
+               "graph must be strongly connected for routing");
+  std::vector<Triplet> entries;
+  std::vector<double> linkFraction(g.linkCount(), 0.0);
+  for (topology::NodeId src = 0; src < n; ++src) {
+    const topology::ShortestPaths sp = topology::ComputeShortestPaths(g, src);
+    for (topology::NodeId dst = 0; dst < n; ++dst) {
+      if (src == dst) continue;
+      std::fill(linkFraction.begin(), linkFraction.end(), 0.0);
+      std::vector<double> nodeMass(n, 0.0);
+      nodeMass[dst] = 1.0;
+      std::vector<topology::NodeId> order;
+      for (topology::NodeId v = 0; v < n; ++v) {
+        if (std::isfinite(sp.dist[v])) order.push_back(v);
+      }
+      std::sort(order.begin(), order.end(),
+                [&](topology::NodeId a, topology::NodeId b) {
+                  return sp.dist[a] > sp.dist[b];
+                });
+      for (topology::NodeId v : order) {
+        if (v == src || nodeMass[v] <= 0.0) continue;
+        const auto& preds = sp.predecessors[v];
+        ICTM_REQUIRE(!preds.empty(), "unreachable node in routing tree");
+        const double share = nodeMass[v] / static_cast<double>(preds.size());
+        for (topology::LinkId lid : preds) {
+          linkFraction[lid] += share;
+          nodeMass[g.link(lid).src] += share;
+        }
+      }
+      for (topology::LinkId lid = 0; lid < g.linkCount(); ++lid) {
+        if (linkFraction[lid] != 0.0) {
+          entries.push_back({lid, src * n + dst, linkFraction[lid]});
+        }
+      }
+    }
+  }
+  return CsrFromTriplets(g.linkCount(), n * n, std::move(entries));
+}
+
+/// Oracle of core::AugmentedTmSystem's operator A = [R; Q]: the
+/// routing entries plus, with marginal constraints, the ingress row
+/// L + i and egress row L + n + j of column (i, j), by triplet assembly.
+inline linalg::CscMatrix ReferenceAugmentedOperator(
+    const linalg::CsrMatrix& routing, std::size_t n,
+    bool marginalConstraints) {
+  const std::size_t links = routing.rows();
+  std::vector<Triplet> entries;
+  for (std::size_t r = 0; r < links; ++r) {
+    for (std::size_t k = routing.rowPtr()[r]; k < routing.rowPtr()[r + 1];
+         ++k) {
+      entries.push_back({r, routing.colIdx()[k], routing.values()[k]});
+    }
+  }
+  if (marginalConstraints) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        entries.push_back({links + i, i * n + j, 1.0});
+        entries.push_back({links + n + j, i * n + j, 1.0});
+      }
+    }
+  }
+  return CscFromTriplets(marginalConstraints ? links + 2 * n : links, n * n,
+                         std::move(entries));
+}
+
+/// True when two vectors hold the same bytes.
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 }  // namespace ictm::test
