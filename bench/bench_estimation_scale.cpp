@@ -320,13 +320,13 @@ int main(int argc, char** argv) {
 
   const topology::Graph g = topology::MakeGeant22();
   const std::size_t n = g.nodeCount();
-  const linalg::CsrMatrix routingCsr = topology::BuildRoutingCsr(g);
-  const linalg::Matrix routingDense = routingCsr.ToDense();
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
+  const linalg::Matrix routingDense = routing.ToDense();
   std::printf("topology: %zu nodes, %zu links, routing %zux%zu "
               "(%.2f%% dense)\n",
-              n, g.linkCount(), routingCsr.rows(), routingCsr.cols(),
-              100.0 * double(routingCsr.nonZeros()) /
-                  double(routingCsr.rows() * routingCsr.cols()));
+              n, g.linkCount(), routing.rows(), routing.cols(),
+              100.0 * double(routing.nonZeros()) /
+                  double(routing.rows() * routing.cols()));
 
   // A week of diurnally varying traffic plus gravity priors from the
   // marginals (the realistic worst case for the refinement: every OD
@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
   options.threads = 1;
   t0 = std::chrono::steady_clock::now();
   const auto sparse1 =
-      core::EstimateSeries(routingCsr, truth, priors, options);
+      core::EstimateSeries(routing, truth, priors, options);
   const double sparse1Sec = SecondsSince(t0);
   std::printf("sparse engine, 1 thread   : %7.3f s  (%.2f ms/bin, %.2fx "
               "vs legacy)\n",
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
   options.threads = threads;
   t0 = std::chrono::steady_clock::now();
   const auto sparseT =
-      core::EstimateSeries(routingCsr, truth, priors, options);
+      core::EstimateSeries(routing, truth, priors, options);
   const double sparseTSec = SecondsSince(t0);
   std::printf("sparse engine, %2zu threads : %7.3f s  (%.2f ms/bin, "
               "%.2fx vs legacy, %.2fx vs 1 thread)\n",

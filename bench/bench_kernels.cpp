@@ -84,7 +84,7 @@ BENCHMARK(BM_GravityPredict)->Arg(22)->Arg(64);
 // pairs + marginal constraints).
 void BM_EstimateTmBinGeant(benchmark::State& state) {
   const topology::Graph g = topology::MakeGeant22();
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
   const std::size_t n = g.nodeCount();
   stats::Rng rng(7);
   linalg::Matrix truth(n, n);
@@ -132,7 +132,7 @@ void BM_RoutingBuild(benchmark::State& state) {
   const topology::Graph g = topology::MakeTopology(
       "hierarchy:" + std::to_string(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(topology::BuildRoutingCsr(g));
+    benchmark::DoNotOptimize(topology::BuildRouting(g));
   }
 }
 BENCHMARK(BM_RoutingBuild)
@@ -143,7 +143,7 @@ BENCHMARK(BM_RoutingBuild)
 void BM_AugmentedSystem(benchmark::State& state) {
   const topology::Graph g = topology::MakeTopology(
       "hierarchy:" + std::to_string(state.range(0)));
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
   for (auto _ : state) {
     const core::AugmentedTmSystem system(routing, g.nodeCount(),
                                          /*marginalConstraints=*/true);
@@ -163,7 +163,7 @@ void BM_CholeskyFactor(benchmark::State& state) {
   const topology::Graph g = topology::MakeTopology(
       "hierarchy:" + std::to_string(state.range(0)));
   const std::size_t n = g.nodeCount();
-  const core::AugmentedTmSystem system(topology::BuildRoutingCsr(g), n,
+  const core::AugmentedTmSystem system(topology::BuildRouting(g), n,
                                        /*marginalConstraints=*/true);
   core::SynthesisConfig config;
   config.nodes = n;

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   const topology::Graph g = nodes == 22
                                 ? topology::MakeGeant22()
                                 : topology::MakeRing(nodes, 2);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
   stream::StreamingOptions options;
   options.threads = threads;
   options.window = 96;

@@ -28,7 +28,7 @@ struct LinkLoadReport {
 };
 
 LinkLoadReport PeakLoads(const topology::Graph& g,
-                         const linalg::CsrMatrix& routing,
+                         const linalg::CscMatrix& routing,
                          const traffic::TrafficMatrixSeries& tms) {
   LinkLoadReport report;
   for (std::size_t t = 0; t < tms.binCount(); ++t) {
@@ -47,7 +47,7 @@ LinkLoadReport PeakLoads(const topology::Graph& g,
 }
 
 void Report(const char* scenario, const topology::Graph& g,
-            const linalg::CsrMatrix& routing,
+            const linalg::CscMatrix& routing,
             const traffic::TrafficMatrixSeries& tms) {
   const LinkLoadReport r = PeakLoads(g, routing, tms);
   const topology::Link& link = g.link(r.maxLink);
@@ -72,7 +72,7 @@ core::SynthesisConfig BaseConfig() {
 
 int main() {
   const topology::Graph g = topology::MakeGeant22();
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
   std::printf("Geant-like backbone: %zu PoPs, %zu directed links\n\n",
               g.nodeCount(), g.linkCount());
 

@@ -40,7 +40,7 @@ int main() {
 
   // Week 2: SNMP only.  Simulate the measurements.
   const topology::Graph g = topology::MakeGeant22();
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
   const core::MarginalSeries margs = core::ExtractMarginals(week2);
 
   std::printf("estimation: week 2 from link loads + marginals only\n");

@@ -116,43 +116,40 @@ const SolveStageCounters& StageCounters() {
 
 }  // namespace
 
-AugmentedTmSystem::AugmentedTmSystem(const linalg::CsrMatrix& routing,
+AugmentedTmSystem::AugmentedTmSystem(const linalg::CscMatrix& routing,
                                      std::size_t nodes,
                                      bool marginalConstraints)
     : n_(nodes), links_(routing.rows()) {
   ICTM_REQUIRE(routing.cols() == n_ * n_,
                "routing matrix column mismatch");
   rows_ = AugmentedRowCount(links_, n_, marginalConstraints);
-  // Counting-sort transpose of the routing CSR: column (i, j) holds the
-  // pair's links in ascending row order (rows are scattered in order),
-  // then, with marginal constraints, ingress row L + i and egress row
-  // L + n + j.
+  // One linear pass over R's columns: column (i, j) is the pair's links
+  // in ascending row order, then, with marginal constraints, ingress
+  // row L + i and egress row L + n + j (both above every link row).
   const std::size_t cols = n_ * n_;
   const std::size_t marginalRows = marginalConstraints ? 2 : 0;
-  const auto& rowPtr = routing.rowPtr();
-  const auto& colIdx = routing.colIdx();
-  const auto& values = routing.values();
+  const auto& routingPtr = routing.colPtr();
+  const auto& routingRows = routing.rowIdx();
+  const auto& routingValues = routing.values();
   std::vector<std::size_t> colPtr(cols + 1, 0);
-  for (std::size_t c : colIdx) ++colPtr[c + 1];
-  for (std::size_t c = 0; c < cols; ++c) {
-    colPtr[c + 1] += colPtr[c] + marginalRows;
-  }
-  std::vector<std::size_t> rowIdx(colPtr[cols]);
-  std::vector<double> entries(colPtr[cols]);
-  std::vector<std::size_t> next(colPtr.begin(), colPtr.end() - 1);
-  for (std::size_t r = 0; r < links_; ++r) {
-    for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
-      const std::size_t slot = next[colIdx[k]]++;
-      rowIdx[slot] = r;
-      entries[slot] = values[k];
-    }
-  }
-  for (std::size_t i = 0; marginalConstraints && i < n_; ++i) {
+  std::vector<std::size_t> rowIdx;
+  std::vector<double> entries;
+  rowIdx.reserve(routing.nonZeros() + marginalRows * cols);
+  entries.reserve(routing.nonZeros() + marginalRows * cols);
+  for (std::size_t i = 0; i < n_; ++i) {
     for (std::size_t j = 0; j < n_; ++j) {
-      const std::size_t slot = next[i * n_ + j];
-      rowIdx[slot] = links_ + i;           // ingress row
-      rowIdx[slot + 1] = links_ + n_ + j;  // egress row
-      entries[slot] = entries[slot + 1] = 1.0;
+      const std::size_t c = i * n_ + j;
+      rowIdx.insert(rowIdx.end(), routingRows.begin() + routingPtr[c],
+                    routingRows.begin() + routingPtr[c + 1]);
+      entries.insert(entries.end(), routingValues.begin() + routingPtr[c],
+                     routingValues.begin() + routingPtr[c + 1]);
+      if (marginalConstraints) {
+        rowIdx.push_back(links_ + i);       // ingress row
+        rowIdx.push_back(links_ + n_ + j);  // egress row
+        entries.push_back(1.0);
+        entries.push_back(1.0);
+      }
+      colPtr[c + 1] = rowIdx.size();
     }
   }
   a_ = linalg::CscMatrix(rows_, cols, std::move(colPtr), std::move(rowIdx),
@@ -258,7 +255,7 @@ linalg::Matrix Ipf(linalg::Matrix tm, const linalg::Vector& rowTargets,
   return tm;
 }
 
-linalg::Matrix EstimateTmBin(const linalg::CsrMatrix& routing,
+linalg::Matrix EstimateTmBin(const linalg::CscMatrix& routing,
                              const linalg::Vector& linkLoads,
                              const linalg::Matrix& prior,
                              const linalg::Vector& ingress,
@@ -281,7 +278,7 @@ linalg::Matrix EstimateTmBin(const linalg::CsrMatrix& routing,
 }
 
 traffic::TrafficMatrixSeries EstimateSeries(
-    const linalg::CsrMatrix& routing,
+    const linalg::CscMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,
     const traffic::TrafficMatrixSeries& priors,
     const EstimationOptions& options) {
@@ -291,7 +288,7 @@ traffic::TrafficMatrixSeries EstimateSeries(
 }
 
 traffic::TrafficMatrixSeries EstimateSeries(
-    const AugmentedTmSystem& sys, const linalg::CsrMatrix& routing,
+    const AugmentedTmSystem& sys, const linalg::CscMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,
     const traffic::TrafficMatrixSeries& priors,
     const EstimationOptions& options) {

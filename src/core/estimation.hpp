@@ -41,18 +41,18 @@ struct EstimationOptions {
   SolverKind solver = SolverKind::kAuto;
 };
 
-/// The augmented measurement operator A = [R; Q] compressed once into
-/// column form: one column per OD pair holding that pair's few path
-/// links plus (with marginal constraints) its ingress and egress rows.
+/// The augmented measurement operator A = [R; Q] in R's column form:
+/// one column per OD pair holding that pair's few path links plus
+/// (with marginal constraints) its ingress and egress rows.
 /// Built once per routing matrix and shared read-only by every bin
 /// solver — batch (EstimateSeries) and streaming
 /// (stream::StreamingEstimator) consume the same system, which is what
 /// makes their estimates bit-identical.
 class AugmentedTmSystem {
  public:
-  /// Compresses `routing` (links x n²) plus, when `marginalConstraints`
-  /// is set, the 2n ingress/egress rows.
-  AugmentedTmSystem(const linalg::CsrMatrix& routing, std::size_t nodes,
+  /// Copies the columns of `routing` (links x n²), appending to each,
+  /// when `marginalConstraints` is set, its ingress and egress row.
+  AugmentedTmSystem(const linalg::CscMatrix& routing, std::size_t nodes,
                     bool marginalConstraints);
 
   /// Number of nodes n.
@@ -119,7 +119,7 @@ linalg::Matrix Ipf(linalg::Matrix tm, const linalg::Vector& rowTargets,
 /// One bin of tomogravity refinement: returns the estimate
 ///   x = xp + W R^T (R W R^T + ridge)^-1 (y - R xp),   W = diag(xp),
 /// clamped non-negative and IPF'd to the marginals.
-linalg::Matrix EstimateTmBin(const linalg::CsrMatrix& routing,
+linalg::Matrix EstimateTmBin(const linalg::CscMatrix& routing,
                              const linalg::Vector& linkLoads,
                              const linalg::Matrix& prior,
                              const linalg::Vector& ingress,
@@ -133,7 +133,7 @@ linalg::Matrix EstimateTmBin(const linalg::CsrMatrix& routing,
 /// bins fan out across `options.threads` workers; every thread count
 /// yields bit-identical estimates.
 traffic::TrafficMatrixSeries EstimateSeries(
-    const linalg::CsrMatrix& routing,
+    const linalg::CscMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,
     const traffic::TrafficMatrixSeries& priors,
     const EstimationOptions& options = {});
@@ -144,7 +144,7 @@ traffic::TrafficMatrixSeries EstimateSeries(
 /// `system` must have been built from `routing` with
 /// `options.useMarginalConstraints`.
 traffic::TrafficMatrixSeries EstimateSeries(
-    const AugmentedTmSystem& system, const linalg::CsrMatrix& routing,
+    const AugmentedTmSystem& system, const linalg::CscMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,
     const traffic::TrafficMatrixSeries& priors,
     const EstimationOptions& options = {});

@@ -7,26 +7,26 @@ namespace ictm::linalg {
 
 namespace {
 
-// The invariants shared by both compressed layouts: `ptr` has
-// majorCount + 1 non-decreasing entries from 0 to idx.size() ==
-// values.size(), each major's minor indices are strictly increasing
-// and below minorBound, and no value is an exact zero.
-void CheckCompressed(std::size_t majorCount, std::size_t minorBound,
-                     const std::vector<std::size_t>& ptr,
-                     const std::vector<std::size_t>& idx,
+// The layout's invariants: colPtr has cols + 1 non-decreasing entries
+// from 0 to rowIdx.size() == values.size(), each column's row indices
+// are strictly increasing and below `rows`, and no value is an exact
+// zero.
+void CheckCompressed(std::size_t rows, std::size_t cols,
+                     const std::vector<std::size_t>& colPtr,
+                     const std::vector<std::size_t>& rowIdx,
                      const std::vector<double>& values) {
-  ICTM_REQUIRE(ptr.size() == majorCount + 1,
+  ICTM_REQUIRE(colPtr.size() == cols + 1,
                "compressed pointer array length mismatch");
-  ICTM_REQUIRE(idx.size() == values.size(),
+  ICTM_REQUIRE(rowIdx.size() == values.size(),
                "compressed index and value arrays differ in length");
-  ICTM_REQUIRE(ptr.front() == 0 && ptr.back() == idx.size(),
+  ICTM_REQUIRE(colPtr.front() == 0 && colPtr.back() == rowIdx.size(),
                "compressed pointer array does not span the entries");
-  for (std::size_t m = 0; m < majorCount; ++m) {
-    ICTM_REQUIRE(ptr[m] <= ptr[m + 1] && ptr[m + 1] <= idx.size(),
+  for (std::size_t c = 0; c < cols; ++c) {
+    ICTM_REQUIRE(colPtr[c] <= colPtr[c + 1] && colPtr[c + 1] <= rowIdx.size(),
                  "compressed pointer array is not monotone");
-    for (std::size_t k = ptr[m]; k < ptr[m + 1]; ++k) {
-      ICTM_REQUIRE(idx[k] < minorBound, "compressed index out of range");
-      ICTM_REQUIRE(k == ptr[m] || idx[k - 1] < idx[k],
+    for (std::size_t k = colPtr[c]; k < colPtr[c + 1]; ++k) {
+      ICTM_REQUIRE(rowIdx[k] < rows, "compressed index out of range");
+      ICTM_REQUIRE(k == colPtr[c] || rowIdx[k - 1] < rowIdx[k],
                    "compressed indices are not strictly increasing");
       ICTM_REQUIRE(values[k] != 0.0, "compressed value is an explicit zero");
     }
@@ -34,42 +34,6 @@ void CheckCompressed(std::size_t majorCount, std::size_t minorBound,
 }
 
 }  // namespace
-
-// ---- CsrMatrix -------------------------------------------------------
-
-CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
-                     std::vector<std::size_t> rowPtr,
-                     std::vector<std::size_t> colIdx,
-                     std::vector<double> values)
-    : rows_(rows),
-      cols_(cols),
-      rowPtr_(std::move(rowPtr)),
-      colIdx_(std::move(colIdx)),
-      values_(std::move(values)) {
-  CheckCompressed(rows_, cols_, rowPtr_, colIdx_, values_);
-}
-
-void CsrMatrix::MultiplyInto(const double* x, double* y) const {
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k) {
-      acc += values_[k] * x[colIdx_[k]];
-    }
-    y[r] = acc;
-  }
-}
-
-Matrix CsrMatrix::ToDense() const {
-  Matrix m(rows_, cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k) {
-      m(r, colIdx_[k]) = values_[k];
-    }
-  }
-  return m;
-}
-
-// ---- CscMatrix -------------------------------------------------------
 
 CscMatrix::CscMatrix(std::size_t rows, std::size_t cols,
                      std::vector<std::size_t> colPtr,
@@ -80,7 +44,27 @@ CscMatrix::CscMatrix(std::size_t rows, std::size_t cols,
       colPtr_(std::move(colPtr)),
       rowIdx_(std::move(rowIdx)),
       values_(std::move(values)) {
-  CheckCompressed(cols_, rows_, colPtr_, rowIdx_, values_);
+  CheckCompressed(rows_, cols_, colPtr_, rowIdx_, values_);
+}
+
+void CscMatrix::MultiplyInto(const double* x, double* y) const {
+  std::fill(y, y + rows_, 0.0);
+  for (std::size_t c = 0; c < cols_; ++c) {
+    const double xc = x[c];
+    for (std::size_t k = colPtr_[c]; k < colPtr_[c + 1]; ++k) {
+      y[rowIdx_[k]] += values_[k] * xc;
+    }
+  }
+}
+
+Matrix CscMatrix::ToDense() const {
+  Matrix m(rows_, cols_, 0.0);
+  for (std::size_t c = 0; c < cols_; ++c) {
+    for (std::size_t k = colPtr_[c]; k < colPtr_[c + 1]; ++k) {
+      m(rowIdx_[k], c) = values_[k];
+    }
+  }
+  return m;
 }
 
 // ---- kernels ---------------------------------------------------------

@@ -8,11 +8,10 @@
 // (SpMV for link loads, A·diag(w)·Aᵀ for the tomogravity normal
 // matrix) off the compressed arrays instead of scanning dense zeros.
 //
-// Two layouts are provided: CSR (row-compressed, natural for per-link
-// SpMV) and CSC (column-compressed, natural for per-OD-pair kernels).
-// Builders write the compressed arrays directly (topology::BuildRoutingCsr,
-// core::AugmentedTmSystem) and hand them to the adopting constructors,
-// which check the layout's invariants.
+// One layout serves both: column-compressed, one column per OD pair.
+// The builders (topology::BuildRouting, core::AugmentedTmSystem) emit
+// the pairs in column order, write the arrays directly and hand them
+// to the adopting constructor, which checks the layout's invariants.
 #pragma once
 
 #include <cstddef>
@@ -22,57 +21,19 @@
 
 namespace ictm::linalg {
 
-/// Compressed-sparse-row matrix of doubles.
+/// Compressed-sparse-column matrix of doubles.
 ///
-/// Row r's entries live in [rowPtr()[r], rowPtr()[r+1]) of the
-/// colIdx()/values() arrays, with column indices strictly increasing
-/// inside a row and no stored value an exact zero.
-class CsrMatrix {
- public:
-  CsrMatrix() = default;
-
-  /// Adopts compressed arrays.  Throws ictm::Error unless rowPtr has
-  /// rows + 1 non-decreasing entries from 0 to colIdx.size() ==
-  /// values.size(), every row's column indices are strictly increasing
-  /// and below `cols`, and no value is an exact zero.
-  CsrMatrix(std::size_t rows, std::size_t cols,
-            std::vector<std::size_t> rowPtr, std::vector<std::size_t> colIdx,
-            std::vector<double> values);
-
-  std::size_t rows() const noexcept { return rows_; }
-  std::size_t cols() const noexcept { return cols_; }
-  std::size_t nonZeros() const noexcept { return values_.size(); }
-
-  /// SpMV y = A x off raw buffers: x has cols() elements, y gets
-  /// rows() elements (overwritten).  Lets callers feed matrix views
-  /// (e.g. a TrafficMatrixSeries bin) without copying into a Vector
-  /// first.
-  void MultiplyInto(const double* x, double* y) const;
-
-  /// Expands to dense: the one dense view, for tests that read single
-  /// entries and for dense reference pipelines.
-  Matrix ToDense() const;
-
-  const std::vector<std::size_t>& rowPtr() const noexcept { return rowPtr_; }
-  const std::vector<std::size_t>& colIdx() const noexcept { return colIdx_; }
-  const std::vector<double>& values() const noexcept { return values_; }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<std::size_t> rowPtr_{0};
-  std::vector<std::size_t> colIdx_;
-  std::vector<double> values_;
-};
-
-/// Compressed-sparse-column matrix of doubles (the transpose layout of
-/// CsrMatrix; same invariants per column).
+/// Column c's entries live in [colPtr()[c], colPtr()[c+1]) of the
+/// rowIdx()/values() arrays, with row indices strictly increasing
+/// inside a column and no stored value an exact zero.
 class CscMatrix {
  public:
   CscMatrix() = default;
 
-  /// Adopts compressed arrays; the checks of the CsrMatrix constructor
-  /// with rows and columns swapped.
+  /// Adopts compressed arrays.  Throws ictm::Error unless colPtr has
+  /// cols + 1 non-decreasing entries from 0 to rowIdx.size() ==
+  /// values.size(), every column's row indices are strictly increasing
+  /// and below `rows`, and no value is an exact zero.
   CscMatrix(std::size_t rows, std::size_t cols,
             std::vector<std::size_t> colPtr, std::vector<std::size_t> rowIdx,
             std::vector<double> values);
@@ -80,6 +41,18 @@ class CscMatrix {
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t nonZeros() const noexcept { return values_.size(); }
+
+  /// SpMV y = A x off raw buffers: x has cols() elements, y gets
+  /// rows() elements (overwritten).  y is zeroed, then the columns are
+  /// scattered in ascending order, so each y[r] sums its terms in
+  /// ascending column order starting from +0.0.  Lets callers feed
+  /// matrix views (e.g. a TrafficMatrixSeries bin) without copying
+  /// into a Vector first.
+  void MultiplyInto(const double* x, double* y) const;
+
+  /// Expands to dense: the one dense view, for tests that read single
+  /// entries and for dense reference pipelines.
+  Matrix ToDense() const;
 
   const std::vector<std::size_t>& colPtr() const noexcept { return colPtr_; }
   const std::vector<std::size_t>& rowIdx() const noexcept { return rowIdx_; }
@@ -92,6 +65,10 @@ class CscMatrix {
   std::vector<std::size_t> rowIdx_;
   std::vector<double> values_;
 };
+
+/// The former row-compressed name, kept only so e2ebench/harness.cpp
+/// compiles unchanged until ROADMAP item 5 re-anchors the benchmark.
+using CsrMatrix = CscMatrix;
 
 /// Weighted Gram matrix A·diag(w)·Aᵀ — the tomogravity normal matrix
 /// R·diag(xp)·Rᵀ — written into a caller-owned row-major buffer of

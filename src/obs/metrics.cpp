@@ -46,36 +46,24 @@ void Counter::reset() {
 // ---- Gauge -----------------------------------------------------------------
 
 void Gauge::set(std::int64_t v) {
-#if !defined(ICTM_OBS_DISABLED)
   if (!detail::RecordingEnabled()) return;
   value_.store(v, std::memory_order_relaxed);
   recordMax(v);
-#else
-  (void)v;
-#endif
 }
 
 void Gauge::add(std::int64_t delta) {
-#if !defined(ICTM_OBS_DISABLED)
   if (!detail::RecordingEnabled()) return;
   const std::int64_t now =
       value_.fetch_add(delta, std::memory_order_relaxed) + delta;
   recordMax(now);
-#else
-  (void)delta;
-#endif
 }
 
 void Gauge::recordMax(std::int64_t v) {
-#if !defined(ICTM_OBS_DISABLED)
   if (!detail::RecordingEnabled()) return;
   std::int64_t seen = max_.load(std::memory_order_relaxed);
   while (v > seen &&
          !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
-#else
-  (void)v;
-#endif
 }
 
 std::int64_t Gauge::value() const {

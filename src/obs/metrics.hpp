@@ -6,8 +6,8 @@
 //  * Strictly off the estimation path.  Metrics only ever read
 //    obs::Now() and add unsigned integers; they never touch the
 //    floating-point inputs or outputs of a solve, so estimates are
-//    bit-identical with instrumentation enabled, disabled
-//    (SetEnabled(false)) or compiled out (-DICTM_OBS=OFF).
+//    bit-identical with instrumentation enabled or disabled
+//    (SetEnabled(false), the one off switch).
 //
 //  * Deterministic merge order.  All mergeable state is integral
 //    (u64 event counts, u64 nanosecond totals, u64 bucket counts), so
@@ -77,14 +77,10 @@ bool RecordingEnabled();
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-#if defined(ICTM_OBS_DISABLED)
-    (void)n;
-#else
     if (detail::RecordingEnabled()) {
       shards_[detail::ShardIndex()].value.fetch_add(
           n, std::memory_order_relaxed);
     }
-#endif
   }
 
   std::uint64_t value() const;
@@ -120,11 +116,7 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void record(double v) {
-#if defined(ICTM_OBS_DISABLED)
-    (void)v;
-#else
     if (detail::RecordingEnabled()) recordSlow(v);
-#endif
   }
 
   const std::vector<double>& bounds() const { return bounds_; }

@@ -5,14 +5,10 @@
 namespace ictm::obs {
 
 std::uint64_t Now() {
-#if defined(ICTM_OBS_DISABLED)
-  return 0;
-#else
   const auto sinceEpoch = std::chrono::steady_clock::now().time_since_epoch();
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(sinceEpoch)
           .count());
-#endif
 }
 
 }  // namespace ictm::obs

@@ -17,8 +17,7 @@ namespace ictm::obs {
 
 /// Monotonic time in nanoseconds since an arbitrary epoch
 /// (std::chrono::steady_clock).  Values are only meaningful as
-/// differences.  Returns 0 when the observability layer is compiled
-/// out (-DICTM_OBS=OFF).
+/// differences.
 std::uint64_t Now();
 
 }  // namespace ictm::obs

@@ -11,8 +11,6 @@
 
 namespace ictm::obs {
 
-#if !defined(ICTM_OBS_DISABLED)
-
 namespace {
 
 struct Event {
@@ -184,26 +182,5 @@ TraceScope::~TraceScope() {
   if (!recording_ || !tracing::Active()) return;
   Append({name_, category_, 'X', startNs_, Now() - startNs_});
 }
-
-#else  // ICTM_OBS_DISABLED
-
-namespace tracing {
-
-bool Start(const std::string&, std::string* error) {
-  if (error != nullptr) {
-    *error = "tracing unavailable: built with -DICTM_OBS=OFF";
-  }
-  return false;
-}
-
-bool Active() { return false; }
-
-bool Stop(std::string*) { return true; }
-
-void Instant(const char*, const char*) {}
-
-}  // namespace tracing
-
-#endif  // ICTM_OBS_DISABLED
 
 }  // namespace ictm::obs

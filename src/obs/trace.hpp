@@ -11,7 +11,7 @@
 //
 // Tracing follows the same contract as the metrics registry: it never
 // touches estimation inputs or outputs, so results are bit-identical
-// with tracing on, off, or compiled out.
+// with tracing on or off.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,8 @@ namespace ictm::obs {
 namespace tracing {
 
 /// Opens `path` and starts the process-wide session.  Fails (with
-/// *error set) if a session is already active, the file cannot be
-/// opened, or the observability layer is compiled out.
+/// *error set) if a session is already active or the file cannot be
+/// opened.
 bool Start(const std::string& path, std::string* error);
 
 /// True between a successful Start() and the matching Stop().
@@ -45,22 +45,16 @@ void Instant(const char* name, const char* category = "ictm");
 /// and read at Stop()).
 class TraceScope {
  public:
-#if defined(ICTM_OBS_DISABLED)
-  explicit TraceScope(const char*, const char* = "ictm") {}
-#else
   explicit TraceScope(const char* name, const char* category = "ictm");
   ~TraceScope();
-#endif
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
-#if !defined(ICTM_OBS_DISABLED)
  private:
   const char* name_;
   const char* category_;
   std::uint64_t startNs_ = 0;
   bool recording_ = false;
-#endif
 };
 
 }  // namespace ictm::obs

@@ -118,7 +118,7 @@ TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,
   const topology::Graph g =
       topology::MakeTopology(entry.spec, topologySeed);
   const std::size_t n = g.nodeCount();
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
 
   const traffic::TrafficMatrixSeries truth =
       DiurnalTraffic(n, entry.bins, trafficSeed);

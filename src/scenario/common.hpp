@@ -84,8 +84,8 @@ const std::vector<TopoSweepEntry>& DefaultTopoSweep();
 struct TopoSweepRun {
   std::size_t nodes = 0;          ///< resolved node count
   std::size_t links = 0;          ///< directed link count
-  std::size_t routingRows = 0;    ///< routing CSR rows (= links)
-  std::size_t routingNnz = 0;     ///< routing CSR non-zeros
+  std::size_t routingRows = 0;    ///< routing matrix rows (= links)
+  std::size_t routingNnz = 0;     ///< routing matrix non-zeros
   double routingDensityPct = 0.0; ///< non-zero fraction in percent
   double secBaseline = 0.0;       ///< wall clock at baselineThreads
   double secFanout = 0.0;         ///< wall clock at fanoutThreads
@@ -96,7 +96,7 @@ struct TopoSweepRun {
 
 /// Resolves `entry.spec` (seeded generators use `topologySeed`),
 /// synthesizes diurnally varying random traffic from `trafficSeed`
-/// with gravity priors, and runs the CSR-only EstimateSeries at the
+/// with gravity priors, and runs the compressed EstimateSeries at the
 /// two thread counts.  The dense routing matrix is never materialised
 /// — the point of the sweep at n = 200.
 TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,

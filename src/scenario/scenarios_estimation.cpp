@@ -30,7 +30,7 @@ json::Value EstimationComparison(
     const traffic::TrafficMatrixSeries& ref,
     const traffic::TrafficMatrixSeries& icPrior,
     const traffic::TrafficMatrixSeries& gravPrior,
-    const linalg::CsrMatrix& routing, const ScenarioContext& ctx,
+    const linalg::CscMatrix& routing, const ScenarioContext& ctx,
     const char* icLabel, bool* finiteOut) {
   core::EstimationOptions options;
   options.threads = ctx.threads;
@@ -125,7 +125,7 @@ json::Value Fig11One(const ScenarioContext& ctx, const char* label,
   const dataset::Dataset d =
       MakeScenarioDataset(ctx, totem, canonicalSeed);
   const topology::Graph g = ScenarioTopology(ctx, totem);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
 
   // As in the paper, the reference TM is the measured (netflow) one.
   const traffic::TrafficMatrixSeries& ref = d.measured;
@@ -169,7 +169,7 @@ json::Value Fig12One(const ScenarioContext& ctx, const char* label,
   const dataset::Dataset d = MakeScenarioDataset(
       ctx, totem, canonicalSeed, /*weeks=*/calibrationLag + 1);
   const topology::Graph g = ScenarioTopology(ctx, totem);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
 
   const std::size_t bpw = d.binsPerWeek;
   const auto calibrationWeek = d.measured.slice(0, bpw);
@@ -216,7 +216,7 @@ json::Value Fig13One(const ScenarioContext& ctx, const char* label,
   const dataset::Dataset d =
       MakeScenarioDataset(ctx, totem, canonicalSeed, /*weeks=*/2);
   const topology::Graph g = ScenarioTopology(ctx, totem);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
 
   const std::size_t bpw = d.binsPerWeek;
   const auto calibrationWeek = d.measured.slice(0, bpw);

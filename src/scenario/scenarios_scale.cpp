@@ -50,7 +50,7 @@ json::Value RunEstimationScale(const ScenarioContext& ctx,
                       : topology::MakeGeant22());
   const std::size_t n = g.nodeCount();
   const std::size_t bins = ctx.tiny ? 24 : 504;
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
 
   // Diurnally varying random traffic plus gravity priors from the
   // marginals (the realistic worst case for the refinement: every OD

@@ -29,14 +29,14 @@ namespace {
 // shape estimation_scale uses, so the streaming numbers are comparable.
 struct StreamSetup {
   topology::Graph graph;
-  linalg::CsrMatrix routing;
+  linalg::CscMatrix routing;
   traffic::TrafficMatrixSeries truth;
 
   StreamSetup(const ScenarioContext& ctx, std::uint64_t canonicalSeed,
               std::size_t fullBins)
       : graph(ctx.tiny ? topology::MakeRing(6, 2)
                        : topology::MakeGeant22()),
-        routing(topology::BuildRoutingCsr(graph)),
+        routing(topology::BuildRouting(graph)),
         truth(DiurnalTraffic(graph.nodeCount(), ctx.tiny ? 24 : fullBins,
                              ctx.seed(canonicalSeed))) {}
 };

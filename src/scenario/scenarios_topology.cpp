@@ -1,7 +1,7 @@
 // Topology-workbench scenario: sparse estimation must keep working —
 // and stay bit-identical across thread counts — as the backbone grows
 // from the paper's 22 PoPs to generated 200-node hierarchies.  The
-// sweep body (traffic synthesis, CSR-only routing, the two-thread
+// sweep body (traffic synthesis, compressed routing, the two-thread
 // comparison) lives in common.hpp's RunTopoSweepEntry, shared with
 // `bench_estimation_scale --topo-sweep`.  As everywhere: correctness
 // facts go into the deterministic result document, wall-clock timings

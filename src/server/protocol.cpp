@@ -44,6 +44,8 @@ const char* ErrorCodeName(ErrorCode code) noexcept {
       return "internal";
     case ErrorCode::kShuttingDown:
       return "shutting-down";
+    case ErrorCode::kBadBin:
+      return "bad-bin";
   }
   return "unknown";
 }

@@ -77,6 +77,7 @@ enum class ErrorCode : std::uint16_t {
   kBadSequence = 10,     ///< BIN seq out of order / FIN count wrong
   kInternal = 11,        ///< estimator failure server-side
   kShuttingDown = 12,    ///< server stopping; reconnect and resume
+  kBadBin = 13,          ///< BIN measurements NaN, infinite or negative
 };
 
 /// Stable name of an error code for diagnostics ("crc", "oversize",

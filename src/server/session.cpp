@@ -281,6 +281,8 @@ struct Session::Impl {
         cp.state = estimator->checkpoint();
         store->save(cp);
       }
+    } catch (const stream::BadBinError& e) {
+      return fail(ErrorCode::kBadBin, e.what());
     } catch (const std::exception& e) {
       return fail(ErrorCode::kInternal, e.what());
     }

@@ -66,7 +66,7 @@ std::shared_ptr<const TopologyState> TopologyStateCache::acquire(
   state->spec = spec;
   state->seed = seed;
   state->nodes = g.nodeCount();
-  state->routing = topology::BuildRoutingCsr(g);
+  state->routing = topology::BuildRouting(g);
   state->system = std::make_shared<core::AugmentedTmSystem>(
       state->routing, state->nodes, /*marginalConstraints=*/true);
 

@@ -1,10 +1,10 @@
 // Shared per-topology state for the estimation server.
 //
 // Opening a session costs far more than serving one bin: the topology
-// must be materialised, routing computed and the augmented [R; Q]
-// operator compressed.  All of that is a pure function of (topology
-// spec, generator seed), so N concurrent sessions on the same
-// topology should pay it once.
+// must be materialised, the routing matrix R walked out column by
+// column and the augmented [R; Q] operator copied from those columns.
+// All of that is a pure function of (topology spec, generator seed),
+// so N concurrent sessions on the same topology should pay it once.
 //
 // TopologyStateCache interns exactly that: acquire() returns a
 // shared_ptr<const TopologyState> holding the routing matrix and the
@@ -29,13 +29,14 @@
 namespace ictm::server {
 
 /// Everything expensive a session needs that depends only on the
-/// topology: the routing operator and the compressed augmented
-/// system.  Immutable after construction; shared read-only.
+/// topology: the routing matrix (it turns a BIN's truth into link
+/// loads) and the augmented system, both in the one column-compressed
+/// layout.  Immutable after construction; shared read-only.
 struct TopologyState {
   std::string spec;          ///< the resolved topology spec
   std::uint64_t seed = 0;    ///< generator seed the spec was built with
   std::size_t nodes = 0;     ///< node count n
-  linalg::CsrMatrix routing;  ///< shortest-path routing, links x n²
+  linalg::CscMatrix routing;  ///< shortest-path routing, links x n²
   std::shared_ptr<const core::AugmentedTmSystem> system;  ///< [R; Q]
 };
 

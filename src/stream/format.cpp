@@ -1,9 +1,12 @@
 #include "stream/format.hpp"
 
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -30,6 +33,11 @@ constexpr std::uint32_t kVersionV2 = 2;
 // Length-prefix value that marks the index frame; no real chunk can be
 // this large.
 constexpr std::uint64_t kIndexMarker = ~std::uint64_t{0};
+
+// A cell a TM may hold: finite and non-negative (−0.0 included).
+bool IsVolume(double v) {
+  return v >= 0.0 && v <= std::numeric_limits<double>::max();
+}
 
 template <typename T>
 void WriteRaw(std::ostream& os, const T& value) {
@@ -500,9 +508,23 @@ bool TraceReader::next(double* outBin) {
   }
   if (chunk != loadedChunk_) loadChunk(chunk);
   const std::size_t n2 = info_.nodes * info_.nodes;
-  const std::size_t offsetInChunk = position_ - index_[chunk].firstBin;
-  std::memcpy(outBin, chunk_.bins.data() + offsetInChunk * n2,
-              n2 * sizeof(double));
+  const double* bin =
+      chunk_.bins.data() + (position_ - index_[chunk].firstBin) * n2;
+  // Only finite, non-negative volumes are served, as the CSV reader
+  // requires (−0.0 passes).  The check is per bin, so every bin before
+  // a bad one is still served.
+  bool valid = true;
+  for (std::size_t k = 0; k < n2; ++k) valid &= IsVolume(bin[k]);
+  if (!valid) {
+    std::size_t k = 0;
+    while (IsVolume(bin[k])) ++k;
+    const char* cause = std::isnan(bin[k])   ? "NaN"
+                        : std::isinf(bin[k]) ? "infinite"
+                                             : "negative";
+    throw Error("ictmb: bin " + std::to_string(position_) + " cell " +
+                std::to_string(k) + " is " + cause + ": " + path_);
+  }
+  std::memcpy(outBin, bin, n2 * sizeof(double));
   ++position_;
   return true;
 }

@@ -23,8 +23,9 @@
 // without scanning) and gives TraceReader::seek O(1) random access —
 // every chunk decodes independently of its neighbours, whatever its
 // codec.  The per-chunk CRC turns truncation and bit rot into loud
-// errors instead of corrupt estimates.  The \r\n in the magic catches
-// text-mode transfer damage, as in PNG.
+// errors instead of corrupt estimates, and the reader refuses a bin
+// holding a NaN, infinite or negative cell, as the CSV reader does.
+// The \r\n in the magic catches text-mode transfer damage, as in PNG.
 //
 // Writers always emit version 2.  Each chunk records the codec its
 // payload was actually stored with: a chunk whose compressed form
@@ -45,7 +46,7 @@
 #include "traffic/tm_series.hpp"
 
 /// Streaming subsystem: chunked binary trace I/O, the online
-/// estimator and the connection-to-bin-event ingest adapter.
+/// estimator and the bounded in-order worker pool they share.
 namespace ictm::stream {
 
 template <typename Job, typename Result>
@@ -178,7 +179,9 @@ class TraceReader {
   const TraceInfo& info() const noexcept { return info_; }
 
   /// Reads the next bin into `outBin` (n² doubles); returns false when
-  /// all bins have been read.
+  /// all bins have been read.  Throws ictm::Error "ictmb: bin <b> cell
+  /// <k> is NaN|infinite|negative" for a bin holding such a cell,
+  /// without serving it (the bins before it were served).
   bool next(double* outBin);
 
   /// Repositions so the following next() returns bin `bin` — O(1) via

@@ -50,9 +50,9 @@ void RequireMeasurements(std::size_t seq, const char* field,
     if (std::isfinite(v) && v >= 0.0) continue;
     const char* cause =
         std::isnan(v) ? "NaN" : std::isinf(v) ? "infinite" : "negative";
-    throw Error("bin " + std::to_string(seq) + ": " + field + " " +
-                std::to_string(k) + " is " + cause +
-                "; measurements must be finite and non-negative");
+    throw BadBinError("bin " + std::to_string(seq) + ": " + field + " " +
+                      std::to_string(k) + " is " + cause +
+                      "; measurements must be finite and non-negative");
   }
 }
 
@@ -127,7 +127,7 @@ struct StreamingEstimator::Impl {
   }
 };
 
-StreamingEstimator::StreamingEstimator(const linalg::CsrMatrix& routing,
+StreamingEstimator::StreamingEstimator(const linalg::CscMatrix& routing,
                                        std::size_t nodes,
                                        StreamingOptions options,
                                        EstimateCallback onEstimate) {
@@ -283,7 +283,7 @@ std::size_t StreamingEstimator::emittedCount() const noexcept {
   return impl_->emitted.load();
 }
 
-BinEvent MakeBinEvent(const linalg::CsrMatrix& routing, std::size_t nodes,
+BinEvent MakeBinEvent(const linalg::CscMatrix& routing, std::size_t nodes,
                       const double* truthBin) {
   BinEvent event;
   event.linkLoads.resize(routing.rows());
@@ -303,7 +303,7 @@ BinEvent MakeBinEvent(const linalg::CsrMatrix& routing, std::size_t nodes,
 }
 
 StreamingRunResult EstimateSeriesStreaming(
-    const linalg::CsrMatrix& routing,
+    const linalg::CscMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,
     const StreamingOptions& options) {
   const std::size_t n = truth.nodeCount();

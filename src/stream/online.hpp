@@ -41,12 +41,21 @@
 #include <optional>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/estimation.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "traffic/tm_series.hpp"
 
 namespace ictm::stream {
+
+/// StreamingEstimator::push's refusal of a bin whose measurements hold
+/// a NaN, infinite or negative value (the server answers it with the
+/// typed `bad-bin` error).
+class BadBinError : public Error {
+ public:
+  using Error::Error;
+};
 
 /// One time bin's measurements as an operator sees them: SNMP link
 /// byte counters plus the access-link ingress/egress marginals.
@@ -111,7 +120,7 @@ class StreamingEstimator {
       std::size_t seq, const double* estimate, const double* prior)>;
 
   /// Compresses the augmented system and starts the worker pool.
-  StreamingEstimator(const linalg::CsrMatrix& routing, std::size_t nodes,
+  StreamingEstimator(const linalg::CscMatrix& routing, std::size_t nodes,
                      StreamingOptions options, EstimateCallback onEstimate);
   /// Same, but over a caller-shared augmented system (which the
   /// estimator keeps alive), so many estimators on the same topology
@@ -128,8 +137,10 @@ class StreamingEstimator {
       delete;  ///< non-copyable
 
   /// Enqueues one bin; blocks while the queue is full.  Events are
-  /// sequence-stamped in push order.  Throws when a worker has failed
-  /// or finish() was already called.
+  /// sequence-stamped in push order.  Throws BadBinError, before the
+  /// bin counts, when a measurement is NaN, infinite or negative; throws
+  /// ictm::Error when a worker has failed or finish() was already
+  /// called.
   void push(BinEvent event);
 
   /// Signals end-of-stream, waits for every queued bin to be emitted
@@ -159,7 +170,7 @@ class StreamingEstimator {
 /// matrix (simulated SNMP) plus the ingress/egress marginals, using
 /// the exact summation order of core::EstimateSeries so downstream
 /// estimates are comparable bit for bit.
-BinEvent MakeBinEvent(const linalg::CsrMatrix& routing, std::size_t nodes,
+BinEvent MakeBinEvent(const linalg::CscMatrix& routing, std::size_t nodes,
                       const double* truthBin);
 
 /// Result of a convenience streaming run: the estimates plus the
@@ -173,7 +184,7 @@ struct StreamingRunResult {
 /// Streams a truth series through a StreamingEstimator (simulated
 /// SNMP per bin) and collects the outputs in order.
 StreamingRunResult EstimateSeriesStreaming(
-    const linalg::CsrMatrix& routing,
+    const linalg::CscMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,
     const StreamingOptions& options);
 

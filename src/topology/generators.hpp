@@ -10,7 +10,7 @@
 // MakeRing lives in topologies.hpp (it predates this module); grid,
 // hierarchy and Waxman live here.  All generated graphs are strongly
 // connected by construction (and checked), so they can feed
-// BuildRoutingCsr directly.
+// BuildRouting directly.
 #pragma once
 
 #include <cstdint>

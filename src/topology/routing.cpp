@@ -7,13 +7,13 @@
 
 namespace ictm::topology {
 
-linalg::CsrMatrix BuildRoutingCsr(const Graph& g) {
+linalg::CscMatrix BuildRouting(const Graph& g) {
   const std::size_t n = g.nodeCount();
   ICTM_REQUIRE(n > 0, "routing matrix of empty graph");
   const std::vector<Link>& links = g.links();
 
-  // Column-major buffer: column src*n + dst holds the pair's links in
-  // ascending id.
+  // The compressed columns: column src*n + dst holds the pair's links
+  // in ascending id.
   std::vector<std::size_t> colPtr(n * n + 1, 0);
   std::vector<std::size_t> colRows;
   std::vector<double> colValues;
@@ -92,26 +92,11 @@ linalg::CsrMatrix BuildRoutingCsr(const Graph& g) {
     }
   }
 
-  // Counting-sort transpose into rows: columns are scattered in
-  // ascending order, so each row's column indices come out sorted.
-  std::vector<std::size_t> rowPtr(links.size() + 1, 0);
-  for (std::size_t r : colRows) ++rowPtr[r + 1];
-  for (std::size_t r = 0; r < links.size(); ++r) rowPtr[r + 1] += rowPtr[r];
-  std::vector<std::size_t> colIdx(colRows.size());
-  std::vector<double> values(colRows.size());
-  std::vector<std::size_t> next(rowPtr.begin(), rowPtr.end() - 1);
-  for (std::size_t c = 0; c < n * n; ++c) {
-    for (std::size_t k = colPtr[c]; k < colPtr[c + 1]; ++k) {
-      const std::size_t slot = next[colRows[k]]++;
-      colIdx[slot] = c;
-      values[slot] = colValues[k];
-    }
-  }
-  return linalg::CsrMatrix(links.size(), n * n, std::move(rowPtr),
-                           std::move(colIdx), std::move(values));
+  return linalg::CscMatrix(links.size(), n * n, std::move(colPtr),
+                           std::move(colRows), std::move(colValues));
 }
 
-linalg::Vector ComputeLinkLoads(const linalg::CsrMatrix& routing,
+linalg::Vector ComputeLinkLoads(const linalg::CscMatrix& routing,
                                 const linalg::Matrix& tm) {
   ICTM_REQUIRE(tm.rows() == tm.cols(), "TM must be square");
   ICTM_REQUIRE(routing.cols() == tm.rows() * tm.cols(),

@@ -13,20 +13,28 @@
 namespace ictm::topology {
 
 /// Builds the (#links x n^2) routing matrix for the graph in compressed
-/// form — the natural representation: a column holds only the links on
-/// one OD pair's shortest path(s), so density is about
-/// (path length)/links.  Traffic splits evenly across equal-cost
-/// shortest paths (per-link ECMP splitting, as deployed IGPs do).  OD
-/// pair (i,j) maps to column i*n + j; diagonal OD pairs (i == i) stay
-/// inside the PoP and use no backbone link (empty column).
-linalg::CsrMatrix BuildRoutingCsr(const Graph& g);
+/// column form — the natural representation: a column holds only the
+/// links on one OD pair's shortest path(s), so density is about
+/// (path length)/links.  The walk emits the OD pairs in column order,
+/// so its buffer is the matrix, with no transpose.  Traffic splits
+/// evenly across equal-cost shortest paths (per-link ECMP splitting,
+/// as deployed IGPs do).  OD pair (i,j) maps to column i*n + j;
+/// diagonal OD pairs (i == i) stay inside the PoP and use no backbone
+/// link (empty column).
+linalg::CscMatrix BuildRouting(const Graph& g);
+
+/// The former name of BuildRouting, kept only so e2ebench/harness.cpp
+/// compiles unchanged until ROADMAP item 5 re-anchors the benchmark.
+inline linalg::CsrMatrix BuildRoutingCsr(const Graph& g) {
+  return BuildRouting(g);
+}
 
 /// Computes per-link loads Y = R x for a TM given as an n x n matrix.
-linalg::Vector ComputeLinkLoads(const linalg::CsrMatrix& routing,
+linalg::Vector ComputeLinkLoads(const linalg::CscMatrix& routing,
                                 const linalg::Matrix& tm);
 
 /// Flattens an n x n TM into the x vector ordering used by
-/// BuildRoutingCsr (row-major, x[i*n+j] = X_ij).
+/// BuildRouting (row-major, x[i*n+j] = X_ij).
 linalg::Vector FlattenTm(const linalg::Matrix& tm);
 
 /// Inverse of FlattenTm.

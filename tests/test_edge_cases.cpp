@@ -50,7 +50,7 @@ TEST(EdgeCases, FitOnTwoNodeNetwork) {
 TEST(EdgeCases, EstimationOnTinyTopology) {
   // 3-node ring: only 6 links, heavily under-constrained.
   const topology::Graph g = topology::MakeRing(3);
-  const linalg::CsrMatrix r = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix r = topology::BuildRouting(g);
   stats::Rng rng(3);
   const linalg::Matrix truth = test::RandomMatrix(3, 3, rng, 1.0, 5.0);
   const linalg::Vector loads = topology::ComputeLinkLoads(r, truth);

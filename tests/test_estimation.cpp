@@ -70,7 +70,7 @@ TEST(IpfTest, RejectsBadInputs) {
 
 struct EstimationFixture {
   topology::Graph graph = topology::MakeRing(6, 2);
-  linalg::CsrMatrix routing = topology::BuildRoutingCsr(graph);
+  linalg::CscMatrix routing = topology::BuildRouting(graph);
   linalg::Matrix truth;
   linalg::Vector loads;
 
@@ -195,7 +195,7 @@ TEST(EstimateTmBinTest, ShapeErrorsThrow) {
 
 TEST(EstimateSeriesTest, PipelineOverMultipleBins) {
   const topology::Graph g = topology::MakeRing(5, 2);
-  const linalg::CsrMatrix r = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix r = topology::BuildRouting(g);
   stats::Rng rng(9);
   traffic::TrafficMatrixSeries truth(5, 4, 300.0);
   for (std::size_t t = 0; t < 4; ++t)
@@ -219,7 +219,7 @@ TEST(EstimateSeriesTest, TwelveDecadePriorFiniteAndThreadInvariant) {
   // the worst conditioning the ridged Cholesky sees; the estimate must
   // stay finite, non-negative and bit-identical across thread counts.
   const topology::Graph g = topology::MakeTopology("hierarchy:22", 0);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
   const std::size_t n = g.nodeCount();
   const auto truth = test::RandomSeries(n, 6, 210);
   traffic::TrafficMatrixSeries prior(n, truth.binCount(), 300.0);

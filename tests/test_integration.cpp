@@ -81,7 +81,7 @@ TEST(Integration, EstimationWithIcPriorBeatsGravityPrior) {
   // loads is more accurate with the IC prior than the gravity prior.
   const dataset::Dataset d = SmallWorld(105);
   const topology::Graph g = topology::MakeRing(10, 3);
-  const linalg::CsrMatrix r = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix r = topology::BuildRouting(g);
 
   const core::StableFPFit fit = core::FitStableFP(d.measured);
   const core::MarginalSeries margs = core::ExtractMarginals(d.truth);

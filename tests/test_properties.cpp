@@ -196,7 +196,7 @@ class TopologySweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(TopologySweep, RingRoutingConservesFlow) {
   const std::size_t n = GetParam();
   const topology::Graph g = topology::MakeRing(n, n >= 6 ? 3 : 0);
-  const linalg::Matrix r = topology::BuildRoutingCsr(g).ToDense();
+  const linalg::Matrix r = topology::BuildRouting(g).ToDense();
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t d = 0; d < n; ++d) {
       if (s == d) continue;
@@ -212,7 +212,7 @@ TEST_P(TopologySweep, RingRoutingConservesFlow) {
 TEST_P(TopologySweep, LinkLoadsScaleLinearly) {
   const std::size_t n = GetParam();
   const topology::Graph g = topology::MakeRing(n);
-  const linalg::CsrMatrix r = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix r = topology::BuildRouting(g);
   stats::Rng rng(n);
   const linalg::Matrix tm = test::RandomMatrix(n, n, rng, 0.0, 5.0);
   const linalg::Vector y1 = topology::ComputeLinkLoads(r, tm);
@@ -237,7 +237,7 @@ TEST_P(EstimationSweep, EstimateNeverWorseThanPriorOnLinkFit) {
   stats::Rng rng(static_cast<std::uint64_t>(GetParam()));
   const std::size_t n = 6;
   const topology::Graph g = topology::MakeRing(n, 2);
-  const linalg::CsrMatrix r = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix r = topology::BuildRouting(g);
   const linalg::Matrix truth = test::RandomMatrix(n, n, rng, 1.0, 10.0);
   const linalg::Vector loads = topology::ComputeLinkLoads(r, truth);
   linalg::Vector in(n, 0.0), out(n, 0.0);

@@ -261,6 +261,7 @@ TEST(FrameCodec, ErrorCodeNamesAreStable) {
   EXPECT_STREQ(ErrorCodeName(ErrorCode::kOversize), "oversize");
   EXPECT_STREQ(ErrorCodeName(ErrorCode::kHandshakeReplay),
                "handshake-replay");
+  EXPECT_STREQ(ErrorCodeName(ErrorCode::kBadBin), "bad-bin");
   EXPECT_STREQ(ErrorCodeName(static_cast<ErrorCode>(999)), "unknown");
 }
 
@@ -474,7 +475,6 @@ TEST_F(ProtocolServerTest, StatsProbeReturnsSortedSnapshotThenCloses) {
   for (std::size_t i = 1; i < reply.entries.size(); ++i) {
     EXPECT_LT(reply.entries[i - 1].first, reply.entries[i].first);
   }
-#if !defined(ICTM_OBS_DISABLED)
   std::uint64_t opened = 0;
   bool sawOpened = false;
   for (const auto& [name, value] : reply.entries) {
@@ -485,7 +485,6 @@ TEST_F(ProtocolServerTest, StatsProbeReturnsSortedSnapshotThenCloses) {
   }
   EXPECT_TRUE(sawOpened);
   EXPECT_GE(opened, 1u);
-#endif
   // The probe is one-shot: the server replies, then closes.
   EXPECT_FALSE(probe.readFrame(&frame));
 }
@@ -525,29 +524,44 @@ TEST_F(ProtocolServerTest, OutOfOrderBinIsRejected) {
 }
 
 TEST_F(ProtocolServerTest, NonFiniteBinIsRefusedNamingTheBin) {
-  // A NaN in a BIN's traffic makes NaN measurements; the estimator
-  // refuses them, and the session's ERROR carries its message.  The
-  // estimate of the bin before may or may not precede it.
-  Probe probe = Probe::ConnectTo(*server_);
-  probe.handshake(ValidHello());
+  // A NaN, infinite or negative cell in a BIN's traffic makes bad
+  // measurements; the estimator refuses them, and the session answers
+  // with a typed bad-bin ERROR carrying its message.  A negative
+  // diagonal cell uses no link, so only its marginals go negative.
+  // The estimate of the bin before may or may not precede the ERROR.
   const std::size_t nodes = 11;
-  std::vector<double> bin(nodes * nodes, 1.0);
-  ASSERT_TRUE(probe.sendFrame(FrameType::kBin,
-                              EncodeBinPayload(0, bin.data(), nodes)));
-  bin[3] = std::nan("");
-  ASSERT_TRUE(probe.sendFrame(FrameType::kBin,
-                              EncodeBinPayload(1, bin.data(), nodes)));
-  Frame frame;
-  ASSERT_TRUE(probe.readFrame(&frame));
-  if (frame.type == FrameType::kEstimate) {
+  struct Case {
+    std::size_t cell;
+    double value;
+    std::string prefix;
+    std::string cause;
+  };
+  const std::vector<Case> cases = {
+      {3, std::nan(""), "bin 1: link load ", " is NaN"},
+      {3, HUGE_VAL, "bin 1: link load ", " is infinite"},
+      {2 * nodes + 2, -100.0, "bin 1: ingress 2 ", " is negative"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.cause);
+    Probe probe = Probe::ConnectTo(*server_);
+    probe.handshake(ValidHello());
+    std::vector<double> bin(nodes * nodes, 1.0);
+    ASSERT_TRUE(probe.sendFrame(FrameType::kBin,
+                                EncodeBinPayload(0, bin.data(), nodes)));
+    bin[c.cell] = c.value;
+    ASSERT_TRUE(probe.sendFrame(FrameType::kBin,
+                                EncodeBinPayload(1, bin.data(), nodes)));
+    Frame frame;
     ASSERT_TRUE(probe.readFrame(&frame));
+    if (frame.type == FrameType::kEstimate) {
+      ASSERT_TRUE(probe.readFrame(&frame));
+    }
+    ASSERT_EQ(frame.type, FrameType::kError);
+    ErrorInfo info;
+    ASSERT_TRUE(info.decode(frame.payload));
+    EXPECT_EQ(info.code, ErrorCode::kBadBin);
+    EXPECT_EQ(info.message.rfind(c.prefix, 0), 0u) << info.message;
+    EXPECT_NE(info.message.find(c.cause), std::string::npos) << info.message;
   }
-  ASSERT_EQ(frame.type, FrameType::kError);
-  ErrorInfo info;
-  ASSERT_TRUE(info.decode(frame.payload));
-  EXPECT_EQ(info.code, ErrorCode::kInternal);
-  EXPECT_EQ(info.message.rfind("bin 1: link load ", 0), 0u) << info.message;
-  EXPECT_NE(info.message.find(" is NaN"), std::string::npos) << info.message;
 }
 
 TEST_F(ProtocolServerTest, ErrorIsTheLastFrameOfAFailedSession) {

@@ -43,7 +43,7 @@ constexpr double kF = 0.3;
 std::vector<std::vector<std::uint8_t>> BaselinePayloads(
     const traffic::TrafficMatrixSeries& truth) {
   const topology::Graph graph = topology::MakeTopology(kSpec, 0);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(graph);
+  const linalg::CscMatrix routing = topology::BuildRouting(graph);
   stream::StreamingOptions options;
   options.window = kWindow;
   options.f = kF;
@@ -448,7 +448,7 @@ TEST(StreamingCheckpointContract, ResumedEstimatorIsBitIdentical) {
   const std::size_t k = 13;  // deliberately not a window boundary
   const auto truth = test::RandomSeries(nodes, bins, 303);
   const topology::Graph graph = topology::MakeTopology("ring:8:2", 0);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(graph);
+  const linalg::CscMatrix routing = topology::BuildRouting(graph);
 
   stream::StreamingOptions options;
   options.window = 4;

@@ -51,57 +51,72 @@ std::vector<test::Triplet> NonZeroTriplets(const Matrix& m) {
   return entries;
 }
 
-TEST(CsrMatrix, SpMVMatchesDense) {
+TEST(CscMatrix, SpMVMatchesDense) {
   stats::Rng rng(2);
   const Matrix dense = RandomSparseDense(9, 13, rng);
-  const CsrMatrix csr =
-      test::CsrFromTriplets(9, 13, NonZeroTriplets(dense));
+  const CscMatrix csc =
+      test::CscFromTriplets(9, 13, NonZeroTriplets(dense));
   const Vector x = test::RandomVector(13, rng);
   Vector y(9, -1.0);  // overwritten, not accumulated into
-  csr.MultiplyInto(x.data(), y.data());
+  csc.MultiplyInto(x.data(), y.data());
   test::ExpectVectorNear(y, dense * x, 1e-12);
 }
 
-TEST(CsrMatrix, TripletsAccumulateDuplicatesAndDropZeros) {
-  // Duplicate positions sum; a pair cancelling to zero is dropped.
-  const CsrMatrix csr = test::CsrFromTriplets(
-      2, 3, {{0, 1, 2.0}, {0, 1, 3.0}, {1, 2, 1.0}, {1, 2, -1.0}});
-  EXPECT_EQ(csr.nonZeros(), 1u);
-  const Matrix expected{{0, 5, 0}, {0, 0, 0}};
-  EXPECT_TRUE(csr.ToDense() == expected);
-  EXPECT_THROW(test::CsrFromTriplets(2, 3, {{2, 0, 1.0}}), ictm::Error);
-  EXPECT_THROW(test::CsrFromTriplets(2, 3, {{0, 3, 1.0}}), ictm::Error);
+TEST(CscMatrix, SpMVBitIdenticalToRowOrderGather) {
+  // The column scatter adds each y[r]'s terms in ascending column order
+  // from +0.0, exactly as the retired row-compressed gather did, so
+  // link loads keep their bits.  Routing matrices with and without
+  // ECMP fractions (grid:8x8 splits), x spanning twelve decades plus
+  // signed zeros.
+  for (const char* spec : {"geant22", "hierarchy:200", "grid:8x8"}) {
+    const topology::Graph g = topology::MakeTopology(spec, 1);
+    const std::size_t n2 = g.nodeCount() * g.nodeCount();
+    const CscMatrix routing = topology::BuildRouting(g);
+    stats::Rng rng(29);
+    std::vector<double> x(n2);
+    for (std::size_t c = 0; c < n2; ++c) {
+      const double u = rng.uniform(0.0, 1.0);
+      x[c] = u < 0.05 ? 0.0
+             : u < 0.10 ? -0.0
+                        : 1e6 * std::pow(10.0, rng.uniform(-6.0, 6.0));
+    }
+    const std::vector<double> want = test::RowOrderGather(
+        routing.rows(), test::ReferenceRoutingTriplets(g), x);
+    std::vector<double> got(routing.rows(), -1.0);
+    routing.MultiplyInto(x.data(), got.data());
+    EXPECT_TRUE(test::SameBytes(got, want)) << spec;
+  }
 }
 
-TEST(CsrMatrix, AdoptingConstructorChecksInvariants) {
-  // [[0, 5, 0], [7, 0, 9]] adopted as is.
-  const CsrMatrix csr(2, 3, {0, 1, 3}, {1, 0, 2}, {5.0, 7.0, 9.0});
-  const Matrix expected{{0, 5, 0}, {7, 0, 9}};
-  EXPECT_TRUE(csr.ToDense() == expected);
-  EXPECT_NO_THROW(CsrMatrix(0, 4, {0}, {}, {}));
-  // Pointer array: wrong length, not from 0, not to nnz, not monotone.
-  EXPECT_THROW(CsrMatrix(2, 3, {0, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
-  EXPECT_THROW(CsrMatrix(2, 3, {1, 1, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
-  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 2}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
-  EXPECT_THROW(CsrMatrix(2, 3, {0, 4, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
-  // Index arrays: length mismatch, out of range, out of order, repeated.
-  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 0, 2}, {5, 7}), ictm::Error);
-  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 0, 3}, {5, 7, 9}), ictm::Error);
-  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 2, 0}, {5, 7, 9}), ictm::Error);
-  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 2, 2}, {5, 7, 9}), ictm::Error);
-  // A stored exact zero.
-  EXPECT_THROW(CsrMatrix(2, 3, {0, 1, 3}, {1, 0, 2}, {5, 0, 9}), ictm::Error);
+TEST(CscMatrix, TripletsAccumulateDuplicatesAndDropZeros) {
+  // Duplicate positions sum; a pair cancelling to zero is dropped.
+  const CscMatrix csc = test::CscFromTriplets(
+      2, 3, {{0, 1, 2.0}, {0, 1, 3.0}, {1, 2, 1.0}, {1, 2, -1.0}});
+  EXPECT_EQ(csc.nonZeros(), 1u);
+  const Matrix expected{{0, 5, 0}, {0, 0, 0}};
+  EXPECT_TRUE(csc.ToDense() == expected);
+  EXPECT_THROW(test::CscFromTriplets(2, 3, {{2, 0, 1.0}}), ictm::Error);
+  EXPECT_THROW(test::CscFromTriplets(2, 3, {{0, 3, 1.0}}), ictm::Error);
 }
 
 TEST(CscMatrix, AdoptingConstructorChecksInvariants) {
-  // The transpose layout of the CSR case: [[0, 7], [5, 0], [0, 9]].
+  // [[0, 7], [5, 0], [0, 9]] adopted as is.
   const CscMatrix csc(3, 2, {0, 1, 3}, {1, 0, 2}, {5.0, 7.0, 9.0});
   EXPECT_EQ(csc.nonZeros(), 3u);
+  const Matrix expected{{0, 7}, {5, 0}, {0, 9}};
+  EXPECT_TRUE(csc.ToDense() == expected);
+  EXPECT_NO_THROW(CscMatrix(4, 0, {0}, {}, {}));
+  // Pointer array: wrong length, not from 0, not to nnz, not monotone.
   EXPECT_THROW(CscMatrix(3, 2, {0, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CscMatrix(3, 2, {1, 1, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CscMatrix(3, 2, {0, 1, 2}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
   EXPECT_THROW(CscMatrix(3, 2, {0, 4, 3}, {1, 0, 2}, {5, 7, 9}), ictm::Error);
+  // Index arrays: length mismatch, out of range, out of order, repeated.
   EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 0, 2}, {5, 7}), ictm::Error);
   EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 0, 3}, {5, 7, 9}), ictm::Error);
   EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 2, 0}, {5, 7, 9}), ictm::Error);
+  EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 2, 2}, {5, 7, 9}), ictm::Error);
+  // A stored exact zero.
   EXPECT_THROW(CscMatrix(3, 2, {0, 1, 3}, {1, 0, 2}, {5, 0, 9}), ictm::Error);
 }
 
@@ -216,7 +231,7 @@ void ExpectFactorBytesMatchReference(const Matrix& gram) {
 Matrix HierarchyGram() {
   const topology::Graph g = topology::MakeTopology("hierarchy:100", 0);
   const std::size_t n = g.nodeCount();
-  const core::AugmentedTmSystem system(topology::BuildRoutingCsr(g), n,
+  const core::AugmentedTmSystem system(topology::BuildRouting(g), n,
                                        /*marginalConstraints=*/true);
   core::SynthesisConfig config;
   config.nodes = n;
@@ -332,7 +347,7 @@ namespace {
 
 struct SeriesFixture {
   topology::Graph graph = topology::MakeAbilene11();
-  linalg::CsrMatrix routingCsr = topology::BuildRoutingCsr(graph);
+  linalg::CscMatrix routing = topology::BuildRouting(graph);
   traffic::TrafficMatrixSeries truth;
   traffic::TrafficMatrixSeries priors;
 
@@ -347,13 +362,13 @@ struct SeriesFixture {
 };
 
 TEST(AugmentedTmSystem, MatchesTripletAssembly) {
-  // The counting-sort transpose must reproduce the triplet-assembled
-  // operator to the byte, with and without the marginal rows.
+  // The column copy must reproduce the triplet-assembled operator to
+  // the byte, with and without the marginal rows.
   for (const char* spec : {"abilene11", "geant22", "grid:8x8",
                            "hierarchy:100"}) {
     const topology::Graph g = topology::MakeTopology(spec, 1);
     const std::size_t n = g.nodeCount();
-    const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+    const linalg::CscMatrix routing = topology::BuildRouting(g);
     for (bool marginal : {true, false}) {
       const AugmentedTmSystem system(routing, n, marginal);
       const linalg::CscMatrix want =
@@ -375,12 +390,12 @@ TEST(AugmentedTmSystem, MatchesTripletAssembly) {
 TEST(EstimateSeriesParallel, ThreadedRunsBitIdenticalToSerial) {
   SeriesFixture fx;
   const auto serial =
-      EstimateSeries(fx.routingCsr, fx.truth, fx.priors);  // threads = 1
+      EstimateSeries(fx.routing, fx.truth, fx.priors);  // threads = 1
   for (std::size_t threads : {2u, 5u, 8u, 0u}) {
     EstimationOptions opt;
     opt.threads = threads;
     const auto parallel =
-        EstimateSeries(fx.routingCsr, fx.truth, fx.priors, opt);
+        EstimateSeries(fx.routing, fx.truth, fx.priors, opt);
     for (std::size_t t = 0; t < fx.truth.binCount(); ++t) {
       const double* a = serial.binData(t);
       const double* b = parallel.binData(t);

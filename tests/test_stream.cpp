@@ -2,7 +2,7 @@
 // (v2 codecs, round-trip, the corruption/fuzz battery, converters,
 // repack), the OrderedPool both the writer and the estimator run on,
 // the StreamingEstimator's streaming ≡ batch bit-identity contract,
-// and the connection aggregator.
+// and connection-level traffic streamed end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -23,7 +24,6 @@
 #include "core/priors.hpp"
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
-#include "stream/aggregate.hpp"
 #include "stream/codec.hpp"
 #include "stream/format.hpp"
 #include "stream/online.hpp"
@@ -330,6 +330,57 @@ TEST(TraceFormat, FailedConversionLeavesNoTrace) {
       << "failed conversion left " << trace;
 }
 
+TEST(TraceFormat, RefusesNonFiniteOrNegativeCells) {
+  // Cell 5 of bin 3 holds a NaN, +inf or -1 under a valid CRC.  Every
+  // read path refuses that bin, naming it and the cell, after serving
+  // bins 0-2; the -0.0 in bin 2 is a volume, as in the CSV reader.
+  const std::size_t n = 3;
+  auto clean = RandomSeries(n, 6, 61);
+  clean.binData(2)[4] = -0.0;
+  const std::vector<std::pair<double, std::string>> values = {
+      {std::nan(""), "NaN"}, {HUGE_VAL, "infinite"}, {-1.0, "negative"}};
+  for (ChunkCodec codec : {ChunkCodec::kRaw, ChunkCodec::kDelta}) {
+    for (const auto& [value, cause] : values) {
+      SCOPED_TRACE(std::string(ChunkCodecName(codec)) + " " + cause);
+      auto series = clean;
+      series.binData(3)[5] = value;
+      const std::string path = TempPath("bad_cell.ictmb");
+      WriteTraceFile(path, series, TraceWriterOptions{2, codec, 0});
+      const std::string want =
+          "ictmb: bin 3 cell 5 is " + cause + ": " + path;
+      const auto expectRefusal = [&](const std::function<void()>& read) {
+        try {
+          read();
+          ADD_FAILURE() << "bad cell served";
+        } catch (const Error& e) {
+          EXPECT_EQ(std::string(e.what()), want);
+        }
+      };
+      for (bool prefetch : {false, true}) {
+        TraceReader reader(path, TraceReaderOptions{prefetch});
+        std::vector<double> bin(n * n);
+        for (std::size_t t = 0; t < 3; ++t) {
+          ASSERT_TRUE(reader.next(bin.data())) << "bin " << t;
+          EXPECT_EQ(std::memcmp(bin.data(), series.binData(t),
+                                bin.size() * sizeof(double)),
+                    0)
+              << "bin " << t;
+        }
+        expectRefusal([&] { reader.next(bin.data()); });
+        EXPECT_EQ(reader.position(), 3u);
+        TraceReader whole(path, TraceReaderOptions{prefetch});
+        expectRefusal([&] { whole.readAll(); });
+      }
+      expectRefusal([&] { ConvertTraceToCsv(path, TempPath("bad_cell.csv")); });
+      const std::string out = TempPath("bad_cell_repacked.ictmb");
+      TraceWriterOptions options;
+      options.binsPerChunk = 0;
+      expectRefusal([&] { RepackTrace(path, out, options); });
+      EXPECT_FALSE(std::ifstream(out).is_open()) << "failed repack left " << out;
+    }
+  }
+}
+
 // ---- chunk codecs ----------------------------------------------------------
 
 TEST(ChunkCodecs, NamesAndParsingRoundTrip) {
@@ -517,9 +568,10 @@ TEST(TraceFormatV2, IncompressibleChunksFallBackToRaw) {
     double* bin = series.binData(t);
     for (std::size_t k = 0; k < nodes * nodes; ++k) {
       // High entropy in all eight byte planes (exponent included), so
-      // neither shuffling nor deltas can find structure; only NaN/Inf
-      // patterns are excluded (NaN breaks bitwise == comparison).
-      std::uint64_t word = SplitMix64(&state);
+      // neither shuffling nor deltas can find structure; only the sign
+      // bit and NaN/Inf patterns are excluded (the reader serves finite,
+      // non-negative cells only).
+      std::uint64_t word = SplitMix64(&state) & ~(std::uint64_t{1} << 63);
       if (((word >> 52) & 0x7FFu) == 0x7FFu) word ^= std::uint64_t{1} << 62;
       std::memcpy(&bin[k], &word, sizeof word);
     }
@@ -1182,7 +1234,7 @@ TEST(OrderedPool, DestructionWithoutFinishDrainsAndJoins) {
 
 struct StreamFixture {
   topology::Graph graph = topology::MakeRing(6, 2);
-  linalg::CsrMatrix routing = topology::BuildRoutingCsr(graph);
+  linalg::CscMatrix routing = topology::BuildRouting(graph);
   traffic::TrafficMatrixSeries truth = RandomSeries(6, 24, 99);
 };
 
@@ -1360,7 +1412,7 @@ TEST(StreamingEstimator, RefusesNonFiniteOrNegativeMeasurements) {
         try {
           e.push(*bad);
           ADD_FAILURE() << "bad bin accepted";
-        } catch (const Error& err) {
+        } catch (const BadBinError& err) {
           *refusal = err.what();
         }
         EXPECT_EQ(e.pushedCount(), 2u);
@@ -1429,90 +1481,19 @@ TEST(StreamingEstimator, WorkerFailurePropagatesWithoutDeadlock) {
   }
 }
 
-// ---- connection aggregator -------------------------------------------------
-
-TEST(ConnectionAggregator, ReproducesGeneratorSeriesAndLinkLoads) {
-  const std::size_t n = 5;
-  const std::size_t bins = 6;
-  topology::Graph g = topology::MakeRing(n, 2);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
-
-  conngen::GeneratorConfig cfg;
-  cfg.activities.assign(n, std::vector<double>(bins, 5e6));
-  cfg.preferences.assign(n, 1.0);
-  stats::Rng rng(21);
-  std::vector<conngen::Connection> connections;
-  const auto generated =
-      conngen::GenerateTraffic(cfg, 300.0, rng, &connections);
-
-  traffic::TrafficMatrixSeries rebuilt(n, bins, 300.0);
-  std::vector<std::vector<double>> loads;
-  ConnectionAggregator aggr(
-      routing, n,
-      [&](std::size_t bin, const BinEvent& event, const double* tmBin) {
-        ASSERT_LT(bin, bins);
-        std::copy(tmBin, tmBin + n * n, rebuilt.binData(bin));
-        loads.push_back(event.linkLoads);
-        // Marginals must match the accumulated bin.
-        for (std::size_t i = 0; i < n; ++i) {
-          double rowSum = 0.0, colSum = 0.0;
-          for (std::size_t j = 0; j < n; ++j) {
-            rowSum += tmBin[i * n + j];
-            colSum += tmBin[j * n + i];
-          }
-          EXPECT_DOUBLE_EQ(event.ingress[i], rowSum);
-          EXPECT_DOUBLE_EQ(event.egress[i], colSum);
-        }
-      });
-  for (const auto& c : connections) aggr.add(c);
-  aggr.flush();
-
-  ASSERT_EQ(aggr.binsEmitted(), bins);
-  ExpectBitIdentical(generated.series, rebuilt);
-
-  // Link loads equal R · x for every emitted bin.
-  std::vector<double> expected(routing.rows());
-  for (std::size_t t = 0; t < bins; ++t) {
-    routing.MultiplyInto(generated.series.binData(t), expected.data());
-    for (std::size_t l = 0; l < expected.size(); ++l) {
-      EXPECT_EQ(loads[t][l], expected[l]) << "bin " << t;
-    }
-  }
-}
-
-TEST(ConnectionAggregator, EmitsEmptyBinsForGapsAndRejectsRegression) {
-  const std::size_t n = 3;
-  topology::Graph g = topology::MakeRing(n, 1);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
-
-  std::vector<std::size_t> seen;
-  ConnectionAggregator aggr(
-      routing, n,
-      [&](std::size_t bin, const BinEvent&, const double*) {
-        seen.push_back(bin);
-      });
-  aggr.add({0, 1, 0, 100.0, 50.0, 2});  // first activity in bin 2
-  aggr.add({1, 2, 0, 10.0, 5.0, 4});
-  EXPECT_THROW(aggr.add({0, 1, 0, 1.0, 1.0, 3}), Error);  // goes back
-  aggr.flush();
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-// ---- end-to-end: connections → aggregator → estimator ----------------------
+// ---- end-to-end: connections → bin events → estimator ----------------------
 
 TEST(StreamingPipeline, ConnectionsToEstimatesEndToEnd) {
   const std::size_t n = 6;
   const std::size_t bins = 12;
   topology::Graph g = topology::MakeRing(n, 2);
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
 
   conngen::GeneratorConfig cfg;
   cfg.activities.assign(n, std::vector<double>(bins, 2e7));
   cfg.preferences = {4.0, 3.0, 2.0, 1.0, 1.0, 1.0};
   stats::Rng rng(5);
-  std::vector<conngen::Connection> connections;
-  const auto generated =
-      conngen::GenerateTraffic(cfg, 300.0, rng, &connections);
+  const auto generated = conngen::GenerateTraffic(cfg, 300.0, rng);
 
   StreamingOptions opts;
   opts.threads = 4;
@@ -1523,13 +1504,9 @@ TEST(StreamingPipeline, ConnectionsToEstimatesEndToEnd) {
       [&](std::size_t seq, const double* estimate, const double*) {
         std::copy(estimate, estimate + n * n, estimates.binData(seq));
       });
-  ConnectionAggregator aggr(
-      routing, n,
-      [&](std::size_t, const BinEvent& event, const double*) {
-        estimator.push(BinEvent(event));
-      });
-  for (const auto& c : connections) aggr.add(c);
-  aggr.flush();
+  for (std::size_t t = 0; t < bins; ++t) {
+    estimator.push(MakeBinEvent(routing, n, generated.series.binData(t)));
+  }
   estimator.finish();
 
   EXPECT_EQ(estimator.emittedCount(), bins);

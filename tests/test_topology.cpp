@@ -91,7 +91,7 @@ TEST(RoutingMatrix, SingleLinkNetwork) {
   g.addNode("a");
   g.addNode("b");
   g.addBidirectionalLink(0, 1, 1.0);
-  const linalg::Matrix r = BuildRoutingCsr(g).ToDense();
+  const linalg::Matrix r = BuildRouting(g).ToDense();
   ASSERT_EQ(r.rows(), 2u);
   ASSERT_EQ(r.cols(), 4u);
   // OD (0,1) = column 1 rides link 0; OD (1,0) = column 2 rides link 1.
@@ -110,7 +110,7 @@ TEST(RoutingMatrix, EcmpSplitsEvenly) {
   g.addBidirectionalLink(1, 2, 1.0);
   g.addBidirectionalLink(0, 3, 1.0);
   g.addBidirectionalLink(3, 2, 1.0);
-  const linalg::Matrix r = BuildRoutingCsr(g).ToDense();
+  const linalg::Matrix r = BuildRouting(g).ToDense();
   const std::size_t col = 0 * 4 + 2;
   double onLinks = 0.0;
   double maxFrac = 0.0;
@@ -127,7 +127,7 @@ TEST(RoutingMatrix, FlowConservationOnRandomTm) {
   // Per OD pair, the flow leaving the origin equals 1 and the flow
   // arriving at the destination equals 1 (fractions sum correctly).
   const Graph g = MakeRing(8, 2);
-  const linalg::Matrix r = BuildRoutingCsr(g).ToDense();
+  const linalg::Matrix r = BuildRouting(g).ToDense();
   const std::size_t n = g.nodeCount();
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
@@ -149,7 +149,7 @@ TEST(RoutingMatrix, FlowConservationOnRandomTm) {
 
 TEST(RoutingMatrix, LinkLoadsMatchManualPathSum) {
   const Graph g = Triangle();
-  const linalg::CsrMatrix r = BuildRoutingCsr(g);
+  const linalg::CscMatrix r = BuildRouting(g);
   linalg::Matrix tm(3, 3, 0.0);
   tm(0, 2) = 10.0;  // routed a->b->c
   const linalg::Vector y = ComputeLinkLoads(r, tm);
@@ -206,7 +206,7 @@ TEST(RoutingMatrix, GeantRankDeficiency) {
   // The TM estimation problem is under-constrained: rank(R) < n^2.
   // (This is the paper's Sec. 6 premise.)
   const Graph g = MakeGeant22();
-  const linalg::CsrMatrix r = BuildRoutingCsr(g);
+  const linalg::CscMatrix r = BuildRouting(g);
   EXPECT_EQ(r.cols(), 22u * 22u);
   EXPECT_LT(r.rows(), r.cols());
 }
@@ -219,12 +219,12 @@ TEST(RoutingBuild, MatchesReferenceBuilder) {
        {"geant22", "totem23", "abilene11", "ring:30", "grid:8x8",
         "waxman:120", "hierarchy:100", "hierarchy:200"}) {
     const Graph g = MakeTopology(spec, 1);
-    const linalg::CsrMatrix got = BuildRoutingCsr(g);
-    const linalg::CsrMatrix want = test::ReferenceRoutingCsr(g);
+    const linalg::CscMatrix got = BuildRouting(g);
+    const linalg::CscMatrix want = test::ReferenceRouting(g);
     EXPECT_EQ(got.rows(), want.rows()) << spec;
     EXPECT_EQ(got.cols(), want.cols()) << spec;
-    EXPECT_TRUE(test::SameBytes(got.rowPtr(), want.rowPtr())) << spec;
-    EXPECT_TRUE(test::SameBytes(got.colIdx(), want.colIdx())) << spec;
+    EXPECT_TRUE(test::SameBytes(got.colPtr(), want.colPtr())) << spec;
+    EXPECT_TRUE(test::SameBytes(got.rowIdx(), want.rowIdx())) << spec;
     EXPECT_TRUE(test::SameBytes(got.values(), want.values())) << spec;
   }
 }
@@ -235,7 +235,7 @@ TEST(RoutingBuild, RefusesGraphThatIsNotStronglyConnected) {
   g.addBidirectionalLink(0, 1, 1.0);
   g.addLink(1, 2, 1.0);  // node 2 cannot reach back
   try {
-    BuildRoutingCsr(g);
+    BuildRouting(g);
     FAIL() << "expected ictm::Error";
   } catch (const ictm::Error& e) {
     EXPECT_NE(std::string(e.what()).find(

@@ -274,7 +274,7 @@ TEST(Registry, ResolvesIctpFiles) {
 TEST(GeneratedEstimation, HierarchyRoutesAndEstimatesBitIdentically) {
   const Graph g = MakeTopology("hierarchy:12", 3);
   const std::size_t n = g.nodeCount();
-  const linalg::CsrMatrix routing = BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = BuildRouting(g);
   EXPECT_EQ(routing.cols(), n * n);
   EXPECT_EQ(routing.rows(), g.linkCount());
 

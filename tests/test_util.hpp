@@ -213,71 +213,60 @@ struct Triplet {
   double value = 0.0;
 };
 
-/// Triplet assembly into one compressed layout: sorts (major, minor)
-/// pairs, sums duplicates, drops exact zeros and fills the three
-/// compressed arrays.  `major(t)`/`minor(t)` select which triplet
-/// field is the compressed dimension.
-template <typename MajorFn, typename MinorFn>
-void CompressTriplets(std::size_t majorCount, std::size_t minorBound,
-                      std::vector<Triplet>& entries, MajorFn major,
-                      MinorFn minor, std::vector<std::size_t>& ptr,
-                      std::vector<std::size_t>& idx,
-                      std::vector<double>& values) {
+/// CSC from (row, col, value) entries in any order: sorts by (column,
+/// row), sums duplicates and drops exact zeros.
+inline linalg::CscMatrix CscFromTriplets(std::size_t rows, std::size_t cols,
+                                         std::vector<Triplet> entries) {
   for (const Triplet& t : entries) {
-    ICTM_REQUIRE(major(t) < majorCount && minor(t) < minorBound,
-                 "triplet index out of range");
+    ICTM_REQUIRE(t.row < rows && t.col < cols, "triplet index out of range");
   }
   std::sort(entries.begin(), entries.end(),
-            [&](const Triplet& a, const Triplet& b) {
-              if (major(a) != major(b)) return major(a) < major(b);
-              return minor(a) < minor(b);
+            [](const Triplet& a, const Triplet& b) {
+              return a.col != b.col ? a.col < b.col : a.row < b.row;
             });
-  ptr.assign(majorCount + 1, 0);
-  idx.clear();
-  values.clear();
+  std::vector<std::size_t> ptr(cols + 1, 0), idx;
+  std::vector<double> values;
   std::size_t i = 0;
-  for (std::size_t m = 0; m < majorCount; ++m) {
-    while (i < entries.size() && major(entries[i]) == m) {
-      const std::size_t mi = minor(entries[i]);
+  for (std::size_t c = 0; c < cols; ++c) {
+    while (i < entries.size() && entries[i].col == c) {
+      const std::size_t r = entries[i].row;
       double acc = 0.0;
-      while (i < entries.size() && major(entries[i]) == m &&
-             minor(entries[i]) == mi) {
+      while (i < entries.size() && entries[i].col == c &&
+             entries[i].row == r) {
         acc += entries[i].value;
         ++i;
       }
       if (acc != 0.0) {
-        idx.push_back(mi);
+        idx.push_back(r);
         values.push_back(acc);
       }
     }
-    ptr[m + 1] = idx.size();
+    ptr[c + 1] = idx.size();
   }
-}
-
-/// CSR from (row, col, value) entries in any order: duplicates summed,
-/// exact zeros dropped.
-inline linalg::CsrMatrix CsrFromTriplets(std::size_t rows, std::size_t cols,
-                                         std::vector<Triplet> entries) {
-  std::vector<std::size_t> ptr, idx;
-  std::vector<double> values;
-  CompressTriplets(
-      rows, cols, entries, [](const Triplet& t) { return t.row; },
-      [](const Triplet& t) { return t.col; }, ptr, idx, values);
-  return linalg::CsrMatrix(rows, cols, std::move(ptr), std::move(idx),
-                           std::move(values));
-}
-
-/// CSC from (row, col, value) entries in any order: duplicates summed,
-/// exact zeros dropped.
-inline linalg::CscMatrix CscFromTriplets(std::size_t rows, std::size_t cols,
-                                         std::vector<Triplet> entries) {
-  std::vector<std::size_t> ptr, idx;
-  std::vector<double> values;
-  CompressTriplets(
-      cols, rows, entries, [](const Triplet& t) { return t.col; },
-      [](const Triplet& t) { return t.row; }, ptr, idx, values);
   return linalg::CscMatrix(rows, cols, std::move(ptr), std::move(idx),
                            std::move(values));
+}
+
+/// y = A x the way the retired row-compressed SpMV computed it: the
+/// entries sorted by (row, column), each y[r] summed in that order
+/// from +0.0.  The bit-equality oracle of CscMatrix::MultiplyInto.
+inline std::vector<double> RowOrderGather(std::size_t rows,
+                                          std::vector<Triplet> entries,
+                                          const std::vector<double>& x) {
+  std::sort(entries.begin(), entries.end(),
+            [](const Triplet& a, const Triplet& b) {
+              return a.row != b.row ? a.row < b.row : a.col < b.col;
+            });
+  std::vector<double> y(rows);
+  std::size_t i = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    double acc = 0.0;
+    for (; i < entries.size() && entries[i].row == r; ++i) {
+      acc += entries[i].value * x[entries[i].col];
+    }
+    y[r] = acc;
+  }
+  return y;
 }
 
 /// Connectivity oracle of topology::IsStronglyConnected: one Dijkstra
@@ -291,11 +280,12 @@ inline bool ReferenceIsStronglyConnected(const topology::Graph& g) {
   return true;
 }
 
-/// Routing-matrix oracle that topology::BuildRoutingCsr is held to
-/// byte for byte: per OD pair, every reachable node sorted by
-/// decreasing distance, each unit of traffic split evenly across the
-/// predecessor links, a scan of all links, and triplet assembly.
-inline linalg::CsrMatrix ReferenceRoutingCsr(const topology::Graph& g) {
+/// The routing matrix's entries as the old all-links builder found
+/// them: per OD pair, every reachable node sorted by decreasing
+/// distance, each unit of traffic split evenly across the predecessor
+/// links, and a scan of all links.
+inline std::vector<Triplet> ReferenceRoutingTriplets(
+    const topology::Graph& g) {
   const std::size_t n = g.nodeCount();
   ICTM_REQUIRE(n > 0, "routing matrix of empty graph");
   ICTM_REQUIRE(ReferenceIsStronglyConnected(g),
@@ -334,21 +324,28 @@ inline linalg::CsrMatrix ReferenceRoutingCsr(const topology::Graph& g) {
       }
     }
   }
-  return CsrFromTriplets(g.linkCount(), n * n, std::move(entries));
+  return entries;
+}
+
+/// Routing-matrix oracle that topology::BuildRouting is held to byte
+/// for byte: the old builder's entries by triplet assembly.
+inline linalg::CscMatrix ReferenceRouting(const topology::Graph& g) {
+  return CscFromTriplets(g.linkCount(), g.nodeCount() * g.nodeCount(),
+                         ReferenceRoutingTriplets(g));
 }
 
 /// Oracle of core::AugmentedTmSystem's operator A = [R; Q]: the
 /// routing entries plus, with marginal constraints, the ingress row
 /// L + i and egress row L + n + j of column (i, j), by triplet assembly.
 inline linalg::CscMatrix ReferenceAugmentedOperator(
-    const linalg::CsrMatrix& routing, std::size_t n,
+    const linalg::CscMatrix& routing, std::size_t n,
     bool marginalConstraints) {
   const std::size_t links = routing.rows();
   std::vector<Triplet> entries;
-  for (std::size_t r = 0; r < links; ++r) {
-    for (std::size_t k = routing.rowPtr()[r]; k < routing.rowPtr()[r + 1];
+  for (std::size_t c = 0; c < routing.cols(); ++c) {
+    for (std::size_t k = routing.colPtr()[c]; k < routing.colPtr()[c + 1];
          ++k) {
-      entries.push_back({r, routing.colIdx()[k], routing.values()[k]});
+      entries.push_back({routing.rowIdx()[k], c, routing.values()[k]});
     }
   }
   if (marginalConstraints) {

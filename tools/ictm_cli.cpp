@@ -633,7 +633,7 @@ int CmdEstimate(int argc, char** argv) {
       TopologySpec(topoName, truth.nodeCount()), topoSeed);
   ICTM_REQUIRE(g.nodeCount() == truth.nodeCount(),
                "topology node count does not match the TM series");
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
 
   options.threads =
       positional.size() > 2 ? ParseThreads(positional[2].c_str()) : 0;
@@ -824,7 +824,7 @@ int CmdStream(int argc, char** argv) {
       TopologySpec(flags.topology, nodes), flags.seed);
   ICTM_REQUIRE(g.nodeCount() == nodes,
                "topology node count does not match the trace");
-  const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+  const linalg::CscMatrix routing = topology::BuildRouting(g);
 
   const stream::StreamingOptions& options = flags.options;
   const std::size_t workers = ictm::ResolveThreadCount(options.threads);
@@ -1322,7 +1322,7 @@ int CmdTopo(int argc, char** argv) {
     if (positional.size() != 1) return Usage();
     const std::string& spec = positional[0];
     const topology::Graph g = topology::MakeTopology(spec, seed);
-    const linalg::CsrMatrix routing = topology::BuildRoutingCsr(g);
+    const linalg::CscMatrix routing = topology::BuildRouting(g);
 
     std::size_t degMin = SIZE_MAX, degMax = 0;
     for (std::size_t i = 0; i < g.nodeCount(); ++i) {

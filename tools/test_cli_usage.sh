@@ -6,8 +6,9 @@
 # command exits 2 before doing any work and prints a one-line usage
 # hint on stderr.  Retired flags and subcommands (--solver, `serve
 # --queue`, `topo convert`) are unknown, so they exit 2 too.  The
-# printed improvement must have the right sign, and a failed `stream`
-# run leaves no --out files behind.
+# printed improvement must have the right sign, a failed `stream`
+# run leaves no --out files behind, and a trace bin holding a NaN cell
+# stops `stream` naming the bin and the cell.
 #
 # usage: test_cli_usage.sh <path-to-ictm>
 set -u
@@ -142,6 +143,33 @@ if [ "$rc" -eq 1 ] && [ -z "$left" ]; then
   echo "ok (exit 1, no output): ictm stream <damaged> --out DIR"
 else
   echo "FAIL: stream over a damaged chunk exited $rc (want 1) and left [$left] (want none)"
+  FAILURES=$((FAILURES + 1))
+fi
+
+# The reader refuses a bin holding a NaN cell under a valid CRC, as
+# the CSV reader does: `ictm stream` exits 1 naming the bin and the
+# cell.  Cell 5 of bin 11 (chunk 1, its fourth bin) becomes a NaN and
+# the frame's CRC-32 (over codec tag, raw length and payload; zlib's
+# polynomial) is re-sealed.
+expect_ok convert "$WORK/s11.csv" "$WORK/nan.ictmb" --chunk 8
+python3 - "$WORK/nan.ictmb" <<'PY'
+import struct, sys, zlib
+path = sys.argv[1]
+b = bytearray(open(path, "rb").read())
+frame = 40 + 7768
+payload = frame + 20
+cell = payload + (3 * 121 + 5) * 8
+b[cell:cell + 8] = struct.pack("<d", float("nan"))
+crc = zlib.crc32(bytes(b[frame + 8:payload + 7744]))
+b[payload + 7744:payload + 7748] = struct.pack("<I", crc)
+open(path, "wb").write(b)
+PY
+err=$("$BIN" stream "$WORK/nan.ictmb" 2>&1 >/dev/null)
+rc=$?
+if [ "$rc" -eq 1 ] && printf '%s' "$err" | grep -q "ictmb: bin 11 cell 5 is NaN"; then
+  echo "ok (exit 1, names bin and cell): ictm stream <NaN cell>"
+else
+  echo "FAIL: stream over a NaN cell exited $rc (want 1) with: $err"
   FAILURES=$((FAILURES + 1))
 fi
 
