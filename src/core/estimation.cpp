@@ -277,6 +277,21 @@ linalg::Matrix EstimateTmBin(const linalg::CscMatrix& routing,
   return out;
 }
 
+void SimulateSnmp(const linalg::CscMatrix& routing, std::size_t nodes,
+                  const double* tm, double* loads, double* ingress,
+                  double* egress) {
+  routing.MultiplyInto(tm, loads);
+  std::fill(ingress, ingress + nodes, 0.0);
+  std::fill(egress, egress + nodes, 0.0);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    for (std::size_t j = 0; j < nodes; ++j) {
+      const double v = tm[i * nodes + j];
+      ingress[i] += v;
+      egress[j] += v;
+    }
+  }
+}
+
 traffic::TrafficMatrixSeries EstimateSeries(
     const linalg::CscMatrix& routing,
     const traffic::TrafficMatrixSeries& truth,
@@ -313,21 +328,12 @@ traffic::TrafficMatrixSeries EstimateSeries(
       std::size_t{0}, bins, options.threads,
       [&](std::size_t lo, std::size_t hi) {
         TmBinSolver solver(sys, options);
-        std::vector<double> loads(sys.linkCount(), 0.0);
-        std::vector<double> ingress(n, 0.0);
-        std::vector<double> egress(n, 0.0);
+        std::vector<double> loads(sys.linkCount());
+        std::vector<double> ingress(n);
+        std::vector<double> egress(n);
         for (std::size_t t = lo; t < hi; ++t) {
-          const double* truthBin = truth.binData(t);
-          routing.MultiplyInto(truthBin, loads.data());
-          std::fill(ingress.begin(), ingress.end(), 0.0);
-          std::fill(egress.begin(), egress.end(), 0.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = 0; j < n; ++j) {
-              const double v = truthBin[i * n + j];
-              ingress[i] += v;
-              egress[j] += v;
-            }
-          }
+          SimulateSnmp(routing, n, truth.binData(t), loads.data(),
+                       ingress.data(), egress.data());
           solver.Solve(loads.data(), priors.binData(t), ingress.data(),
                        egress.data(), out.binData(t));
         }

@@ -126,6 +126,16 @@ linalg::Matrix EstimateTmBin(const linalg::CscMatrix& routing,
                              const linalg::Vector& egress,
                              const EstimationOptions& options = {});
 
+/// Simulated SNMP for one n×n bin `tm` (row-major): link loads
+/// `loads` = R·tm (routing.rows() values) and the ingress (row-sum)
+/// and egress (column-sum) marginals, n values each.  Every output is
+/// overwritten.  Batch (EstimateSeries) and streaming
+/// (stream::MakeBinEvent) measure through this one function, so their
+/// inputs, and thus their estimates, are bit-identical.
+void SimulateSnmp(const linalg::CscMatrix& routing, std::size_t nodes,
+                  const double* tm, double* loads, double* ingress,
+                  double* egress);
+
 /// Full-series estimation: per bin, computes true link loads from
 /// `truth` via the routing matrix (simulating SNMP), runs the
 /// three-step pipeline with `priors`, and returns the estimated series.

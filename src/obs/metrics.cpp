@@ -11,55 +11,31 @@ const char* MetricClassName(MetricClass cls) {
   return cls == MetricClass::kDeterministic ? "deterministic" : "timing";
 }
 
-namespace detail {
-
-std::size_t ShardIndex() {
-  // Threads claim slots round-robin on first use; short-lived worker
-  // threads wrap around kShardCount, which only affects which shard
-  // they add into — never the merged total.
-  static std::atomic<std::uint64_t> nextSlot{0};
-  thread_local const std::size_t slot = static_cast<std::size_t>(
-      nextSlot.fetch_add(1, std::memory_order_relaxed) % kShardCount);
-  return slot;
-}
-
-bool RecordingEnabled() { return Registry::Instance().enabled(); }
-
-}  // namespace detail
-
 // ---- Counter ---------------------------------------------------------------
 
 std::uint64_t Counter::value() const {
-  std::uint64_t sum = 0;
-  for (const auto& shard : shards_) {
-    sum += shard.value.load(std::memory_order_relaxed);
-  }
-  return sum;
+  return value_.load(std::memory_order_relaxed);
 }
 
-void Counter::reset() {
-  for (auto& shard : shards_) {
-    shard.value.store(0, std::memory_order_relaxed);
-  }
-}
+void Counter::reset() { value_.store(0, std::memory_order_relaxed); }
 
 // ---- Gauge -----------------------------------------------------------------
 
 void Gauge::set(std::int64_t v) {
-  if (!detail::RecordingEnabled()) return;
+  if (!Enabled()) return;
   value_.store(v, std::memory_order_relaxed);
   recordMax(v);
 }
 
 void Gauge::add(std::int64_t delta) {
-  if (!detail::RecordingEnabled()) return;
+  if (!Enabled()) return;
   const std::int64_t now =
       value_.fetch_add(delta, std::memory_order_relaxed) + delta;
   recordMax(now);
 }
 
 void Gauge::recordMax(std::int64_t v) {
-  if (!detail::RecordingEnabled()) return;
+  if (!Enabled()) return;
   std::int64_t seen = max_.load(std::memory_order_relaxed);
   while (v > seen &&
          !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {

@@ -11,9 +11,9 @@
 //
 //  * Deterministic merge order.  All mergeable state is integral
 //    (u64 event counts, u64 nanosecond totals, u64 bucket counts), so
-//    accumulation commutes: the merged value cannot depend on which
-//    thread landed in which shard or on join order.  There are no
-//    floating-point accumulators anywhere in the registry.
+//    accumulation commutes: the total cannot depend on which thread
+//    added first or on join order.  There are no floating-point
+//    accumulators anywhere in the registry.
 //
 //  * Two metric classes.  kDeterministic metrics (bins processed,
 //    normal-equation solves, cache hits) are pure functions of the
@@ -22,9 +22,10 @@
 //    nanoseconds) are scheduling-dependent by nature and are never
 //    asserted exactly.
 //
-// Hot-path cost: one relaxed atomic load (the enable check) plus one
-// relaxed fetch_add on a per-thread shard.  Registration (name
-// lookup) takes a mutex, so callers cache the returned reference:
+// Hot-path cost: the enable check (obs::Enabled(), one call making one
+// relaxed load) plus one relaxed fetch_add on the metric's own atomic.
+// Registration (name lookup) takes a mutex, so callers cache the
+// returned reference:
 //
 //   static obs::Counter& bins =
 //       obs::GetCounter("stream.bins_pushed", obs::MetricClass::kDeterministic);
@@ -52,42 +53,26 @@ enum class MetricClass {
 /// "deterministic" / "timing".
 const char* MetricClassName(MetricClass cls);
 
-namespace detail {
+/// Process-wide enable toggle for all metric recording (tracing has
+/// its own session lifecycle).  Defaults to enabled.
+bool Enabled();
+void SetEnabled(bool on);
 
-inline constexpr std::size_t kShardCount = 8;
-
-/// One cache line per shard so concurrent writers on different
-/// threads do not false-share.
-struct alignas(64) Shard {
-  std::atomic<std::uint64_t> value{0};
-};
-
-/// Stable per-thread shard slot in [0, kShardCount).
-std::size_t ShardIndex();
-
-/// Relaxed read of the process-wide enable flag (see SetEnabled).
-bool RecordingEnabled();
-
-}  // namespace detail
-
-/// Monotonically increasing event count.  add() is lock-free: each
-/// thread lands on its own cache-line-padded shard; value() sums the
-/// shards (integer addition commutes, so the total is independent of
-/// the thread-to-shard assignment).
-class Counter {
+/// Monotonically increasing event count: one relaxed atomic on its
+/// own cache line, so two hot counters never false-share.  Integer
+/// addition commutes, so the total is independent of which thread
+/// added first.
+class alignas(64) Counter {
  public:
   void add(std::uint64_t n = 1) {
-    if (detail::RecordingEnabled()) {
-      shards_[detail::ShardIndex()].value.fetch_add(
-          n, std::memory_order_relaxed);
-    }
+    if (Enabled()) value_.fetch_add(n, std::memory_order_relaxed);
   }
 
   std::uint64_t value() const;
   void reset();
 
  private:
-  detail::Shard shards_[detail::kShardCount];
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-write-wins level plus a monotonic high-water mark.
@@ -116,7 +101,7 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void record(double v) {
-    if (detail::RecordingEnabled()) recordSlow(v);
+    if (Enabled()) recordSlow(v);
   }
 
   const std::vector<double>& bounds() const { return bounds_; }
@@ -224,11 +209,6 @@ Counter& GetCounter(const char* name, MetricClass cls);
 Gauge& GetGauge(const char* name, MetricClass cls);
 Histogram& GetHistogram(const char* name, MetricClass cls,
                         std::vector<double> bounds);
-
-/// Process-wide enable toggle for all metric recording (tracing has
-/// its own session lifecycle).  Defaults to enabled.
-bool Enabled();
-void SetEnabled(bool on);
 
 /// n ascending bounds: lo, lo*factor, lo*factor^2, ...
 std::vector<double> ExponentialBounds(double lo, double factor,

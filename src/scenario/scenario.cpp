@@ -3,8 +3,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -15,69 +13,60 @@ namespace ictm::scenario {
 
 namespace {
 
-struct Registry {
-  std::vector<ScenarioInfo> order;
-  std::map<std::string, ScenarioFn> byName;
+/// The built-in scenarios in listing (figure) order: infos[k] runs as
+/// fns[k].
+struct Table {
+  std::vector<ScenarioInfo> infos;
+  std::vector<ScenarioFn> fns;
 };
 
-Registry& MutableRegistry() {
-  static Registry registry;
-  return registry;
+const Table& Builtins() {
+  static const Table table = [] {
+    using List = std::vector<detail::Builtin> (*)();
+    Table t;
+    for (List list :
+         {detail::ModelScenarios, detail::TraceScenarios,
+          detail::StabilityScenarios, detail::EstimationScenarios,
+          detail::AblationScenarios, detail::ScaleScenarios,
+          detail::TopologyScenarios, detail::StreamScenarios,
+          detail::WhatIfScenarios}) {
+      for (detail::Builtin& b : list()) {
+        t.infos.push_back(std::move(b.info));
+        t.fns.push_back(b.fn);
+      }
+    }
+    return t;
+  }();
+  return table;
 }
 
-void EnsureBuiltins() {
-  static std::once_flag flag;
-  std::call_once(flag, [] {
-    detail::RegisterModelScenarios();
-    detail::RegisterTraceScenarios();
-    detail::RegisterStabilityScenarios();
-    detail::RegisterEstimationScenarios();
-    detail::RegisterAblationScenarios();
-    detail::RegisterScaleScenarios();
-    detail::RegisterTopologyScenarios();
-    detail::RegisterStreamScenarios();
-    detail::RegisterWhatIfScenarios();
-  });
+/// Position of `name` in the table; infos.size() when unknown.
+std::size_t IndexOf(const std::string& name) {
+  const std::vector<ScenarioInfo>& infos = Builtins().infos;
+  std::size_t k = 0;
+  while (k < infos.size() && infos[k].name != name) ++k;
+  return k;
 }
 
 }  // namespace
 
-void RegisterScenario(ScenarioInfo info, ScenarioFn fn) {
-  Registry& r = MutableRegistry();
-  ICTM_REQUIRE(fn != nullptr, "scenario function is null");
-  ICTM_REQUIRE(!info.name.empty(), "scenario name is empty");
-  ICTM_REQUIRE(r.byName.find(info.name) == r.byName.end(),
-               "duplicate scenario name: " + info.name);
-  r.byName.emplace(info.name, fn);
-  r.order.push_back(std::move(info));
-}
-
-const std::vector<ScenarioInfo>& ListScenarios() {
-  EnsureBuiltins();
-  return MutableRegistry().order;
-}
+const std::vector<ScenarioInfo>& ListScenarios() { return Builtins().infos; }
 
 bool HasScenario(const std::string& name) {
-  EnsureBuiltins();
-  const Registry& r = MutableRegistry();
-  return r.byName.find(name) != r.byName.end();
+  return IndexOf(name) < Builtins().infos.size();
 }
 
 ScenarioResult RunScenario(const std::string& name,
                            const ScenarioContext& ctx) {
-  EnsureBuiltins();
-  const Registry& r = MutableRegistry();
-  const auto it = r.byName.find(name);
-  ICTM_REQUIRE(it != r.byName.end(), "unknown scenario: " + name);
+  const std::size_t k = IndexOf(name);
+  ICTM_REQUIRE(k < Builtins().infos.size(), "unknown scenario: " + name);
 
   ScenarioResult result;
-  for (const ScenarioInfo& info : r.order) {
-    if (info.name == name) result.info = info;
-  }
+  result.info = Builtins().infos[k];
 
   const auto start = StartTimer();
   try {
-    json::Value body = it->second(ctx, result.notes);
+    json::Value body = Builtins().fns[k](ctx, result.notes);
     const json::Object& obj = body.asObject();
     const json::Value* pass = obj.find("pass");
     ICTM_REQUIRE(pass != nullptr && pass->isBool(),
@@ -110,7 +99,6 @@ ScenarioResult RunScenario(const std::string& name,
 std::vector<ScenarioResult> RunScenarios(
     const std::vector<std::string>& names, const ScenarioContext& ctx,
     std::size_t workers) {
-  EnsureBuiltins();
   for (const std::string& name : names) {
     ICTM_REQUIRE(HasScenario(name), "unknown scenario: " + name);
   }

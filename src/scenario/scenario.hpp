@@ -71,14 +71,11 @@ struct ScenarioInfo {
 using ScenarioFn = json::Value (*)(const ScenarioContext& ctx,
                                    std::string& notes);
 
-/// Registers a scenario; throws on duplicate names.  The built-in
-/// scenarios self-register on first registry access.
-void RegisterScenario(ScenarioInfo info, ScenarioFn fn);
-
-/// All registered scenarios in registration (figure) order.
+/// All scenarios in listing (figure) order: a const table of the
+/// built-in scenarios, built on first use and never modified.
 const std::vector<ScenarioInfo>& ListScenarios();
 
-/// True when `name` is a registered scenario.
+/// True when `name` names a scenario.
 bool HasScenario(const std::string& name);
 
 /// Outcome of one scenario execution.

@@ -182,21 +182,21 @@ json::Value RunSynthesisAblation(const ScenarioContext& ctx,
 
 }  // namespace
 
-void RegisterAblationScenarios() {
-  RegisterScenario(
-      {"asymmetry_ablation", "Sec. 5.6 ablation",
-       "routing asymmetry vs the simplified IC model",
-       "the simplified (single-f) model degrades as hot-potato "
-       "asymmetry grows; the general per-pair IC model recovers the "
-       "lost fit quality"},
-      RunAsymmetryAblation);
-  RegisterScenario(
-      {"synthesis_ablation", "Sec. 5.5 ablation",
-       "synthetic TM generation dials",
-       "f controls directional asymmetry (what-if: application mix); "
-       "preference sigma controls hot-spot concentration; the recipe "
-       "round-trips through the fitter"},
-      RunSynthesisAblation);
+std::vector<Builtin> AblationScenarios() {
+  return {
+      {{"asymmetry_ablation", "Sec. 5.6 ablation",
+        "routing asymmetry vs the simplified IC model",
+        "the simplified (single-f) model degrades as hot-potato "
+        "asymmetry grows; the general per-pair IC model recovers the "
+        "lost fit quality"},
+       RunAsymmetryAblation},
+      {{"synthesis_ablation", "Sec. 5.5 ablation",
+        "synthetic TM generation dials",
+        "f controls directional asymmetry (what-if: application mix); "
+        "preference sigma controls hot-spot concentration; the recipe "
+        "round-trips through the fitter"},
+       RunSynthesisAblation},
+  };
 }
 
 }  // namespace ictm::scenario::detail

@@ -255,34 +255,32 @@ json::Value RunFig13EstStableF(const ScenarioContext& ctx, std::string&) {
 
 }  // namespace
 
-void RegisterEstimationScenarios() {
-  RegisterScenario(
-      {"fig10_activity_estimates", "Sec. 6.2 (Fig. 10 companion)",
-       "activity recovery from marginals via pinv(Q*Phi)",
-       "the marginal-only estimate Atilde tracks the directly fitted "
-       "activities, so the stable-fP prior can reconstruct A(t) it "
-       "never observed"},
-      RunFig10ActivityEstimates);
-  RegisterScenario(
-      {"fig11_est_measured", "Fig. 11",
-       "TM estimation improvement, all IC parameters measured (Sec. 6.1)",
-       "Geant ~10-20% improvement over the gravity prior, Totem "
-       "~20-30%; this scenario bounds the gain the IC model can "
-       "deliver"},
-      RunFig11EstMeasured);
-  RegisterScenario(
-      {"fig12_est_stable_fp", "Fig. 12",
-       "TM estimation with the stable-fP prior (f, P from an earlier "
-       "week; Sec. 6.2)",
-       "~10-20% improvement over gravity whether calibration is one "
-       "week back (Geant) or two weeks back (Totem)"},
-      RunFig12EstStableFP);
-  RegisterScenario(
-      {"fig13_est_stable_f", "Fig. 13",
-       "TM estimation with the stable-f prior (only f known; Sec. 6.3)",
-       "Geant ~8% improvement; Totem only 1-2% — still preferable to "
-       "the gravity prior even with minimal side information"},
-      RunFig13EstStableF);
+std::vector<Builtin> EstimationScenarios() {
+  return {
+      {{"fig10_activity_estimates", "Sec. 6.2 (Fig. 10 companion)",
+        "activity recovery from marginals via pinv(Q*Phi)",
+        "the marginal-only estimate Atilde tracks the directly fitted "
+        "activities, so the stable-fP prior can reconstruct A(t) it "
+        "never observed"},
+       RunFig10ActivityEstimates},
+      {{"fig11_est_measured", "Fig. 11",
+        "TM estimation improvement, all IC parameters measured (Sec. 6.1)",
+        "Geant ~10-20% improvement over the gravity prior, Totem "
+        "~20-30%; this scenario bounds the gain the IC model can "
+        "deliver"},
+       RunFig11EstMeasured},
+      {{"fig12_est_stable_fp", "Fig. 12",
+        "TM estimation with the stable-fP prior (f, P from an earlier "
+        "week; Sec. 6.2)",
+        "~10-20% improvement over gravity whether calibration is one "
+        "week back (Geant) or two weeks back (Totem)"},
+       RunFig12EstStableFP},
+      {{"fig13_est_stable_f", "Fig. 13",
+        "TM estimation with the stable-f prior (only f known; Sec. 6.3)",
+        "Geant ~8% improvement; Totem only 1-2% — still preferable to "
+        "the gravity prior even with minimal side information"},
+       RunFig13EstStableF},
+  };
 }
 
 }  // namespace ictm::scenario::detail

@@ -168,26 +168,25 @@ json::Value RunDofTable(const ScenarioContext& ctx, std::string&) {
 
 }  // namespace
 
-void RegisterModelScenarios() {
-  RegisterScenario(
-      {"fig2_example", "Fig. 2",
-       "three-node worked example (Sec. 3)",
-       "P[E=A|I=A]~0.50, P[E=A|I=B]~0.93, P[E=A|I=C]~0.95, P[E=A]~0.65; "
-       "under gravity these would all be equal"},
-      RunFig2Example);
-  RegisterScenario(
-      {"fig3_model_fit", "Fig. 3",
-       "stable-fP IC fit vs gravity, % temporal-error improvement",
-       "Geant ~20-25% improvement; Totem ~6-8% (noisier data, dips "
-       "below 0); IC has about half the gravity model's degrees of "
-       "freedom"},
-      RunFig3ModelFit);
-  RegisterScenario(
-      {"dof_table", "Sec. 5.1 table",
-       "degrees-of-freedom accounting",
-       "stable-fP has about half the gravity model's inputs yet fits "
-       "better; more-flexible IC variants fit at least as well"},
-      RunDofTable);
+std::vector<Builtin> ModelScenarios() {
+  return {
+      {{"fig2_example", "Fig. 2",
+        "three-node worked example (Sec. 3)",
+        "P[E=A|I=A]~0.50, P[E=A|I=B]~0.93, P[E=A|I=C]~0.95, P[E=A]~0.65; "
+        "under gravity these would all be equal"},
+       RunFig2Example},
+      {{"fig3_model_fit", "Fig. 3",
+        "stable-fP IC fit vs gravity, % temporal-error improvement",
+        "Geant ~20-25% improvement; Totem ~6-8% (noisier data, dips "
+        "below 0); IC has about half the gravity model's degrees of "
+        "freedom"},
+       RunFig3ModelFit},
+      {{"dof_table", "Sec. 5.1 table",
+        "degrees-of-freedom accounting",
+        "stable-fP has about half the gravity model's inputs yet fits "
+        "better; more-flexible IC variants fit at least as well"},
+       RunDofTable},
+  };
 }
 
 }  // namespace ictm::scenario::detail

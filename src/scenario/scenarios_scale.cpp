@@ -153,21 +153,21 @@ json::Value RunSynthesisScale(const ScenarioContext& ctx,
 
 }  // namespace
 
-void RegisterScaleScenarios() {
-  RegisterScenario(
-      {"estimation_scale", "repo",
-       "estimation thread fan-out: determinism and scaling",
-       "EstimateSeries is bit-identical for every thread count and "
-       "speeds up on multicore hosts (see also "
-       "bench_estimation_scale for the legacy-baseline comparison)"},
-      RunEstimationScale);
-  RegisterScenario(
-      {"synthesis_scale", "repo",
-       "synthesis thread fan-out: determinism and scaling",
-       "GenerateSyntheticTm is bit-identical for every thread count; "
-       "per-node activity generation and per-bin composition fan out "
-       "across workers"},
-      RunSynthesisScale);
+std::vector<Builtin> ScaleScenarios() {
+  return {
+      {{"estimation_scale", "repo",
+        "estimation thread fan-out: determinism and scaling",
+        "EstimateSeries is bit-identical for every thread count and "
+        "speeds up on multicore hosts (see also "
+        "bench_estimation_scale for the legacy-baseline comparison)"},
+       RunEstimationScale},
+      {{"synthesis_scale", "repo",
+        "synthesis thread fan-out: determinism and scaling",
+        "GenerateSyntheticTm is bit-identical for every thread count; "
+        "per-node activity generation and per-bin composition fan out "
+        "across workers"},
+       RunSynthesisScale},
+  };
 }
 
 }  // namespace ictm::scenario::detail

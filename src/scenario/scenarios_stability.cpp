@@ -332,36 +332,33 @@ json::Value RunFig9ActivitySeries(const ScenarioContext& ctx,
 
 }  // namespace
 
-void RegisterStabilityScenarios() {
-  RegisterScenario(
-      {"fig5_f_stability", "Fig. 5",
-       "optimal f over consecutive Totem weeks",
-       "f close to 0.2 and stable across all seven weeks"},
-      RunFig5FStability);
-  RegisterScenario(
-      {"fig6_p_stability", "Fig. 6",
-       "optimal P values over weeks (Geant 3wk, Totem 7wk)",
-       "P_i stable week-to-week (tiny drift); across nodes highly "
-       "variable: a few nodes up to ~10x the typical preference"},
-      RunFig6PStability);
-  RegisterScenario(
-      {"fig7_p_ccdf", "Fig. 7",
-       "CCDF of optimal P values with exponential/lognormal fits",
-       "long-tailed distribution; lognormal clearly beats exponential "
-       "in the tail (few data points, so indicative only)"},
-      RunFig7PCcdf);
-  RegisterScenario(
-      {"fig8_p_vs_egress", "Fig. 8",
-       "optimal P values vs normalised egress counts",
-       "above the median, egress volume correlates weakly with "
-       "preference; P and mean activity are uncorrelated (Sec. 5.4)"},
-      RunFig8PVsEgress);
-  RegisterScenario(
-      {"fig9_activity_series", "Fig. 9",
-       "fitted A_i(t) for the largest / medium / smallest node",
-       "strong daily periodicity plus a weekend dip; the pattern is "
-       "most pronounced for high-activity nodes"},
-      RunFig9ActivitySeries);
+std::vector<Builtin> StabilityScenarios() {
+  return {
+      {{"fig5_f_stability", "Fig. 5",
+        "optimal f over consecutive Totem weeks",
+        "f close to 0.2 and stable across all seven weeks"},
+       RunFig5FStability},
+      {{"fig6_p_stability", "Fig. 6",
+        "optimal P values over weeks (Geant 3wk, Totem 7wk)",
+        "P_i stable week-to-week (tiny drift); across nodes highly "
+        "variable: a few nodes up to ~10x the typical preference"},
+       RunFig6PStability},
+      {{"fig7_p_ccdf", "Fig. 7",
+        "CCDF of optimal P values with exponential/lognormal fits",
+        "long-tailed distribution; lognormal clearly beats exponential "
+        "in the tail (few data points, so indicative only)"},
+       RunFig7PCcdf},
+      {{"fig8_p_vs_egress", "Fig. 8",
+        "optimal P values vs normalised egress counts",
+        "above the median, egress volume correlates weakly with "
+        "preference; P and mean activity are uncorrelated (Sec. 5.4)"},
+       RunFig8PVsEgress},
+      {{"fig9_activity_series", "Fig. 9",
+        "fitted A_i(t) for the largest / medium / smallest node",
+        "strong daily periodicity plus a weekend dip; the pattern is "
+        "most pronounced for high-activity nodes"},
+       RunFig9ActivitySeries},
+  };
 }
 
 }  // namespace ictm::scenario::detail

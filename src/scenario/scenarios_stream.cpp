@@ -215,20 +215,20 @@ json::Value RunStreamScale(const ScenarioContext& ctx,
 
 }  // namespace
 
-void RegisterStreamScenarios() {
-  RegisterScenario(
-      {"stream_equivalence", "repo",
-       "streaming vs batch estimation: bit-for-bit equivalence",
-       "StreamingEstimator (queue + worker pool + reorder buffer) "
-       "produces estimates bit-identical to the batch EstimateSeries "
-       "on the same priors, for every thread count and queue capacity"},
-      RunStreamEquivalence);
-  RegisterScenario(
-      {"stream_scale", "repo",
-       "streaming throughput: worker-pool scaling and binary trace I/O",
-       "the online estimator scales with workers at unchanged results, "
-       "and ictmb binary trace reads beat CSV parsing by a wide margin"},
-      RunStreamScale);
+std::vector<Builtin> StreamScenarios() {
+  return {
+      {{"stream_equivalence", "repo",
+        "streaming vs batch estimation: bit-for-bit equivalence",
+        "StreamingEstimator (queue + worker pool + reorder buffer) "
+        "produces estimates bit-identical to the batch EstimateSeries "
+        "on the same priors, for every thread count and queue capacity"},
+       RunStreamEquivalence},
+      {{"stream_scale", "repo",
+        "streaming throughput: worker-pool scaling and binary trace I/O",
+        "the online estimator scales with workers at unchanged results, "
+        "and ictmb binary trace reads beat CSV parsing by a wide margin"},
+       RunStreamScale},
+  };
 }
 
 }  // namespace ictm::scenario::detail

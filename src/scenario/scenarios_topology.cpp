@@ -92,16 +92,17 @@ json::Value RunTopoScale(const ScenarioContext& ctx, std::string& notes) {
 
 }  // namespace
 
-void RegisterTopologyScenarios() {
-  RegisterScenario(
-      {"topo_scale", "repo",
-       "topology scaling: sparse estimation on generated backbones",
-       "EstimateSeries stays bit-identical across thread counts as "
-       "generated hierarchical backbones grow 22 -> 50 -> 100 -> 200 "
-       "nodes, with routing built directly in CSR (the dense matrix "
-       "is never materialised); --topology substitutes any registry "
-       "spec or .ictp file for the sweep"},
-      RunTopoScale);
+std::vector<Builtin> TopologyScenarios() {
+  return {
+      {{"topo_scale", "repo",
+        "topology scaling: sparse estimation on generated backbones",
+        "EstimateSeries stays bit-identical across thread counts as "
+        "generated hierarchical backbones grow 22 -> 50 -> 100 -> 200 "
+        "nodes, with routing built directly in CSR (the dense matrix "
+        "is never materialised); --topology substitutes any registry "
+        "spec or .ictp file for the sweep"},
+       RunTopoScale},
+  };
 }
 
 }  // namespace ictm::scenario::detail

@@ -57,13 +57,14 @@ json::Value RunFig4FTraces(const ScenarioContext& ctx, std::string&) {
 
 }  // namespace
 
-void RegisterTraceScenarios() {
-  RegisterScenario(
-      {"fig4_f_traces", "Fig. 4",
-       "f for both directions of an instrumented link pair over time",
-       "f stays in 0.2-0.3 over all 5-min bins; the two directions "
-       "track each other; unknown (pre-trace) traffic < 20% of bytes"},
-      RunFig4FTraces);
+std::vector<Builtin> TraceScenarios() {
+  return {
+      {{"fig4_f_traces", "Fig. 4",
+        "f for both directions of an instrumented link pair over time",
+        "f stays in 0.2-0.3 over all 5-min bins; the two directions "
+        "track each other; unknown (pre-trace) traffic < 20% of bytes"},
+       RunFig4FTraces},
+  };
 }
 
 }  // namespace ictm::scenario::detail

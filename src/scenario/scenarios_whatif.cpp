@@ -96,14 +96,15 @@ json::Value RunWhatIfHotspot(const ScenarioContext& ctx, std::string&) {
 
 }  // namespace
 
-void RegisterWhatIfScenarios() {
-  RegisterScenario(
-      {"whatif_hotspot", "repo",
-       "what-if study: preference hot spot (flash crowd)",
-       "boosting one node's preference pulls egress share toward it "
-       "monotonically while activities stay fixed — the IC dials "
-       "express a scenario the gravity model cannot"},
-      RunWhatIfHotspot);
+std::vector<Builtin> WhatIfScenarios() {
+  return {
+      {{"whatif_hotspot", "repo",
+        "what-if study: preference hot spot (flash crowd)",
+        "boosting one node's preference pulls egress share toward it "
+        "monotonically while activities stay fixed — the IC dials "
+        "express a scenario the gravity model cannot"},
+       RunWhatIfHotspot},
+  };
 }
 
 }  // namespace ictm::scenario::detail

@@ -26,25 +26,17 @@ const Endpoint& Server::endpoint() const noexcept {
 
 void Server::stop() {
   if (!started_) return;
+  // Accepting ends first.  Once the accept thread is joined nothing
+  // can register a session, so one pass aborts them all and one joins
+  // them.
   stopping_.store(true, std::memory_order_release);
   listener_.interrupt();
-  {
-    std::lock_guard<std::mutex> lock(sessionsMutex_);
-    for (SessionSlot& slot : sessions_) slot.session->abort();
-  }
   if (acceptThread_.joinable()) acceptThread_.join();
-  std::vector<SessionSlot> slots;
-  {
-    // Second abort pass: the accept loop may have registered one last
-    // session between the first pass and the stopping_ check it does
-    // after accept() returns.
-    std::lock_guard<std::mutex> lock(sessionsMutex_);
-    for (SessionSlot& slot : sessions_) slot.session->abort();
-    slots.swap(sessions_);
-  }
-  for (SessionSlot& slot : slots) {
+  for (SessionSlot& slot : sessions_) slot.session->abort();
+  for (SessionSlot& slot : sessions_) {
     if (slot.thread.joinable()) slot.thread.join();
   }
+  sessions_.clear();
   listener_.close();
   started_ = false;
 }
@@ -65,8 +57,7 @@ void Server::acceptLoop() {
                                              store_.get(), options_.limits,
                                              &stopping_);
     Session* raw = session.get();
-    std::lock_guard<std::mutex> lock(sessionsMutex_);
-    reapFinishedLocked();
+    reapFinished();
     SessionSlot slot;
     slot.session = std::move(session);
     slot.thread = std::thread([raw] { raw->run(); });
@@ -74,7 +65,7 @@ void Server::acceptLoop() {
   }
 }
 
-void Server::reapFinishedLocked() {
+void Server::reapFinished() {
   for (std::size_t i = 0; i < sessions_.size();) {
     if (sessions_[i].session->done()) {
       if (sessions_[i].thread.joinable()) sessions_[i].thread.join();

@@ -3,8 +3,10 @@
 // TopologyStateCache (expensive per-topology state paid once) and one
 // CheckpointStore (restart losslessness).
 //
-// stop() is deliberately abortive — it shuts every live session's
-// socket and returns once all threads are joined.  Because session
+// stop() is deliberately abortive.  It stops accepting first: it
+// wakes the listener and joins the accept thread, so no session can
+// be registered afterwards.  Then, in one pass, it shuts every live
+// session's socket and joins its thread.  Because session
 // checkpoints are durable the moment they are captured, an abortive
 // stop is exactly the crash the resume tests simulate: a client
 // reconnecting with its session key continues from the last
@@ -14,7 +16,6 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,10 +54,10 @@ class Server {
   /// The bound endpoint (ephemeral TCP ports resolved to real ones).
   const Endpoint& endpoint() const noexcept;
 
-  /// Aborts every live session, stops accepting, joins all threads.
-  /// Idempotent.  This is also the crash lever of the resume tests —
-  /// in-flight sessions lose only work since their last durable
-  /// checkpoint.
+  /// Stops accepting (joins the accept thread), then aborts and
+  /// joins every live session.  Idempotent.  This is also the crash
+  /// lever of the resume tests — in-flight sessions lose only work
+  /// since their last durable checkpoint.
   void stop();
 
   /// Shared-cache counters (tests assert hit/miss/eviction behavior).
@@ -67,7 +68,7 @@ class Server {
 
  private:
   void acceptLoop();
-  void reapFinishedLocked();
+  void reapFinished();
 
   ServerOptions options_;
   TopologyStateCache cache_;
@@ -81,7 +82,8 @@ class Server {
     std::unique_ptr<Session> session;
     std::thread thread;
   };
-  mutable std::mutex sessionsMutex_;
+  // Touched only by the accept thread while it runs, and by stop()
+  // once it has joined that thread: no lock.
   std::vector<SessionSlot> sessions_;
   std::atomic<std::size_t> accepted_{0};
 };

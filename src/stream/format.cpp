@@ -625,14 +625,24 @@ void ConvertTraceToCsv(const std::string& tracePath,
   TraceReader reader(tracePath);
   std::ofstream out(csvPath);
   ICTM_REQUIRE(out.is_open(), "cannot open file for writing: " + csvPath);
-  const TraceInfo& info = reader.info();
-  traffic::WriteCsvHeader(out, {info.nodes, info.bins, info.binSeconds});
-  std::vector<double> bin(info.nodes * info.nodes);
-  while (reader.next(bin.data())) {
-    traffic::WriteCsvBin(out, info.nodes, bin.data());
+  // The header promises every bin, so a refused bin or a damaged chunk
+  // must not leave the rows before it behind: close and delete the CSV,
+  // as WriteTraceOrRemove does for ictmb outputs.
+  try {
+    const TraceInfo& info = reader.info();
+    traffic::WriteCsvHeader(out, {info.nodes, info.bins, info.binSeconds});
+    std::vector<double> bin(info.nodes * info.nodes);
+    while (reader.next(bin.data())) {
+      traffic::WriteCsvBin(out, info.nodes, bin.data());
+    }
+    out.close();
+    ICTM_REQUIRE(out.good(), "stream failure while writing TM CSV: " +
+                                 csvPath);
+  } catch (...) {
+    out.close();
+    std::remove(csvPath.c_str());
+    throw;
   }
-  ICTM_REQUIRE(out.good(), "stream failure while writing TM CSV: " +
-                               csvPath);
 }
 
 bool IsTraceFile(const std::string& path) {

@@ -287,18 +287,10 @@ BinEvent MakeBinEvent(const linalg::CscMatrix& routing, std::size_t nodes,
                       const double* truthBin) {
   BinEvent event;
   event.linkLoads.resize(routing.rows());
-  routing.MultiplyInto(truthBin, event.linkLoads.data());
-  event.ingress.assign(nodes, 0.0);
-  event.egress.assign(nodes, 0.0);
-  // Same accumulation order as core::EstimateSeries, for bit-equal
-  // downstream comparisons.
-  for (std::size_t i = 0; i < nodes; ++i) {
-    for (std::size_t j = 0; j < nodes; ++j) {
-      const double v = truthBin[i * nodes + j];
-      event.ingress[i] += v;
-      event.egress[j] += v;
-    }
-  }
+  event.ingress.resize(nodes);
+  event.egress.resize(nodes);
+  core::SimulateSnmp(routing, nodes, truthBin, event.linkLoads.data(),
+                     event.ingress.data(), event.egress.data());
   return event;
 }
 

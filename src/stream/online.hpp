@@ -166,10 +166,10 @@ class StreamingEstimator {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Builds the bin event for one truth bin: link loads via the routing
-/// matrix (simulated SNMP) plus the ingress/egress marginals, using
-/// the exact summation order of core::EstimateSeries so downstream
-/// estimates are comparable bit for bit.
+/// Builds the bin event for one truth bin with core::SimulateSnmp
+/// (link loads plus the ingress/egress marginals) — the measurements
+/// core::EstimateSeries makes, so downstream estimates are comparable
+/// bit for bit.
 BinEvent MakeBinEvent(const linalg::CscMatrix& routing, std::size_t nodes,
                       const double* truthBin);
 

@@ -58,6 +58,20 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// Writes `series` (3 nodes) one bin per raw chunk and flips one payload
+// bit of chunk 2, so a read serves bins 0-1 and then fails the CRC.
+void WriteTraceWithDamagedChunk2(const std::string& path,
+                                 const traffic::TrafficMatrixSeries& series) {
+  WriteTraceFile(path, series, TraceWriterOptions{1, ChunkCodec::kRaw, 0});
+  std::string bytes = ReadBytes(path);
+  // Header 40 bytes; a raw frame is length, codec, raw length, 9
+  // doubles and a CRC.
+  const std::size_t frame = 8 + 4 + 8 + 9 * sizeof(double) + 4;
+  const std::size_t payload2 = 40 + 2 * frame + 8 + 4 + 8;
+  bytes[payload2] = static_cast<char>(bytes[payload2] ^ 0x01);
+  WriteBytes(path, bytes);
+}
+
 // Smooth diurnal TM series quantised to multiples of 256 bytes — the
 // compressible fixture of the codec tests and bench_stream (measured
 // SNMP byte counters are integral, and consecutive bins differ
@@ -330,6 +344,16 @@ TEST(TraceFormat, FailedConversionLeavesNoTrace) {
       << "failed conversion left " << trace;
 }
 
+TEST(TraceFormat, DamagedChunkConversionLeavesNoCsv) {
+  // Chunk 2 fails its CRC after bins 0-1 became CSV rows under a header
+  // that claims five bins; that CSV must not survive.
+  const std::string trace = TempPath("convert_crc.ictmb");
+  WriteTraceWithDamagedChunk2(trace, RandomSeries(3, 5, 31));
+  const std::string csv = TempPath("convert_crc.csv");
+  EXPECT_THROW(ConvertTraceToCsv(trace, csv), Error);
+  EXPECT_FALSE(std::ifstream(csv).is_open()) << "failed convert left " << csv;
+}
+
 TEST(TraceFormat, RefusesNonFiniteOrNegativeCells) {
   // Cell 5 of bin 3 holds a NaN, +inf or -1 under a valid CRC.  Every
   // read path refuses that bin, naming it and the cell, after serving
@@ -371,7 +395,10 @@ TEST(TraceFormat, RefusesNonFiniteOrNegativeCells) {
         TraceReader whole(path, TraceReaderOptions{prefetch});
         expectRefusal([&] { whole.readAll(); });
       }
-      expectRefusal([&] { ConvertTraceToCsv(path, TempPath("bad_cell.csv")); });
+      const std::string csv = TempPath("bad_cell.csv");
+      expectRefusal([&] { ConvertTraceToCsv(path, csv); });
+      EXPECT_FALSE(std::ifstream(csv).is_open())
+          << "failed convert left " << csv;
       const std::string out = TempPath("bad_cell_repacked.ictmb");
       TraceWriterOptions options;
       options.binsPerChunk = 0;
@@ -913,16 +940,8 @@ TEST(Repack, FailedRepackLeavesNoOutput) {
   // A payload bit flip in chunk 2 of a one-bin-per-chunk trace fails
   // the repack after two bins were appended; no readable 2-bin trace
   // may survive it.
-  const auto series = RandomSeries(3, 5, 29);
   const std::string in = TempPath("rp_fail_in.ictmb");
-  WriteTraceFile(in, series, TraceWriterOptions{1, ChunkCodec::kRaw, 0});
-  std::string bytes = ReadBytes(in);
-  // Header 40 bytes; a raw frame is length, codec, raw length, 9
-  // doubles and a CRC.
-  const std::size_t frame = 8 + 4 + 8 + 9 * sizeof(double) + 4;
-  const std::size_t payload2 = 40 + 2 * frame + 8 + 4 + 8;
-  bytes[payload2] = static_cast<char>(bytes[payload2] ^ 0x01);
-  WriteBytes(in, bytes);
+  WriteTraceWithDamagedChunk2(in, RandomSeries(3, 5, 29));
 
   const std::string out = TempPath("rp_fail_out.ictmb");
   TraceWriterOptions options;

@@ -54,10 +54,8 @@
 #include <string>
 #include <vector>
 
-#include <csignal>
-
-#include <poll.h>
-#include <unistd.h>
+#include <signal.h>
+#include <time.h>
 
 #include "common/parallel.hpp"
 #include "conngen/fmeasure.hpp"
@@ -912,16 +910,6 @@ int CmdStream(int argc, char** argv) {
   return 0;
 }
 
-// Self-pipe for `ictm serve` shutdown: the signal handler may only
-// touch async-signal-safe calls, so it writes one byte and the main
-// thread does the actual Server::stop().
-int g_serveStopPipe[2] = {-1, -1};
-
-void ServeStopHandler(int) {
-  const char byte = 1;
-  [[maybe_unused]] const long n = write(g_serveStopPipe[1], &byte, 1);
-}
-
 int CmdServe(int argc, char** argv) {
   std::string listenSpec;
   server::ServerOptions options;
@@ -956,6 +944,16 @@ int CmdServe(int argc, char** argv) {
                      listenSpec);
   }
 
+  // Block the stop signals before Server::start() starts the first
+  // thread.  Every server thread inherits the mask, so SIGINT or
+  // SIGTERM stays pending, however early it arrives, until the main
+  // thread takes it below.  No thread runs a signal handler.
+  sigset_t stopSignals;
+  sigemptyset(&stopSignals);
+  sigaddset(&stopSignals, SIGINT);
+  sigaddset(&stopSignals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stopSignals, nullptr);
+
   obsOut.begin();
   server::Server srv(options);
   std::string error;
@@ -972,25 +970,16 @@ int CmdServe(int argc, char** argv) {
                         .c_str());
   std::fflush(stdout);
 
-  ICTM_REQUIRE(pipe(g_serveStopPipe) == 0, "cannot create stop pipe");
-  struct sigaction sa = {};
-  sa.sa_handler = ServeStopHandler;
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
-  // Wait for the stop byte; with --stats-interval the wait doubles as
-  // the periodic-summary timer (poll timeout), so an idle server still
-  // wakes only once per interval.
-  const int pollTimeoutMs =
-      statsIntervalSec > 0 ? static_cast<int>(statsIntervalSec * 1000)
-                           : -1;
+  // Wait for a stop signal.  With --stats-interval the wait times out
+  // once per interval to print the periodic summary, so an idle server
+  // still wakes only once per interval.
+  const timespec statsPeriod = {static_cast<time_t>(statsIntervalSec), 0};
   for (;;) {
-    struct pollfd pfd = {g_serveStopPipe[0], POLLIN, 0};
-    const int ready = poll(&pfd, 1, pollTimeoutMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) {
+    const int sig = statsIntervalSec > 0
+                        ? sigtimedwait(&stopSignals, nullptr, &statsPeriod)
+                        : sigwaitinfo(&stopSignals, nullptr);
+    if (sig < 0 && errno == EINTR) continue;
+    if (sig < 0 && errno == EAGAIN) {
       const auto live = srv.cacheStats();
       std::printf("stats: %zu session(s) accepted; %llu bin(s) in, "
                   "%llu estimate byte(s) out; topology cache: %zu "
@@ -1007,9 +996,6 @@ int CmdServe(int argc, char** argv) {
                   live.hits, live.misses, live.evictions);
       std::fflush(stdout);
       continue;
-    }
-    char byte = 0;
-    while (read(g_serveStopPipe[0], &byte, 1) < 0 && errno == EINTR) {
     }
     break;
   }

@@ -8,7 +8,8 @@
 # --queue`, `topo convert`) are unknown, so they exit 2 too.  The
 # printed improvement must have the right sign, a failed `stream`
 # run leaves no --out files behind, and a trace bin holding a NaN cell
-# stops `stream` naming the bin and the cell.
+# stops `stream` naming the bin and the cell, and stops `convert` to
+# CSV without leaving a partial CSV.
 #
 # usage: test_cli_usage.sh <path-to-ictm>
 set -u
@@ -170,6 +171,17 @@ if [ "$rc" -eq 1 ] && printf '%s' "$err" | grep -q "ictmb: bin 11 cell 5 is NaN"
   echo "ok (exit 1, names bin and cell): ictm stream <NaN cell>"
 else
   echo "FAIL: stream over a NaN cell exited $rc (want 1) with: $err"
+  FAILURES=$((FAILURES + 1))
+fi
+
+# Converting that trace to CSV stops at bin 11 too.  The CSV header
+# already claimed all 40 bins, so the partial CSV must be deleted.
+"$BIN" convert "$WORK/nan.ictmb" "$WORK/nan.csv" >/dev/null 2>&1
+rc=$?
+if [ "$rc" -eq 1 ] && [ ! -e "$WORK/nan.csv" ]; then
+  echo "ok (exit 1, no output): ictm convert <NaN cell> out.csv"
+else
+  echo "FAIL: convert of a NaN cell to CSV exited $rc (want 1) and left $(ls "$WORK/nan.csv" 2>/dev/null || echo nothing) (want nothing)"
   FAILURES=$((FAILURES + 1))
 fi
 

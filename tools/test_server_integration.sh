@@ -12,6 +12,11 @@
 # the `ictm stream` output.  The daemon must shut down cleanly on
 # SIGTERM having served all eight sessions.
 #
+# Stop contract: once a daemon prints its readiness line, every one of
+# its threads blocks SIGINT and SIGTERM, and either signal ends it with
+# exit 0 and its summary however soon it arrives — checked on 20 more
+# daemons, each signalled the moment its readiness line is read.
+#
 # usage: test_server_integration.sh <path-to-ictm>
 set -u
 
@@ -70,6 +75,32 @@ if ! grep -q "listening on" "$WORK/server.log"; then
   cat "$WORK/server.log"
   echo "FAIL: server never became ready"
   exit 1
+fi
+
+# Every thread blocks SIGINT (bit 1) and SIGTERM (bit 14) in SigBlk,
+# but for the one asleep in sigwaitinfo: for the length of that wait
+# the kernel clears the waited-for signals from the sleeper's SigBlk
+# (the mask itself is kept aside), so its wchan is checked instead.
+CHECKED=0
+WAITING=0
+UNBLOCKED=0
+for task in /proc/"$SERVER_PID"/task/*; do
+  blk=$(sed -n 's/^SigBlk:[[:space:]]*//p' "$task/status" 2>/dev/null)
+  [ -n "$blk" ] || continue  # the thread has exited
+  CHECKED=$((CHECKED + 1))
+  [ $((0x$blk & 0x4002)) -eq $((0x4002)) ] && continue
+  wchan=$(cat "$task/wchan" 2>/dev/null)
+  if [ "${wchan#do_sigtimedwait}" != "$wchan" ]; then
+    WAITING=$((WAITING + 1))
+  else
+    UNBLOCKED=$((UNBLOCKED + 1))
+    fail "daemon thread ${task##*/} ($(cat "$task/comm" 2>/dev/null), in ${wchan:-?}) does not block SIGINT and SIGTERM: SigBlk $blk"
+  fi
+done
+if [ "$CHECKED" -eq 0 ]; then
+  fail "no daemon thread found under /proc/$SERVER_PID/task"
+elif [ "$UNBLOCKED" -eq 0 ]; then
+  echo "ok (SigBlk has 0x4002): $CHECKED daemon thread(s), $WAITING of them in sigwaitinfo"
 fi
 
 # All clients in parallel.
@@ -176,6 +207,36 @@ wait "$SERVER_PID" || fail "server exited non-zero on SIGTERM"
 SERVER_PID=
 grep -q "served $SESSIONS session(s)" "$WORK/server.log" ||
   fail "server log lacks 'served $SESSIONS session(s)': $(tail -2 "$WORK/server.log")"
+
+# A stop signal right after the readiness line.  The daemon writes into
+# a FIFO so the signal follows the line at once, with no polling delay.
+# A non-interactive shell starts background jobs with SIGINT ignored;
+# the daemon keeps it blocked, so it is queued all the same.
+EARLY_OK=0
+for k in $(seq 1 20); do
+  sig=TERM
+  [ $((k % 2)) -eq 0 ] && sig=INT
+  fifo="$WORK/early_$k.fifo"
+  mkfifo "$fifo"
+  "$BIN" serve --listen "unix:$WORK/early_$k.sock" >"$fifo" 2>&1 &
+  SERVER_PID=$!
+  exec 3<"$fifo"
+  IFS= read -r first <&3
+  kill -s "$sig" "$SERVER_PID"
+  rest=$(timeout 30 cat <&3) || kill -KILL "$SERVER_PID"
+  exec 3<&-
+  wait "$SERVER_PID"
+  rc=$?
+  SERVER_PID=
+  if [ "$rc" -ne 0 ] || [ "${first#listening on}" = "$first" ] ||
+      ! printf '%s\n' "$rest" | grep -q "^served 0 session(s)"; then
+    fail "daemon $k, SIG$sig right after '$first': exit $rc (want 0), output: $rest"
+  else
+    EARLY_OK=$((EARLY_OK + 1))
+  fi
+done
+[ "$EARLY_OK" -eq 20 ] &&
+  echo "ok (exit 0, served line): 20 daemons stopped right after readiness"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES server integration check(s) failed"
