@@ -1,0 +1,61 @@
+#include "common/output_file.hpp"
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <system_error>
+
+#include "common/error.hpp"
+
+namespace ictm {
+
+struct OutputFile::Stream {
+  std::ofstream out;
+};
+
+namespace {
+
+void RemoveIfRegular(const std::string& path) noexcept {
+  std::error_code ec;
+  if (std::filesystem::symlink_status(path, ec).type() ==
+      std::filesystem::file_type::regular) {
+    std::remove(path.c_str());
+  }
+}
+
+}  // namespace
+
+OutputFile::OutputFile(const std::string& path)
+    : path_(path), stream_(std::make_unique<Stream>()) {
+  stream_->out.open(path, std::ios::binary);
+  ICTM_REQUIRE(stream_->out.is_open(),
+               "cannot open file for writing: " + path);
+}
+
+OutputFile::~OutputFile() {
+  // Closed means committed, or a failed commit already cleaned up.
+  if (!stream_->out.is_open()) return;
+  stream_->out.close();
+  RemoveIfRegular(path_);
+}
+
+std::ostream& OutputFile::stream() noexcept { return stream_->out; }
+
+void OutputFile::commit() {
+  std::ofstream& out = stream_->out;
+  ICTM_REQUIRE(out.is_open(), "output file committed twice: " + path_);
+  out.close();  // flushes; a short write or a full disk sets failbit
+  if (!out.fail()) return;
+  RemoveIfRegular(path_);
+  throw Error("cannot write file completely (short write or full disk): " +
+              path_);
+}
+
+void RequireDistinctOutput(const std::string& input,
+                           const std::string& output) {
+  std::error_code ec;  // a missing file is distinct, not an error
+  ICTM_REQUIRE(!std::filesystem::equivalent(input, output, ec),
+               "output names the input file: " + output);
+}
+
+}  // namespace ictm

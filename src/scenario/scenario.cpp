@@ -2,9 +2,9 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 
 #include "common/error.hpp"
+#include "common/output_file.hpp"
 #include "common/parallel.hpp"
 #include "scenario/builtin.hpp"
 #include "scenario/common.hpp"
@@ -120,11 +120,9 @@ void WriteResultFiles(const std::vector<ScenarioResult>& results,
   json::Array names;
   for (const ScenarioResult& r : results) {
     if (!r.error.empty()) continue;  // no document to write
-    const fs::path path = fs::path(outDir) / (r.info.name + ".json");
-    std::ofstream os(path);
-    ICTM_REQUIRE(os.good(), "cannot open for writing: " + path.string());
-    os << r.doc.dump(2);
-    ICTM_REQUIRE(os.good(), "write failed: " + path.string());
+    OutputFile file((fs::path(outDir) / (r.info.name + ".json")).string());
+    file.stream() << r.doc.dump(2);
+    file.commit();
     names.push_back(json::Value(r.info.name));
   }
 
@@ -135,11 +133,9 @@ void WriteResultFiles(const std::vector<ScenarioResult>& results,
   manifest.set("topology",
                ctx.topology.empty() ? "default" : ctx.topology);
   manifest.set("scenarios", json::Value(std::move(names)));
-  const fs::path path = fs::path(outDir) / "manifest.json";
-  std::ofstream os(path);
-  ICTM_REQUIRE(os.good(), "cannot open for writing: " + path.string());
-  os << json::Value(std::move(manifest)).dump(2);
-  ICTM_REQUIRE(os.good(), "write failed: " + path.string());
+  OutputFile file((fs::path(outDir) / "manifest.json").string());
+  file.stream() << json::Value(std::move(manifest)).dump(2);
+  file.commit();
 }
 
 }  // namespace ictm::scenario

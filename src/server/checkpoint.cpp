@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/output_file.hpp"
 #include "server/bytes.hpp"
 #include "stream/format.hpp"
 
@@ -133,17 +134,14 @@ void CheckpointStore::save(const SessionCheckpoint& checkpoint) {
   const std::string finalPath = dir_ + "/" + hexKey + "-" +
                                 std::to_string(checkpoint.state.seq) + kSuffix;
   const std::string tmpPath = finalPath + ".tmp";
-  {
-    std::ofstream os(tmpPath, std::ios::binary | std::ios::trunc);
-    ICTM_REQUIRE(os.is_open(), "cannot open checkpoint file: " + tmpPath);
-    os.write(kMagic, sizeof(kMagic));
-    os.write(reinterpret_cast<const char*>(&bodyLen), sizeof(bodyLen));
-    os.write(reinterpret_cast<const char*>(body.data()),
-             static_cast<std::streamsize>(body.size()));
-    os.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    os.flush();
-    ICTM_REQUIRE(os.good(), "short write to checkpoint file: " + tmpPath);
-  }
+  OutputFile file(tmpPath);
+  std::ostream& os = file.stream();
+  os.write(kMagic, sizeof(kMagic));
+  os.write(reinterpret_cast<const char*>(&bodyLen), sizeof(bodyLen));
+  os.write(reinterpret_cast<const char*>(body.data()),
+           static_cast<std::streamsize>(body.size()));
+  os.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  file.commit();
   std::error_code ec;
   fs::rename(tmpPath, finalPath, ec);
   ICTM_REQUIRE(!ec, "cannot publish checkpoint " + finalPath + ": " +

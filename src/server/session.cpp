@@ -107,14 +107,15 @@ struct Session::Impl {
   }
 
   /// Answers a failure with a typed ERROR frame, the session's last,
-  /// and reports "session over"; once the handshake started the
-  /// session it also tears the data path down.
+  /// tears the data path down (before the handshake there is no
+  /// estimator, so that only shuts the socket and the peer sees EOF)
+  /// and reports "session over".
   bool fail(ErrorCode code, const std::string& message) {
     ErrorInfo info;
     info.code = code;
     info.message = message;
     send(FrameType::kError, info.encode(), /*last=*/true);
-    if (handshaken) teardown();
+    teardown();
     return false;
   }
 

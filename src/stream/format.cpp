@@ -2,8 +2,8 @@
 
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -48,12 +48,6 @@ template <typename T>
 void ReadRaw(std::istream& is, T& value, const std::string& what) {
   is.read(reinterpret_cast<char*>(&value), sizeof value);
   ICTM_REQUIRE(is.good(), "ictmb: truncated while reading " + what);
-}
-
-std::uint64_t FileSizeOf(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  ICTM_REQUIRE(in.is_open(), "cannot open file for reading: " + path);
-  return static_cast<std::uint64_t>(in.tellg());
 }
 
 }  // namespace
@@ -109,11 +103,7 @@ std::uint32_t Crc32(const void* data, std::size_t len,
 TraceWriter::TraceWriter(const std::string& path, std::size_t nodes,
                          double binSeconds,
                          const TraceWriterOptions& options)
-    : out_(path, std::ios::binary),
-      path_(path),
-      nodes_(nodes),
-      options_(options) {
-  ICTM_REQUIRE(out_.is_open(), "cannot open file for writing: " + path);
+    : file_(path), nodes_(nodes), options_(options) {
   ICTM_REQUIRE(nodes > 0, "ictmb: node count must be positive");
   ICTM_REQUIRE(binSeconds > 0.0, "ictmb: binSeconds must be positive");
   ICTM_REQUIRE(options.binsPerChunk > 0,
@@ -128,7 +118,6 @@ TraceWriter::TraceWriter(const std::string& path, std::size_t nodes,
   WriteRaw(out_, static_cast<std::uint64_t>(nodes));
   WriteRaw(out_, binSeconds);
   WriteRaw(out_, static_cast<std::uint64_t>(options.binsPerChunk));
-  ICTM_REQUIRE(out_.good(), "ictmb: header write failed: " + path);
 
   if (options.compressThreads > 0) {
     const std::size_t n2 = nodes * nodes;
@@ -144,22 +133,11 @@ TraceWriter::TraceWriter(const std::string& path, std::size_t nodes,
   }
 }
 
-TraceWriter::TraceWriter(const std::string& path, std::size_t nodes,
-                         double binSeconds, std::size_t binsPerChunk)
-    : TraceWriter(path, nodes, binSeconds,
-                  TraceWriterOptions{binsPerChunk, ChunkCodec::kRaw, 0}) {}
-
-TraceWriter::~TraceWriter() {
-  if (closed_) return;
-  try {
-    close();
-  } catch (...) {
-    // Destructor fallback only; call close() to observe failures.
-  }
-}
+// Out of line: OrderedPool is complete only here.
+TraceWriter::~TraceWriter() = default;
 
 void TraceWriter::append(const double* bin) {
-  ICTM_REQUIRE(!closed_, "ictmb: append after close: " + path_);
+  ICTM_REQUIRE(!closed_, "ictmb: append after close: " + file_.path());
   buffer_.insert(buffer_.end(), bin, bin + nodes_ * nodes_);
   ++binsWritten_;
   if (buffer_.size() == options_.binsPerChunk * nodes_ * nodes_) {
@@ -210,7 +188,7 @@ void TraceWriter::writeFrame(const EncodedChunk& chunk) {
   crc = Crc32(&rawBytes, sizeof rawBytes, crc);
   crc = Crc32(chunk.payload.data(), chunk.payload.size(), crc);
   WriteRaw(out_, crc);
-  ICTM_REQUIRE(out_.good(), "ictmb: chunk write failed: " + path_);
+  ICTM_REQUIRE(out_.good(), "ictmb: chunk write failed: " + file_.path());
   index_.push_back({offset, chunk.binCount});
   if (recording) {
     chunksWritten.add();
@@ -232,7 +210,7 @@ void TraceWriter::flushChunk() {
 }
 
 void TraceWriter::close() {
-  ICTM_REQUIRE(!closed_, "ictmb: close called twice: " + path_);
+  ICTM_REQUIRE(!closed_, "ictmb: close called twice: " + file_.path());
   closed_ = true;
   flushChunk();
   if (pool_ != nullptr) pool_->finish();
@@ -258,13 +236,7 @@ void TraceWriter::close() {
   // Footer.
   WriteRaw(out_, indexOffset);
   out_.write(kEndMagic.data(), kEndMagic.size());
-  out_.flush();
-  ICTM_REQUIRE(out_.good(), "ictmb: index/footer write failed: " + path_);
-  out_.close();
-  // close() flushes any remaining buffered bytes; a short write or
-  // full disk detected here must surface, not vanish.
-  ICTM_REQUIRE(!out_.fail(),
-               "ictmb: close failed (short write or full disk): " + path_);
+  file_.commit();
 }
 
 // ---- TraceReader -----------------------------------------------------------
@@ -551,13 +523,6 @@ traffic::TrafficMatrixSeries TraceReader::readAll() {
 
 void WriteTraceFile(const std::string& path,
                     const traffic::TrafficMatrixSeries& series,
-                    std::size_t binsPerChunk) {
-  WriteTraceFile(path, series,
-                 TraceWriterOptions{binsPerChunk, ChunkCodec::kRaw, 0});
-}
-
-void WriteTraceFile(const std::string& path,
-                    const traffic::TrafficMatrixSeries& series,
                     const TraceWriterOptions& options) {
   TraceWriter writer(path, series.nodeCount(), series.binSeconds(),
                      options);
@@ -574,75 +539,33 @@ traffic::TrafficMatrixSeries ReadTraceFile(const std::string& path) {
 
 void ConvertCsvToTrace(const std::string& csvPath,
                        const std::string& tracePath,
-                       std::size_t binsPerChunk) {
-  ConvertCsvToTrace(csvPath, tracePath,
-                    TraceWriterOptions{binsPerChunk, ChunkCodec::kRaw, 0});
-}
-
-namespace {
-
-// Opens a writer on `path`, lets `fill` append every bin, and seals
-// the file.  ~TraceWriter seals whatever was appended, so when `fill`
-// or the seal throws, the file is deleted before the error propagates:
-// a failed conversion leaves no readable partial trace behind.  A
-// writer that cannot open `path` throws before anything is deleted.
-template <typename Fill>
-void WriteTraceOrRemove(const std::string& path, std::size_t nodes,
-                        double binSeconds, const TraceWriterOptions& options,
-                        const Fill& fill) {
-  auto writer =
-      std::make_unique<TraceWriter>(path, nodes, binSeconds, options);
-  try {
-    fill(*writer);
-    writer->close();
-  } catch (...) {
-    writer.reset();
-    std::remove(path.c_str());
-    throw;
-  }
-}
-
-}  // namespace
-
-void ConvertCsvToTrace(const std::string& csvPath,
-                       const std::string& tracePath,
                        const TraceWriterOptions& options) {
+  RequireDistinctOutput(csvPath, tracePath);
   std::ifstream in(csvPath);
   ICTM_REQUIRE(in.is_open(), "cannot open file for reading: " + csvPath);
   const traffic::CsvHeader h = traffic::ReadCsvHeader(in);
   std::vector<double> bin(h.nodes * h.nodes);
-  WriteTraceOrRemove(tracePath, h.nodes, h.binSeconds, options,
-                     [&](TraceWriter& writer) {
-                       for (std::size_t t = 0; t < h.bins; ++t) {
-                         traffic::ReadCsvBin(in, h, t, bin.data());
-                         writer.append(bin.data());
-                       }
-                     });
+  TraceWriter writer(tracePath, h.nodes, h.binSeconds, options);
+  for (std::size_t t = 0; t < h.bins; ++t) {
+    traffic::ReadCsvBin(in, h, t, bin.data());
+    writer.append(bin.data());
+  }
+  writer.close();
 }
 
 void ConvertTraceToCsv(const std::string& tracePath,
                        const std::string& csvPath) {
+  RequireDistinctOutput(tracePath, csvPath);
   TraceReader reader(tracePath);
-  std::ofstream out(csvPath);
-  ICTM_REQUIRE(out.is_open(), "cannot open file for writing: " + csvPath);
-  // The header promises every bin, so a refused bin or a damaged chunk
-  // must not leave the rows before it behind: close and delete the CSV,
-  // as WriteTraceOrRemove does for ictmb outputs.
-  try {
-    const TraceInfo& info = reader.info();
-    traffic::WriteCsvHeader(out, {info.nodes, info.bins, info.binSeconds});
-    std::vector<double> bin(info.nodes * info.nodes);
-    while (reader.next(bin.data())) {
-      traffic::WriteCsvBin(out, info.nodes, bin.data());
-    }
-    out.close();
-    ICTM_REQUIRE(out.good(), "stream failure while writing TM CSV: " +
-                                 csvPath);
-  } catch (...) {
-    out.close();
-    std::remove(csvPath.c_str());
-    throw;
+  OutputFile out(csvPath);
+  const TraceInfo& info = reader.info();
+  traffic::WriteCsvHeader(out.stream(),
+                          {info.nodes, info.bins, info.binSeconds});
+  std::vector<double> bin(info.nodes * info.nodes);
+  while (reader.next(bin.data())) {
+    traffic::WriteCsvBin(out.stream(), info.nodes, bin.data());
   }
+  out.commit();
 }
 
 bool IsTraceFile(const std::string& path) {
@@ -658,9 +581,7 @@ bool IsTraceFile(const std::string& path) {
 RepackResult RepackTrace(const std::string& inPath,
                          const std::string& outPath,
                          const TraceWriterOptions& options) {
-  ICTM_REQUIRE(inPath != outPath,
-               "ictmb repack: input and output paths must differ: " +
-                   inPath);
+  RequireDistinctOutput(inPath, outPath);
   TraceReaderOptions readerOptions;
   readerOptions.prefetch = true;
   TraceReader reader(inPath, readerOptions);
@@ -670,17 +591,14 @@ RepackResult RepackTrace(const std::string& inPath,
     writerOptions.binsPerChunk = info.binsPerChunk;
   }
   std::vector<double> bin(info.nodes * info.nodes);
-  WriteTraceOrRemove(outPath, info.nodes, info.binSeconds, writerOptions,
-                     [&](TraceWriter& writer) {
-                       while (reader.next(bin.data())) {
-                         writer.append(bin.data());
-                       }
-                     });
+  TraceWriter writer(outPath, info.nodes, info.binSeconds, writerOptions);
+  while (reader.next(bin.data())) writer.append(bin.data());
+  writer.close();
 
   RepackResult result;
   result.bins = info.bins;
-  result.inputBytes = FileSizeOf(inPath);
-  result.outputBytes = FileSizeOf(outPath);
+  result.inputBytes = std::filesystem::file_size(inPath);
+  result.outputBytes = std::filesystem::file_size(outPath);
   return result;
 }
 

@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "common/output_file.hpp"
 #include "stream/codec.hpp"
 #include "traffic/tm_series.hpp"
 
@@ -85,20 +86,17 @@ struct TraceWriterOptions {
 /// with the configured codec (falling back to raw per chunk when
 /// compression would not shrink it) and flushed with a self-describing
 /// frame header and CRC.  close() writes the chunk index and footer
-/// and is the sanctioned error-reporting path: any write failure —
-/// including one detected on a compression worker — surfaces there
-/// (or from an earlier append()) as ictm::Error.  The destructor
-/// calls close() as a last-resort fallback but swallows errors; call
-/// close() explicitly to observe IO failures.
+/// and commits the file: any write failure — including one detected
+/// on a compression worker — surfaces there (or from an earlier
+/// append()) as ictm::Error.  A writer destroyed without a successful
+/// close() leaves no file behind (common/output_file.hpp), so a
+/// failed run never leaves a sealed partial trace.
 class TraceWriter {
  public:
   /// Opens `path` for writing and emits the header.
   TraceWriter(const std::string& path, std::size_t nodes,
-              double binSeconds, const TraceWriterOptions& options);
-  /// Convenience overload: raw codec, inline encoding.
-  TraceWriter(const std::string& path, std::size_t nodes,
-              double binSeconds, std::size_t binsPerChunk = 64);
-  /// Calls close() as a fallback, swallowing errors.
+              double binSeconds, const TraceWriterOptions& options = {});
+  /// Joins the encoders; the file is removed unless close() succeeded.
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;             ///< non-copyable
@@ -112,7 +110,7 @@ class TraceWriter {
   /// Flushes the current chunk, drains the worker pool and writes the
   /// index + footer; the writer cannot append afterwards.  Throws
   /// ictm::Error on any IO failure, including short writes and full
-  /// disks detected at the final flush.
+  /// disks detected at the final flush, and then leaves no file.
   void close();
 
   /// Bins appended so far.
@@ -131,8 +129,8 @@ class TraceWriter {
   void writeFrame(const EncodedChunk& chunk);
   EncodedChunk encodeChunk(const double* bins, std::size_t binCount) const;
 
-  std::ofstream out_;
-  std::string path_;
+  OutputFile file_;
+  std::ostream& out_ = file_.stream();
   std::size_t nodes_ = 0;
   TraceWriterOptions options_;
   std::size_t binsWritten_ = 0;
@@ -238,29 +236,20 @@ class TraceReader {
 /// Writes a whole series as one `ictmb` file.
 void WriteTraceFile(const std::string& path,
                     const traffic::TrafficMatrixSeries& series,
-                    std::size_t binsPerChunk = 64);
-
-/// Writes a whole series as one `ictmb` file with full writer options.
-void WriteTraceFile(const std::string& path,
-                    const traffic::TrafficMatrixSeries& series,
-                    const TraceWriterOptions& options);
+                    const TraceWriterOptions& options = {});
 
 /// Reads a whole `ictmb` file into a series.
 traffic::TrafficMatrixSeries ReadTraceFile(const std::string& path);
 
 /// Converts a TM CSV into an `ictmb` trace one bin at a time (bounded
-/// memory: one bin plus one chunk buffer).
+/// memory: one bin plus one chunk buffer).  Refuses a `tracePath`
+/// that names the input.
 void ConvertCsvToTrace(const std::string& csvPath,
                        const std::string& tracePath,
-                       std::size_t binsPerChunk = 64);
-
-/// Converts a TM CSV into an `ictmb` trace with full writer options.
-void ConvertCsvToTrace(const std::string& csvPath,
-                       const std::string& tracePath,
-                       const TraceWriterOptions& options);
+                       const TraceWriterOptions& options = {});
 
 /// Converts an `ictmb` trace back into the TM CSV format, streaming
-/// one bin at a time.
+/// one bin at a time.  Refuses a `csvPath` that names the input.
 void ConvertTraceToCsv(const std::string& tracePath,
                        const std::string& csvPath);
 
@@ -280,7 +269,8 @@ struct RepackResult {
 /// at a time, prefetching the input.  `options.binsPerChunk == 0`
 /// keeps the input's chunking.  Bin payloads are preserved
 /// bit-exactly; repacking with identical options is idempotent
-/// (byte-identical output).
+/// (byte-identical output).  Refuses an `outPath` that names the
+/// input, however it is spelled.
 RepackResult RepackTrace(const std::string& inPath,
                          const std::string& outPath,
                          const TraceWriterOptions& options);

@@ -11,6 +11,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/output_file.hpp"
+
 namespace ictm::topology {
 
 namespace {
@@ -225,11 +227,9 @@ std::string WriteIctpString(const Graph& g) {
 }
 
 void WriteIctpFile(const std::string& path, const Graph& g) {
-  std::ofstream os(path);
-  ICTM_REQUIRE(os.is_open(), "cannot open file for writing: " + path);
-  WriteIctp(os, g);
-  os.flush();
-  ICTM_REQUIRE(os.good(), "write failed: " + path);
+  OutputFile file(path);
+  WriteIctp(file.stream(), g);
+  file.commit();
 }
 
 }  // namespace ictm::topology

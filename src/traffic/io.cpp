@@ -7,6 +7,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/output_file.hpp"
+
 namespace ictm::traffic {
 
 namespace {
@@ -129,9 +131,9 @@ void WriteCsv(std::ostream& os, const TrafficMatrixSeries& series) {
 
 void WriteCsvFile(const std::string& path,
                   const TrafficMatrixSeries& series) {
-  std::ofstream out(path);
-  ICTM_REQUIRE(out.is_open(), "cannot open file for writing: " + path);
-  WriteCsv(out, series);
+  OutputFile out(path);
+  WriteCsv(out.stream(), series);
+  out.commit();
 }
 
 TrafficMatrixSeries ReadCsv(std::istream& is) {

@@ -4,7 +4,10 @@
 // typed error frame — and a damaged session must never disturb its
 // siblings.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -457,6 +460,77 @@ TEST_F(ProtocolServerTest, RefusalsCarryTheRightCode) {
     Probe probe = Probe::ConnectTo(*server_);
     ASSERT_TRUE(probe.sendFrame(FrameType::kFin, EncodeCountPayload(0)));
     probe.expectError(ErrorCode::kProtocol);  // FIN before HELLO
+  }
+}
+
+TEST_F(ProtocolServerTest, RefusalBeforeTheHandshakeEndsWithEof) {
+  // A session refused before its handshake must shut its socket after
+  // the ERROR frame, not leave it open until the accept loop reaps the
+  // session on the next connection.  SO_RCVTIMEO turns a hang into a
+  // failed recv instead of a blocked test.
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> bytes;
+    ErrorCode code;
+  };
+  const auto helloFrame = [](const HelloRequest& hello) {
+    const auto payload = hello.encode();
+    return EncodeFrame(FrameType::kHello, payload.data(), payload.size());
+  };
+  std::vector<Case> cases;
+  {
+    HelloRequest hello = ValidHello();
+    hello.version = 99;
+    cases.push_back({"version 99", helloFrame(hello), ErrorCode::kVersion});
+  }
+  {
+    HelloRequest hello = ValidHello();
+    hello.f = 2.0;
+    cases.push_back({"f = 2", helloFrame(hello), ErrorCode::kBadHandshake});
+  }
+  {
+    HelloRequest hello = ValidHello();
+    hello.topologySpec.clear();
+    cases.push_back(
+        {"empty topology spec", helloFrame(hello), ErrorCode::kBadHandshake});
+  }
+  {
+    HelloRequest hello = ValidHello();
+    hello.resume = true;
+    cases.push_back(
+        {"resume without a key", helloFrame(hello), ErrorCode::kBadHandshake});
+  }
+  {
+    const std::vector<double> bin(11 * 11, 1.0);
+    const auto payload = EncodeBinPayload(0, bin.data(), 11);
+    cases.push_back({"BIN before HELLO",
+                     EncodeFrame(FrameType::kBin, payload.data(),
+                                 payload.size()),
+                     ErrorCode::kProtocol});
+  }
+  {
+    auto bytes = helloFrame(ValidHello());
+    bytes.back() ^= 0x01;  // CRC trailer bit-flip
+    cases.push_back({"CRC-damaged first frame", bytes, ErrorCode::kCrc});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Probe probe = Probe::ConnectTo(*server_);
+    const timeval timeout{5, 0};
+    ASSERT_EQ(::setsockopt(probe.socket.fd(), SOL_SOCKET, SO_RCVTIMEO,
+                           &timeout, sizeof timeout),
+              0);
+    ASSERT_TRUE(probe.sendRaw(c.bytes));
+    probe.expectError(c.code);
+    const auto start = std::chrono::steady_clock::now();
+    std::uint8_t byte = 0;
+    EXPECT_EQ(probe.socket.recvSome(&byte, 1), 0)
+        << "no EOF after the ERROR frame";
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              1.0);
   }
 }
 

@@ -4,6 +4,7 @@
 // the StreamingEstimator's streaming ≡ batch bit-identity contract,
 // and connection-level traffic streamed end to end.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
@@ -185,7 +186,7 @@ TEST(TraceFormat, RoundTripsAtFullPrecision) {
   const auto series = RandomSeries(5, 23, 7);
   const std::string path = TempPath("roundtrip.ictmb");
   // binsPerChunk = 4 forces several chunks plus a partial tail chunk.
-  WriteTraceFile(path, series, 4);
+  WriteTraceFile(path, series, TraceWriterOptions{4});
 
   TraceReader reader(path);
   EXPECT_EQ(reader.info().nodes, 5u);
@@ -202,9 +203,10 @@ TEST(TraceFormat, StreamingWriterMatchesWholeSeriesWriter) {
   const auto series = RandomSeries(3, 10, 11);
   const std::string a = TempPath("writer_a.ictmb");
   const std::string b = TempPath("writer_b.ictmb");
-  WriteTraceFile(a, series, 4);
+  WriteTraceFile(a, series, TraceWriterOptions{4});
   {
-    TraceWriter writer(b, series.nodeCount(), series.binSeconds(), 4);
+    TraceWriter writer(b, series.nodeCount(), series.binSeconds(),
+                       TraceWriterOptions{4});
     for (std::size_t t = 0; t < series.binCount(); ++t) {
       writer.append(series.binData(t));
     }
@@ -222,7 +224,7 @@ TEST(TraceFormat, StreamingWriterMatchesWholeSeriesWriter) {
 TEST(TraceFormat, RandomAccessSeek) {
   const auto series = RandomSeries(4, 17, 3);
   const std::string path = TempPath("seek.ictmb");
-  WriteTraceFile(path, series, 5);
+  WriteTraceFile(path, series, TraceWriterOptions{5});
 
   TraceReader reader(path);
   std::vector<double> bin(16);
@@ -241,7 +243,7 @@ TEST(TraceFormat, RandomAccessSeek) {
 TEST(TraceFormat, RejectsTruncationAndCorruption) {
   const auto series = RandomSeries(3, 8, 5);
   const std::string path = TempPath("corrupt.ictmb");
-  WriteTraceFile(path, series, 4);
+  WriteTraceFile(path, series, TraceWriterOptions{4});
 
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -324,7 +326,7 @@ TEST(TraceFormat, CsvConvertersRoundTrip) {
   const std::string csvBack = TempPath("convert_out.csv");
   traffic::WriteCsvFile(csv, series);
 
-  ConvertCsvToTrace(csv, trace, 4);
+  ConvertCsvToTrace(csv, trace, TraceWriterOptions{4});
   ExpectBitIdentical(series, ReadTraceFile(trace));
 
   ConvertTraceToCsv(trace, csvBack);
@@ -339,7 +341,7 @@ TEST(TraceFormat, FailedConversionLeavesNoTrace) {
   const std::string csv = TempPath("convert_nan.csv");
   const std::string trace = TempPath("convert_nan.ictmb");
   traffic::WriteCsvFile(csv, series);
-  EXPECT_THROW(ConvertCsvToTrace(csv, trace, 1), Error);
+  EXPECT_THROW(ConvertCsvToTrace(csv, trace, TraceWriterOptions{1}), Error);
   EXPECT_FALSE(std::ifstream(trace).is_open())
       << "failed conversion left " << trace;
 }
@@ -352,6 +354,30 @@ TEST(TraceFormat, DamagedChunkConversionLeavesNoCsv) {
   const std::string csv = TempPath("convert_crc.csv");
   EXPECT_THROW(ConvertTraceToCsv(trace, csv), Error);
   EXPECT_FALSE(std::ifstream(csv).is_open()) << "failed convert left " << csv;
+}
+
+TEST(TraceFormat, ConvertersRefuseToOverwriteTheirInput) {
+  // Opening the output would truncate the input before it was read,
+  // so both converters refuse it however it is spelled, and the input
+  // keeps its bytes.
+  const auto series = RandomSeries(3, 5, 37);
+  const std::string csv = TempPath("self_convert.csv");
+  const std::string trace = TempPath("self_convert.ictmb");
+  traffic::WriteCsvFile(csv, series);
+  WriteTraceFile(trace, series);
+  const std::string csvBytes = ReadBytes(csv);
+  const std::string traceBytes = ReadBytes(trace);
+  const auto respell = [](const std::string& path) {
+    const std::size_t slash = path.rfind('/');
+    return path.substr(0, slash) + "/." + path.substr(slash);
+  };
+
+  EXPECT_THROW(ConvertCsvToTrace(csv, csv), Error);
+  EXPECT_THROW(ConvertCsvToTrace(csv, respell(csv)), Error);
+  EXPECT_THROW(ConvertTraceToCsv(trace, trace), Error);
+  EXPECT_THROW(ConvertTraceToCsv(trace, respell(trace)), Error);
+  EXPECT_EQ(ReadBytes(csv), csvBytes);
+  EXPECT_EQ(ReadBytes(trace), traceBytes);
 }
 
 TEST(TraceFormat, RefusesNonFiniteOrNegativeCells) {
@@ -933,7 +959,19 @@ TEST(Repack, IdempotentAndInheritsChunking) {
   EXPECT_EQ(reader.info().binsPerChunk, 4u);  // inherited
   ExpectBitIdentical(series, reader.readAll());
 
-  EXPECT_THROW(RepackTrace(a, a, delta), Error);  // in-place refused
+  // In-place repacking is refused however the output is spelled, and
+  // the input keeps its bytes.
+  const std::string bytes = ReadBytes(a);
+  const std::size_t slash = a.rfind('/');
+  const std::string link = TempPath("rp_a_link.ictmb");
+  ASSERT_EQ(::symlink(a.c_str(), link.c_str()), 0);
+  EXPECT_THROW(RepackTrace(a, a, delta), Error);
+  EXPECT_THROW(RepackTrace(a, a.substr(0, slash) + "/." + a.substr(slash),
+                           delta),
+               Error);
+  EXPECT_THROW(RepackTrace(a, link, delta), Error);
+  EXPECT_EQ(ReadBytes(a), bytes) << "repack damaged its own input";
+  ::unlink(link.c_str());
 }
 
 TEST(Repack, FailedRepackLeavesNoOutput) {
@@ -1015,10 +1053,13 @@ TEST(TraceWriter, CloseSurfacesWriteFailuresOnFullDevice) {
   // /dev/full fails every flush with ENOSPC — exactly the silent-loss
   // scenario the close() contract exists for.  Both the serial and the
   // pooled writer must surface it as ictm::Error from append()/close(),
-  // never swallow it.
+  // never swallow it.  The device is reached through a symlink, and a
+  // failed writer must unlink neither.
   if (::access("/dev/full", W_OK) != 0) {
     GTEST_SKIP() << "/dev/full not available";
   }
+  const std::string full = TempPath("full.ictmb");
+  ASSERT_EQ(::symlink("/dev/full", full.c_str()), 0);
   const auto series = SmoothSeries(8, 256, 73);
   for (std::size_t threads : {0u, 2u}) {
     SCOPED_TRACE("compressThreads=" + std::to_string(threads));
@@ -1027,8 +1068,8 @@ TEST(TraceWriter, CloseSurfacesWriteFailuresOnFullDevice) {
       options.binsPerChunk = 16;
       options.codec = ChunkCodec::kRaw;  // incompressible-size output
       options.compressThreads = threads;
-      TraceWriter writer("/dev/full", series.nodeCount(),
-                         series.binSeconds(), options);
+      TraceWriter writer(full, series.nodeCount(), series.binSeconds(),
+                         options);
       for (std::size_t t = 0; t < series.binCount(); ++t) {
         writer.append(series.binData(t));
       }
@@ -1036,12 +1077,10 @@ TEST(TraceWriter, CloseSurfacesWriteFailuresOnFullDevice) {
     };
     EXPECT_THROW(run(), Error);
   }
-  // The destructor swallows the same failure by design (close() is the
-  // sanctioned error path); destroying an unclosed writer must not
-  // throw or crash.
+  // Destroying an unclosed writer must not throw or crash.
   {
-    TraceWriter writer("/dev/full", series.nodeCount(),
-                       series.binSeconds(), 16);
+    TraceWriter writer(full, series.nodeCount(), series.binSeconds(),
+                       TraceWriterOptions{16});
     try {
       for (std::size_t t = 0; t < 64; ++t) {
         writer.append(series.binData(t));
@@ -1050,6 +1089,32 @@ TEST(TraceWriter, CloseSurfacesWriteFailuresOnFullDevice) {
       // append may already surface the failure; the destructor of the
       // still-unclosed writer must stay silent either way.
     }
+  }
+  struct stat st {};
+  EXPECT_EQ(::lstat(full.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISLNK(st.st_mode)) << "the symlink was unlinked";
+  EXPECT_EQ(::stat("/dev/full", &st), 0) << "the device node was unlinked";
+  ::unlink(full.c_str());
+}
+
+TEST(TraceWriter, DestroyedWithoutCloseLeavesNoFile) {
+  // Sealing what was appended would leave a shorter trace that reads
+  // back as a complete one.
+  const auto series = RandomSeries(3, 10, 79);
+  for (std::size_t threads : {0u, 2u}) {
+    SCOPED_TRACE("compressThreads=" + std::to_string(threads));
+    const std::string path = TempPath("unclosed.ictmb");
+    {
+      TraceWriterOptions options;
+      options.binsPerChunk = 4;
+      options.codec = ChunkCodec::kDelta;
+      options.compressThreads = threads;
+      TraceWriter writer(path, series.nodeCount(), series.binSeconds(),
+                         options);
+      for (std::size_t t = 0; t < 9; ++t) writer.append(series.binData(t));
+    }
+    EXPECT_FALSE(std::ifstream(path).is_open())
+        << "an unclosed writer left " << path;
   }
 }
 

@@ -57,6 +57,7 @@
 #include <signal.h>
 #include <time.h>
 
+#include "common/output_file.hpp"
 #include "common/parallel.hpp"
 #include "conngen/fmeasure.hpp"
 #include "obs/metrics.hpp"
@@ -125,18 +126,13 @@ struct ObsOutputs {
   void finish() const {
     if (!tracePath.empty()) {
       std::string error;
-      if (obs::tracing::Stop(&error)) {
-        std::printf("wrote trace to %s\n", tracePath.c_str());
-      } else {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-      }
+      if (!obs::tracing::Stop(&error)) throw std::runtime_error(error);
+      std::printf("wrote trace to %s\n", tracePath.c_str());
     }
     if (!metricsPath.empty()) {
-      std::ofstream out(metricsPath);
-      ICTM_REQUIRE(out.is_open(),
-                   "cannot open file for writing: " + metricsPath);
-      out << obs::Registry::Instance().snapshot().toJson() << "\n";
-      ICTM_REQUIRE(out.good(), "metrics write failed: " + metricsPath);
+      OutputFile out(metricsPath);
+      out.stream() << obs::Registry::Instance().snapshot().toJson() << "\n";
+      out.commit();
       std::printf("wrote metrics to %s\n", metricsPath.c_str());
     }
   }
@@ -748,23 +744,25 @@ class TraceInput {
 };
 
 // DIR/estimates.ictmb and DIR/priors.ictmb for --out DIR; none
-// without it.
+// without it.  A run that fails before close() leaves neither file.
 struct OutputTraces {
   std::optional<stream::TraceWriter> estimates, priors;
 
-  OutputTraces(const StreamFlags& flags, std::size_t nodes,
-               double binSeconds)
-      : estimatesPath_(flags.outDir + "/estimates.ictmb"),
-        priorsPath_(flags.outDir + "/priors.ictmb") {
+  OutputTraces(const StreamFlags& flags, const std::string& inPath,
+               std::size_t nodes, double binSeconds) {
     if (flags.outDir.empty()) return;
+    const std::string estimatesPath = flags.outDir + "/estimates.ictmb";
+    const std::string priorsPath = flags.outDir + "/priors.ictmb";
+    RequireDistinctOutput(inPath, estimatesPath);
+    RequireDistinctOutput(inPath, priorsPath);
     std::filesystem::create_directories(flags.outDir);
     stream::TraceWriterOptions options;
     options.codec = flags.codec;
     // File bytes are identical for any pool size, so one background
     // compressor is pure overlap when a real codec is selected.
     options.compressThreads = flags.codec == stream::ChunkCodec::kRaw ? 0 : 1;
-    estimates.emplace(estimatesPath_, nodes, binSeconds, options);
-    priors.emplace(priorsPath_, nodes, binSeconds, options);
+    estimates.emplace(estimatesPath, nodes, binSeconds, options);
+    priors.emplace(priorsPath, nodes, binSeconds, options);
   }
 
   void append(const double* estimate, const double* prior) {
@@ -781,19 +779,6 @@ struct OutputTraces {
     priors->close();
     return true;
   }
-
-  /// Destroys both writers and deletes their files, so a failed run
-  /// leaves no sealed partial trace that reads back as a complete one.
-  void remove() {
-    if (!estimates) return;
-    estimates.reset();
-    priors.reset();
-    std::remove(estimatesPath_.c_str());
-    std::remove(priorsPath_.c_str());
-  }
-
- private:
-  std::string estimatesPath_, priorsPath_;
 };
 
 int CmdStream(int argc, char** argv) {
@@ -831,7 +816,7 @@ int CmdStream(int argc, char** argv) {
               bins, nodes, flags.topology.c_str(), g.linkCount(), workers,
               options.window, options.queueCapacity);
 
-  OutputTraces out(flags, nodes, input.header.binSeconds);
+  OutputTraces out(flags, inPath, nodes, input.header.binSeconds);
 
   // Truth bins in flight between push and emission, for per-bin
   // scoring; the bounded queue keeps this map small.
@@ -841,48 +826,42 @@ int CmdStream(int argc, char** argv) {
   std::size_t scoredBins = 0;
 
   const auto start = std::chrono::steady_clock::now();
-  try {
-    stream::StreamingEstimator estimator(
-        routing, nodes, options,
-        [&](std::size_t seq, const double* estimate, const double* prior) {
-          std::vector<double> truthBin;
-          {
-            std::lock_guard<std::mutex> lock(truthMutex);
-            auto it = inflight.find(seq);
-            truthBin = std::move(it->second);
-            inflight.erase(it);
-          }
-          // Per-bin RelL2 (Frobenius), as core::RelL2TemporalSeries.
-          double truthSq = 0.0, estSq = 0.0, priorSq = 0.0;
-          for (std::size_t k = 0; k < nodes * nodes; ++k) {
-            const double x = truthBin[k];
-            truthSq += x * x;
-            estSq += (x - estimate[k]) * (x - estimate[k]);
-            priorSq += (x - prior[k]) * (x - prior[k]);
-          }
-          if (truthSq > 0.0) {
-            sumErrEst += std::sqrt(estSq / truthSq);
-            sumErrPrior += std::sqrt(priorSq / truthSq);
-            ++scoredBins;
-          }
-          out.append(estimate, prior);
-        });
+  stream::StreamingEstimator estimator(
+      routing, nodes, options,
+      [&](std::size_t seq, const double* estimate, const double* prior) {
+        std::vector<double> truthBin;
+        {
+          std::lock_guard<std::mutex> lock(truthMutex);
+          auto it = inflight.find(seq);
+          truthBin = std::move(it->second);
+          inflight.erase(it);
+        }
+        // Per-bin RelL2 (Frobenius), as core::RelL2TemporalSeries.
+        double truthSq = 0.0, estSq = 0.0, priorSq = 0.0;
+        for (std::size_t k = 0; k < nodes * nodes; ++k) {
+          const double x = truthBin[k];
+          truthSq += x * x;
+          estSq += (x - estimate[k]) * (x - estimate[k]);
+          priorSq += (x - prior[k]) * (x - prior[k]);
+        }
+        if (truthSq > 0.0) {
+          sumErrEst += std::sqrt(estSq / truthSq);
+          sumErrPrior += std::sqrt(priorSq / truthSq);
+          ++scoredBins;
+        }
+        out.append(estimate, prior);
+      });
 
-    std::vector<double> bin(nodes * nodes);
-    for (std::size_t t = 0; t < bins; ++t) {
-      input.read(t, bin.data());
-      {
-        std::lock_guard<std::mutex> lock(truthMutex);
-        inflight.emplace(t, bin);
-      }
-      estimator.push(stream::MakeBinEvent(routing, nodes, bin.data()));
+  std::vector<double> bin(nodes * nodes);
+  for (std::size_t t = 0; t < bins; ++t) {
+    input.read(t, bin.data());
+    {
+      std::lock_guard<std::mutex> lock(truthMutex);
+      inflight.emplace(t, bin);
     }
-    estimator.finish();
-  } catch (...) {
-    // The estimator, whose emit appends to `out`, is already gone.
-    out.remove();
-    throw;
+    estimator.push(stream::MakeBinEvent(routing, nodes, bin.data()));
   }
+  estimator.finish();
   const double sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start)
@@ -1126,7 +1105,7 @@ int CmdClient(int argc, char** argv) {
   // Frames arrive strictly in order, so the writers can append as the
   // receiver thread decodes; estimates/priors land exactly as `ictm
   // stream --out` writes them.
-  OutputTraces out(flags, nodes, input.header.binSeconds);
+  OutputTraces out(flags, inPath, nodes, input.header.binSeconds);
   std::vector<double> bin(nodes * nodes);
   std::vector<double> estimate(nodes * nodes), prior(nodes * nodes);
   const server::ClientResult result = server::Client::Run(

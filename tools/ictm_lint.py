@@ -36,6 +36,12 @@ constructs that break the contract in ways a lucky schedule hides:
              stoul, stod, ...), which accept trailing junk and throw
              untyped exceptions — use snprintf and the strict strtod /
              std::from_chars parsers, which reject the whole token.
+  ICTM-D006  raw std::ofstream / std::fstream outside
+             src/common/output_file.cpp — a raw stream reports success
+             after a short write unless its caller flushes, closes and
+             checks, and leaves a partial file behind on failure; write
+             through ictm::OutputFile, which commits the whole file or
+             removes it.
 
 No compiler dependency: pure stdlib regex over comment- and
 string-stripped sources, so the gate runs anywhere Python 3 runs.
@@ -70,7 +76,13 @@ RULES = {
                  "breaks thread-count determinism",
     "ICTM-D005": "banned C function or std::sto* parser; use snprintf / "
                  "the strict strtod- or from_chars-based parsers",
+    "ICTM-D006": "raw output file stream; write through ictm::OutputFile "
+                 "(common/output_file.hpp), which commits the whole file "
+                 "or removes it",
 }
+
+# The one file allowed to hold an output file stream (ICTM-D006).
+OUTPUT_FILE_SOURCE = "src/common/output_file.cpp"
 
 # Directories (relative to the repo root) whose floating-point code is
 # part of the estimation contract — ICTM-D003 applies only there.
@@ -113,6 +125,8 @@ BANNED_CALL = re.compile(
     r"(?<![\w.])(?:sprintf|vsprintf|strcpy|strncpy|strcat|strncat|gets|"
     r"atoi|atol|atoll|atof|strtok|"
     r"stoi|stol|stoll|stoul|stoull|stof|stod|stold)\s*\(")
+
+OUTPUT_STREAM = re.compile(r"\bstd::(?:basic_|w)?o?fstream\b")
 
 
 class Finding(NamedTuple):
@@ -220,6 +234,7 @@ def scan_file(path: str, rel: str, estimation_path: Optional[bool] = None
         estimation_path = any(norm.startswith(d + "/") or norm == d
                               for d in ESTIMATION_DIRS)
 
+    raw_streams_allowed = rel.replace(os.sep, "/") == OUTPUT_FILE_SOURCE
     findings: List[Finding] = []
 
     def hit(lineno: int, rule: str) -> None:
@@ -249,6 +264,8 @@ def scan_file(path: str, rel: str, estimation_path: Optional[bool] = None
             hit(idx, "ICTM-D004")
         if BANNED_CALL.search(line):
             hit(idx, "ICTM-D005")
+        if not raw_streams_allowed and OUTPUT_STREAM.search(line):
+            hit(idx, "ICTM-D006")
     return findings
 
 

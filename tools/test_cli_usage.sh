@@ -9,7 +9,13 @@
 # printed improvement must have the right sign, a failed `stream`
 # run leaves no --out files behind, and a trace bin holding a NaN cell
 # stops `stream` naming the bin and the cell, and stops `convert` to
-# CSV without leaving a partial CSV.
+# CSV without leaving a partial CSV.  A file that cannot be written
+# completely exits 1 in every subcommand, yet a FIFO, a device or a
+# symlink the output named is never unlinked, and an output that
+# names the input is refused before the input is touched.
+#
+# Devices are only ever reached through a symlink in the work dir, and
+# a FIFO gets its reader before ictm opens it.
 #
 # usage: test_cli_usage.sh <path-to-ictm>
 set -u
@@ -184,6 +190,92 @@ else
   echo "FAIL: convert of a NaN cell to CSV exited $rc (want 1) and left $(ls "$WORK/nan.csv" 2>/dev/null || echo nothing) (want nothing)"
   FAILURES=$((FAILURES + 1))
 fi
+
+# A failed convert into a FIFO (reader attached) or through a symlink
+# exits 1 and leaves the FIFO or the symlink where it was.
+mkfifo "$WORK/fifo.csv"
+cat "$WORK/fifo.csv" >/dev/null &
+reader=$!
+timeout 60 "$BIN" convert "$WORK/nan.ictmb" "$WORK/fifo.csv" >/dev/null 2>&1
+rc=$?
+kill "$reader" 2>/dev/null
+wait "$reader" 2>/dev/null
+if [ "$rc" -eq 1 ] && [ -p "$WORK/fifo.csv" ]; then
+  echo "ok (exit 1, FIFO kept): ictm convert <NaN cell> FIFO"
+else
+  echo "FAIL: convert of a NaN cell into a FIFO exited $rc (want 1); FIFO $([ -p "$WORK/fifo.csv" ] && echo kept || echo unlinked)"
+  FAILURES=$((FAILURES + 1))
+fi
+echo "user data" > "$WORK/target.csv"
+ln -s "$WORK/target.csv" "$WORK/link.csv"
+"$BIN" convert "$WORK/nan.ictmb" "$WORK/link.csv" >/dev/null 2>&1
+rc=$?
+if [ "$rc" -eq 1 ] && [ -L "$WORK/link.csv" ]; then
+  echo "ok (exit 1, symlink kept): ictm convert <NaN cell> SYMLINK"
+else
+  echo "FAIL: convert of a NaN cell through a symlink exited $rc (want 1); symlink $([ -L "$WORK/link.csv" ] && echo kept || echo unlinked)"
+  FAILURES=$((FAILURES + 1))
+fi
+
+# expect_full_device_error <link> <args...>: the command writes through
+# <link>, a symlink to /dev/full, so every flush fails with ENOSPC.  It
+# must exit 1, and both the symlink and the device must survive.
+expect_full_device_error() {
+  local link=$1 rc
+  shift
+  ln -s /dev/full "$link"
+  "$BIN" "$@" >/dev/null 2>&1
+  rc=$?
+  if [ "$rc" -eq 1 ] && [ -L "$link" ] && [ -c /dev/full ]; then
+    echo "ok (exit 1, symlink kept): ictm $*"
+  else
+    echo "FAIL: ictm $* into a /dev/full symlink exited $rc (want 1); symlink $([ -L "$link" ] && echo kept || echo unlinked)"
+    FAILURES=$((FAILURES + 1))
+  fi
+}
+
+if [ -c /dev/full ] && [ -w /dev/full ]; then
+  expect_full_device_error "$WORK/full.csv" synthesize "$WORK/full.csv" 6 3
+  mkdir "$WORK/runout"
+  expect_full_device_error "$WORK/runout/fig2_example.json" \
+    run fig2_example --tiny --out "$WORK/runout"
+  expect_full_device_error "$WORK/full-metrics.json" \
+    estimate "$WORK/tm.csv" --metrics-out "$WORK/full-metrics.json"
+  expect_full_device_error "$WORK/full-trace.json" \
+    estimate "$WORK/tm.csv" --trace-out "$WORK/full-trace.json"
+  expect_full_device_error "$WORK/full.ictp" \
+    topo gen geant22 --out "$WORK/full.ictp"
+else
+  echo "skip: /dev/full is not a writable device"
+fi
+
+# expect_input_kept <input> <args...>: the command's output names its
+# input, so it must exit 1 before opening it and leave the input's
+# bytes as they were.
+expect_input_kept() {
+  local input=$1 rc
+  shift
+  cp "$input" "$WORK/saved"
+  "$BIN" "$@" >/dev/null 2>&1
+  rc=$?
+  if [ "$rc" -eq 1 ] && cmp -s "$input" "$WORK/saved"; then
+    echo "ok (exit 1, input kept): ictm $*"
+  else
+    echo "FAIL: ictm $* exited $rc (want 1) and $([ -e "$input" ] && echo changed || echo deleted) its input"
+    FAILURES=$((FAILURES + 1))
+  fi
+}
+
+expect_ok convert "$WORK/tm.csv" "$WORK/self.ictmb"
+expect_input_kept "$WORK/tm.csv" convert "$WORK/tm.csv" "$WORK/tm.csv"
+expect_input_kept "$WORK/self.ictmb" \
+  convert "$WORK/self.ictmb" "$WORK/self.ictmb"
+expect_input_kept "$WORK/self.ictmb" \
+  repack "$WORK/self.ictmb" "$WORK/./self.ictmb"
+mkdir "$WORK/selfout"
+cp "$WORK/self.ictmb" "$WORK/selfout/estimates.ictmb"
+expect_input_kept "$WORK/selfout/estimates.ictmb" \
+  stream "$WORK/selfout/estimates.ictmb" --out "$WORK/selfout"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES CLI usage check(s) failed"
