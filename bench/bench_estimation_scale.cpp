@@ -19,20 +19,21 @@
 // usage: bench_estimation_scale [bins] [threads]
 //        bench_estimation_scale --topo-sweep [out.json] [threads]
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/output_file.hpp"
 #include "core/estimation.hpp"
 #include "core/gravity.hpp"
 #include "core/metrics.hpp"
 #include "linalg/lsq.hpp"
+#include "obs/now.hpp"
 #include "scenario/common.hpp"
 #include "topology/routing.hpp"
 #include "topology/topologies.hpp"
@@ -195,25 +196,6 @@ traffic::TrafficMatrixSeries EstimateSeries(
 
 }  // namespace legacy
 
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       t0)
-      .count();
-}
-
-bool BitIdentical(const traffic::TrafficMatrixSeries& a,
-                  const traffic::TrafficMatrixSeries& b) {
-  const std::size_t n = a.nodeCount();
-  for (std::size_t t = 0; t < a.binCount(); ++t) {
-    const double* pa = a.binData(t);
-    const double* pb = b.binData(t);
-    for (std::size_t k = 0; k < n * n; ++k) {
-      if (pa[k] != pb[k]) return false;
-    }
-  }
-  return true;
-}
-
 double MaxRelDiff(const traffic::TrafficMatrixSeries& a,
                   const traffic::TrafficMatrixSeries& b) {
   const std::size_t n = a.nodeCount();
@@ -232,18 +214,15 @@ double MaxRelDiff(const traffic::TrafficMatrixSeries& a,
 
 bool WriteJsonFile(const std::string& path,
                    ictm::scenario::json::Value doc) {
-  std::ofstream os(path);
-  if (!os.good()) {
-    std::fprintf(stderr, "cannot open for writing: %s\n", path.c_str());
+  try {
+    OutputFile out(path);
+    out.stream() << doc.dump(2);
+    out.commit();
+    return true;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return false;
   }
-  os << doc.dump(2);
-  os.flush();
-  if (!os.good()) {
-    std::fprintf(stderr, "write failed: %s\n", path.c_str());
-    return false;
-  }
-  return true;
 }
 
 // Node-count sweep over generated hierarchical backbones: times the
@@ -339,34 +318,34 @@ int main(int argc, char** argv) {
 
   core::EstimationOptions options;
 
-  auto t0 = std::chrono::steady_clock::now();
+  std::uint64_t t0 = obs::Now();
   const auto legacyEst =
       legacy::EstimateSeries(routingDense, truth, priors, options);
-  const double legacySec = SecondsSince(t0);
+  const double legacySec = obs::ElapsedSeconds(t0);
   std::printf("legacy dense serial       : %7.3f s  (%.2f ms/bin)\n",
               legacySec, 1e3 * legacySec / double(bins));
 
   options.threads = 1;
-  t0 = std::chrono::steady_clock::now();
+  t0 = obs::Now();
   const auto sparse1 =
       core::EstimateSeries(routing, truth, priors, options);
-  const double sparse1Sec = SecondsSince(t0);
+  const double sparse1Sec = obs::ElapsedSeconds(t0);
   std::printf("sparse engine, 1 thread   : %7.3f s  (%.2f ms/bin, %.2fx "
               "vs legacy)\n",
               sparse1Sec, 1e3 * sparse1Sec / double(bins),
               legacySec / sparse1Sec);
 
   options.threads = threads;
-  t0 = std::chrono::steady_clock::now();
+  t0 = obs::Now();
   const auto sparseT =
       core::EstimateSeries(routing, truth, priors, options);
-  const double sparseTSec = SecondsSince(t0);
+  const double sparseTSec = obs::ElapsedSeconds(t0);
   std::printf("sparse engine, %2zu threads : %7.3f s  (%.2f ms/bin, "
               "%.2fx vs legacy, %.2fx vs 1 thread)\n",
               threads, sparseTSec, 1e3 * sparseTSec / double(bins),
               legacySec / sparseTSec, sparse1Sec / sparseTSec);
 
-  const bool identical = BitIdentical(sparse1, sparseT);
+  const bool identical = scenario::BitIdentical(sparse1, sparseT);
   const double relDiff = MaxRelDiff(legacyEst, sparse1);
   std::printf("\nthreads=%zu vs threads=1: %s\n", threads,
               identical ? "bit-identical" : "MISMATCH");

@@ -17,16 +17,17 @@
 // pure function of the workload.
 #include <unistd.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 
+#include "common/error.hpp"
+#include "common/output_file.hpp"
 #include "core/estimation.hpp"
 #include "obs/metrics.hpp"
+#include "obs/now.hpp"
 #include "scenario/common.hpp"
 #include "scenario/json.hpp"
 #include "stats/rng.hpp"
@@ -39,7 +40,6 @@
 
 using namespace ictm;
 using scenario::BitIdentical;
-using scenario::SecondsSince;
 
 namespace {
 
@@ -109,12 +109,12 @@ int main(int argc, char** argv) {
   const std::string csvPath = (dir / "series.csv").string();
   const std::string tracePath = (dir / "series.ictmb").string();
 
-  auto t0 = std::chrono::steady_clock::now();
+  std::uint64_t t0 = obs::Now();
   traffic::WriteCsvFile(csvPath, series);
-  const double csvWriteSec = SecondsSince(t0);
-  t0 = std::chrono::steady_clock::now();
+  const double csvWriteSec = obs::ElapsedSeconds(t0);
+  t0 = obs::Now();
   stream::WriteTraceFile(tracePath, series);
-  const double traceWriteSec = SecondsSince(t0);
+  const double traceWriteSec = obs::ElapsedSeconds(t0);
   std::printf("write: CSV %.3f s (%zu bytes), binary %.3f s (%zu bytes)\n",
               csvWriteSec, static_cast<std::size_t>(fs::file_size(csvPath)),
               traceWriteSec,
@@ -125,12 +125,12 @@ int main(int argc, char** argv) {
   double csvSec = 1e30, traceSec = 1e30;
   bool agree = true;
   for (int rep = 0; rep < 3; ++rep) {
-    t0 = std::chrono::steady_clock::now();
+    t0 = obs::Now();
     const auto fromCsv = traffic::ReadCsvFile(csvPath);
-    csvSec = std::min(csvSec, SecondsSince(t0));
-    t0 = std::chrono::steady_clock::now();
+    csvSec = std::min(csvSec, obs::ElapsedSeconds(t0));
+    t0 = obs::Now();
     const auto fromTrace = stream::ReadTraceFile(tracePath);
-    traceSec = std::min(traceSec, SecondsSince(t0));
+    traceSec = std::min(traceSec, obs::ElapsedSeconds(t0));
     agree = agree && BitIdentical(fromCsv, series) &&
             BitIdentical(fromTrace, series);
   }
@@ -160,15 +160,15 @@ int main(int argc, char** argv) {
   bool obsIdentical = true;
   for (int rep = 0; rep < 5; ++rep) {
     obs::SetEnabled(false);
-    t0 = std::chrono::steady_clock::now();
+    t0 = obs::Now();
     stream::StreamingRunResult off =
         stream::EstimateSeriesStreaming(routing, series, options);
-    streamSec = std::min(streamSec, SecondsSince(t0));
+    streamSec = std::min(streamSec, obs::ElapsedSeconds(t0));
     obs::SetEnabled(true);
-    t0 = std::chrono::steady_clock::now();
+    t0 = obs::Now();
     stream::StreamingRunResult on =
         stream::EstimateSeriesStreaming(routing, series, options);
-    streamObsSec = std::min(streamObsSec, SecondsSince(t0));
+    streamObsSec = std::min(streamObsSec, obs::ElapsedSeconds(t0));
     obsIdentical = obsIdentical &&
                    BitIdentical(off.estimates, on.estimates) &&
                    BitIdentical(off.priors, on.priors);
@@ -179,10 +179,10 @@ int main(int argc, char** argv) {
 
   core::EstimationOptions batchOptions;
   batchOptions.threads = threads;
-  t0 = std::chrono::steady_clock::now();
+  t0 = obs::Now();
   const auto batch =
       core::EstimateSeries(routing, series, run.priors, batchOptions);
-  const double batchSec = SecondsSince(t0);
+  const double batchSec = obs::ElapsedSeconds(t0);
   const bool matches = BitIdentical(batch, run.estimates);
   std::printf("online estimation (best of 5): %.3f s (%.0f bins/s) at %zu "
               "worker(s); batch on the same priors: %.3f s; bit-identical: "
@@ -208,9 +208,9 @@ int main(int argc, char** argv) {
   double smoothCsvSec = 1e30;
   bool codecIdentical = true;
   for (int rep = 0; rep < 3; ++rep) {
-    t0 = std::chrono::steady_clock::now();
+    t0 = obs::Now();
     const auto fromCsv = traffic::ReadCsvFile(smoothCsvPath);
-    smoothCsvSec = std::min(smoothCsvSec, SecondsSince(t0));
+    smoothCsvSec = std::min(smoothCsvSec, obs::ElapsedSeconds(t0));
     codecIdentical = codecIdentical && BitIdentical(fromCsv, smooth);
   }
 
@@ -231,17 +231,17 @@ int main(int argc, char** argv) {
     writerOptions.compressThreads = codec == stream::ChunkCodec::kRaw
                                         ? 0
                                         : std::max<std::size_t>(1, threads);
-    t0 = std::chrono::steady_clock::now();
+    t0 = obs::Now();
     stream::WriteTraceFile(path, smooth, writerOptions);
-    const double writeSec = SecondsSince(t0);
+    const double writeSec = obs::ElapsedSeconds(t0);
     const std::size_t codecBytes =
         static_cast<std::size_t>(fs::file_size(path));
     double readSec = 1e30;
     for (int rep = 0; rep < 3; ++rep) {
-      t0 = std::chrono::steady_clock::now();
+      t0 = obs::Now();
       stream::TraceReader reader(path, stream::TraceReaderOptions{true});
       const auto back = reader.readAll();
-      readSec = std::min(readSec, SecondsSince(t0));
+      readSec = std::min(readSec, obs::ElapsedSeconds(t0));
       codecIdentical = codecIdentical && BitIdentical(back, smooth);
     }
     if (codec == stream::ChunkCodec::kRaw) rawBytes = codecBytes;
@@ -291,12 +291,14 @@ int main(int argc, char** argv) {
     doc.set("delta_halves_raw", deltaHalves);
     doc.set("replay_not_slower_than_csv", replayBeatsCsv);
     doc.set("correctness_only", correctnessOnly);
-    std::ofstream json(argv[4]);
-    if (!json.is_open()) {
-      std::fprintf(stderr, "cannot open %s for writing\n", argv[4]);
+    try {
+      OutputFile json(argv[4]);
+      json.stream() << scenario::json::Value(std::move(doc)).dump(2) << "\n";
+      json.commit();
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-    json << scenario::json::Value(std::move(doc)).dump(2) << "\n";
     std::printf("wrote %s\n", argv[4]);
   }
 

@@ -23,6 +23,17 @@ void RemoveIfRegular(const std::string& path) noexcept {
   }
 }
 
+// `path` made absolute, with `.`, `..` and the symlinks of its
+// existing prefix resolved; empty when that fails.
+std::filesystem::path ResolvedPath(const std::string& path) {
+  std::error_code ec;
+  const std::filesystem::path absolute = std::filesystem::absolute(path, ec);
+  if (ec) return {};
+  std::filesystem::path resolved =
+      std::filesystem::weakly_canonical(absolute, ec);
+  return ec ? std::filesystem::path() : resolved;
+}
+
 }  // namespace
 
 OutputFile::OutputFile(const std::string& path)
@@ -51,11 +62,16 @@ void OutputFile::commit() {
               path_);
 }
 
-void RequireDistinctOutput(const std::string& input,
+void RequireDistinctOutput(const std::string& other,
                            const std::string& output) {
-  std::error_code ec;  // a missing file is distinct, not an error
-  ICTM_REQUIRE(!std::filesystem::equivalent(input, output, ec),
-               "output names the input file: " + output);
+  // Existing files compare by identity, a file not created yet by its
+  // resolved path; a path that cannot be resolved is distinct.
+  std::error_code ec;
+  const std::filesystem::path resolved = ResolvedPath(output);
+  const bool same = std::filesystem::equivalent(other, output, ec) ||
+                    (!resolved.empty() && resolved == ResolvedPath(other));
+  ICTM_REQUIRE(!same,
+               "output names the same file as " + other + ": " + output);
 }
 
 }  // namespace ictm

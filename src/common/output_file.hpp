@@ -39,10 +39,12 @@ class OutputFile {
   std::unique_ptr<Stream> stream_;
 };
 
-/// Throws ictm::Error when `output` exists and is the same file as
-/// `input` (another spelling, a hard link or a symlink), which
-/// opening it for writing would truncate before it was read.
-void RequireDistinctOutput(const std::string& input,
+/// Throws ictm::Error when `output` names the same file as `other`,
+/// an input that opening `output` would truncate before it was read or
+/// another output of the same command: the same existing file (another
+/// spelling, a hard link or a symlink), or, for a file not created
+/// yet, the same path once `.`, `..` and symlinks are resolved.
+void RequireDistinctOutput(const std::string& other,
                            const std::string& output);
 
 }  // namespace ictm

@@ -7,7 +7,7 @@
 #include "common/parallel.hpp"
 #include "linalg/lsq.hpp"
 #include "obs/metrics.hpp"
-#include "obs/now.hpp"
+#include "obs/trace.hpp"
 #include "topology/routing.hpp"
 #include "traffic/tm_series.hpp"
 
@@ -93,7 +93,7 @@ obs::Counter& SolvesCounter() {
 }
 
 // Wall time of each stage of a bin solve, in pipeline order (timing
-// class).
+// class); the trace names each stage after its counter.
 struct SolveStageCounters {
   obs::Counter& residual =
       obs::GetCounter("solver.residual_ns", obs::MetricClass::kTiming);
@@ -174,71 +174,70 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
     ICTM_REQUIRE(egress[i] >= 0.0, "negative col target");
   }
 
-  // Each stage is timed only while metrics are recording.
-  const bool recording = obs::Enabled();
-  const std::uint64_t t0 = recording ? obs::Now() : 0;
-
-  // Right-hand side y = [loads; ingress; egress] ...
-  double* d = d_.data();
-  std::copy(linkLoads, linkLoads + links, d);
-  if (rows > links) {
-    std::copy(ingress, ingress + n, d + links);
-    std::copy(egress, egress + n, d + links + n);
-  }
-  // ... turned into the residual d = y - A xp.
+  // Each stage is one span: its timing counter while metrics record,
+  // one trace event per bin while a trace session runs.
+  const SolveStageCounters& stages = StageCounters();
   const auto& colPtr = system_.matrix().colPtr();
   const auto& rowIdx = system_.matrix().rowIdx();
   const auto& values = system_.matrix().values();
-  for (std::size_t c = 0; c < n2; ++c) {
-    const double xp = priorBin[c];
-    if (xp == 0.0) continue;
-    for (std::size_t k = colPtr[c]; k < colPtr[c + 1]; ++k) {
-      d[rowIdx[k]] -= values[k] * xp;
+  double* d = d_.data();
+  double* m = m_.data();
+  {
+    obs::Span span("residual", "solver", &stages.residual);
+    // Right-hand side y = [loads; ingress; egress] ...
+    std::copy(linkLoads, linkLoads + links, d);
+    if (rows > links) {
+      std::copy(ingress, ingress + n, d + links);
+      std::copy(egress, egress + n, d + links + n);
+    }
+    // ... turned into the residual d = y - A xp.
+    for (std::size_t c = 0; c < n2; ++c) {
+      const double xp = priorBin[c];
+      if (xp == 0.0) continue;
+      for (std::size_t k = colPtr[c]; k < colPtr[c + 1]; ++k) {
+        d[rowIdx[k]] -= values[k] * xp;
+      }
     }
   }
-
-  const std::uint64_t t1 = recording ? obs::Now() : 0;
 
   // Solve (A W Aᵀ + ridge) z = d with W = diag(xp) (prior-weighted
   // deviations, per tomogravity), then push back: x = xp + W Aᵀ z.
   SolvesCounter().add();
-  double* m = m_.data();
-  linalg::WeightedGramInto(system_.matrix(), priorBin, m);
-  double trace = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) trace += m[r * rows + r];
-  const double ridge =
-      std::max(trace, 1.0) * kRelativeRidge +
-      1e-30;  // keep strictly positive even for an all-zero prior
-  for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge;
-  const std::uint64_t t2 = recording ? obs::Now() : 0;
-  linalg::CholeskyFactorInPlace(m, rows);
-  const std::uint64_t t3 = recording ? obs::Now() : 0;
-  linalg::CholeskySubstituteInPlace(m, d, rows);
-  const std::uint64_t t4 = recording ? obs::Now() : 0;
-  for (std::size_t c = 0; c < n2; ++c) {
-    const double xp = priorBin[c];
-    double x = xp;
-    if (xp > 0.0) {
-      double dot = 0.0;
-      for (std::size_t k = colPtr[c]; k < colPtr[c + 1]; ++k) {
-        dot += values[k] * d[rowIdx[k]];
+  {
+    obs::Span span("gram", "solver", &stages.gram);
+    linalg::WeightedGramInto(system_.matrix(), priorBin, m);
+    double trace = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) trace += m[r * rows + r];
+    const double ridge =
+        std::max(trace, 1.0) * kRelativeRidge +
+        1e-30;  // keep strictly positive even for an all-zero prior
+    for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge;
+  }
+  {
+    obs::Span span("factor", "solver", &stages.factor);
+    linalg::CholeskyFactorInPlace(m, rows);
+  }
+  {
+    obs::Span span("substitute", "solver", &stages.substitute);
+    linalg::CholeskySubstituteInPlace(m, d, rows);
+  }
+  {
+    obs::Span span("pushback", "solver", &stages.pushback);
+    for (std::size_t c = 0; c < n2; ++c) {
+      const double xp = priorBin[c];
+      double x = xp;
+      if (xp > 0.0) {
+        double dot = 0.0;
+        for (std::size_t k = colPtr[c]; k < colPtr[c + 1]; ++k) {
+          dot += values[k] * d[rowIdx[k]];
+        }
+        x += xp * dot;
       }
-      x += xp * dot;
+      outBin[c] = std::max(x, 0.0);
     }
-    outBin[c] = std::max(x, 0.0);
   }
-  const std::uint64_t t5 = recording ? obs::Now() : 0;
-
+  obs::Span span("ipf", "solver", &stages.ipf);
   IpfInPlace(outBin, n, ingress, egress, kIpfIterations, kIpfTolerance);
-  if (recording) {
-    const SolveStageCounters& stages = StageCounters();
-    stages.residual.add(t1 - t0);
-    stages.gram.add(t2 - t1);
-    stages.factor.add(t3 - t2);
-    stages.substitute.add(t4 - t3);
-    stages.pushback.add(t5 - t4);
-    stages.ipf.add(obs::Now() - t5);
-  }
 }
 
 linalg::Matrix Ipf(linalg::Matrix tm, const linalg::Vector& rowTargets,

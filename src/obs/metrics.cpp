@@ -27,13 +27,6 @@ void Gauge::set(std::int64_t v) {
   recordMax(v);
 }
 
-void Gauge::add(std::int64_t delta) {
-  if (!Enabled()) return;
-  const std::int64_t now =
-      value_.fetch_add(delta, std::memory_order_relaxed) + delta;
-  recordMax(now);
-}
-
 void Gauge::recordMax(std::int64_t v) {
   if (!Enabled()) return;
   std::int64_t seen = max_.load(std::memory_order_relaxed);

@@ -30,6 +30,9 @@
 //   static obs::Counter& bins =
 //       obs::GetCounter("stream.bins_pushed", obs::MetricClass::kDeterministic);
 //   bins.add();
+//
+// Timings go through obs::Span (obs/trace.hpp), which adds a scope's
+// nanoseconds to a timing counter or histogram and traces it too.
 #pragma once
 
 #include <atomic>
@@ -79,7 +82,6 @@ class alignas(64) Counter {
 class Gauge {
  public:
   void set(std::int64_t v);
-  void add(std::int64_t delta);
   /// Raises the high-water mark to v if v is larger.
   void recordMax(std::int64_t v);
 

@@ -1,12 +1,16 @@
 #include "obs/trace.hpp"
 
 #include <atomic>
-#include <cstdio>
+#include <iomanip>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/output_file.hpp"
+#include "obs/metrics.hpp"
 #include "obs/now.hpp"
 
 namespace ictm::obs {
@@ -16,7 +20,6 @@ namespace {
 struct Event {
   const char* name;
   const char* category;
-  char phase;         // 'X' complete, 'i' instant
   std::uint64_t tsNs;
   std::uint64_t durNs;
 };
@@ -32,10 +35,12 @@ struct ThreadBuffer {
 
 struct TraceState {
   std::atomic<bool> active{false};
-  std::mutex mutex;  // guards buffers/freeList/path/nextTid
+  std::mutex mutex;  // guards buffers/freeList/file/startNs/nextTid
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
   std::vector<ThreadBuffer*> freeList;  // buffers of exited threads
-  std::string path;
+  // The running session's file; removed uncommitted if the process
+  // ends without Stop().
+  std::unique_ptr<OutputFile> file;
   std::uint64_t startNs = 0;
   std::uint32_t nextTid = 0;
 };
@@ -89,98 +94,71 @@ void Append(const Event& event) {
 
 namespace tracing {
 
-bool Start(const std::string& path, std::string* error) {
+void Start(const std::string& path) {
   TraceState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
-  if (state.active.load(std::memory_order_relaxed)) {
-    if (error != nullptr) *error = "a trace session is already active";
-    return false;
-  }
+  ICTM_REQUIRE(!state.active.load(std::memory_order_relaxed),
+               "a trace session is already active");
   // Open eagerly so a bad path fails at Start, not after the run.
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    if (error != nullptr) {
-      *error = "cannot open trace file for writing: " + path;
-    }
-    return false;
-  }
-  std::fclose(file);
-  state.path = path;
+  state.file = std::make_unique<OutputFile>(path);
   state.startNs = Now();
   state.active.store(true, std::memory_order_release);
-  return true;
 }
 
 bool Active() {
   return State().active.load(std::memory_order_acquire);
 }
 
-bool Stop(std::string* error) {
+void Stop() {
   TraceState& state = State();
   // Flip the flag first: scopes that check after this point record
   // nothing, so the drain below sees a quiescent set of buffers.
-  if (!state.active.exchange(false, std::memory_order_acq_rel)) {
-    return true;
-  }
+  if (!state.active.exchange(false, std::memory_order_acq_rel)) return;
   std::lock_guard<std::mutex> lock(state.mutex);
-  std::FILE* file = std::fopen(state.path.c_str(), "w");
-  if (file == nullptr) {
-    if (error != nullptr) {
-      *error = "cannot write trace file: " + state.path;
-    }
-    return false;
-  }
-  std::fputs("{\"traceEvents\":[", file);
-  bool first = true;
+  const std::unique_ptr<OutputFile> file = std::move(state.file);
+  std::ostream& out = file->stream();
+  out << std::fixed << std::setprecision(3) << "{\"traceEvents\":[";
+  const char* separator = "";
   for (const auto& buffer : state.buffers) {
     std::vector<Event> events;
     {
       std::lock_guard<std::mutex> bufferLock(buffer->mutex);
-      events = std::move(buffer->events);
-      buffer->events.clear();
+      events.swap(buffer->events);
     }
     for (const Event& event : events) {
-      const double tsUs =
-          static_cast<double>(event.tsNs - state.startNs) / 1e3;
-      const double durUs = static_cast<double>(event.durNs) / 1e3;
-      std::fprintf(file,
-                   "%s\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\","
-                   "\"ts\":%.3f,\"pid\":1,\"tid\":%u",
-                   first ? "" : ",", event.name, event.category,
-                   event.phase, tsUs, buffer->tid);
-      if (event.phase == 'X') {
-        std::fprintf(file, ",\"dur\":%.3f", durUs);
-      } else {
-        std::fputs(",\"s\":\"t\"", file);
-      }
-      std::fputs("}", file);
-      first = false;
+      out << separator << "\n{\"name\":\"" << event.name
+          << "\",\"cat\":\"" << event.category << "\",\"ph\":\"X\",\"ts\":"
+          << static_cast<double>(event.tsNs - state.startNs) / 1e3
+          << ",\"pid\":1,\"tid\":" << buffer->tid
+          << ",\"dur\":" << static_cast<double>(event.durNs) / 1e3 << "}";
+      separator = ",";
     }
   }
-  std::fputs("\n],\"displayTimeUnit\":\"ms\"}\n", file);
-  const bool ok = std::fclose(file) == 0;
-  if (!ok && error != nullptr) {
-    *error = "error closing trace file: " + state.path;
-  }
-  return ok;
-}
-
-void Instant(const char* name, const char* category) {
-  if (!Active()) return;
-  Append({name, category, 'i', Now(), 0});
+  out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  file->commit();
 }
 
 }  // namespace tracing
 
-TraceScope::TraceScope(const char* name, const char* category)
-    : name_(name), category_(category) {
-  recording_ = tracing::Active();
-  if (recording_) startNs_ = Now();
+Span::Span(const char* name, const char* category, Counter* ns,
+           Histogram* dist)
+    : name_(name), category_(category), ns_(ns), dist_(dist) {
+  if ((ns_ != nullptr || dist_ != nullptr) && !Enabled()) {
+    ns_ = nullptr;
+    dist_ = nullptr;
+  }
+  tracing_ = tracing::Active();
+  if (ns_ != nullptr || dist_ != nullptr || tracing_) startNs_ = Now();
 }
 
-TraceScope::~TraceScope() {
-  if (!recording_ || !tracing::Active()) return;
-  Append({name_, category_, 'X', startNs_, Now() - startNs_});
+Span::~Span() {
+  if (startNs_ == 0) return;  // neither metrics nor a session was on
+  const std::uint64_t elapsed = Now() - startNs_;
+  if (ns_ != nullptr) ns_->add(elapsed);
+  if (dist_ != nullptr) dist_->record(static_cast<double>(elapsed));
+  if (tracing_ && tracing::Active()) {
+    Append({name_, category_, startNs_, elapsed});
+  }
 }
 
 }  // namespace ictm::obs

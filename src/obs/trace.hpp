@@ -1,17 +1,19 @@
-// Lightweight scoped tracing that emits Chrome trace_event JSON
-// (load the file at chrome://tracing or https://ui.perfetto.dev).
+// One timed scope for the whole observability layer: obs::Span times
+// a stage for the metrics registry and, while a trace session runs,
+// for a Chrome trace_event JSON file (load it at chrome://tracing or
+// https://ui.perfetto.dev).
 //
 // A trace session is process-global and bound to one output file
-// (`--trace-out` on the CLI).  While a session is active, TraceScope
-// records one complete ("ph":"X") event per scope into a per-thread
-// buffer; buffers are only merged and serialized at Stop(), so the
-// per-scope cost is two obs::Now() reads and one vector push_back
-// under an uncontended per-thread mutex.  When no session is active
-// a scope costs one relaxed atomic load.
+// (`--trace-out` on the CLI).  While it runs, each Span records one
+// complete ("ph":"X") event into a per-thread buffer; buffers are only
+// merged and serialized at Stop(), so the per-scope cost is two
+// obs::Now() reads and one vector push_back under an uncontended
+// per-thread mutex.  A Span with neither metrics recording nor a
+// session running reads no clock.
 //
-// Tracing follows the same contract as the metrics registry: it never
-// touches estimation inputs or outputs, so results are bit-identical
-// with tracing on or off.
+// Spans follow the same contract as the metrics registry: they never
+// touch estimation inputs or outputs, so results are bit-identical
+// with metrics and tracing on or off.
 #pragma once
 
 #include <cstdint>
@@ -19,42 +21,47 @@
 
 namespace ictm::obs {
 
+class Counter;
+class Histogram;
+
 namespace tracing {
 
-/// Opens `path` and starts the process-wide session.  Fails (with
-/// *error set) if a session is already active or the file cannot be
-/// opened.
-bool Start(const std::string& path, std::string* error);
+/// Opens `path` as an OutputFile and starts the process-wide session.
+/// Throws ictm::Error if a session is already running or the file
+/// cannot be opened.  A session that is never stopped leaves no file.
+void Start(const std::string& path);
 
-/// True between a successful Start() and the matching Stop().
+/// True between Start() and the matching Stop().
 bool Active();
 
-/// Serializes all buffered events to the session file and closes it.
-/// No-op when no session is active.  Returns false (with *error set)
-/// if the file cannot be written.
-bool Stop(std::string* error);
-
-/// Records a zero-duration instant event ("ph":"i") marker.
-void Instant(const char* name, const char* category = "ictm");
+/// Writes every buffered event to the session file and commits it.
+/// No-op when no session is running.  Throws ictm::Error, leaving no
+/// partial file, if the file cannot be written completely.
+void Stop();
 
 }  // namespace tracing
 
-/// RAII scope: records a complete event [construction, destruction)
-/// named `name` when a trace session is active.  `name` and
-/// `category` must be string literals (they are captured by pointer
-/// and read at Stop()).
-class TraceScope {
+/// RAII timed scope [construction, destruction).  While metrics
+/// record, the elapsed nanoseconds are added to `ns` and recorded in
+/// `dist` (either may be null); while a trace session runs, one
+/// complete event named `name` is appended.  `name` and `category`
+/// must be string literals (they are captured by pointer and read at
+/// Stop()).
+class Span {
  public:
-  explicit TraceScope(const char* name, const char* category = "ictm");
-  ~TraceScope();
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
+  Span(const char* name, const char* category, Counter* ns = nullptr,
+       Histogram* dist = nullptr);
+  ~Span();
+  Span(const Span&) = delete;             ///< non-copyable
+  Span& operator=(const Span&) = delete;  ///< non-copyable
 
  private:
   const char* name_;
   const char* category_;
+  Counter* ns_;
+  Histogram* dist_;
   std::uint64_t startNs_ = 0;
-  bool recording_ = false;
+  bool tracing_ = false;
 };
 
 }  // namespace ictm::obs

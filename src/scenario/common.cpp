@@ -6,22 +6,13 @@
 #include "core/estimation.hpp"
 #include "core/gravity.hpp"
 #include "core/metrics.hpp"
+#include "obs/now.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
 #include "topology/registry.hpp"
 #include "topology/routing.hpp"
 
 namespace ictm::scenario {
-
-std::chrono::steady_clock::time_point StartTimer() {
-  return std::chrono::steady_clock::now();
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       t0)
-      .count();
-}
 
 bool BitIdentical(const traffic::TrafficMatrixSeries& a,
                   const traffic::TrafficMatrixSeries& b) {
@@ -37,17 +28,10 @@ bool BitIdentical(const traffic::TrafficMatrixSeries& a,
   return true;
 }
 
-dataset::DatasetConfig GeantConfig(std::uint64_t seed) {
+dataset::DatasetConfig ScenarioDatasetConfig(std::uint64_t seed) {
   dataset::DatasetConfig cfg;
   cfg.seed = seed;
   cfg.peakActivityBytes = 2e8;  // reduced for scenario runtime
-  return cfg;
-}
-
-dataset::DatasetConfig TotemConfig(std::uint64_t seed) {
-  dataset::DatasetConfig cfg;
-  cfg.seed = seed;
-  cfg.peakActivityBytes = 2e8;
   return cfg;
 }
 
@@ -55,9 +39,7 @@ dataset::Dataset MakeScenarioDataset(const ScenarioContext& ctx,
                                      bool totem,
                                      std::uint64_t canonicalSeed,
                                      std::size_t weeks) {
-  dataset::DatasetConfig cfg = totem
-                                   ? TotemConfig(ctx.seed(canonicalSeed))
-                                   : GeantConfig(ctx.seed(canonicalSeed));
+  dataset::DatasetConfig cfg = ScenarioDatasetConfig(ctx.seed(canonicalSeed));
   cfg.weeks = weeks;
   if (ctx.tiny) {
     // 6 nodes, 42 bins per week (6 per day) — the same generative
@@ -133,16 +115,16 @@ TopoSweepRun RunTopoSweepEntry(const TopoSweepEntry& entry,
                                        options.useMarginalConstraints);
 
   options.threads = baselineThreads;
-  auto t0 = StartTimer();
+  std::uint64_t t0 = obs::Now();
   const auto estBase =
       core::EstimateSeries(system, routing, truth, priors, options);
-  const double secBase = SecondsSince(t0);
+  const double secBase = obs::ElapsedSeconds(t0);
 
   options.threads = fanoutThreads;
-  t0 = StartTimer();
+  t0 = obs::Now();
   const auto estFan =
       core::EstimateSeries(system, routing, truth, priors, options);
-  const double secFan = SecondsSince(t0);
+  const double secFan = obs::ElapsedSeconds(t0);
 
   TopoSweepRun run;
   run.nodes = n;

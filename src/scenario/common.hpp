@@ -6,7 +6,6 @@
 // statistics every figure reports.
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -18,25 +17,15 @@
 
 namespace ictm::scenario {
 
-/// Starts a notes-channel timer.  StartTimer/SecondsSince are the only
-/// sanctioned wall-clock reads in src/ (see ICTM-D002 in
-/// docs/ARCHITECTURE.md "Correctness tooling"): timings feed the
-/// out-of-band notes channel, never a result JSON.
-std::chrono::steady_clock::time_point StartTimer();
-
-/// Seconds elapsed since `t0` (for the notes-channel timings).
-double SecondsSince(std::chrono::steady_clock::time_point t0);
-
 /// True when both series have the same shape and every element
 /// compares exactly equal — the check behind each threads=N ≡
 /// threads=1 contract.
 bool BitIdentical(const traffic::TrafficMatrixSeries& a,
                   const traffic::TrafficMatrixSeries& b);
 
-/// Géant-like dataset configuration shared across scenarios.
-dataset::DatasetConfig GeantConfig(std::uint64_t seed);
-/// Totem-like dataset configuration shared across scenarios.
-dataset::DatasetConfig TotemConfig(std::uint64_t seed);
+/// Dataset configuration shared across scenarios, Géant- and
+/// Totem-like alike: the peak activity is reduced for runtime.
+dataset::DatasetConfig ScenarioDatasetConfig(std::uint64_t seed);
 
 /// Scale-aware dataset builder: full scale uses the 22-node Géant-like
 /// or 23-node Totem-like paper shapes; tiny uses a 6-node, 42-bins-

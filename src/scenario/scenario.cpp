@@ -1,11 +1,11 @@
 #include "scenario/scenario.hpp"
 
-#include <chrono>
 #include <filesystem>
 
 #include "common/error.hpp"
 #include "common/output_file.hpp"
 #include "common/parallel.hpp"
+#include "obs/now.hpp"
 #include "scenario/builtin.hpp"
 #include "scenario/common.hpp"
 
@@ -64,7 +64,7 @@ ScenarioResult RunScenario(const std::string& name,
   ScenarioResult result;
   result.info = Builtins().infos[k];
 
-  const auto start = StartTimer();
+  const std::uint64_t start = obs::Now();
   try {
     json::Value body = Builtins().fns[k](ctx, result.notes);
     const json::Object& obj = body.asObject();
@@ -92,7 +92,7 @@ ScenarioResult RunScenario(const std::string& name,
     result.error = e.what();
     result.pass = false;
   }
-  result.seconds = SecondsSince(start);
+  result.seconds = obs::ElapsedSeconds(start);
   return result;
 }
 

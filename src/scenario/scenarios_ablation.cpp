@@ -26,7 +26,7 @@ json::Value RunAsymmetryAblation(const ScenarioContext& ctx,
   json::Array rows;
   bool pass = true;
   for (double asym : sweep) {
-    dataset::DatasetConfig cfg = GeantConfig(ctx.seed(91));
+    dataset::DatasetConfig cfg = ScenarioDatasetConfig(ctx.seed(91));
     cfg.routingAsymmetry = asym;
     cfg.netflowSampling = false;   // isolate the asymmetry effect
     cfg.pairFJitterSigma = 0.3;    // mild jitter so hot-potato dominates

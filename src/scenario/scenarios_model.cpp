@@ -130,7 +130,7 @@ json::Value RunDofTable(const ScenarioContext& ctx, std::string&) {
   // roughly half the inputs.
   const std::size_t nodes = ctx.tiny ? 6 : 10;
   const std::size_t bins = ctx.tiny ? 42 : 48;
-  dataset::DatasetConfig cfg = GeantConfig(ctx.seed(99));
+  dataset::DatasetConfig cfg = ScenarioDatasetConfig(ctx.seed(99));
   const dataset::Dataset d =
       dataset::MakeSmallDataset(nodes, bins, 300.0, cfg);
   const auto stable = core::FitStableFP(d.measured);

@@ -4,7 +4,6 @@
 // the (deterministic) result document; wall-clock timings are
 // run-environment facts and go to the notes channel only, keeping
 // `ictm run all --threads N` output bit-identical to `--threads 1`.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -12,6 +11,7 @@
 #include "core/gravity.hpp"
 #include "core/metrics.hpp"
 #include "core/synthesis.hpp"
+#include "obs/now.hpp"
 #include "scenario/builtin.hpp"
 #include "scenario/common.hpp"
 #include "topology/registry.hpp"
@@ -62,14 +62,14 @@ json::Value RunEstimationScale(const ScenarioContext& ctx,
 
   core::EstimationOptions options;
   options.threads = kBaselineThreads;
-  auto t0 = StartTimer();
+  std::uint64_t t0 = obs::Now();
   const auto est1 = core::EstimateSeries(routing, truth, priors, options);
-  const double sec1 = SecondsSince(t0);
+  const double sec1 = obs::ElapsedSeconds(t0);
 
   options.threads = kFanoutThreads;
-  t0 = StartTimer();
+  t0 = obs::Now();
   const auto estN = core::EstimateSeries(routing, truth, priors, options);
-  const double secN = SecondsSince(t0);
+  const double secN = obs::ElapsedSeconds(t0);
   AppendTimingNote(notes, "EstimateSeries", sec1, secN);
 
   const bool identical = BitIdentical(est1, estN);
@@ -108,15 +108,15 @@ json::Value RunSynthesisScale(const ScenarioContext& ctx,
 
   cfg.threads = kBaselineThreads;
   stats::Rng rng1(ctx.seed(7));
-  auto t0 = StartTimer();
+  std::uint64_t t0 = obs::Now();
   const core::SyntheticTm synth1 = core::GenerateSyntheticTm(cfg, rng1);
-  const double sec1 = SecondsSince(t0);
+  const double sec1 = obs::ElapsedSeconds(t0);
 
   cfg.threads = kFanoutThreads;
   stats::Rng rngN(ctx.seed(7));
-  t0 = StartTimer();
+  t0 = obs::Now();
   const core::SyntheticTm synthN = core::GenerateSyntheticTm(cfg, rngN);
-  const double secN = SecondsSince(t0);
+  const double secN = obs::ElapsedSeconds(t0);
   AppendTimingNote(notes, "GenerateSyntheticTm", sec1, secN);
 
   bool identical = BitIdentical(synth1.series, synthN.series);

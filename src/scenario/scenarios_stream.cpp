@@ -6,13 +6,13 @@
 // to the notes channel only.
 #include <unistd.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 
 #include "core/estimation.hpp"
 #include "core/metrics.hpp"
+#include "obs/now.hpp"
 #include "scenario/builtin.hpp"
 #include "scenario/common.hpp"
 #include "stream/format.hpp"
@@ -51,10 +51,10 @@ json::Value RunStreamEquivalence(const ScenarioContext& ctx,
   base.f = 0.25;
   base.window = window;
   base.threads = 1;
-  const auto t0 = StartTimer();
+  const std::uint64_t t0 = obs::Now();
   const stream::StreamingRunResult serial =
       stream::EstimateSeriesStreaming(setup.routing, setup.truth, base);
-  const double serialSec = SecondsSince(t0);
+  const double serialSec = obs::ElapsedSeconds(t0);
 
   // Thread counts and queue capacities are fixed constants (not taken
   // from the context) so the document stays environment-independent.
@@ -79,10 +79,10 @@ json::Value RunStreamEquivalence(const ScenarioContext& ctx,
   // per-bin solver, different orchestration.
   core::EstimationOptions batchOpts;
   batchOpts.threads = 2;
-  const auto t1 = StartTimer();
+  const std::uint64_t t1 = obs::Now();
   const auto batch = core::EstimateSeries(setup.routing, setup.truth,
                                           serial.priors, batchOpts);
-  const double batchSec = SecondsSince(t1);
+  const double batchSec = obs::ElapsedSeconds(t1);
   const bool matchesBatch = BitIdentical(batch, serial.estimates);
 
   const auto errEst =
@@ -130,10 +130,10 @@ json::Value RunStreamScale(const ScenarioContext& ctx,
   double sec1 = 0.0, sec4 = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     opts.threads = threads;
-    const auto t0 = StartTimer();
+    const std::uint64_t t0 = obs::Now();
     const stream::StreamingRunResult run =
         stream::EstimateSeriesStreaming(setup.routing, setup.truth, opts);
-    const double sec = SecondsSince(t0);
+    const double sec = obs::ElapsedSeconds(t0);
     (threads == 1 ? sec1 : sec4) = sec;
     if (threads == 1) {
       first = run.estimates;
@@ -176,12 +176,12 @@ json::Value RunStreamScale(const ScenarioContext& ctx,
   traffic::WriteCsvFile(csvPath, setup.truth);
   stream::WriteTraceFile(tracePath, setup.truth);
 
-  auto t0 = StartTimer();
+  std::uint64_t t0 = obs::Now();
   const auto fromCsv = traffic::ReadCsvFile(csvPath);
-  const double csvSec = SecondsSince(t0);
-  t0 = StartTimer();
+  const double csvSec = obs::ElapsedSeconds(t0);
+  t0 = obs::Now();
   const auto fromTrace = stream::ReadTraceFile(tracePath);
-  const double traceSec = SecondsSince(t0);
+  const double traceSec = obs::ElapsedSeconds(t0);
   const bool formatsAgree = BitIdentical(fromCsv, fromTrace) &&
                             BitIdentical(fromCsv, setup.truth);
   const auto csvBytes = fs::file_size(csvPath);

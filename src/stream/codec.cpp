@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "obs/now.hpp"
+#include "obs/trace.hpp"
 
 namespace ictm::stream {
 
@@ -271,39 +271,37 @@ std::vector<std::uint8_t> EncodeChunk(ChunkCodec codec, const double* bins,
                                       std::size_t valuesPerBin) {
   ICTM_REQUIRE(binCount > 0 && valuesPerBin > 0,
                "ictmb: cannot encode an empty chunk");
+  ICTM_REQUIRE(static_cast<std::size_t>(codec) < kChunkCodecCount,
+               "ictmb: unknown chunk codec");
+  const CodecMetrics& m = MetricsFor(codec);
   const std::size_t count = binCount * valuesPerBin;
   const std::size_t rawBytes = count * sizeof(double);
-  const bool recording = obs::Enabled();
-  const std::uint64_t t0 = recording ? obs::Now() : 0;
   std::vector<std::uint8_t> payload;
-  switch (codec) {
-    case ChunkCodec::kRaw: {
-      payload.resize(rawBytes);
-      std::memcpy(payload.data(), bins, rawBytes);
-      break;
+  {
+    obs::Span span("chunk_encode", "trace_codec", &m.compressNs);
+    switch (codec) {
+      case ChunkCodec::kRaw: {
+        payload.resize(rawBytes);
+        std::memcpy(payload.data(), bins, rawBytes);
+        break;
+      }
+      case ChunkCodec::kShuffleLz: {
+        std::vector<std::uint8_t> shuffled(rawBytes);
+        ByteShuffle(bins, count, shuffled.data());
+        payload = LzCompress(shuffled.data(), shuffled.size());
+        break;
+      }
+      case ChunkCodec::kDelta: {
+        const std::vector<std::uint8_t> shuffled =
+            DeltaShuffle(bins, binCount, valuesPerBin);
+        payload = LzCompress(shuffled.data(), shuffled.size());
+        break;
+      }
     }
-    case ChunkCodec::kShuffleLz: {
-      std::vector<std::uint8_t> shuffled(rawBytes);
-      ByteShuffle(bins, count, shuffled.data());
-      payload = LzCompress(shuffled.data(), shuffled.size());
-      break;
-    }
-    case ChunkCodec::kDelta: {
-      const std::vector<std::uint8_t> shuffled =
-          DeltaShuffle(bins, binCount, valuesPerBin);
-      payload = LzCompress(shuffled.data(), shuffled.size());
-      break;
-    }
-    default:
-      ICTM_REQUIRE(false, "ictmb: unknown chunk codec");
   }
-  if (recording) {
-    const CodecMetrics& m = MetricsFor(codec);
-    m.compressChunks.add();
-    m.compressBytesIn.add(rawBytes);
-    m.compressBytesOut.add(payload.size());
-    m.compressNs.add(obs::Now() - t0);
-  }
+  m.compressChunks.add();
+  m.compressBytesIn.add(rawBytes);
+  m.compressBytesOut.add(payload.size());
   return payload;
 }
 
@@ -312,10 +310,13 @@ void DecodeChunk(ChunkCodec codec, const std::uint8_t* payload,
                  std::size_t valuesPerBin) {
   ICTM_REQUIRE(binCount > 0 && valuesPerBin > 0,
                "ictmb: cannot decode an empty chunk");
+  ICTM_REQUIRE(static_cast<std::size_t>(codec) < kChunkCodecCount,
+               "ictmb: unknown chunk codec tag " +
+                   std::to_string(static_cast<std::uint32_t>(codec)));
   const std::size_t count = binCount * valuesPerBin;
   const std::size_t rawBytes = count * sizeof(double);
-  const bool recording = obs::Enabled();
-  const std::uint64_t t0 = recording ? obs::Now() : 0;
+  obs::Span span("chunk_decode", "trace_codec",
+                 &MetricsFor(codec).decompressNs);
   switch (codec) {
     case ChunkCodec::kRaw: {
       ICTM_REQUIRE(payloadSize == rawBytes,
@@ -344,12 +345,7 @@ void DecodeChunk(ChunkCodec codec, const std::uint8_t* payload,
       std::memcpy(out, words.data(), rawBytes);
       break;
     }
-    default:
-      ICTM_REQUIRE(
-          false, "ictmb: unknown chunk codec tag " +
-                     std::to_string(static_cast<std::uint32_t>(codec)));
   }
-  if (recording) MetricsFor(codec).decompressNs.add(obs::Now() - t0);
 }
 
 void CountDecodedChunk(ChunkCodec codec, std::size_t payloadSize,

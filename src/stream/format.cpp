@@ -11,7 +11,6 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "obs/now.hpp"
 #include "obs/trace.hpp"
 #include "stream/ordered_pool.hpp"
 #include "traffic/io.hpp"
@@ -171,9 +170,7 @@ void TraceWriter::writeFrame(const EncodedChunk& chunk) {
       "trace_io.bytes_written", obs::MetricClass::kDeterministic);
   static obs::Counter& writeNs =
       obs::GetCounter("trace_io.write_ns", obs::MetricClass::kTiming);
-  obs::TraceScope traceWrite("chunk_write", "trace_io");
-  const bool recording = obs::Enabled();
-  const std::uint64_t t0 = recording ? obs::Now() : 0;
+  obs::Span span("chunk_write", "trace_io", &writeNs);
   const std::uint64_t storedBytes = chunk.payload.size();
   const std::uint64_t rawBytes =
       chunk.binCount * nodes_ * nodes_ * sizeof(double);
@@ -190,11 +187,8 @@ void TraceWriter::writeFrame(const EncodedChunk& chunk) {
   WriteRaw(out_, crc);
   ICTM_REQUIRE(out_.good(), "ictmb: chunk write failed: " + file_.path());
   index_.push_back({offset, chunk.binCount});
-  if (recording) {
-    chunksWritten.add();
-    bytesWritten.add(storedBytes);
-    writeNs.add(obs::Now() - t0);
-  }
+  chunksWritten.add();
+  bytesWritten.add(storedBytes);
 }
 
 void TraceWriter::flushChunk() {
@@ -349,9 +343,7 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
       obs::GetCounter("trace_io.read_ns", obs::MetricClass::kTiming);
   static obs::Counter& crcVerifyNs =
       obs::GetCounter("trace_io.crc_verify_ns", obs::MetricClass::kTiming);
-  obs::TraceScope traceRead("chunk_read", "trace_io");
-  const bool recording = obs::Enabled();
-  const std::uint64_t t0 = recording ? obs::Now() : 0;
+  obs::Span span("chunk_read", "trace_io", &readNs);
   const ChunkRecord& rec = index_[chunk];
   in.clear();
   in.seekg(static_cast<std::streamoff>(rec.offset));
@@ -373,9 +365,11 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
     ICTM_REQUIRE(in.good(), "ictmb: truncated chunk payload: " + path_);
     std::uint32_t storedCrc = 0;
     ReadRaw(in, storedCrc, "chunk CRC");
-    const std::uint64_t tCrc = recording ? obs::Now() : 0;
-    const std::uint32_t computedCrc = Crc32(bins.data(), storedBytes);
-    if (recording) crcVerifyNs.add(obs::Now() - tCrc);
+    std::uint32_t computedCrc = 0;
+    {
+      obs::Span verify("crc_verify", "trace_io", &crcVerifyNs);
+      computedCrc = Crc32(bins.data(), storedBytes);
+    }
     ICTM_REQUIRE(computedCrc == storedCrc,
                  "ictmb: chunk CRC mismatch (corrupt data) in chunk " +
                      std::to_string(chunk) + ": " + path_);
@@ -408,11 +402,13 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
     ICTM_REQUIRE(in.good(), "ictmb: truncated chunk payload: " + path_);
     std::uint32_t storedCrc = 0;
     ReadRaw(in, storedCrc, "chunk CRC");
-    const std::uint64_t tCrc = recording ? obs::Now() : 0;
-    std::uint32_t crc = Crc32(&codecTag, sizeof codecTag);
-    crc = Crc32(&rawBytes, sizeof rawBytes, crc);
-    crc = Crc32(payload.data(), payload.size(), crc);
-    if (recording) crcVerifyNs.add(obs::Now() - tCrc);
+    std::uint32_t crc = 0;
+    {
+      obs::Span verify("crc_verify", "trace_io", &crcVerifyNs);
+      crc = Crc32(&codecTag, sizeof codecTag);
+      crc = Crc32(&rawBytes, sizeof rawBytes, crc);
+      crc = Crc32(payload.data(), payload.size(), crc);
+    }
     ICTM_REQUIRE(crc == storedCrc,
                  "ictmb: chunk CRC mismatch (corrupt data) in chunk " +
                      std::to_string(chunk) + ": " + path_);
@@ -423,7 +419,6 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
                 static_cast<std::size_t>(rec.binCount),
                 static_cast<std::size_t>(n2));
   }
-  if (recording) readNs.add(obs::Now() - t0);
 }
 
 void TraceReader::loadChunk(std::size_t chunk) {

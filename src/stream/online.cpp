@@ -14,7 +14,6 @@
 #include "core/ic_model.hpp"
 #include "core/priors.hpp"
 #include "obs/metrics.hpp"
-#include "obs/now.hpp"
 #include "obs/trace.hpp"
 #include "stream/ordered_pool.hpp"
 #include "traffic/tm_series.hpp"
@@ -100,19 +99,12 @@ struct StreamingEstimator::Impl {
           obs::GetHistogram("stream.solve_ns", obs::MetricClass::kTiming,
                             obs::LatencyBoundsNs());
       BinResult result{std::vector<double>(n * n), std::vector<double>(n * n)};
-      obs::TraceScope traceSolve("solve", "stream");
-      const bool recording = obs::Enabled();
-      const std::uint64_t solveStart = recording ? obs::Now() : 0;
+      obs::Span span("solve", "stream", &workerBusyNs, &solveNs);
       job.model->PriorBin(job.event.ingress.data(), job.event.egress.data(),
                           activity.data(), result.prior.data());
       solver.Solve(job.event.linkLoads.data(), result.prior.data(),
                    job.event.ingress.data(), job.event.egress.data(),
                    result.estimate.data());
-      if (recording) {
-        const std::uint64_t busy = obs::Now() - solveStart;
-        solveNs.record(static_cast<double>(busy));
-        workerBusyNs.add(busy);
-      }
       return result;
     };
   }
@@ -210,7 +202,7 @@ void StreamingEstimator::push(BinEvent event) {
       "stream.bins_pushed", obs::MetricClass::kDeterministic);
   static obs::Counter& windowRefits = obs::GetCounter(
       "stream.window_refits", obs::MetricClass::kDeterministic);
-  obs::TraceScope tracePush("push", "stream");
+  obs::Span span("push", "stream");
   Impl& im = *impl_;
   ICTM_REQUIRE(event.linkLoads.size() == im.system->linkCount(),
                "link load length mismatch");

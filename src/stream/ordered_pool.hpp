@@ -36,6 +36,7 @@
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/now.hpp"
+#include "obs/trace.hpp"
 
 namespace ictm::stream {
 
@@ -51,7 +52,8 @@ class OrderedPool {
   /// Starts `workers` threads.  Each calls `makeWork()` once, on its
   /// own thread, for a callable `Result(Job)` that owns that thread's
   /// state (one solver, scratch buffers).  Queue and reorder metrics,
-  /// all timing class, are recorded as `<metricPrefix>.<name>`.
+  /// all timing class, are recorded as `<metricPrefix>.<name>`; the
+  /// push and idle waits are traced as `push_wait` and `worker_idle`.
   template <typename MakeWork>
   OrderedPool(std::size_t workers, std::size_t capacity,
               const std::string& metricPrefix, MakeWork makeWork, Emit emit)
@@ -85,18 +87,15 @@ class OrderedPool {
   void push(Job job) {
     std::unique_lock<std::mutex> lock(mutex_);
     ICTM_REQUIRE(!closed_, "push after finish");
-    const bool recording = obs::Enabled();
-    if (recording && queue_.size() >= capacity_) {
-      metrics_.queueFullStalls.add();
+    if (queue_.size() >= capacity_) metrics_.queueFullStalls.add();
+    {
+      obs::Span span("push_wait", "pool", nullptr, &metrics_.pushWaitNs);
+      space_.wait(lock, [&] { return queue_.size() < capacity_ || error_; });
     }
-    const std::uint64_t waitStart = recording ? obs::Now() : 0;
-    space_.wait(lock, [&] { return queue_.size() < capacity_ || error_; });
     if (error_) std::rethrow_exception(error_);
-    std::uint64_t enqueueNs = 0;
-    if (recording) {
-      enqueueNs = obs::Now();
-      metrics_.pushWaitNs.record(static_cast<double>(enqueueNs - waitStart));
-    }
+    // The queue wait ends on a worker thread, so it is a stamp, not a
+    // span.
+    const std::uint64_t enqueueNs = obs::Enabled() ? obs::Now() : 0;
     queue_.push_back(Slot{pushed_++, std::move(job), enqueueNs});
     lock.unlock();
     jobReady_.notify_one();
@@ -153,11 +152,11 @@ class OrderedPool {
         Slot slot;
         {
           std::unique_lock<std::mutex> lock(mutex_);
-          const bool recording = obs::Enabled();
-          const std::uint64_t idleStart = recording ? obs::Now() : 0;
-          jobReady_.wait(lock,
-                         [&] { return !queue_.empty() || closed_ || error_; });
-          if (recording) metrics_.workerIdleNs.add(obs::Now() - idleStart);
+          {
+            obs::Span span("worker_idle", "pool", &metrics_.workerIdleNs);
+            jobReady_.wait(
+                lock, [&] { return !queue_.empty() || closed_ || error_; });
+          }
           if (error_ || queue_.empty()) return;
           slot = std::move(queue_.front());
           queue_.pop_front();

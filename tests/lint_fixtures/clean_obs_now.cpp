@@ -1,9 +1,10 @@
 // Lint fixture: MUST produce zero findings.  Exercises the sanctioned
-// observability idioms: timestamps via obs::Now() (the one allowlisted
-// clock wrapper — a literal steady_clock::now() here would fire
-// ICTM-D002) and static references to registry-owned metrics (the
-// referent is atomic and order-independent, so ICTM-D004 does not
-// apply; a `static std::uint64_t total;` would be flagged).
+// observability idioms: a stage timed by an obs::Span, whose clock
+// reads go through obs::Now() (the one allowlisted clock — a literal
+// steady_clock::now() here would fire ICTM-D002), and static
+// references to registry-owned metrics (the referent is atomic and
+// order-independent, so ICTM-D004 does not apply; a
+// `static std::uint64_t total;` would be flagged).
 #include <cstdint>
 
 namespace obs {
@@ -18,8 +19,12 @@ class Histogram {
 enum class MetricClass { kDeterministic, kTiming };
 Counter& GetCounter(const char* name, MetricClass cls);
 Histogram& GetHistogram(const char* name, MetricClass cls);
-std::uint64_t Now();
-bool Enabled();
+class Span {
+ public:
+  Span(const char* name, const char* category, Counter* ns = nullptr,
+       Histogram* dist = nullptr);
+  ~Span();
+};
 }  // namespace obs
 
 // Legal: the static binds a reference to registry-owned metric state;
@@ -31,13 +36,9 @@ void RecordSolve(double elapsedHint) {
   static obs::Histogram& solveNs =
       obs::GetHistogram("fixture.solve_ns", obs::MetricClass::kTiming);
 
-  // Legal: every clock read goes through obs::Now(), and only when
-  // recording is on — the estimation path never observes the clock.
-  const bool recording = obs::Enabled();
-  const std::uint64_t t0 = recording ? obs::Now() : 0;
+  // Legal: the span reads the clock only while metrics record or a
+  // trace session runs — the estimation path never observes it.
+  obs::Span span("solve", "fixture", nullptr, &solveNs);
   (void)elapsedHint;
-  if (recording) {
-    solves.add();
-    solveNs.record(static_cast<double>(obs::Now() - t0));
-  }
+  solves.add();
 }

@@ -1,11 +1,15 @@
 // Tests for the observability layer (src/obs/): the metrics registry
-// (counters, gauges, histograms, snapshot/flatten), the tracing
-// session, and the determinism contract — deterministic-class metrics
+// (counters, gauges, histograms, snapshot/flatten), spans and the
+// tracing session, and the determinism contract — deterministic-class metrics
 // are identical across thread counts, and neither metrics nor tracing
 // ever changes an estimation output byte.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -13,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/now.hpp"
 #include "obs/trace.hpp"
@@ -59,8 +64,7 @@ TEST_F(ObsTest, CounterAccumulatesAcrossThreads) {
 TEST_F(ObsTest, GaugeTracksLevelAndHighWaterMark) {
   obs::Gauge& g = obs::GetGauge("test.gauge", obs::MetricClass::kTiming);
   g.set(10);
-  g.recordMax(10);
-  g.add(-3);
+  g.set(7);
   g.recordMax(7);
   EXPECT_EQ(g.value(), 7);
   EXPECT_EQ(g.maxValue(), 10);
@@ -264,14 +268,13 @@ TEST_F(ObsTest, TracingChangesNeitherResultsNorDeterministicMetrics) {
   const auto plainMetrics = DeterministicValues();
 
   const std::string tracePath = TempPath("obs_run.trace.json");
-  std::string error;
-  ASSERT_TRUE(obs::tracing::Start(tracePath, &error)) << error;
+  obs::tracing::Start(tracePath);
   obs::Registry::Instance().reset();
   const auto traced =
       stream::EstimateSeriesStreaming(fx.routing, fx.truth,
                                       FixtureOptions(4));
   const auto tracedMetrics = DeterministicValues();
-  ASSERT_TRUE(obs::tracing::Stop(&error)) << error;
+  obs::tracing::Stop();
 
   ExpectBitIdentical(plain.estimates, traced.estimates);
   ExpectBitIdentical(plain.priors, traced.priors);
@@ -279,38 +282,126 @@ TEST_F(ObsTest, TracingChangesNeitherResultsNorDeterministicMetrics) {
   std::remove(tracePath.c_str());
 }
 
-// ---- tracing sessions ------------------------------------------------------
+// ---- spans and tracing sessions -------------------------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+bool HasEvent(const std::string& json, const std::string& name) {
+  return json.find("\"name\":\"" + name + "\"") != std::string::npos;
+}
+
+TEST_F(ObsTest, SpanAddsToItsMetricsOnlyWhileRecording) {
+  obs::Counter& ns =
+      obs::GetCounter("test.span_ns", obs::MetricClass::kTiming);
+  obs::Histogram& dist = obs::GetHistogram(
+      "test.span_dist", obs::MetricClass::kTiming, obs::LatencyBoundsNs());
+  {
+    obs::Span span("recorded", "test", &ns, &dist);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t recorded = ns.value();
+  EXPECT_GE(recorded, 1000000u);  // at least the 1 ms slept
+  EXPECT_EQ(dist.total(), 1u);
+
+  obs::SetEnabled(false);
+  {
+    obs::Span span("unrecorded", "test", &ns, &dist);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  obs::SetEnabled(true);
+  EXPECT_EQ(ns.value(), recorded);
+  EXPECT_EQ(dist.total(), 1u);
+}
+
+TEST_F(ObsTest, SpansNestAndAppendEventsOnlyWhileTracing) {
+  obs::Counter& outerNs =
+      obs::GetCounter("test.span_outer_ns", obs::MetricClass::kTiming);
+  obs::Counter& innerNs =
+      obs::GetCounter("test.span_inner_ns", obs::MetricClass::kTiming);
+  {
+    obs::Span untraced("before_session", "test");
+  }
+  const std::string path = TempPath("obs_spans.trace.json");
+  obs::tracing::Start(path);
+  obs::SetEnabled(false);  // events do not depend on metrics
+  {
+    obs::Span outer("outer", "test", &outerNs);
+    obs::Span inner("inner", "test", &innerNs);
+  }
+  obs::SetEnabled(true);
+  {
+    obs::Span outer("outer_recorded", "test", &outerNs);
+    obs::Span inner("inner_recorded", "test", &innerNs);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  obs::tracing::Stop();
+  {
+    obs::Span untraced("after_session", "test");
+  }
+
+  // The enclosing span took at least as long as the one it encloses.
+  EXPECT_GE(innerNs.value(), 1000000u);
+  EXPECT_GE(outerNs.value(), innerNs.value());
+  const std::string json = ReadFile(path);
+  for (const char* name :
+       {"outer", "inner", "outer_recorded", "inner_recorded"}) {
+    EXPECT_TRUE(HasEvent(json, name)) << name;
+  }
+  EXPECT_FALSE(HasEvent(json, "before_session"));
+  EXPECT_FALSE(HasEvent(json, "after_session"));
+  std::remove(path.c_str());
+}
+
+TEST_F(ObsTest, SpanRecordsNothingWhenMetricsAndTracingAreOff) {
+  obs::Counter& ns =
+      obs::GetCounter("test.span_off_ns", obs::MetricClass::kTiming);
+  obs::Histogram& dist = obs::GetHistogram(
+      "test.span_off_dist", obs::MetricClass::kTiming, {1.0});
+  obs::SetEnabled(false);
+  {
+    obs::Span span("off", "test", &ns, &dist);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  obs::SetEnabled(true);
+  EXPECT_EQ(ns.value(), 0u);
+  EXPECT_EQ(dist.total(), 0u);
+
+  // Nor was an event buffered for the next session.
+  const std::string path = TempPath("obs_off.trace.json");
+  obs::tracing::Start(path);
+  obs::tracing::Stop();
+  EXPECT_FALSE(HasEvent(ReadFile(path), "off"));
+  std::remove(path.c_str());
+}
 
 TEST_F(ObsTest, TraceFileIsWellFormedChromeTraceJson) {
   const std::string path = TempPath("obs_wellformed.trace.json");
-  std::string error;
-  ASSERT_TRUE(obs::tracing::Start(path, &error)) << error;
+  obs::tracing::Start(path);
   EXPECT_TRUE(obs::tracing::Active());
   // A second Start on an active session must fail cleanly.
-  EXPECT_FALSE(obs::tracing::Start(path, &error));
+  EXPECT_THROW(obs::tracing::Start(path), Error);
   {
-    obs::TraceScope outer("outer", "test");
-    obs::TraceScope inner("inner", "test");
-    obs::tracing::Instant("marker", "test");
+    obs::Span outer("outer", "test");
+    obs::Span inner("inner", "test");
   }
-  std::thread worker([] { obs::TraceScope s("worker_scope", "test"); });
+  std::thread worker([] { obs::Span s("worker_scope", "test"); });
   worker.join();
-  ASSERT_TRUE(obs::tracing::Stop(&error)) << error;
+  obs::tracing::Stop();
   EXPECT_FALSE(obs::tracing::Active());
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-
+  const std::string json = ReadFile(path);
+  ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"worker_scope\""), std::string::npos);
+  EXPECT_TRUE(HasEvent(json, "outer"));
+  EXPECT_TRUE(HasEvent(json, "inner"));
+  EXPECT_TRUE(HasEvent(json, "worker_scope"));
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 
   // Structural balance; no payload string can contain braces (names
   // are identifiers), so a raw count is a real well-formedness check.
@@ -329,11 +420,26 @@ TEST_F(ObsTest, TraceFileIsWellFormedChromeTraceJson) {
 }
 
 TEST_F(ObsTest, TraceStartFailsOnUnwritablePath) {
-  std::string error;
-  EXPECT_FALSE(
-      obs::tracing::Start("/nonexistent-dir/trace.json", &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_THROW(obs::tracing::Start("/nonexistent-dir/trace.json"), Error);
   EXPECT_FALSE(obs::tracing::Active());
+}
+
+// The path holds no pid: a death test's child may be a re-executed
+// process with a pid of its own.
+TEST(ObsTraceDeathTest, UnstoppedSessionLeavesNoFile) {
+  const std::string path =
+      ::testing::TempDir() + "/ictm-unstopped-session.trace.json";
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        obs::tracing::Start(path);
+        std::fprintf(stderr, "session file %s\n",
+                     std::filesystem::exists(path) ? "open" : "missing");
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "session file open");
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -128,6 +128,19 @@ TEST(OutputFile, RequireDistinctOutputSeesEverySpelling) {
   EXPECT_THROW(RequireDistinctOutput(input, link), Error);
   EXPECT_NO_THROW(RequireDistinctOutput(input, TempPath("of_other.txt")));
   EXPECT_EQ(ReadText(input), "input\n");
+
+  // Two outputs not created yet name the same file when their paths
+  // resolve alike, through `.`, `..` or a symlinked directory.
+  const std::string fresh = TempPath("of_fresh.txt");
+  const std::string freshName = fresh.substr(fresh.rfind('/') + 1);
+  const std::string dirLink = TempPath("of_dir_link");
+  ASSERT_EQ(::symlink(dir.c_str(), dirLink.c_str()), 0);
+  EXPECT_THROW(RequireDistinctOutput(fresh, dir + "/./" + freshName), Error);
+  EXPECT_THROW(RequireDistinctOutput(fresh, dirLink + "/" + freshName),
+               Error);
+  EXPECT_NO_THROW(RequireDistinctOutput(fresh, TempPath("of_other.txt")));
+  EXPECT_FALSE(Exists(fresh));
+  ::unlink(dirLink.c_str());
   ::unlink(link.c_str());
   ::unlink(input.c_str());
 }

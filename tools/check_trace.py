@@ -4,14 +4,16 @@
 Checks (all pure stdlib, so the gate runs anywhere Python 3 runs):
   - the file parses as JSON and is an object with a "traceEvents" list
   - every event is an object carrying name/cat/ph/pid/tid/ts
-  - complete events ('X') carry a non-negative numeric dur
-  - instant events ('i') carry a scope
+  - every event is a complete event ('X') with a non-negative
+    numeric dur
   - ts/dur are non-negative numbers (fractional microseconds),
     pid/tid non-negative integers
   - at least `--min-events` events are present (default 1), so an
     accidentally-empty trace fails the smoke test that produced it
+  - every `--require-name` names at least one event, so a run can
+    demand the stages it should have traced
 
-Usage: check_trace.py FILE [--min-events N]
+Usage: check_trace.py FILE [--min-events N] [--require-name NAME]...
 Exit code 0 when the trace is well-formed, 1 otherwise.
 """
 
@@ -21,10 +23,7 @@ import argparse
 import json
 import sys
 
-KNOWN_PHASES = {"X", "i"}  # the phases obs/trace.cpp emits
-
-
-def check(path: str, min_events: int) -> int:
+def check(path: str, min_events: int, required: list[str]) -> int:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -56,15 +55,12 @@ def check(path: str, min_events: int) -> int:
             if key not in ev:
                 bad(i, f"missing '{key}'")
         ph = ev.get("ph")
-        if ph not in KNOWN_PHASES:
-            bad(i, f"unexpected phase {ph!r} (emitter only writes X/i)")
-        if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                bad(i, f"'X' event needs a non-negative numeric dur, got "
-                       f"{dur!r}")
-        if ph == "i" and "s" not in ev:
-            bad(i, "'i' event missing scope 's'")
+        if ph != "X":
+            bad(i, f"unexpected phase {ph!r} (obs::Span only writes X)")
+        dur = ev.get("dur")
+        if not isinstance(dur, (int, float)) or dur < 0:
+            bad(i, f"'X' event needs a non-negative numeric dur, got "
+                   f"{dur!r}")
         ts = ev.get("ts")
         if "ts" in ev and (not isinstance(ts, (int, float)) or ts < 0):
             bad(i, f"'ts' must be a non-negative number, got {ts!r}")
@@ -76,6 +72,11 @@ def check(path: str, min_events: int) -> int:
     if len(events) < min_events:
         print(f"{path}: {len(events)} event(s), expected >= {min_events}")
         errors += 1
+    names = {ev.get("name") for ev in events if isinstance(ev, dict)}
+    for name in required:
+        if name not in names:
+            print(f"{path}: no event named {name!r}")
+            errors += 1
 
     if errors:
         print(f"{path}: {errors} problem(s)")
@@ -89,8 +90,12 @@ def main() -> int:
     parser.add_argument("file", help="trace JSON file to validate")
     parser.add_argument("--min-events", type=int, default=1,
                         help="fail unless at least N events are present")
+    parser.add_argument("--require-name", action="append", default=[],
+                        metavar="NAME",
+                        help="fail unless an event is named NAME "
+                             "(repeatable)")
     args = parser.parse_args()
-    return check(args.file, args.min_events)
+    return check(args.file, args.min_events, args.require_name)
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -61,6 +60,7 @@
 #include "common/parallel.hpp"
 #include "conngen/fmeasure.hpp"
 #include "obs/metrics.hpp"
+#include "obs/now.hpp"
 #include "obs/trace.hpp"
 #include "conngen/packet_trace.hpp"
 #include "core/estimation.hpp"
@@ -94,10 +94,10 @@ class UsageError : public std::runtime_error {
 
 // Shared --trace-out/--metrics-out handling for the estimation
 // subcommands (estimate, stream, run, serve).  begin() opens the
-// trace session before the work; finish() closes it and dumps the
+// trace session before the work; finish() writes it and dumps the
 // metrics registry as ictm-metrics-v1 JSON.  Neither artifact ever
 // changes estimation output bytes (docs/ARCHITECTURE.md,
-// "Observability").
+// "Observability"), and a command that fails leaves neither.
 struct ObsOutputs {
   std::string tracePath;
   std::string metricsPath;
@@ -115,28 +115,46 @@ struct ObsOutputs {
     return false;
   }
 
-  void begin() const {
-    if (tracePath.empty()) return;
-    std::string error;
-    if (!obs::tracing::Start(tracePath, &error)) {
-      throw std::runtime_error(error);
+  /// Refuses a trace or metrics path that names one of `files` (the
+  /// command's inputs and its own outputs) or the other of the two,
+  /// then starts the trace session.  Call it before anything is read
+  /// or opened.
+  void begin(std::vector<std::string> files) const {
+    for (const std::string& path : {tracePath, metricsPath}) {
+      if (path.empty()) continue;
+      for (const std::string& file : files) RequireDistinctOutput(file, path);
+      files.push_back(path);
     }
+    if (!tracePath.empty()) obs::tracing::Start(tracePath);
   }
 
+  /// Writes the metrics, then the trace: a failed metrics write leaves
+  /// the session unstopped, so no trace file either.
   void finish() const {
-    if (!tracePath.empty()) {
-      std::string error;
-      if (!obs::tracing::Stop(&error)) throw std::runtime_error(error);
-      std::printf("wrote trace to %s\n", tracePath.c_str());
-    }
     if (!metricsPath.empty()) {
       OutputFile out(metricsPath);
       out.stream() << obs::Registry::Instance().snapshot().toJson() << "\n";
       out.commit();
       std::printf("wrote metrics to %s\n", metricsPath.c_str());
     }
+    if (!tracePath.empty()) {
+      obs::tracing::Stop();
+      std::printf("wrote trace to %s\n", tracePath.c_str());
+    }
   }
 };
+
+// The files a command reads: its TM input, if any, and the topology
+// when the spec names an .ictp file rather than a registry entry.
+std::vector<std::string> InputFiles(const std::string& tmPath,
+                                    const std::string& topologySpec) {
+  std::vector<std::string> files;
+  if (!tmPath.empty()) files.push_back(tmPath);
+  if (!topologySpec.empty() && topology::IsTopologyFileSpec(topologySpec)) {
+    files.push_back(topologySpec);
+  }
+  return files;
+}
 
 int Usage() {
   std::fprintf(stderr,
@@ -442,7 +460,14 @@ int CmdRun(int argc, char** argv) {
     }
   }
   if (names.empty()) return Usage();
-  obsOut.begin();
+  std::vector<std::string> files = InputFiles("", ctx.topology);
+  if (!outDir.empty()) {
+    for (const std::string& name : names) {
+      files.push_back(outDir + "/" + name + ".json");
+    }
+    files.push_back(outDir + "/manifest.json");
+  }
+  obsOut.begin(files);
 
   // Split the thread budget between the scenario-level fan-out and
   // each scenario's inner kernels instead of multiplying them (inner
@@ -455,12 +480,9 @@ int CmdRun(int argc, char** argv) {
               names.size(), workers, ctx.threads,
               ctx.tiny ? " [tiny]" : "");
 
-  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t start = obs::Now();
   const auto results = scenario::RunScenarios(names, ctx, workers);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
+  const double sec = obs::ElapsedSeconds(start);
 
   bool allPass = true;
   for (const auto& r : results) {
@@ -612,11 +634,11 @@ int CmdEstimate(int argc, char** argv) {
     }
   }
   if (positional.empty()) return Usage();
-  obsOut.begin();
-
-  const auto truth = traffic::ReadCsvFile(positional[0]);
   const std::string topoName =
       positional.size() > 1 ? positional[1] : "auto";
+  obsOut.begin(InputFiles(positional[0], topoName));
+
+  const auto truth = traffic::ReadCsvFile(positional[0]);
   const std::uint64_t topoSeed =
       positional.size() > 3
           ? static_cast<std::uint64_t>(
@@ -639,12 +661,9 @@ int CmdEstimate(int argc, char** argv) {
               g.linkCount(), workers);
 
   const auto priors = core::GravityPredictSeries(truth);
-  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t start = obs::Now();
   const auto est = core::EstimateSeries(routing, truth, priors, options);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
+  const double sec = obs::ElapsedSeconds(start);
 
   const auto errEst = core::RelL2TemporalSeries(truth, est);
   const auto errPrior = core::RelL2TemporalSeries(truth, priors);
@@ -699,6 +718,13 @@ struct StreamFlags {
     ++*i;
     return true;
   }
+
+  /// DIR/estimates.ictmb and DIR/priors.ictmb for --out DIR; none
+  /// without it.
+  std::vector<std::string> outPaths() const {
+    if (outDir.empty()) return {};
+    return {outDir + "/estimates.ictmb", outDir + "/priors.ictmb"};
+  }
 };
 
 // The trace input of stream and client: ictmb or TM CSV, sniffed by
@@ -743,26 +769,24 @@ class TraceInput {
   std::size_t csvNext_ = 0;
 };
 
-// DIR/estimates.ictmb and DIR/priors.ictmb for --out DIR; none
-// without it.  A run that fails before close() leaves neither file.
+// The --out traces (StreamFlags::outPaths()).  A run that fails before
+// close() leaves neither file.
 struct OutputTraces {
   std::optional<stream::TraceWriter> estimates, priors;
 
   OutputTraces(const StreamFlags& flags, const std::string& inPath,
                std::size_t nodes, double binSeconds) {
-    if (flags.outDir.empty()) return;
-    const std::string estimatesPath = flags.outDir + "/estimates.ictmb";
-    const std::string priorsPath = flags.outDir + "/priors.ictmb";
-    RequireDistinctOutput(inPath, estimatesPath);
-    RequireDistinctOutput(inPath, priorsPath);
+    const std::vector<std::string> paths = flags.outPaths();
+    if (paths.empty()) return;
+    for (const std::string& path : paths) RequireDistinctOutput(inPath, path);
     std::filesystem::create_directories(flags.outDir);
     stream::TraceWriterOptions options;
     options.codec = flags.codec;
     // File bytes are identical for any pool size, so one background
     // compressor is pure overlap when a real codec is selected.
     options.compressThreads = flags.codec == stream::ChunkCodec::kRaw ? 0 : 1;
-    estimates.emplace(estimatesPath, nodes, binSeconds, options);
-    priors.emplace(priorsPath, nodes, binSeconds, options);
+    estimates.emplace(paths[0], nodes, binSeconds, options);
+    priors.emplace(paths[1], nodes, binSeconds, options);
   }
 
   void append(const double* estimate, const double* prior) {
@@ -795,7 +819,9 @@ int CmdStream(int argc, char** argv) {
     }
   }
 
-  obsOut.begin();
+  std::vector<std::string> files = InputFiles(inPath, flags.topology);
+  for (const std::string& path : flags.outPaths()) files.push_back(path);
+  obsOut.begin(files);
 
   // Peak memory is O(n² · (queue + workers)), never O(n² · T).
   TraceInput input(inPath);
@@ -825,7 +851,7 @@ int CmdStream(int argc, char** argv) {
   double sumErrEst = 0.0, sumErrPrior = 0.0;
   std::size_t scoredBins = 0;
 
-  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t start = obs::Now();
   stream::StreamingEstimator estimator(
       routing, nodes, options,
       [&](std::size_t seq, const double* estimate, const double* prior) {
@@ -862,10 +888,7 @@ int CmdStream(int argc, char** argv) {
     estimator.push(stream::MakeBinEvent(routing, nodes, bin.data()));
   }
   estimator.finish();
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
+  const double sec = obs::ElapsedSeconds(start);
   std::printf("estimated %zu bins in %.3f s (%.0f bins/s)\n", bins, sec,
               sec > 0.0 ? double(bins) / sec : 0.0);
   if (scoredBins > 0) {
@@ -933,7 +956,7 @@ int CmdServe(int argc, char** argv) {
   sigaddset(&stopSignals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &stopSignals, nullptr);
 
-  obsOut.begin();
+  obsOut.begin({});
   server::Server srv(options);
   std::string error;
   if (!srv.start(&error)) {
@@ -1210,13 +1233,10 @@ int CmdRepack(int argc, char** argv) {
     }
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t start = obs::Now();
   const stream::RepackResult result =
       stream::RepackTrace(inPath, outPath, options);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
-          .count();
+  const double sec = obs::ElapsedSeconds(start);
   std::printf("repacked %llu bin(s) as %s: %llu -> %llu bytes (%.2fx) "
               "in %.3f s\n",
               static_cast<unsigned long long>(result.bins),

@@ -13,11 +13,10 @@ constructs that break the contract in ways a lucky schedule hides:
   ICTM-D002  wall-clock / ambient-entropy reads (rand, srand, time,
              clock, gettimeofday, std::random_device, *_clock::now,
              clock_gettime) — results must be pure functions of inputs.
-             Sanctioned clock sites: scenario::StartTimer/SecondsSince
-             (notes-channel timing) and obs::Now() (metrics/tracing
-             timestamps, strictly off the estimation path); both are
-             allowlisted at their single definition site and every
-             caller goes through them.
+             One clock is sanctioned: obs::Now(), allowlisted at its
+             single definition site (src/obs/now.cpp).  Stage timings
+             go through obs::Span, run-level timings (the scenario
+             notes channel) through obs::Now(); neither feeds a result.
   ICTM-D003  float-typed storage in estimation paths (src/core,
              src/linalg, src/server, src/stream, src/timeseries,
              src/traffic) —
@@ -69,7 +68,7 @@ RULES = {
     "ICTM-D001": "iteration over unordered container (hash order is "
                  "nondeterministic); use std::map/std::set or sorted keys",
     "ICTM-D002": "wall-clock / ambient-entropy read in result-producing "
-                 "code; route timings through scenario::StartTimer",
+                 "code; route timings through obs::Now / obs::Span",
     "ICTM-D003": "float-typed storage in an estimation path; accumulate "
                  "in double",
     "ICTM-D004": "static mutable local/global; shared mutable state "
@@ -107,7 +106,7 @@ NONDET_CALL = re.compile(
     r"(?:(?<![\w.])(?:rand|srand|drand48|lrand48|time|clock|gettimeofday|"
     r"clock_gettime|timespec_get)\s*\()"
     r"|std::random_device"
-    r"|(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now")
+    r"|(?:steady|system|high_resolution)_clock\s*::\s*now")
 
 FLOAT_TOKEN = re.compile(r"(?<!\w)float(?!\w)")
 

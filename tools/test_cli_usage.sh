@@ -12,7 +12,9 @@
 # CSV without leaving a partial CSV.  A file that cannot be written
 # completely exits 1 in every subcommand, yet a FIFO, a device or a
 # symlink the output named is never unlinked, and an output that
-# names the input is refused before the input is touched.
+# names the input (or, for --metrics-out and --trace-out, any other
+# file of the command) is refused before the input is touched.  A
+# command that fails leaves no trace file.
 #
 # Devices are only ever reached through a symlink in the work dir, and
 # a FIFO gets its reader before ictm opens it.
@@ -245,23 +247,40 @@ if [ -c /dev/full ] && [ -w /dev/full ]; then
     estimate "$WORK/tm.csv" --trace-out "$WORK/full-trace.json"
   expect_full_device_error "$WORK/full.ictp" \
     topo gen geant22 --out "$WORK/full.ictp"
+  # The trace is written last, so a failed metrics write leaves none.
+  expect_full_device_error "$WORK/full-metrics2.json" \
+    estimate "$WORK/tm.csv" --trace-out "$WORK/unwritten.trace.json" \
+    --metrics-out "$WORK/full-metrics2.json"
+  if [ -e "$WORK/unwritten.trace.json" ]; then
+    echo "FAIL: a failed --metrics-out write left the --trace-out file"
+    FAILURES=$((FAILURES + 1))
+  else
+    echo "ok (no trace file): failed --metrics-out with --trace-out"
+  fi
 else
   echo "skip: /dev/full is not a writable device"
 fi
 
-# expect_input_kept <input> <args...>: the command's output names its
-# input, so it must exit 1 before opening it and leave the input's
-# bytes as they were.
+# expect_input_kept <file> <args...>: an output of the command names
+# <file>, one of its inputs or another of its outputs, so it must exit
+# 1 before opening anything and leave <file> as it was: the same bytes,
+# or still absent.
 expect_input_kept() {
-  local input=$1 rc
+  local file=$1 rc kept
   shift
-  cp "$input" "$WORK/saved"
+  rm -f "$WORK/saved"
+  [ -e "$file" ] && cp "$file" "$WORK/saved"
   "$BIN" "$@" >/dev/null 2>&1
   rc=$?
-  if [ "$rc" -eq 1 ] && cmp -s "$input" "$WORK/saved"; then
-    echo "ok (exit 1, input kept): ictm $*"
+  if [ -e "$WORK/saved" ]; then
+    cmp -s "$file" "$WORK/saved" && kept=yes
   else
-    echo "FAIL: ictm $* exited $rc (want 1) and $([ -e "$input" ] && echo changed || echo deleted) its input"
+    [ -e "$file" ] || kept=yes
+  fi
+  if [ "$rc" -eq 1 ] && [ -n "${kept:-}" ]; then
+    echo "ok (exit 1, $(basename "$file") untouched): ictm $*"
+  else
+    echo "FAIL: ictm $* exited $rc (want 1) and $([ -e "$WORK/saved" ] && echo changed || echo created) $file"
     FAILURES=$((FAILURES + 1))
   fi
 }
@@ -276,6 +295,49 @@ mkdir "$WORK/selfout"
 cp "$WORK/self.ictmb" "$WORK/selfout/estimates.ictmb"
 expect_input_kept "$WORK/selfout/estimates.ictmb" \
   stream "$WORK/selfout/estimates.ictmb" --out "$WORK/selfout"
+
+# --metrics-out and --trace-out are refused, before anything is read or
+# opened, when they name one of the command's inputs (the TM input, a
+# topology file), the other of the two, or one of the command's own
+# outputs, whether or not that file exists yet.  Each case gets its own
+# copy of the file it names.
+for copy in obs1.csv obs2.csv; do cp "$WORK/tm.csv" "$WORK/$copy"; done
+cp "$WORK/self.ictmb" "$WORK/obs3.ictmb"
+expect_input_kept "$WORK/obs1.csv" \
+  estimate "$WORK/obs1.csv" --metrics-out "$WORK/obs1.csv"
+expect_input_kept "$WORK/obs2.csv" \
+  estimate "$WORK/obs2.csv" --trace-out "$WORK/./obs2.csv"
+expect_input_kept "$WORK/obs3.ictmb" \
+  stream "$WORK/obs3.ictmb" --metrics-out "$WORK/obs3.ictmb"
+expect_ok topo gen ring:6:2 --out "$WORK/ring6a.ictp"
+expect_ok topo gen ring:6:2 --out "$WORK/ring6b.ictp"
+expect_input_kept "$WORK/ring6a.ictp" \
+  estimate "$WORK/tm.csv" "$WORK/ring6a.ictp" --trace-out "$WORK/ring6a.ictp"
+expect_input_kept "$WORK/ring6b.ictp" \
+  stream "$WORK/tm.csv" --topology "$WORK/ring6b.ictp" \
+  --metrics-out "$WORK/ring6b.ictp"
+expect_input_kept "$WORK/both.json" \
+  estimate "$WORK/tm.csv" --trace-out "$WORK/both.json" \
+  --metrics-out "$WORK/both.json"
+expect_ok stream "$WORK/tm.csv" --out "$WORK/streamout"
+expect_input_kept "$WORK/streamout/estimates.ictmb" \
+  stream "$WORK/tm.csv" --out "$WORK/streamout" \
+  --metrics-out "$WORK/streamout/estimates.ictmb"
+mkdir "$WORK/newout"
+expect_input_kept "$WORK/newout/priors.ictmb" \
+  stream "$WORK/tm.csv" --out "$WORK/newout" \
+  --trace-out "$WORK/newout/../newout/priors.ictmb"
+expect_input_kept "$WORK/runout2/fig2_example.json" \
+  run fig2_example --tiny --out "$WORK/runout2" \
+  --metrics-out "$WORK/runout2/fig2_example.json"
+expect_ok run fig2_example --tiny --out "$WORK/runout3"
+expect_input_kept "$WORK/runout3/manifest.json" \
+  run fig2_example --tiny --out "$WORK/runout3" \
+  --trace-out "$WORK/runout3/manifest.json"
+
+# A command that fails leaves no trace file.
+expect_input_kept "$WORK/failed.trace.json" \
+  estimate "$WORK/nosuch.csv" --trace-out "$WORK/failed.trace.json"
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES CLI usage check(s) failed"

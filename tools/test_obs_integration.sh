@@ -2,11 +2,12 @@
 # End-to-end observability test, registered with CTest as
 # `obs_integration` and run in CI.
 #
-# Contract (ISSUE 8): instrumentation must be invisible to results —
-# an `ictm stream` run with --trace-out/--metrics-out produces
-# byte-identical estimates and priors to a plain run — and the
-# artifacts themselves must be sound: the trace validates as Chrome
-# trace_event JSON (tools/check_trace.py), the metrics snapshot is
+# Contract: instrumentation must be invisible to results — an `ictm
+# stream` run with --trace-out/--metrics-out produces byte-identical
+# estimates and priors to a plain run — and the artifacts themselves
+# must be sound: the trace validates as Chrome trace_event JSON
+# (tools/check_trace.py) and shows every timed stage of a bin, from the
+# chunk read through the six solver stages, the metrics snapshot is
 # JSON with the v1 schema marker, `ictm client --stats` returns a
 # name-sorted counter dump from a live server, and `ictm serve
 # --stats-interval` emits periodic summary lines plus shutdown totals.
@@ -37,13 +38,16 @@ WINDOW=4
 
 "$BIN" synthesize "$WORK/tm.csv" $NODES $BINS 0.25 7 >/dev/null ||
   fail "synthesize"
+"$BIN" convert "$WORK/tm.csv" "$WORK/tm.ictmb" --chunk 8 >/dev/null ||
+  fail "convert"
 
 # Plain run vs instrumented run: the estimates and priors must not
-# care whether the registry and tracer were watching.
+# care whether the registry and tracer were watching (nor whether the
+# bins came from the CSV or its ictmb twin).
 "$BIN" stream "$WORK/tm.csv" --topology grid:3x3 --threads 2 \
   --window $WINDOW --out "$WORK/plain" >/dev/null ||
   fail "plain stream run"
-"$BIN" stream "$WORK/tm.csv" --topology grid:3x3 --threads 2 \
+"$BIN" stream "$WORK/tm.ictmb" --topology grid:3x3 --threads 2 \
   --window $WINDOW --out "$WORK/traced" \
   --trace-out "$WORK/stream.trace.json" \
   --metrics-out "$WORK/stream.metrics.json" >/dev/null ||
@@ -57,8 +61,14 @@ for kind in estimates priors; do
 done
 
 # The artifacts themselves.
-python3 "$CHECK_TRACE" "$WORK/stream.trace.json" --min-events 10 ||
-  fail "stream trace is not well-formed trace_event JSON"
+REQUIRED=()
+for name in push solve chunk_read chunk_write residual gram factor \
+    substitute pushback ipf; do
+  REQUIRED+=(--require-name "$name")
+done
+python3 "$CHECK_TRACE" "$WORK/stream.trace.json" --min-events 10 \
+  "${REQUIRED[@]}" ||
+  fail "stream trace is not well-formed or lacks a timed stage"
 grep -q '"ictm-metrics-v1"' "$WORK/stream.metrics.json" ||
   fail "stream metrics snapshot lacks the v1 schema marker"
 grep -q '"stream.bins_pushed"' "$WORK/stream.metrics.json" ||
