@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the numerical kernels the
 // reproduction is built on: the QR factorisation, NNLS, gravity,
 // the stable-fP prior, one tomogravity estimation bin at Géant scale,
-// the per-topology set-up (routing matrix, augmented operator) and the
-// dense Cholesky factor of a hierarchy backbone's bin.
+// the per-topology set-up (routing matrix, augmented operator), and the
+// packed normal matrix and its Cholesky factor of a hierarchy
+// backbone's bin.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "linalg/lsq.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/sparse.hpp"
 #include "stats/rng.hpp"
 #include "topology/registry.hpp"
 #include "topology/routing.hpp"
@@ -155,54 +157,85 @@ BENCHMARK(BM_AugmentedSystem)
     ->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
-// The dense factor TmBinSolver runs once per bin, on the real normal
-// matrix A diag(xp) Aᵀ + ridge of hierarchy:100 (586 rows) and
-// hierarchy:200 (1186 rows), with xp the cold-start stable-fP prior
-// (uniform preference) of one synthetic bin.
+// One bin of a hierarchy backbone as TmBinSolver sees it: the
+// augmented system and the cold-start stable-fP prior (uniform
+// preference) of one synthetic bin.
+struct HierarchyBin {
+  explicit HierarchyBin(std::size_t nodes)
+      : graph(topology::MakeTopology("hierarchy:" + std::to_string(nodes))),
+        system(topology::BuildRouting(graph), graph.nodeCount(),
+               /*marginalConstraints=*/true) {
+    const std::size_t n = graph.nodeCount();
+    core::SynthesisConfig config;
+    config.nodes = n;
+    config.bins = 1;
+    stats::Rng rng(7);
+    const core::SyntheticTm tm = core::GenerateSyntheticTm(config, rng);
+    const double* truth = tm.series.binData(0);
+    linalg::Vector in(n, 0.0), out(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        in[i] += truth[i * n + j];
+        out[j] += truth[i * n + j];
+      }
+    linalg::Vector activity(n);
+    prior.resize(n * n);
+    core::StableFPKernel(0.25, linalg::Vector(n, 1.0))
+        .PriorBin(in.data(), out.data(), activity.data(), prior.data());
+  }
+  topology::Graph graph;
+  core::AugmentedTmSystem system;
+  linalg::Vector prior;
+};
+
+// The packed normal matrix A diag(xp) Aᵀ TmBinSolver assembles once
+// per bin, at hierarchy:200 (1186 rows) and hierarchy:400 (2386).
+void BM_WeightedGram(benchmark::State& state) {
+  const HierarchyBin bin(static_cast<std::size_t>(state.range(0)));
+  linalg::PackedUpper gram(bin.system.rowCount());
+  for (auto _ : state) {
+    linalg::WeightedGramInto(bin.system.matrix(), bin.prior.data(), gram);
+    benchmark::DoNotOptimize(gram.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows"] = static_cast<double>(gram.dim());
+  state.counters["bytes"] = static_cast<double>(gram.size() * sizeof(double));
+}
+BENCHMARK(BM_WeightedGram)
+    ->Arg(200)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond);
+
+// The factor TmBinSolver runs once per bin, on that packed normal
+// matrix plus the solver's ridge, at hierarchy:100 (586 rows), :200
+// (1186) and :400 (2386).  `bytes` is the packed buffer one worker
+// holds.
 void BM_CholeskyFactor(benchmark::State& state) {
-  const topology::Graph g = topology::MakeTopology(
-      "hierarchy:" + std::to_string(state.range(0)));
-  const std::size_t n = g.nodeCount();
-  const core::AugmentedTmSystem system(topology::BuildRouting(g), n,
-                                       /*marginalConstraints=*/true);
-  core::SynthesisConfig config;
-  config.nodes = n;
-  config.bins = 1;
-  stats::Rng rng(7);
-  const core::SyntheticTm tm = core::GenerateSyntheticTm(config, rng);
-  const double* truth = tm.series.binData(0);
-  linalg::Vector in(n, 0.0), out(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      in[i] += truth[i * n + j];
-      out[j] += truth[i * n + j];
-    }
-  linalg::Vector activity(n), prior(n * n);
-  core::StableFPKernel(0.25, linalg::Vector(n, 1.0))
-      .PriorBin(in.data(), out.data(), activity.data(), prior.data());
-
-  const std::size_t rows = system.rowCount();
-  std::vector<double> gram(rows * rows);
-  linalg::WeightedGramInto(system.matrix(), prior.data(), gram.data());
+  const HierarchyBin bin(static_cast<std::size_t>(state.range(0)));
+  const std::size_t rows = bin.system.rowCount();
+  linalg::PackedUpper gram(rows);
+  linalg::WeightedGramInto(bin.system.matrix(), bin.prior.data(), gram);
   double trace = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) trace += gram[r * rows + r];
+  for (std::size_t r = 0; r < rows; ++r) trace += gram.row(r)[r];
   const double ridge = std::max(trace, 1.0) * 1e-10 + 1e-30;
-  for (std::size_t r = 0; r < rows; ++r) gram[r * rows + r] += ridge;
+  for (std::size_t r = 0; r < rows; ++r) gram.row(r)[r] += ridge;
 
-  std::vector<double> work(rows * rows);
+  linalg::PackedUpper work(rows);
   for (auto _ : state) {
     state.PauseTiming();
-    std::copy(gram.begin(), gram.end(), work.begin());
+    std::copy(gram.data(), gram.data() + gram.size(), work.data());
     state.ResumeTiming();
-    linalg::CholeskyFactorInPlace(work.data(), rows);
+    linalg::CholeskyFactorInPlace(work);
     benchmark::DoNotOptimize(work.data());
     benchmark::ClobberMemory();
   }
   state.counters["rows"] = static_cast<double>(rows);
+  state.counters["bytes"] = static_cast<double>(work.size() * sizeof(double));
 }
 BENCHMARK(BM_CholeskyFactor)
     ->Arg(100)
     ->Arg(200)
+    ->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -228,9 +228,7 @@ int main(int argc, char** argv) {
         (dir / (std::string("smooth_") + name + ".ictmb")).string();
     stream::TraceWriterOptions writerOptions;
     writerOptions.codec = codec;
-    writerOptions.compressThreads = codec == stream::ChunkCodec::kRaw
-                                        ? 0
-                                        : std::max<std::size_t>(1, threads);
+    writerOptions.compressThreads = std::max<std::size_t>(1, threads);
     t0 = obs::Now();
     stream::WriteTraceFile(path, smooth, writerOptions);
     const double writeSec = obs::ElapsedSeconds(t0);

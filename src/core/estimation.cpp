@@ -160,7 +160,7 @@ TmBinSolver::TmBinSolver(const AugmentedTmSystem& system,
                          const EstimationOptions& /*options*/)
     : system_(system),
       d_(system.rowCount(), 0.0),
-      m_(system.rowCount() * system.rowCount(), 0.0) {}
+      m_(system.rowCount()) {}
 
 void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
                         const double* ingress, const double* egress,
@@ -181,7 +181,6 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
   const auto& rowIdx = system_.matrix().rowIdx();
   const auto& values = system_.matrix().values();
   double* d = d_.data();
-  double* m = m_.data();
   {
     obs::Span span("residual", "solver", &stages.residual);
     // Right-hand side y = [loads; ingress; egress] ...
@@ -205,21 +204,21 @@ void TmBinSolver::Solve(const double* linkLoads, const double* priorBin,
   SolvesCounter().add();
   {
     obs::Span span("gram", "solver", &stages.gram);
-    linalg::WeightedGramInto(system_.matrix(), priorBin, m);
+    linalg::WeightedGramInto(system_.matrix(), priorBin, m_);
     double trace = 0.0;
-    for (std::size_t r = 0; r < rows; ++r) trace += m[r * rows + r];
+    for (std::size_t r = 0; r < rows; ++r) trace += m_.row(r)[r];
     const double ridge =
         std::max(trace, 1.0) * kRelativeRidge +
         1e-30;  // keep strictly positive even for an all-zero prior
-    for (std::size_t r = 0; r < rows; ++r) m[r * rows + r] += ridge;
+    for (std::size_t r = 0; r < rows; ++r) m_.row(r)[r] += ridge;
   }
   {
     obs::Span span("factor", "solver", &stages.factor);
-    linalg::CholeskyFactorInPlace(m, rows);
+    linalg::CholeskyFactorInPlace(m_);
   }
   {
     obs::Span span("substitute", "solver", &stages.substitute);
-    linalg::CholeskySubstituteInPlace(m, d, rows);
+    linalg::CholeskySubstituteInPlace(m_, d);
   }
   {
     obs::Span span("pushback", "solver", &stages.pushback);

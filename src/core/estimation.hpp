@@ -77,8 +77,9 @@ class AugmentedTmSystem {
 /// marginals.  The refinement solves the ridged normal equations
 ///   (A·diag(xp)·Aᵀ + ridge·I) z = y − A·xp,
 ///   ridge = max(trace, 1)·1e-10 + 1e-30,
-/// by assembling the rows² normal matrix densely and running the
-/// blocked in-place Cholesky.  Create one solver per worker thread;
+/// by assembling the normal matrix as a packed upper triangle
+/// (linalg::PackedUpper, about rows²/2 doubles) and running the
+/// blocked in-place Cholesky on it.  Create one solver per worker thread;
 /// Solve may be called repeatedly, allocates nothing, and performs the
 /// exact same floating-point operations regardless of which solver
 /// instance runs it, so any fan-out over bins is bit-identical to a
@@ -86,8 +87,9 @@ class AugmentedTmSystem {
 class TmBinSolver {
  public:
   /// Binds the solver to a shared system (which must outlive it) and
-  /// allocates its per-thread scratch: rows² doubles for the normal
-  /// matrix plus the rows-long right-hand side.  No field of
+  /// allocates its per-thread scratch: the packed normal matrix and
+  /// its row-offset table, built once, plus the rows-long right-hand
+  /// side.  No field of
   /// `options` changes the solve (marginal constraints are a property
   /// of the system).
   explicit TmBinSolver(const AugmentedTmSystem& system,
@@ -105,7 +107,7 @@ class TmBinSolver {
  private:
   const AugmentedTmSystem& system_;
   std::vector<double> d_;  // rows: rhs, then the dual solution
-  std::vector<double> m_;  // rows x rows: normal matrix, then its factor
+  linalg::PackedUpper m_;  // normal matrix, then its factor
 };
 
 /// Iterative proportional fitting: rescales rows and columns of `tm`

@@ -80,17 +80,22 @@ Matrix CholeskyUpper(const Matrix& a) {
 }
 
 ICTM_DENSE_KERNEL
-void CholeskyFactorInPlace(double* m, std::size_t n) {
+void CholeskyFactorInPlace(PackedUpper& m) {
   // Right-looking rank-4 factor, tiled by row panels with delayed
   // updates.  The untiled loop streams the whole trailing matrix past
-  // every block of four pivots (11 MB at 1186 rows).  Here a panel's
+  // every block of four pivots (5.7 MB at 1186 rows).  Here a panel's
   // rows first receive every earlier block's update one column chunk
   // at a time, so the chunk's tile stays in cache while the finished
   // block rows stream past; then the rank-4 loop runs on the panel's
   // rows alone.  Every element still sees the same updates, with the
   // same expressions, in the same ascending-block order, so the factor
   // is bit-for-bit the untiled one.  The inner loops are branch-free
-  // axpys over contiguous rows, which the compiler vectorises.
+  // axpys over contiguous rows, which the compiler vectorises.  Row r
+  // is base + off[r], indexed by column; every loop reads columns at
+  // or right of its rows' diagonals only.
+  const std::size_t n = m.dim();
+  double* const base = m.data();
+  const std::size_t* const off = m.rowOffsets();
   for (std::size_t p0 = 0; p0 < n; p0 += kPanelRows) {
     const std::size_t p1 = std::min(p0 + kPanelRows, n);
     // Delayed updates from every finished block, ascending, chunk by
@@ -99,13 +104,13 @@ void CholeskyFactorInPlace(double* m, std::size_t n) {
       const std::size_t c1 = std::min(c0 + kChunkCols, n);
       const std::size_t rowEnd = std::min(p1, c1);
       for (std::size_t k = 0; k < p0; k += 4) {
-        const double* __restrict u0 = m + k * n;
-        const double* __restrict u1 = m + (k + 1) * n;
-        const double* __restrict u2 = m + (k + 2) * n;
-        const double* __restrict u3 = m + (k + 3) * n;
+        const double* __restrict u0 = base + off[k];
+        const double* __restrict u1 = base + off[k + 1];
+        const double* __restrict u2 = base + off[k + 2];
+        const double* __restrict u3 = base + off[k + 3];
         for (std::size_t i = p0; i < rowEnd; ++i) {
           const double a = u0[i], b = u1[i], c = u2[i], e = u3[i];
-          double* __restrict ui = m + i * n;
+          double* __restrict ui = base + off[i];
           for (std::size_t j = std::max(i, c0); j < c1; ++j) {
             ui[j] -= a * u0[j] + b * u1[j] + c * u2[j] + e * u3[j];
           }
@@ -117,9 +122,9 @@ void CholeskyFactorInPlace(double* m, std::size_t n) {
     std::size_t k = p0;
     for (; k + 3 < n && k < p1; k += 4) {
       for (std::size_t kk = k; kk < k + 4; ++kk) {
-        double* __restrict ukRow = m + kk * n;
+        double* __restrict ukRow = base + off[kk];
         for (std::size_t p = k; p < kk; ++p) {
-          const double* __restrict up = m + p * n;
+          const double* __restrict up = base + off[p];
           const double c = up[kk];
           for (std::size_t j = kk; j < n; ++j) ukRow[j] -= c * up[j];
         }
@@ -130,13 +135,13 @@ void CholeskyFactorInPlace(double* m, std::size_t n) {
         const double inv = 1.0 / diag;
         for (std::size_t j = kk + 1; j < n; ++j) ukRow[j] *= inv;
       }
-      const double* __restrict u0 = m + k * n;
-      const double* __restrict u1 = m + (k + 1) * n;
-      const double* __restrict u2 = m + (k + 2) * n;
-      const double* __restrict u3 = m + (k + 3) * n;
+      const double* __restrict u0 = base + off[k];
+      const double* __restrict u1 = base + off[k + 1];
+      const double* __restrict u2 = base + off[k + 2];
+      const double* __restrict u3 = base + off[k + 3];
       for (std::size_t i = k + 4; i < p1; ++i) {
         const double a = u0[i], b = u1[i], c = u2[i], e = u3[i];
-        double* __restrict ui = m + i * n;
+        double* __restrict ui = base + off[i];
         for (std::size_t j = i; j < n; ++j) {
           ui[j] -= a * u0[j] + b * u1[j] + c * u2[j] + e * u3[j];
         }
@@ -145,7 +150,7 @@ void CholeskyFactorInPlace(double* m, std::size_t n) {
     // Remainder rows (n mod 4); only the last panel has any, and there
     // p1 == n.
     for (; k < p1; ++k) {
-      double* __restrict uk = m + k * n;
+      double* __restrict uk = base + off[k];
       ICTM_REQUIRE(uk[k] > 0.0,
                    "matrix is not positive definite in Cholesky");
       const double ukk = std::sqrt(uk[k]);
@@ -154,7 +159,7 @@ void CholeskyFactorInPlace(double* m, std::size_t n) {
       for (std::size_t j = k + 1; j < n; ++j) uk[j] *= inv;
       for (std::size_t i = k + 1; i < n; ++i) {
         const double uki = uk[i];
-        double* __restrict ui = m + i * n;
+        double* __restrict ui = base + off[i];
         for (std::size_t j = i; j < n; ++j) ui[j] -= uki * uk[j];
       }
     }
@@ -162,21 +167,23 @@ void CholeskyFactorInPlace(double* m, std::size_t n) {
 }
 
 ICTM_DENSE_KERNEL
-void CholeskySubstituteInPlace(const double* m, double* d,
-                               std::size_t n) {
+void CholeskySubstituteInPlace(const PackedUpper& m, double* d) {
   // Forward (Uᵀ y = d) in outer-product form: after y[j] is final,
   // subtract its contribution from every later entry using row j of
   // U — contiguous and vectorisable, unlike the column-strided
   // dot-product form.  Each d[i] still accumulates its subtractions
   // in ascending-j order, so the floating-point result is identical.
+  const std::size_t n = m.dim();
+  const double* const base = m.data();
+  const std::size_t* const off = m.rowOffsets();
   for (std::size_t j = 0; j < n; ++j) {
-    const double* __restrict uj = m + j * n;
+    const double* __restrict uj = base + off[j];
     const double yj = d[j] / uj[j];
     d[j] = yj;
     for (std::size_t i = j + 1; i < n; ++i) d[i] -= uj[i] * yj;
   }
   for (std::size_t i = n; i-- > 0;) {  // backward: U z = y
-    const double* ui = m + i * n;
+    const double* ui = base + off[i];
     double acc = d[i];
     for (std::size_t j = i + 1; j < n; ++j) acc -= ui[j] * d[j];
     d[i] = acc / ui[i];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <ostream>
 
 namespace ictm::linalg {
@@ -147,6 +148,32 @@ Matrix Matrix::block(std::size_t r0, std::size_t c0, std::size_t rows,
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t c = 0; c < cols; ++c) b(r, c) = (*this)(r0 + r, c0 + c);
   return b;
+}
+
+namespace {
+
+// Row starts are rounded down, and row ends up, to this many doubles:
+// one 64-byte line.
+constexpr std::size_t kPackedLine = 8;
+constexpr std::align_val_t kPackedAlign{kPackedLine * sizeof(double)};
+
+}  // namespace
+
+PackedUpper::PackedUpper(std::size_t n) : n_(n), offset_(n) {
+  const std::size_t width = (n + kPackedLine - 1) / kPackedLine * kPackedLine;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t first = i / kPackedLine * kPackedLine;
+    // size_ >= 8i >= first, so the offset never points before data().
+    offset_[i] = size_ - first;
+    size_ += width - first;
+  }
+  data_.reset(static_cast<double*>(
+      ::operator new[](size_ * sizeof(double), kPackedAlign)));
+  std::fill(data_.get(), data_.get() + size_, 0.0);
+}
+
+void PackedUpper::AlignedDelete::operator()(double* p) const noexcept {
+  ::operator delete[](p, kPackedAlign);
 }
 
 Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -107,6 +108,48 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
+};
+
+/// The upper triangle of a symmetric n x n matrix, packed by rows: the
+/// storage of TmBinSolver's normal matrix and of its Cholesky factor,
+/// about half of n² doubles.  Row i stores columns 8⌊i/8⌋ to
+/// ⌈n/8⌉·8 − 1, a whole number of 64-byte lines, and the buffer is
+/// 64-byte aligned, so every row starts on a cache line.  The up to
+/// seven stored entries left of the diagonal and right of column n − 1
+/// are padding that no kernel reads.  A row-offset table, built once
+/// here, points row(i) at the row's (virtual) column 0, so the kernels
+/// index a row by its column exactly as in a dense row-major matrix.
+class PackedUpper {
+ public:
+  /// Allocates the layout of an n x n matrix, zero-filled.
+  explicit PackedUpper(std::size_t n);
+
+  /// The dimension n.
+  std::size_t dim() const noexcept { return n_; }
+  /// Doubles stored, padding included.
+  std::size_t size() const noexcept { return size_; }
+  /// The 64-byte-aligned buffer of size() doubles.
+  double* data() noexcept { return data_.get(); }
+  const double* data() const noexcept { return data_.get(); }
+
+  /// Row i indexed by column: row(i)[j] is element (i, j) for
+  /// i <= j < n.
+  double* row(std::size_t i) noexcept { return data_.get() + offset_[i]; }
+  const double* row(std::size_t i) const noexcept {
+    return data_.get() + offset_[i];
+  }
+  /// The row-offset table (n entries): row(i) is data() +
+  /// rowOffsets()[i].
+  const std::size_t* rowOffsets() const noexcept { return offset_.data(); }
+
+ private:
+  struct AlignedDelete {
+    void operator()(double* p) const noexcept;
+  };
+  std::size_t n_ = 0;
+  std::size_t size_ = 0;
+  std::vector<std::size_t> offset_;
+  std::unique_ptr<double[], AlignedDelete> data_;
 };
 
 /// Matrix addition/subtraction; dimensions must match.

@@ -69,9 +69,9 @@ Matrix CscMatrix::ToDense() const {
 
 // ---- kernels ---------------------------------------------------------
 
-void WeightedGramInto(const CscMatrix& a, const double* w, double* out) {
-  const std::size_t rows = a.rows();
-  std::fill(out, out + rows * rows, 0.0);
+void WeightedGramInto(const CscMatrix& a, const double* w, PackedUpper& out) {
+  ICTM_REQUIRE(out.dim() == a.rows(), "Gram buffer dimension mismatch");
+  std::fill(out.data(), out.data() + out.size(), 0.0);
   const auto& colPtr = a.colPtr();
   const auto& rowIdx = a.rowIdx();
   const auto& values = a.values();
@@ -86,7 +86,7 @@ void WeightedGramInto(const CscMatrix& a, const double* w, double* out) {
     const std::size_t hi = colPtr[c + 1];
     for (std::size_t k1 = lo; k1 < hi; ++k1) {
       const double wv1 = wc * values[k1];
-      double* row = out + rowIdx[k1] * rows;
+      double* row = out.row(rowIdx[k1]);
       for (std::size_t k2 = k1; k2 < hi; ++k2) {
         row[rowIdx[k2]] += wv1 * values[k2];
       }

@@ -71,14 +71,15 @@ class CscMatrix {
 using CsrMatrix = CscMatrix;
 
 /// Weighted Gram matrix A·diag(w)·Aᵀ — the tomogravity normal matrix
-/// R·diag(xp)·Rᵀ — written into a caller-owned row-major buffer of
-/// a.rows()² doubles (overwritten), so per-bin callers can reuse one
-/// allocation across thousands of solves.  Cost is sum over columns of
-/// nnz(col)² instead of rows²·cols; columns whose weight is <= 0 are
-/// skipped (matching the prior-support convention of the estimation
-/// pipeline).  `w` has a.cols() elements.  Only the upper triangle
-/// (row <= col) is written — the matrix is symmetric and the Cholesky
-/// consumer reads nothing below the diagonal; the rest is zero-filled.
-void WeightedGramInto(const CscMatrix& a, const double* w, double* out);
+/// R·diag(xp)·Rᵀ — written into a caller-owned packed upper triangle
+/// of dimension a.rows() (overwritten, padding zeroed), so per-bin
+/// callers can reuse one allocation across thousands of solves.  Cost
+/// is sum over columns of nnz(col)² instead of rows²·cols; columns
+/// whose weight is <= 0 are skipped (matching the prior-support
+/// convention of the estimation pipeline).  `w` has a.cols() elements.
+/// The matrix is symmetric and the Cholesky consumer reads nothing
+/// below the diagonal, so only the upper triangle (row <= col) is
+/// computed.
+void WeightedGramInto(const CscMatrix& a, const double* w, PackedUpper& out);
 
 }  // namespace ictm::linalg

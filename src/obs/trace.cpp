@@ -1,7 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <atomic>
-#include <iomanip>
+#include <charconv>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -17,6 +17,11 @@ namespace ictm::obs {
 
 namespace {
 
+// A thread writes its buffered events to the session file once it
+// holds this many (128 KB), so a session's memory does not grow with
+// its length.
+constexpr std::size_t kFlushEvents = 4096;
+
 struct Event {
   const char* name;
   const char* category;
@@ -24,10 +29,12 @@ struct Event {
   std::uint64_t durNs;
 };
 
-/// Per-thread event buffer.  The mutex is uncontended on the hot path
-/// (only its owner thread appends); Stop() takes it to drain safely
-/// even if a straggler scope is still finishing.
+/// Per-thread event buffer of at most kFlushEvents events.  The mutex
+/// is uncontended on the hot path (only its owner thread appends);
+/// Stop() takes it to drain safely even if a straggler scope is still
+/// finishing.
 struct ThreadBuffer {
+  ThreadBuffer() { events.reserve(kFlushEvents); }
   std::mutex mutex;
   std::vector<Event> events;
   std::uint32_t tid = 0;
@@ -35,12 +42,15 @@ struct ThreadBuffer {
 
 struct TraceState {
   std::atomic<bool> active{false};
-  std::mutex mutex;  // guards buffers/freeList/file/startNs/nextTid
+  // Guards everything below, and the file's stream; taken before a
+  // buffer's mutex.
+  std::mutex mutex;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
   std::vector<ThreadBuffer*> freeList;  // buffers of exited threads
   // The running session's file; removed uncommitted if the process
   // ends without Stop().
   std::unique_ptr<OutputFile> file;
+  const char* separator = "";  // before the next event written
   std::uint64_t startNs = 0;
   std::uint32_t nextTid = 0;
 };
@@ -84,10 +94,61 @@ ThreadBuffer* LocalBuffer() {
   return reg.buffer;
 }
 
-void Append(const Event& event) {
-  ThreadBuffer* buffer = LocalBuffer();
-  std::lock_guard<std::mutex> lock(buffer->mutex);
-  buffer->events.push_back(event);
+/// Writes `ns` as microseconds with three decimals, the text printf's
+/// "%.3f" gives, without the stream's locale-aware number formatting,
+/// which took most of a flush's time.
+void WriteMicros(std::ostream& out, std::uint64_t ns) {
+  char text[32];
+  const std::to_chars_result result =
+      std::to_chars(text, text + sizeof text, static_cast<double>(ns) / 1e3,
+                    std::chars_format::fixed, 3);
+  out.write(text, result.ptr - text);
+}
+
+/// Writes `buffer`'s events to the running session's file, if any,
+/// and empties the buffer.  An event that began before the session
+/// started is a straggler of an earlier one (its scope ended after
+/// that session stopped) and is dropped.  The caller holds the state
+/// mutex and the buffer's.  A failed write leaves the stream failed,
+/// so Stop()'s commit reports it.
+void WriteEvents(TraceState& state, ThreadBuffer& buffer) {
+  if (state.file != nullptr) {
+    std::ostream& out = state.file->stream();
+    for (const Event& event : buffer.events) {
+      if (event.tsNs < state.startNs) continue;
+      out << state.separator << "\n{\"name\":\"" << event.name
+          << "\",\"cat\":\"" << event.category
+          << "\",\"ph\":\"X\",\"ts\":";
+      WriteMicros(out, event.tsNs - state.startNs);
+      out << ",\"pid\":1,\"tid\":" << buffer.tid << ",\"dur\":";
+      WriteMicros(out, event.durNs);
+      out << '}';
+      state.separator = ",";
+    }
+  }
+  buffer.events.clear();
+}
+
+/// Called from ~Span, so it must not throw: an event that cannot be
+/// buffered or written fails the session's stream instead, and Stop()
+/// reports the file as not written completely.
+void Append(const Event& event) noexcept {
+  TraceState& state = State();
+  try {
+    ThreadBuffer* buffer = LocalBuffer();
+    {
+      std::lock_guard<std::mutex> lock(buffer->mutex);
+      buffer->events.push_back(event);
+      if (buffer->events.size() < kFlushEvents) return;
+    }
+    // Full: write it out (Stop() may have drained it meanwhile).
+    std::lock_guard<std::mutex> lock(state.mutex);
+    std::lock_guard<std::mutex> bufferLock(buffer->mutex);
+    WriteEvents(state, *buffer);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    if (state.file != nullptr) state.file->stream().setstate(std::ios::badbit);
+  }
 }
 
 }  // namespace
@@ -101,6 +162,8 @@ void Start(const std::string& path) {
                "a trace session is already active");
   // Open eagerly so a bad path fails at Start, not after the run.
   state.file = std::make_unique<OutputFile>(path);
+  state.file->stream() << "{\"traceEvents\":[";
+  state.separator = "";
   state.startNs = Now();
   state.active.store(true, std::memory_order_release);
 }
@@ -115,26 +178,12 @@ void Stop() {
   // nothing, so the drain below sees a quiescent set of buffers.
   if (!state.active.exchange(false, std::memory_order_acq_rel)) return;
   std::lock_guard<std::mutex> lock(state.mutex);
-  const std::unique_ptr<OutputFile> file = std::move(state.file);
-  std::ostream& out = file->stream();
-  out << std::fixed << std::setprecision(3) << "{\"traceEvents\":[";
-  const char* separator = "";
   for (const auto& buffer : state.buffers) {
-    std::vector<Event> events;
-    {
-      std::lock_guard<std::mutex> bufferLock(buffer->mutex);
-      events.swap(buffer->events);
-    }
-    for (const Event& event : events) {
-      out << separator << "\n{\"name\":\"" << event.name
-          << "\",\"cat\":\"" << event.category << "\",\"ph\":\"X\",\"ts\":"
-          << static_cast<double>(event.tsNs - state.startNs) / 1e3
-          << ",\"pid\":1,\"tid\":" << buffer->tid
-          << ",\"dur\":" << static_cast<double>(event.durNs) / 1e3 << "}";
-      separator = ",";
-    }
+    std::lock_guard<std::mutex> bufferLock(buffer->mutex);
+    WriteEvents(state, *buffer);
   }
-  out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  const std::unique_ptr<OutputFile> file = std::move(state.file);
+  file->stream() << "\n],\"displayTimeUnit\":\"ms\"}\n";
   file->commit();
 }
 

@@ -5,11 +5,13 @@
 //
 // A trace session is process-global and bound to one output file
 // (`--trace-out` on the CLI).  While it runs, each Span records one
-// complete ("ph":"X") event into a per-thread buffer; buffers are only
-// merged and serialized at Stop(), so the per-scope cost is two
-// obs::Now() reads and one vector push_back under an uncontended
-// per-thread mutex.  A Span with neither metrics recording nor a
-// session running reads no clock.
+// complete ("ph":"X") event into a per-thread buffer, so the per-scope
+// cost is two obs::Now() reads and one vector push_back under an
+// uncontended per-thread mutex.  A buffer holds at most 4096 events:
+// the thread that fills it writes them to the file under the session
+// mutex, so a session's memory stays bounded however long it runs.  A
+// Span with neither metrics recording nor a session running reads no
+// clock.
 //
 // Spans follow the same contract as the metrics registry: they never
 // touch estimation inputs or outputs, so results are bit-identical
@@ -26,17 +28,19 @@ class Histogram;
 
 namespace tracing {
 
-/// Opens `path` as an OutputFile and starts the process-wide session.
-/// Throws ictm::Error if a session is already running or the file
-/// cannot be opened.  A session that is never stopped leaves no file.
+/// Opens `path` as an OutputFile, writes the JSON header and starts
+/// the process-wide session.  Throws ictm::Error if a session is
+/// already running or the file cannot be opened.  A session that is
+/// never stopped leaves no file.
 void Start(const std::string& path);
 
 /// True between Start() and the matching Stop().
 bool Active();
 
-/// Writes every buffered event to the session file and commits it.
-/// No-op when no session is running.  Throws ictm::Error, leaving no
-/// partial file, if the file cannot be written completely.
+/// Writes the events still buffered and the JSON footer to the
+/// session file and commits it.  No-op when no session is running.
+/// Throws ictm::Error, leaving no partial file, if the file cannot be
+/// written completely, including by a buffer flushed earlier.
 void Stop();
 
 }  // namespace tracing

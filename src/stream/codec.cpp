@@ -63,6 +63,13 @@ const CodecMetrics& MetricsFor(ChunkCodec codec) {
   return metrics[static_cast<std::size_t>(codec)];
 }
 
+// The codecs EncodeChunk and DecodeChunk implement.  A raw chunk's
+// payload is its bins, which TraceWriter and TraceReader move as they
+// are.
+bool IsCompressed(ChunkCodec codec) {
+  return codec == ChunkCodec::kShuffleLz || codec == ChunkCodec::kDelta;
+}
+
 // Appends the 255-run extension bytes for a nibble that saturated at
 // 15: each 255 byte adds 255, the first byte below 255 terminates.
 void EmitLengthExtension(std::vector<std::uint8_t>& out, std::size_t value) {
@@ -271,37 +278,24 @@ std::vector<std::uint8_t> EncodeChunk(ChunkCodec codec, const double* bins,
                                       std::size_t valuesPerBin) {
   ICTM_REQUIRE(binCount > 0 && valuesPerBin > 0,
                "ictmb: cannot encode an empty chunk");
-  ICTM_REQUIRE(static_cast<std::size_t>(codec) < kChunkCodecCount,
-               "ictmb: unknown chunk codec");
+  ICTM_REQUIRE(IsCompressed(codec), "ictmb: not a compressing chunk codec");
   const CodecMetrics& m = MetricsFor(codec);
   const std::size_t count = binCount * valuesPerBin;
   const std::size_t rawBytes = count * sizeof(double);
   std::vector<std::uint8_t> payload;
   {
     obs::Span span("chunk_encode", "trace_codec", &m.compressNs);
-    switch (codec) {
-      case ChunkCodec::kRaw: {
-        payload.resize(rawBytes);
-        std::memcpy(payload.data(), bins, rawBytes);
-        break;
-      }
-      case ChunkCodec::kShuffleLz: {
-        std::vector<std::uint8_t> shuffled(rawBytes);
-        ByteShuffle(bins, count, shuffled.data());
-        payload = LzCompress(shuffled.data(), shuffled.size());
-        break;
-      }
-      case ChunkCodec::kDelta: {
-        const std::vector<std::uint8_t> shuffled =
-            DeltaShuffle(bins, binCount, valuesPerBin);
-        payload = LzCompress(shuffled.data(), shuffled.size());
-        break;
-      }
+    if (codec == ChunkCodec::kShuffleLz) {
+      std::vector<std::uint8_t> shuffled(rawBytes);
+      ByteShuffle(bins, count, shuffled.data());
+      payload = LzCompress(shuffled.data(), shuffled.size());
+    } else {
+      const std::vector<std::uint8_t> shuffled =
+          DeltaShuffle(bins, binCount, valuesPerBin);
+      payload = LzCompress(shuffled.data(), shuffled.size());
     }
   }
-  m.compressChunks.add();
-  m.compressBytesIn.add(rawBytes);
-  m.compressBytesOut.add(payload.size());
+  CountEncodedChunk(codec, rawBytes, payload.size());
   return payload;
 }
 
@@ -310,42 +304,36 @@ void DecodeChunk(ChunkCodec codec, const std::uint8_t* payload,
                  std::size_t valuesPerBin) {
   ICTM_REQUIRE(binCount > 0 && valuesPerBin > 0,
                "ictmb: cannot decode an empty chunk");
-  ICTM_REQUIRE(static_cast<std::size_t>(codec) < kChunkCodecCount,
-               "ictmb: unknown chunk codec tag " +
+  ICTM_REQUIRE(IsCompressed(codec),
+               "ictmb: no compressing chunk codec has tag " +
                    std::to_string(static_cast<std::uint32_t>(codec)));
   const std::size_t count = binCount * valuesPerBin;
   const std::size_t rawBytes = count * sizeof(double);
   obs::Span span("chunk_decode", "trace_codec",
                  &MetricsFor(codec).decompressNs);
-  switch (codec) {
-    case ChunkCodec::kRaw: {
-      ICTM_REQUIRE(payloadSize == rawBytes,
-                   "ictmb: raw chunk payload size disagrees with the "
-                   "declared size");
-      std::memcpy(out, payload, rawBytes);
-      break;
+  std::vector<std::uint8_t> shuffled(rawBytes);
+  LzDecompress(payload, payloadSize, shuffled.data(), rawBytes);
+  if (codec == ChunkCodec::kShuffleLz) {
+    ByteUnshuffle(shuffled.data(), count, out);
+  } else {
+    std::vector<std::uint64_t> words(count);
+    UnshufflePlanes(shuffled.data(), count,
+                    reinterpret_cast<std::uint8_t*>(words.data()));
+    for (std::size_t b = 1; b < binCount; ++b) {
+      std::uint64_t* cur = words.data() + b * valuesPerBin;
+      const std::uint64_t* prev = cur - valuesPerBin;
+      for (std::size_t v = 0; v < valuesPerBin; ++v) cur[v] ^= prev[v];
     }
-    case ChunkCodec::kShuffleLz: {
-      std::vector<std::uint8_t> shuffled(rawBytes);
-      LzDecompress(payload, payloadSize, shuffled.data(), rawBytes);
-      ByteUnshuffle(shuffled.data(), count, out);
-      break;
-    }
-    case ChunkCodec::kDelta: {
-      std::vector<std::uint8_t> shuffled(rawBytes);
-      LzDecompress(payload, payloadSize, shuffled.data(), rawBytes);
-      std::vector<std::uint64_t> words(count);
-      UnshufflePlanes(shuffled.data(), count,
-                      reinterpret_cast<std::uint8_t*>(words.data()));
-      for (std::size_t b = 1; b < binCount; ++b) {
-        std::uint64_t* cur = words.data() + b * valuesPerBin;
-        const std::uint64_t* prev = cur - valuesPerBin;
-        for (std::size_t v = 0; v < valuesPerBin; ++v) cur[v] ^= prev[v];
-      }
-      std::memcpy(out, words.data(), rawBytes);
-      break;
-    }
+    std::memcpy(out, words.data(), rawBytes);
   }
+}
+
+void CountEncodedChunk(ChunkCodec codec, std::size_t rawBytes,
+                       std::size_t payloadSize) {
+  const CodecMetrics& m = MetricsFor(codec);
+  m.compressChunks.add();
+  m.compressBytesIn.add(rawBytes);
+  m.compressBytesOut.add(payloadSize);
 }
 
 void CountDecodedChunk(ChunkCodec codec, std::size_t payloadSize,

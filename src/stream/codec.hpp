@@ -6,6 +6,8 @@
 // codecs exist:
 //
 //   raw         the doubles verbatim — the v1 payload, zero cost.
+//               It has no encoder: TraceWriter writes a raw chunk's
+//               bins as they are and TraceReader reads them in place.
 //   shuffle-lz  byte-shuffle (the k-th byte of every double is
 //               gathered into plane k) followed by a self-contained
 //               LZ77 pass.  Doubles drawn from a common scale share
@@ -51,21 +53,29 @@ const char* ChunkCodecName(ChunkCodec codec);
 bool ParseChunkCodec(const std::string& name, ChunkCodec* out);
 
 /// Encodes one chunk of `binCount` bins x `valuesPerBin` doubles with
-/// `codec` and returns the payload bytes.  Deterministic: equal input
-/// yields equal bytes.
+/// the compressing `codec` (shuffle-lz or delta; raw is refused) and
+/// returns the payload bytes, counting it with CountEncodedChunk.
+/// Deterministic: equal input yields equal bytes.
 std::vector<std::uint8_t> EncodeChunk(ChunkCodec codec, const double* bins,
                                       std::size_t binCount,
                                       std::size_t valuesPerBin);
 
 /// Decodes a chunk payload produced by EncodeChunk back into exactly
 /// `binCount * valuesPerBin` doubles at `out`.  The payload is treated
-/// as untrusted input: truncation, trailing garbage, out-of-window
-/// matches and a decoded size that disagrees with the declared one all
-/// raise ictm::Error.  Records only the timing-class decompress_ns;
-/// the caller counts the chunk with CountDecodedChunk.
+/// as untrusted input: a codec other than shuffle-lz or delta,
+/// truncation, trailing garbage, out-of-window matches and a decoded
+/// size that disagrees with the declared one all raise ictm::Error.
+/// Records only the timing-class decompress_ns; the caller counts the
+/// chunk with CountDecodedChunk.
 void DecodeChunk(ChunkCodec codec, const std::uint8_t* payload,
                  std::size_t payloadSize, double* out, std::size_t binCount,
                  std::size_t valuesPerBin);
+
+/// Adds one chunk to the deterministic
+/// `trace_codec.<codec>.compress_{chunks,bytes_in,bytes_out}` counters.
+/// TraceWriter calls it for a chunk it stores raw.
+void CountEncodedChunk(ChunkCodec codec, std::size_t rawBytes,
+                       std::size_t payloadSize);
 
 /// Adds one chunk to the deterministic
 /// `trace_codec.<codec>.decompress_{chunks,bytes_in,bytes_out}`

@@ -118,17 +118,21 @@ TraceWriter::TraceWriter(const std::string& path, std::size_t nodes,
   WriteRaw(out_, binSeconds);
   WriteRaw(out_, static_cast<std::uint64_t>(options.binsPerChunk));
 
-  if (options.compressThreads > 0) {
+  if (options.compressThreads > 0 && options.codec != ChunkCodec::kRaw) {
     const std::size_t n2 = nodes * nodes;
     pool_ = std::make_unique<EncodePool>(
         options.compressThreads, 2 * options.compressThreads,
         "trace_io.encode",
         [this, n2] {
-          return [this, n2](const std::vector<double>& bins) {
-            return encodeChunk(bins.data(), bins.size() / n2);
+          return [this, n2](std::vector<double> bins) {
+            EncodedChunk chunk = encodeChunk(bins.data(), bins.size() / n2);
+            if (chunk.codec == ChunkCodec::kRaw) chunk.bins = std::move(bins);
+            return chunk;
           };
         },
-        [this](std::size_t, EncodedChunk&& chunk) { writeFrame(chunk); });
+        [this](std::size_t, EncodedChunk&& chunk) {
+          writeFrame(chunk, chunk.bins.data());
+        });
   }
 }
 
@@ -147,21 +151,26 @@ void TraceWriter::append(const double* bin) {
 TraceWriter::EncodedChunk TraceWriter::encodeChunk(
     const double* bins, std::size_t binCount) const {
   const std::size_t n2 = nodes_ * nodes_;
+  const std::size_t rawBytes = binCount * n2 * sizeof(double);
   EncodedChunk encoded;
   encoded.binCount = binCount;
-  encoded.codec = options_.codec;
-  encoded.payload = EncodeChunk(options_.codec, bins, binCount, n2);
-  if (options_.codec != ChunkCodec::kRaw &&
-      encoded.payload.size() >= binCount * n2 * sizeof(double)) {
+  if (options_.codec != ChunkCodec::kRaw) {
+    encoded.payload = EncodeChunk(options_.codec, bins, binCount, n2);
+    if (encoded.payload.size() < rawBytes) {
+      encoded.codec = options_.codec;
+      return encoded;
+    }
     // Per-chunk fallback: incompressible data is stored raw, so a
     // codec can never inflate a chunk beyond the frame header cost.
-    encoded.codec = ChunkCodec::kRaw;
-    encoded.payload = EncodeChunk(ChunkCodec::kRaw, bins, binCount, n2);
+    encoded.payload = {};
   }
+  // Stored raw: the bins are the payload, so nothing is encoded or
+  // copied; the raw codec's counters still count the chunk.
+  CountEncodedChunk(ChunkCodec::kRaw, rawBytes, rawBytes);
   return encoded;
 }
 
-void TraceWriter::writeFrame(const EncodedChunk& chunk) {
+void TraceWriter::writeFrame(const EncodedChunk& chunk, const double* bins) {
   // Chunk/byte counts are pure functions of the workload; the write
   // time (CRC included) is wall clock.
   static obs::Counter& chunksWritten = obs::GetCounter(
@@ -171,19 +180,22 @@ void TraceWriter::writeFrame(const EncodedChunk& chunk) {
   static obs::Counter& writeNs =
       obs::GetCounter("trace_io.write_ns", obs::MetricClass::kTiming);
   obs::Span span("chunk_write", "trace_io", &writeNs);
-  const std::uint64_t storedBytes = chunk.payload.size();
   const std::uint64_t rawBytes =
       chunk.binCount * nodes_ * nodes_ * sizeof(double);
+  const bool raw = chunk.codec == ChunkCodec::kRaw;
+  const void* payload = raw ? static_cast<const void*>(bins)
+                            : static_cast<const void*>(chunk.payload.data());
+  const std::uint64_t storedBytes = raw ? rawBytes : chunk.payload.size();
   const std::uint32_t codecTag = static_cast<std::uint32_t>(chunk.codec);
   const std::uint64_t offset = static_cast<std::uint64_t>(out_.tellp());
   WriteRaw(out_, storedBytes);
   WriteRaw(out_, codecTag);
   WriteRaw(out_, rawBytes);
-  out_.write(reinterpret_cast<const char*>(chunk.payload.data()),
+  out_.write(static_cast<const char*>(payload),
              static_cast<std::streamsize>(storedBytes));
   std::uint32_t crc = Crc32(&codecTag, sizeof codecTag);
   crc = Crc32(&rawBytes, sizeof rawBytes, crc);
-  crc = Crc32(chunk.payload.data(), chunk.payload.size(), crc);
+  crc = Crc32(payload, static_cast<std::size_t>(storedBytes), crc);
   WriteRaw(out_, crc);
   ICTM_REQUIRE(out_.good(), "ictmb: chunk write failed: " + file_.path());
   index_.push_back({offset, chunk.binCount});
@@ -199,7 +211,8 @@ void TraceWriter::flushChunk() {
     buffer_.reserve(options_.binsPerChunk * n2);
     return;
   }
-  writeFrame(encodeChunk(buffer_.data(), buffer_.size() / n2));
+  writeFrame(encodeChunk(buffer_.data(), buffer_.size() / n2),
+             buffer_.data());
   buffer_.clear();
 }
 
@@ -396,8 +409,19 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
     ICTM_REQUIRE(rawBytes == rawExpected,
                  "ictmb: chunk uncompressed length disagrees with the "
                  "index: " + path_);
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(storedBytes));
-    in.read(reinterpret_cast<char*>(payload.data()),
+    const auto codec = static_cast<ChunkCodec>(codecTag);
+    // A raw payload is the bins themselves, so it is read straight
+    // into the bin buffer, once its stored length is known to match.
+    const bool raw = codec == ChunkCodec::kRaw;
+    ICTM_REQUIRE(!raw || storedBytes == rawExpected,
+                 "ictmb: raw chunk payload size disagrees with the "
+                 "declared size: " + path_);
+    bins.resize(static_cast<std::size_t>(rawExpected / sizeof(double)));
+    std::vector<std::uint8_t> payload(
+        raw ? 0 : static_cast<std::size_t>(storedBytes));
+    void* stored = raw ? static_cast<void*>(bins.data())
+                       : static_cast<void*>(payload.data());
+    in.read(static_cast<char*>(stored),
             static_cast<std::streamsize>(storedBytes));
     ICTM_REQUIRE(in.good(), "ictmb: truncated chunk payload: " + path_);
     std::uint32_t storedCrc = 0;
@@ -407,17 +431,17 @@ void TraceReader::loadChunkData(std::istream& in, std::size_t chunk,
       obs::Span verify("crc_verify", "trace_io", &crcVerifyNs);
       crc = Crc32(&codecTag, sizeof codecTag);
       crc = Crc32(&rawBytes, sizeof rawBytes, crc);
-      crc = Crc32(payload.data(), payload.size(), crc);
+      crc = Crc32(stored, static_cast<std::size_t>(storedBytes), crc);
     }
     ICTM_REQUIRE(crc == storedCrc,
                  "ictmb: chunk CRC mismatch (corrupt data) in chunk " +
                      std::to_string(chunk) + ": " + path_);
-    const auto codec = static_cast<ChunkCodec>(codecTag);
     out.codec = codec;
-    bins.resize(static_cast<std::size_t>(rawExpected / sizeof(double)));
-    DecodeChunk(codec, payload.data(), payload.size(), bins.data(),
-                static_cast<std::size_t>(rec.binCount),
-                static_cast<std::size_t>(n2));
+    if (!raw) {
+      DecodeChunk(codec, payload.data(), payload.size(), bins.data(),
+                  static_cast<std::size_t>(rec.binCount),
+                  static_cast<std::size_t>(n2));
+    }
   }
 }
 

@@ -77,7 +77,9 @@ struct TraceWriterOptions {
   /// in-order emit lands frames in seal order, so the file bytes are
   /// identical for every pool size.  Memory stays bounded: append()
   /// blocks while 2N sealed chunks wait, and at most 3N encoded
-  /// chunks are parked out of order.
+  /// chunks are parked out of order.  Ignored for the raw codec: a
+  /// raw chunk has nothing to encode, so its frame is always written
+  /// inline, straight from the chunk buffer.
   std::size_t compressThreads = 0;
 };
 
@@ -85,7 +87,8 @@ struct TraceWriterOptions {
 /// series: bins are buffered into frames of `binsPerChunk`, encoded
 /// with the configured codec (falling back to raw per chunk when
 /// compression would not shrink it) and flushed with a self-describing
-/// frame header and CRC.  close() writes the chunk index and footer
+/// frame header and CRC.  A frame stored raw is written straight from
+/// the chunk's bins.  close() writes the chunk index and footer
 /// and commits the file: any write failure — including one detected
 /// on a compression worker — surfaces there (or from an earlier
 /// append()) as ictm::Error.  A writer destroyed without a successful
@@ -117,16 +120,20 @@ class TraceWriter {
   std::size_t binsWritten() const noexcept { return binsWritten_; }
 
  private:
-  /// One encoded chunk ready to land on disk.
+  /// One encoded chunk ready to land on disk.  A chunk stored raw has
+  /// no payload: its bins are the stored bytes.
   struct EncodedChunk {
     ChunkCodec codec = ChunkCodec::kRaw;  // codec actually stored
     std::uint64_t binCount = 0;
-    std::vector<std::uint8_t> payload;
+    std::vector<std::uint8_t> payload;  // empty when stored raw
+    std::vector<double> bins;  // a pool's chunk stored raw keeps them here
   };
   using EncodePool = OrderedPool<std::vector<double>, EncodedChunk>;
 
   void flushChunk();
-  void writeFrame(const EncodedChunk& chunk);
+  /// Writes `chunk`'s frame; `bins` are the chunk's bins, the stored
+  /// bytes of a frame stored raw.
+  void writeFrame(const EncodedChunk& chunk, const double* bins);
   EncodedChunk encodeChunk(const double* bins, std::size_t binCount) const;
 
   OutputFile file_;
@@ -141,7 +148,8 @@ class TraceWriter {
   };
   std::vector<ChunkRecord> index_;
   bool closed_ = false;
-  // Encoders when options_.compressThreads > 0; its emit writes frames.
+  // Encoders when options_.compressThreads > 0 and the codec compresses;
+  // its emit writes frames.
   // Last member, so it is joined before the state it writes goes.
   std::unique_ptr<EncodePool> pool_;
 };

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -291,6 +292,33 @@ std::string ReadFile(const std::string& path) {
   return buf.str();
 }
 
+// Structural balance of a trace file; no payload string can contain
+// braces or brackets (names are identifiers), so a raw count is a real
+// well-formedness check.
+void ExpectBalanced(const std::string& json) {
+  long braces = 0, brackets = 0;
+  for (char ch : json) {
+    braces += ch == '{';
+    braces -= ch == '}';
+    brackets += ch == '[';
+    brackets -= ch == ']';
+    ASSERT_GE(braces, 0);
+    ASSERT_GE(brackets, 0);
+  }
+  EXPECT_EQ(braces, 0);
+  EXPECT_EQ(brackets, 0);
+}
+
+// Occurrences of `needle` in `text`.
+std::size_t CountOf(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
 bool HasEvent(const std::string& json, const std::string& name) {
   return json.find("\"name\":\"" + name + "\"") != std::string::npos;
 }
@@ -403,20 +431,63 @@ TEST_F(ObsTest, TraceFileIsWellFormedChromeTraceJson) {
   EXPECT_TRUE(HasEvent(json, "worker_scope"));
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 
-  // Structural balance; no payload string can contain braces (names
-  // are identifiers), so a raw count is a real well-formedness check.
-  long braces = 0, brackets = 0;
-  for (char ch : json) {
-    braces += ch == '{';
-    braces -= ch == '}';
-    brackets += ch == '[';
-    brackets -= ch == ']';
-    EXPECT_GE(braces, 0);
-    EXPECT_GE(brackets, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  ExpectBalanced(json);
   std::remove(path.c_str());
+}
+
+TEST_F(ObsTest, LongSessionsWriteFullBuffersAndKeepEverySpan) {
+  // A thread writes its buffer to the file each time it fills (4096
+  // events), so a session's memory stays bounded; the file must still
+  // hold every span exactly once and stay valid trace JSON.
+  constexpr std::size_t kThreads = 4, kSpans = 3 * 4096 + 1;
+  const std::string path = TempPath("obs_long.trace.json");
+  obs::tracing::Start(path);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (std::size_t i = 0; i < kSpans; ++i) {
+        obs::Span span("long_session", "test");
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  // Every full buffer is already in the file (bar the stream's own
+  // buffer): at least 60 bytes for each of the 3 · 4096 events a
+  // thread wrote before Stop().
+  EXPECT_GT(std::filesystem::file_size(path), kThreads * 3 * 4096 * 60);
+  obs::tracing::Stop();
+
+  // Every span once, one event object per span, and a "}," between
+  // each pair of events whichever flush wrote them (tools/check_trace.py
+  // parses a CLI trace of several flushes in obs_integration).
+  const std::string json = ReadFile(path);
+  EXPECT_EQ(CountOf(json, "\"name\":\"long_session\""), kThreads * kSpans);
+  EXPECT_EQ(CountOf(json, "{\"name\":"), kThreads * kSpans);
+  EXPECT_EQ(CountOf(json, "},"), kThreads * kSpans - 1);
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+  ExpectBalanced(json);
+  std::remove(path.c_str());
+}
+
+TEST_F(ObsTest, SpanEndingInALaterSessionIsDropped) {
+  // A scope that began in one session and ends in the next belongs to
+  // neither file: its start precedes the second session's time origin.
+  const std::string first = TempPath("obs_first.trace.json");
+  const std::string second = TempPath("obs_second.trace.json");
+  obs::tracing::Start(first);
+  auto straggler = std::make_unique<obs::Span>("straggler", "test");
+  obs::tracing::Stop();
+  obs::tracing::Start(second);
+  straggler.reset();
+  { obs::Span kept("kept", "test"); }
+  obs::tracing::Stop();
+  EXPECT_FALSE(HasEvent(ReadFile(first), "straggler"));
+  const std::string json = ReadFile(second);
+  EXPECT_FALSE(HasEvent(json, "straggler"));
+  EXPECT_TRUE(HasEvent(json, "kept"));
+  ExpectBalanced(json);
+  std::remove(first.c_str());
+  std::remove(second.c_str());
 }
 
 TEST_F(ObsTest, TraceStartFailsOnUnwritablePath) {

@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "common/parallel.hpp"
 #include "core/estimation.hpp"
@@ -121,23 +123,49 @@ TEST(CscMatrix, AdoptingConstructorChecksInvariants) {
 }
 
 // WeightedGramInto on the compressed `a` against the dense `expected`:
-// the upper triangle must match and every strictly-lower entry must be
-// zero (the kernel writes the upper triangle only).
+// the upper triangle must match and every other stored entry (the
+// padding of the packed rows) must be zero.
 void ExpectGramMatchesDense(const Matrix& a, const Vector& w,
                             const Matrix& expected, double tol) {
   const CscMatrix csc =
       test::CscFromTriplets(a.rows(), a.cols(), NonZeroTriplets(a));
-  Matrix got(a.rows(), a.rows(), -1.0);  // overwritten everywhere
-  WeightedGramInto(csc, w.data(), got.data().data());
+  PackedUpper got(a.rows());
+  std::fill(got.data(), got.data() + got.size(), -1.0);  // all overwritten
+  WeightedGramInto(csc, w.data(), got);
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.rows(); ++c) {
-      if (c >= r) {
-        EXPECT_NEAR(got(r, c), expected(r, c), tol) << r << "," << c;
-      } else {
-        EXPECT_EQ(got(r, c), 0.0) << r << "," << c;
-      }
+    for (std::size_t c = r; c < a.rows(); ++c) {
+      EXPECT_NEAR(got.row(r)[c], expected(r, c), tol) << r << "," << c;
+      got.row(r)[c] = 0.0;
     }
   }
+  EXPECT_TRUE(std::all_of(got.data(), got.data() + got.size(),
+                          [](double v) { return v == 0.0; }));
+}
+
+TEST(PackedUpper, RowsStartOnCacheLinesAndHalveTheBuffer) {
+  // Row i stores columns 8⌊i/8⌋ .. ⌈n/8⌉·8 − 1.
+  EXPECT_EQ(PackedUpper(1).size(), 8u);
+  EXPECT_EQ(PackedUpper(8).size(), 64u);
+  EXPECT_EQ(PackedUpper(9).size(), 8u * 16u + 8u);
+  // The hierarchy:200 normal matrix: 715,152 doubles (5.72 MB) against
+  // 1186² (11.25 MB) dense.
+  const std::size_t n = 1186;
+  const std::size_t width = 1192;  // ⌈n/8⌉·8
+  const PackedUpper m(n);
+  EXPECT_EQ(m.size(), 715152u);
+  EXPECT_EQ(m.dim(), n);
+  const double* end = m.data() + m.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* first = m.row(i) + i / 8 * 8;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first) % 64, 0u) << i;
+    EXPECT_GE(first, m.data()) << i;
+    EXPECT_LE(m.row(i) + n, end) << i;
+    // Each row's stored span ends where the next one begins.
+    if (i + 1 < n) {
+      EXPECT_EQ(m.row(i) + width, m.row(i + 1) + (i + 1) / 8 * 8) << i;
+    }
+  }
+  EXPECT_EQ(m.row(n - 1) + width, end);
 }
 
 TEST(WeightedGram, MatchesDenseTripleProduct) {
@@ -185,42 +213,43 @@ TEST(CholeskyInPlace, MatchesTextbookCholeskyPath) {
       expected[i] = acc / u(i, i);
     }
 
-    Matrix work = spd;
+    PackedUpper work = test::PackUpper(spd);
     Vector z = b;
-    CholeskyFactorInPlace(work.data().data(), n);
-    CholeskySubstituteInPlace(work.data().data(), z.data(), n);
+    CholeskyFactorInPlace(work);
+    CholeskySubstituteInPlace(work, z.data());
     test::ExpectVectorNear(z, expected, 1e-9);
     // The factor itself must match too (upper triangle only).
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i; j < n; ++j)
-        EXPECT_NEAR(work(i, j), u(i, j), 1e-9) << n << ":" << i << "," << j;
+        EXPECT_NEAR(work.row(i)[j], u(i, j), 1e-9)
+            << n << ":" << i << "," << j;
   }
 }
 
 // The normal matrix TmBinSolver factors: A diag(w) Aᵀ from
 // WeightedGramInto plus the solver's trace-relative ridge.
-Matrix SolverGram(const CscMatrix& a, const double* w) {
+PackedUpper SolverGram(const CscMatrix& a, const double* w) {
   const std::size_t rows = a.rows();
-  Matrix m(rows, rows);
-  WeightedGramInto(a, w, m.data().data());
+  PackedUpper m(rows);
+  WeightedGramInto(a, w, m);
   double trace = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) trace += m(r, r);
+  for (std::size_t r = 0; r < rows; ++r) trace += m.row(r)[r];
   const double ridge = std::max(trace, 1.0) * 1e-10 + 1e-30;
-  for (std::size_t r = 0; r < rows; ++r) m(r, r) += ridge;
+  for (std::size_t r = 0; r < rows; ++r) m.row(r)[r] += ridge;
   return m;
 }
 
-// Factors `gram` with the library kernel and with the untiled oracle
-// and requires the two upper triangles to be equal byte for byte.
-void ExpectFactorBytesMatchReference(const Matrix& gram) {
-  const std::size_t n = gram.rows();
-  Matrix got = gram;
-  Matrix want = gram;
-  CholeskyFactorInPlace(got.data().data(), n);
+// Factors the packed `gram` with the library kernel and its dense copy
+// with the untiled oracle, and requires every row of the two upper
+// triangles to be equal byte for byte.
+void ExpectFactorBytesMatchReference(PackedUpper gram) {
+  const std::size_t n = gram.dim();
+  Matrix want = test::UnpackUpper(gram);
+  CholeskyFactorInPlace(gram);
   test::ReferenceCholeskyFactor(want.data().data(), n);
   std::size_t differing = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    differing += std::memcmp(&got(i, i), &want(i, i),
+    differing += std::memcmp(gram.row(i) + i, &want(i, i),
                              (n - i) * sizeof(double)) != 0;
   }
   EXPECT_EQ(differing, 0u) << "rows of the n=" << n << " factor differ";
@@ -228,7 +257,7 @@ void ExpectFactorBytesMatchReference(const Matrix& gram) {
 
 // The real normal matrix of one hierarchy:100 bin (586 rows) under the
 // cold-start stable-fP prior (uniform preference) of a synthetic bin.
-Matrix HierarchyGram() {
+PackedUpper HierarchyGram() {
   const topology::Graph g = topology::MakeTopology("hierarchy:100", 0);
   const std::size_t n = g.nodeCount();
   const core::AugmentedTmSystem system(topology::BuildRouting(g), n,
@@ -254,12 +283,13 @@ Matrix HierarchyGram() {
 }
 
 TEST(CholeskyInPlace, FactorBytesMatchReference) {
-  // Sizes around the rank-4 remainder, the 64-row panel and the
-  // 512-column chunk, up to the hierarchy:200 system (1186 rows).
-  // Weights span twelve decades, as prior entries do.
+  // Sizes around the packed layout's 8-row alignment, the rank-4
+  // remainder, the 64-row panel and the 512-column chunk, up to the
+  // hierarchy:200 system (1186 rows).  Weights span twelve decades, as
+  // prior entries do.
   stats::Rng rng(11);
-  for (std::size_t n : {1u, 3u, 4u, 5u, 63u, 64u, 65u, 67u, 127u, 128u,
-                        129u, 131u, 515u, 1186u}) {
+  for (std::size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 64u,
+                        65u, 67u, 127u, 128u, 129u, 131u, 515u, 1186u}) {
     const Matrix a = RandomSparseDense(n, 2 * n, rng);
     Vector w(2 * n);
     for (double& x : w) x = std::pow(10.0, rng.uniform(-6.0, 6.0));
@@ -267,14 +297,14 @@ TEST(CholeskyInPlace, FactorBytesMatchReference) {
         test::CscFromTriplets(n, 2 * n, NonZeroTriplets(a));
     ExpectFactorBytesMatchReference(SolverGram(csc, w.data()));
   }
-  const Matrix gram = HierarchyGram();
-  ASSERT_EQ(gram.rows(), 586u);
-  ExpectFactorBytesMatchReference(gram);
+  PackedUpper gram = HierarchyGram();
+  ASSERT_EQ(gram.dim(), 586u);
+  ExpectFactorBytesMatchReference(std::move(gram));
 }
 
 TEST(CholeskyInPlace, RejectsIndefiniteMatrix) {
-  Matrix m{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  EXPECT_THROW(CholeskyFactorInPlace(m.data().data(), 2), ictm::Error);
+  PackedUpper m = test::PackUpper({{1.0, 2.0}, {2.0, 1.0}});  // eigs 3, -1
+  EXPECT_THROW(CholeskyFactorInPlace(m), ictm::Error);
 
   // Vᵀ D V with V unit upper triangular: the pivots are D's entries, so
   // the first non-positive one is row 70, in the second 64-row panel,
@@ -285,12 +315,13 @@ TEST(CholeskyInPlace, RejectsIndefiniteMatrix) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j) v(i, j) = rng.uniform(-0.5, 0.5);
   Vector d = test::RandomPositiveVector(n, rng, 1.0, 2.0);
-  Matrix spd = v.transposed() * Matrix::Diagonal(d) * v;
-  EXPECT_NO_THROW(CholeskyFactorInPlace(spd.data().data(), n));
+  PackedUpper spd =
+      test::PackUpper(v.transposed() * Matrix::Diagonal(d) * v);
+  EXPECT_NO_THROW(CholeskyFactorInPlace(spd));
   d[70] = -1.0;
-  Matrix indefinite = v.transposed() * Matrix::Diagonal(d) * v;
-  EXPECT_THROW(CholeskyFactorInPlace(indefinite.data().data(), n),
-               ictm::Error);
+  PackedUpper indefinite =
+      test::PackUpper(v.transposed() * Matrix::Diagonal(d) * v);
+  EXPECT_THROW(CholeskyFactorInPlace(indefinite), ictm::Error);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "conngen/generator.hpp"
@@ -116,6 +117,27 @@ std::uint64_t SplitMix64(std::uint64_t* state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
+}
+
+// A series of splitmix64 bit patterns with high entropy in all eight
+// byte planes (exponent included), so neither shuffling nor deltas can
+// find structure and every delta chunk falls back to raw; only the
+// sign bit and NaN/Inf patterns are excluded (the reader serves
+// finite, non-negative cells only).
+traffic::TrafficMatrixSeries IncompressibleSeries(std::size_t nodes,
+                                                  std::size_t bins,
+                                                  std::uint64_t seed) {
+  traffic::TrafficMatrixSeries series(nodes, bins, 300.0);
+  std::uint64_t state = seed;
+  for (std::size_t t = 0; t < bins; ++t) {
+    double* bin = series.binData(t);
+    for (std::size_t k = 0; k < nodes * nodes; ++k) {
+      std::uint64_t word = SplitMix64(&state) & ~(std::uint64_t{1} << 63);
+      if (((word >> 52) & 0x7FFu) == 0x7FFu) word ^= std::uint64_t{1} << 62;
+      std::memcpy(&bin[k], &word, sizeof word);
+    }
+  }
+  return series;
 }
 
 // Hand-written ictmb v1 file (the pre-codec layout: version 1, frames
@@ -525,12 +547,14 @@ TEST(ChunkCodecs, LzDecompressRejectsCorruptStreams) {
 }
 
 TEST(ChunkCodecs, EncodeDecodeBitIdenticalForEveryCodec) {
+  // Every compressing codec; a raw chunk's payload is its bins, which
+  // the trace writer and reader move without a codec (the TraceFormatV2
+  // tests cover it).
   stats::Rng rng(17);
   const std::size_t binCount = 5, n2 = 16;
   std::vector<double> bins(binCount * n2);
   for (double& v : bins) v = rng.uniform(0.0, 1e9);
-  for (std::size_t i = 0; i < kChunkCodecCount; ++i) {
-    const ChunkCodec codec = static_cast<ChunkCodec>(i);
+  for (ChunkCodec codec : {ChunkCodec::kShuffleLz, ChunkCodec::kDelta}) {
     SCOPED_TRACE(ChunkCodecName(codec));
     const auto payload = EncodeChunk(codec, bins.data(), binCount, n2);
     std::vector<double> back(bins.size());
@@ -540,14 +564,18 @@ TEST(ChunkCodecs, EncodeDecodeBitIdenticalForEveryCodec) {
       ASSERT_EQ(bins[k], back[k]) << "element " << k;
     }
   }
-  // Unknown tags and empty chunks are typed errors.
+  // The raw codec, unknown tags and empty chunks are typed errors.
   std::vector<double> out(bins.size());
   const auto payload =
-      EncodeChunk(ChunkCodec::kRaw, bins.data(), binCount, n2);
-  EXPECT_THROW(DecodeChunk(static_cast<ChunkCodec>(7), payload.data(),
-                           payload.size(), out.data(), binCount, n2),
+      EncodeChunk(ChunkCodec::kDelta, bins.data(), binCount, n2);
+  for (ChunkCodec codec : {ChunkCodec::kRaw, static_cast<ChunkCodec>(7)}) {
+    EXPECT_THROW(DecodeChunk(codec, payload.data(), payload.size(),
+                             out.data(), binCount, n2),
+                 Error);
+  }
+  EXPECT_THROW(EncodeChunk(ChunkCodec::kRaw, bins.data(), binCount, n2),
                Error);
-  EXPECT_THROW(EncodeChunk(ChunkCodec::kRaw, bins.data(), 0, n2), Error);
+  EXPECT_THROW(EncodeChunk(ChunkCodec::kDelta, bins.data(), 0, n2), Error);
 }
 
 // ---- ictmb v2: codecs, compression pool, prefetch --------------------------
@@ -574,20 +602,52 @@ TEST(TraceFormatV2, RoundTripsEveryCodecAndChunking) {
 }
 
 TEST(TraceFormatV2, FileBytesIdenticalForEveryPoolSize) {
-  const auto series = SmoothSeries(5, 50, 21);
-  std::string reference;
-  for (std::size_t threads : {0u, 1u, 2u, 5u}) {
-    TraceWriterOptions options;
-    options.binsPerChunk = 4;
-    options.codec = ChunkCodec::kDelta;
-    options.compressThreads = threads;
-    const std::string path = TempPath("pool.ictmb");
-    WriteTraceFile(path, series, options);
-    const std::string bytes = ReadBytes(path);
-    if (reference.empty()) {
-      reference = bytes;
-    } else {
-      EXPECT_EQ(bytes, reference) << "compressThreads=" << threads;
+  // Raw and delta writers on a compressible and an incompressible
+  // series.  A raw writer starts no pool and writes each frame from its
+  // chunk buffer.  On the incompressible series every delta chunk falls
+  // back to raw, which a pool writes from the bins it moved into the
+  // encoded chunk, so each of those files must equal the raw writer's.
+  // Every chunk stored raw counts as the raw codec's.
+  const std::uint64_t chunks = 13, rawBytes = 50 * 25 * sizeof(double);
+  for (const bool compressible : {true, false}) {
+    const auto series = compressible ? SmoothSeries(5, 50, 21)
+                                     : IncompressibleSeries(5, 50, 21);
+    std::string rawFile;
+    for (ChunkCodec codec : {ChunkCodec::kRaw, ChunkCodec::kDelta}) {
+      const bool storedRaw = codec == ChunkCodec::kRaw || !compressible;
+      std::string reference = storedRaw ? rawFile : std::string();
+      for (std::size_t threads : {0u, 1u, 2u, 5u}) {
+        SCOPED_TRACE(std::string(compressible ? "compressible "
+                                              : "incompressible ") +
+                     ChunkCodecName(codec) +
+                     " compressThreads=" + std::to_string(threads));
+        const std::uint64_t counted[] = {
+            CounterTotal("trace_codec.raw.compress_chunks"),
+            CounterTotal("trace_codec.raw.compress_bytes_in"),
+            CounterTotal("trace_codec.raw.compress_bytes_out"),
+            CounterTotal("trace_io.chunks_written")};
+        TraceWriterOptions options;
+        options.binsPerChunk = 4;
+        options.codec = codec;
+        options.compressThreads = threads;
+        const std::string path = TempPath("pool.ictmb");
+        WriteTraceFile(path, series, options);
+        const std::string bytes = ReadBytes(path);
+        if (reference.empty()) reference = bytes;
+        EXPECT_EQ(bytes, reference);
+        EXPECT_EQ(CounterTotal("trace_io.chunks_written") - counted[3],
+                  chunks);
+        EXPECT_EQ(
+            CounterTotal("trace_codec.raw.compress_chunks") - counted[0],
+            storedRaw ? chunks : 0);
+        EXPECT_EQ(
+            CounterTotal("trace_codec.raw.compress_bytes_in") - counted[1],
+            storedRaw ? rawBytes : 0);
+        EXPECT_EQ(
+            CounterTotal("trace_codec.raw.compress_bytes_out") - counted[2],
+            storedRaw ? rawBytes : 0);
+      }
+      if (codec == ChunkCodec::kRaw) rawFile = reference;
     }
   }
 }
@@ -614,21 +674,7 @@ TEST(TraceFormatV2, IncompressibleChunksFallBackToRaw) {
   // splitmix64 bit patterns cannot shrink, so every chunk must carry
   // the raw tag even though delta was requested — and the file can
   // never be larger than the raw-codec encoding of the same series.
-  const std::size_t nodes = 3, bins = 8;
-  traffic::TrafficMatrixSeries series(nodes, bins, 300.0);
-  std::uint64_t state = 7;
-  for (std::size_t t = 0; t < bins; ++t) {
-    double* bin = series.binData(t);
-    for (std::size_t k = 0; k < nodes * nodes; ++k) {
-      // High entropy in all eight byte planes (exponent included), so
-      // neither shuffling nor deltas can find structure; only the sign
-      // bit and NaN/Inf patterns are excluded (the reader serves finite,
-      // non-negative cells only).
-      std::uint64_t word = SplitMix64(&state) & ~(std::uint64_t{1} << 63);
-      if (((word >> 52) & 0x7FFu) == 0x7FFu) word ^= std::uint64_t{1} << 62;
-      std::memcpy(&bin[k], &word, sizeof word);
-    }
-  }
+  const auto series = IncompressibleSeries(3, 8, 7);
   const std::string rawPath = TempPath("fallback_raw.ictmb");
   const std::string deltaPath = TempPath("fallback_delta.ictmb");
   WriteTraceFile(rawPath, series,
@@ -811,13 +857,12 @@ TEST(TraceFormatV2, PrefetchOfAnUnreadChunkIsNotCounted) {
 
 // ---- ictmb v2: corruption matrix and fuzz battery --------------------------
 
-// Small compressed fixture shared by the corruption tests: 3 nodes,
-// 8 bins, 4 bins/chunk, delta codec → two compressed frames.
-std::string CorruptionFixtureBytes() {
+// Small fixture shared by the corruption tests: 3 nodes, 8 bins, 4
+// bins/chunk → two frames, compressed with delta unless told otherwise.
+std::string CorruptionFixtureBytes(ChunkCodec codec = ChunkCodec::kDelta) {
   const auto series = SmoothSeries(3, 8, 53);
   const std::string path = TempPath("corruption_fixture.ictmb");
-  WriteTraceFile(path, series,
-                 TraceWriterOptions{4, ChunkCodec::kDelta, 0});
+  WriteTraceFile(path, series, TraceWriterOptions{4, codec, 0});
   return ReadBytes(path);
 }
 
@@ -892,15 +937,10 @@ TEST(TraceFormatV2, ForgedFrameHeadersWithValidCrcAreRejected) {
   }
 }
 
-TEST(TraceFormatV2, FuzzedCorruptionIsAlwaysATypedError) {
-  // Seeded fuzz battery: random single-byte XORs, truncations and
-  // range zeroing over a valid compressed trace.  Every mutation must
-  // either fail with ictm::Error or decode bins bit-identical to the
-  // original (a mutation of unprotected metadata, e.g. binSeconds,
-  // may "succeed" — the payload guarantees still hold).  Under the
-  // sanitizer CI jobs this doubles as a UB hunt.
+// One fuzz battery over the valid trace `bytes` of
+// CorruptionFixtureBytes.
+void FuzzCorruption(const std::string& bytes) {
   const auto series = SmoothSeries(3, 8, 53);
-  const std::string bytes = CorruptionFixtureBytes();
   const std::string path = TempPath("fuzz.ictmb");
   stats::Rng rng(1234);
   int errors = 0, intact = 0;
@@ -936,6 +976,79 @@ TEST(TraceFormatV2, FuzzedCorruptionIsAlwaysATypedError) {
   EXPECT_GT(errors, 100) << "fuzzer mutated too gently";
   (void)intact;
 }
+
+TEST(TraceFormatV2, FuzzedCorruptionIsAlwaysATypedError) {
+  // Seeded fuzz battery: random single-byte XORs, truncations and
+  // range zeroing over a valid compressed trace and a valid raw one
+  // (whose payload is read straight into the bin buffer).  Every
+  // mutation must either fail with ictm::Error or decode bins
+  // bit-identical to the original (a mutation of unprotected metadata,
+  // e.g. binSeconds, may "succeed" — the payload guarantees still
+  // hold).  Under the sanitizer CI jobs this doubles as a UB hunt.
+  for (ChunkCodec codec : {ChunkCodec::kDelta, ChunkCodec::kRaw}) {
+    SCOPED_TRACE(ChunkCodecName(codec));
+    FuzzCorruption(CorruptionFixtureBytes(codec));
+  }
+}
+
+TEST(TraceFormatV2, RawFrameWithAWrongStoredLengthIsRefused) {
+  // The last of three raw frames is re-forged with a stored length 8
+  // bytes short of, or past, the 144 bytes its bins declare, its CRC
+  // recomputed and the footer moved, so only the length disagrees.
+  // Both read paths must refuse that chunk with the typed error before
+  // reading it, and still serve the four bins before it intact.
+  const auto series = SmoothSeries(3, 6, 71);
+  const std::string path = TempPath("raw_length.ictmb");
+  WriteTraceFile(path, series, TraceWriterOptions{2, ChunkCodec::kRaw, 0});
+  const std::string bytes = ReadBytes(path);
+  const std::uint64_t raw = 2 * 9 * sizeof(double);
+  const std::size_t frame = 8 + 4 + 8 + raw + 4;
+  const std::size_t at = 40 + 2 * frame;  // the last frame
+  const std::size_t indexAt = at + frame;
+  for (const std::uint64_t stored : {raw - 8, raw + 8}) {
+    SCOPED_TRACE("stored length " + std::to_string(stored));
+    std::string payload = bytes.substr(at + 20, raw);
+    payload.resize(stored);
+    const std::uint32_t tag = 0;
+    std::uint32_t crc = Crc32(&tag, sizeof tag);
+    crc = Crc32(&raw, sizeof raw, crc);
+    crc = Crc32(payload.data(), payload.size(), crc);
+    const std::uint64_t indexOffset = at + 20 + stored + 4;
+    const auto word = [](const void* p, std::size_t len) {
+      return std::string(static_cast<const char*>(p), len);
+    };
+    const std::string forged =
+        bytes.substr(0, at) + word(&stored, 8) + word(&tag, 4) +
+        word(&raw, 8) + payload + word(&crc, 4) +
+        bytes.substr(indexAt, bytes.size() - 16 - indexAt) +
+        word(&indexOffset, 8) + bytes.substr(bytes.size() - 8);
+    const std::string damaged = TempPath("raw_length_forged.ictmb");
+    WriteBytes(damaged, forged);
+    for (const bool prefetch : {false, true}) {
+      SCOPED_TRACE(prefetch ? "read-ahead" : "synchronous");
+      TraceReader reader(damaged, TraceReaderOptions{prefetch});
+      std::vector<double> bin(9);
+      for (std::size_t t = 0; t < 4; ++t) {
+        ASSERT_TRUE(reader.next(bin.data())) << "bin " << t;
+        EXPECT_EQ(std::memcmp(bin.data(), series.binData(t),
+                              bin.size() * sizeof(double)),
+                  0)
+            << "bin " << t;
+      }
+      try {
+        reader.next(bin.data());
+        ADD_FAILURE() << "the forged frame was served";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "raw chunk payload size disagrees"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(reader.position(), 4u);
+    }
+  }
+}
+
 
 // ---- repack ----------------------------------------------------------------
 
@@ -1051,22 +1164,29 @@ TEST(Repack, UpgradesV1FilesToV2) {
 
 TEST(TraceWriter, CloseSurfacesWriteFailuresOnFullDevice) {
   // /dev/full fails every flush with ENOSPC — exactly the silent-loss
-  // scenario the close() contract exists for.  Both the serial and the
-  // pooled writer must surface it as ictm::Error from append()/close(),
-  // never swallow it.  The device is reached through a symlink, and a
+  // scenario the close() contract exists for.  Every writer, serial or
+  // pooled, must surface it as ictm::Error from append()/close(), never
+  // swallow it.  The device is reached through a symlink, and a
   // failed writer must unlink neither.
   if (::access("/dev/full", W_OK) != 0) {
     GTEST_SKIP() << "/dev/full not available";
   }
   const std::string full = TempPath("full.ictmb");
   ASSERT_EQ(::symlink("/dev/full", full.c_str()), 0);
-  const auto series = SmoothSeries(8, 256, 73);
-  for (std::size_t threads : {0u, 2u}) {
-    SCOPED_TRACE("compressThreads=" + std::to_string(threads));
+  // Incompressible bins, so every chunk reaches the device at full
+  // size: the raw writer writes them inline, the serial delta writer
+  // after its fallback, and the pooled one on its emit thread from the
+  // bins it moved.
+  const auto series = IncompressibleSeries(8, 256, 73);
+  const std::pair<ChunkCodec, std::size_t> writers[] = {
+      {ChunkCodec::kRaw, 0}, {ChunkCodec::kDelta, 0}, {ChunkCodec::kDelta, 2}};
+  for (const auto& [codec, threads] : writers) {
+    SCOPED_TRACE(std::string(ChunkCodecName(codec)) +
+                 " compressThreads=" + std::to_string(threads));
     const auto run = [&] {
       TraceWriterOptions options;
       options.binsPerChunk = 16;
-      options.codec = ChunkCodec::kRaw;  // incompressible-size output
+      options.codec = codec;
       options.compressThreads = threads;
       TraceWriter writer(full, series.nodeCount(), series.binSeconds(),
                          options);

@@ -206,6 +206,31 @@ inline void ReferenceCholeskyFactor(double* m, std::size_t n) {
   }
 }
 
+/// The upper triangle of the square `m` in the packed layout the
+/// normal-equations kernels work on (nothing below the diagonal is
+/// read).
+inline linalg::PackedUpper PackUpper(const linalg::Matrix& m) {
+  ICTM_REQUIRE(m.rows() == m.cols(), "only a square matrix packs");
+  linalg::PackedUpper packed(m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const double* row = m.data().data() + i * m.cols();
+    std::copy(row + i, row + m.cols(), packed.row(i) + i);
+  }
+  return packed;
+}
+
+/// The dense n x n view of a packed upper triangle: its upper triangle
+/// verbatim, zeros below the diagonal.  Lets a packed result be
+/// memcmp-ed row by row against a dense oracle.
+inline linalg::Matrix UnpackUpper(const linalg::PackedUpper& packed) {
+  const std::size_t n = packed.dim();
+  linalg::Matrix dense(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy(packed.row(i) + i, packed.row(i) + n, &dense(i, i));
+  }
+  return dense;
+}
+
 /// One explicit entry of a sparse matrix under triplet assembly.
 struct Triplet {
   std::size_t row = 0;

@@ -783,8 +783,8 @@ struct OutputTraces {
     stream::TraceWriterOptions options;
     options.codec = flags.codec;
     // File bytes are identical for any pool size, so one background
-    // compressor is pure overlap when a real codec is selected.
-    options.compressThreads = flags.codec == stream::ChunkCodec::kRaw ? 0 : 1;
+    // compressor is pure overlap (a raw writer starts none).
+    options.compressThreads = 1;
     estimates.emplace(paths[0], nodes, binSeconds, options);
     priors.emplace(paths[1], nodes, binSeconds, options);
   }

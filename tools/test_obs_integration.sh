@@ -7,10 +7,12 @@
 # estimates and priors to a plain run — and the artifacts themselves
 # must be sound: the trace validates as Chrome trace_event JSON
 # (tools/check_trace.py) and shows every timed stage of a bin, from the
-# chunk read through the six solver stages, the metrics snapshot is
-# JSON with the v1 schema marker, `ictm client --stats` returns a
-# name-sorted counter dump from a live server, and `ictm serve
-# --stats-interval` emits periodic summary lines plus shutdown totals.
+# chunk read through the six solver stages, a trace long enough to be
+# written out in several batches still holds every bin once, the
+# metrics snapshot is JSON with the v1 schema marker, `ictm client
+# --stats` returns a name-sorted counter dump from a live server, and
+# `ictm serve --stats-interval` emits periodic summary lines plus
+# shutdown totals.
 #
 # usage: test_obs_integration.sh <path-to-ictm> [<path-to-check-trace.py>]
 set -u
@@ -73,6 +75,23 @@ grep -q '"ictm-metrics-v1"' "$WORK/stream.metrics.json" ||
   fail "stream metrics snapshot lacks the v1 schema marker"
 grep -q '"stream.bins_pushed"' "$WORK/stream.metrics.json" ||
   fail "stream metrics snapshot lacks stream.bins_pushed"
+
+# A long traced run: each of the four workers' buffers fills and is
+# written out three or more times (every 4096 events), interleaved with
+# the others, before Stop() writes the rest, and the file must still
+# validate and hold every bin's solve once.
+LONG_BINS=8000
+"$BIN" synthesize "$WORK/long.csv" $NODES $LONG_BINS 0.25 11 >/dev/null ||
+  fail "synthesize the long series"
+"$BIN" stream "$WORK/long.csv" --topology grid:3x3 --threads 4 \
+  --window 0 --trace-out "$WORK/long.trace.json" >/dev/null ||
+  fail "long traced stream run"
+python3 "$CHECK_TRACE" "$WORK/long.trace.json" \
+  --min-events $((7 * LONG_BINS)) --require-name solve ||
+  fail "long stream trace is not well-formed"
+SOLVES=$(grep -o '"name":"solve"' "$WORK/long.trace.json" | wc -l)
+[ "$SOLVES" -eq "$LONG_BINS" ] ||
+  fail "long stream trace holds $SOLVES solve events, not $LONG_BINS"
 
 # Server: periodic stats line, STATS probe, shutdown totals, snapshot.
 SOCK="unix:$WORK/server.sock"
